@@ -18,12 +18,11 @@
 //! * [`designs`] — the evaluated designs of Table 2: Mugi, Mugi-L, Carat,
 //!   systolic and SIMD arrays (with and without FIGNA PEs), tensor cores, and
 //!   precise/approximate vector arrays;
-//! * [`perf`] — the performance model: executes a `mugi-workloads` operator
-//!   trace on a design and reports cycles, energy and per-category breakdowns;
+//! * [`perf`] — the performance model: prices a `mugi-workloads` operator
+//!   trace on a design op by op and reports cycles, energy and per-category
+//!   breakdowns;
 //! * [`noc`] — 2-D mesh NoC scaling model;
-//! * [`hbm`] — off-chip memory bandwidth / energy model;
-//! * [`engine`] — a small event-driven simulation core used by the performance
-//!   model to order compute and memory events.
+//! * [`hbm`] — off-chip memory bandwidth / energy model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@
 
 pub mod cost;
 pub mod designs;
-pub mod engine;
 pub mod hbm;
 pub mod modules;
 pub mod noc;
@@ -40,4 +38,4 @@ pub mod perf;
 pub use cost::CostModel;
 pub use designs::{Design, DesignConfig, DesignKind, NonlinearMethod};
 pub use noc::NocConfig;
-pub use perf::{NodePerformance, PerfModel, WorkloadPerformance};
+pub use perf::{LayerCost, NodePerformance, OpCost, PerfModel, WorkloadPerformance};

@@ -2,14 +2,14 @@
 //! and reports latency, energy, throughput and per-category breakdowns.
 //!
 //! This is the layer that produces the numbers behind Figures 11–17 and
-//! Table 3. For each transformer layer the model schedules compute events
-//! (GEMMs and nonlinear ops) against double-buffered weight fetches from HBM
-//! using the event engine, then scales to the full model and, optionally, to
-//! a multi-node NoC.
+//! Table 3. Each operator of a transformer layer (GEMMs and nonlinear ops)
+//! is priced on its own ([`PerfModel::op_cost`]); one in-order fold
+//! ([`LayerCost`]) sets the layer's compute against its double-buffered
+//! weight fetches from HBM, and the result is scaled to the full model and,
+//! optionally, to a multi-node NoC.
 
 use crate::cost::CostModel;
 use crate::designs::Design;
-use crate::engine::{Event, EventEngine, Resource};
 use crate::hbm::Hbm;
 use crate::noc::NocConfig;
 use mugi_numerics::cast::{u64_from_f64, u64_from_usize};
@@ -45,12 +45,65 @@ impl CategoryBreakdown {
         }
     }
 
-    fn add_gemm(&mut self, kind: GemmKind, value: f64) {
+    /// Adds `value` to a GEMM kind's category, or to `nonlinear` for `None`.
+    fn add(&mut self, kind: Option<GemmKind>, value: f64) {
         match kind {
-            GemmKind::Projection => self.projection += value,
-            GemmKind::Attention => self.attention += value,
-            GemmKind::Ffn => self.ffn += value,
+            Some(GemmKind::Projection) => self.projection += value,
+            Some(GemmKind::Attention) => self.attention += value,
+            Some(GemmKind::Ffn) => self.ffn += value,
+            None => self.nonlinear += value,
         }
+    }
+}
+
+/// What one operator costs on a design: its compute cycles and dynamic
+/// energy, the HBM fetch double-buffered behind it, and the activation bytes
+/// a multi-node NoC moves for it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OpCost {
+    /// Breakdown category: the GEMM's kind, or `None` for a nonlinear op.
+    pub gemm_kind: Option<GemmKind>,
+    /// Compute cycles.
+    pub cycles: u64,
+    /// Dynamic compute energy in pJ.
+    pub energy_pj: f64,
+    /// HBM cycles fetching the op's weights / KV (zero for nonlinear ops).
+    pub hbm_cycles: u64,
+    /// HBM energy in pJ of that fetch.
+    pub hbm_energy_pj: f64,
+    /// Activation bytes moved between nodes on a NoC (zero for nonlinear
+    /// ops).
+    pub noc_bytes: u64,
+}
+
+/// Running totals of one layer's [`OpCost`]s.
+///
+/// [`add`](Self::add) accumulates every float one op at a time, so the
+/// totals depend on op order only: folding cached per-op costs in trace
+/// order is bit-identical to pricing the trace afresh. Pre-summing a group
+/// of ops would not be — `(a + b) + (c + d)` rounds differently from
+/// `((a + b) + c) + d`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LayerCost {
+    cycle_breakdown: CategoryBreakdown,
+    energy_breakdown: CategoryBreakdown,
+    compute_cycles: u64,
+    memory_cycles: u64,
+    hbm_energy_pj: f64,
+    noc_bytes: u64,
+}
+
+impl LayerCost {
+    /// Folds in the next op of the layer.
+    pub fn add(&mut self, op: &OpCost) {
+        self.cycle_breakdown.add(op.gemm_kind, op.cycles as f64);
+        self.energy_breakdown.add(op.gemm_kind, op.energy_pj);
+        self.compute_cycles += op.cycles;
+        self.memory_cycles += op.hbm_cycles;
+        // Exact for nonlinear ops: the total starts at +0.0 and only grows,
+        // and `x + 0.0 == x` for every such `x`.
+        self.hbm_energy_pj += op.hbm_energy_pj;
+        self.noc_bytes += op.noc_bytes;
     }
 }
 
@@ -135,77 +188,83 @@ impl PerfModel {
         &self.design
     }
 
-    /// Runs one transformer layer's operator trace and scales it to the whole
-    /// model, returning the node-level performance.
-    pub fn run_trace(&self, trace: &OpTrace) -> NodePerformance {
-        let cost = self.design.cost_model();
-        let mut engine = EventEngine::with_capacity(trace.layer_ops.len() * 2);
-        let mut cycle_breakdown = CategoryBreakdown::default();
-        let mut energy_breakdown = CategoryBreakdown::default();
-        let mut hbm_energy_pj = 0.0;
-        let mut compute_cycles_total = 0u64;
-
-        for op in &trace.layer_ops {
-            match op {
-                WorkloadOp::Gemm(gemm) => {
-                    let cycles = self.design.gemm_cycles(gemm);
-                    let energy = self.design.gemm_energy_pj(gemm);
-                    cycle_breakdown.add_gemm(gemm.kind, cycles as f64);
-                    energy_breakdown.add_gemm(gemm.kind, energy);
-                    compute_cycles_total += cycles;
-                    engine.submit(Event {
-                        resource: Resource::Compute,
-                        earliest_start: 0,
-                        duration: cycles,
-                    });
-                    // Weight / KV fetch from HBM (double buffered, so it only
-                    // matters if it exceeds the compute time).
-                    let bytes = gemm.weight_bytes() * u64_from_usize(gemm.repeats);
-                    let mem_cycles = self.hbm.transfer_cycles(bytes, cost.frequency_hz);
-                    engine.submit(Event {
-                        resource: Resource::Memory,
-                        earliest_start: 0,
-                        duration: mem_cycles,
-                    });
-                    hbm_energy_pj += self.hbm.transfer_energy_pj(bytes);
+    /// What `op` costs on this design. Independent of the NoC, which only
+    /// scales the folded totals, so a caller may cache op costs and fold
+    /// them for any mesh.
+    pub fn op_cost(&self, op: &WorkloadOp) -> OpCost {
+        match op {
+            WorkloadOp::Gemm(gemm) => {
+                // Weight / KV fetch from HBM (double buffered, so it only
+                // matters if it exceeds the compute time).
+                let bytes = gemm.weight_bytes() * u64_from_usize(gemm.repeats);
+                OpCost {
+                    gemm_kind: Some(gemm.kind),
+                    cycles: self.design.gemm_cycles(gemm),
+                    energy_pj: self.design.gemm_energy_pj(gemm),
+                    hbm_cycles: self
+                        .hbm
+                        .transfer_cycles(bytes, self.design.cost_model().frequency_hz),
+                    hbm_energy_pj: self.hbm.transfer_energy_pj(bytes),
+                    noc_bytes: gemm.activation_bytes() * u64_from_usize(gemm.repeats),
                 }
-                WorkloadOp::Nonlinear(nl) => {
-                    let elements = nl.total_elements();
-                    let cycles = self.design.nonlinear_cycles(elements);
-                    let energy = self.design.nonlinear_energy_pj(elements);
-                    cycle_breakdown.nonlinear += cycles as f64;
-                    energy_breakdown.nonlinear += energy;
-                    compute_cycles_total += cycles;
-                    engine.submit(Event {
-                        resource: Resource::Compute,
-                        earliest_start: 0,
-                        duration: cycles,
-                    });
+            }
+            WorkloadOp::Nonlinear(nl) => {
+                let elements = nl.total_elements();
+                OpCost {
+                    gemm_kind: None,
+                    cycles: self.design.nonlinear_cycles(elements),
+                    energy_pj: self.design.nonlinear_energy_pj(elements),
+                    hbm_cycles: 0,
+                    hbm_energy_pj: 0.0,
+                    noc_bytes: 0,
                 }
             }
         }
+    }
 
-        let (schedule, _) = engine.run();
-        let layer_cycles = schedule.makespan;
-        let layers = u64_from_usize(trace.model.layers);
+    /// The folded op costs of one layer of `trace`.
+    fn layer_cost(&self, trace: &OpTrace) -> LayerCost {
+        let mut layer = LayerCost::default();
+        for op in &trace.layer_ops {
+            layer.add(&self.op_cost(op));
+        }
+        layer
+    }
+
+    /// Runs one transformer layer's operator trace and scales it to the whole
+    /// model, returning the node-level performance.
+    pub fn run_trace(&self, trace: &OpTrace) -> NodePerformance {
+        self.node_performance(&self.layer_cost(trace), trace.model.layers)
+    }
+
+    /// Scales one layer's folded costs to a `layers`-deep model on one node.
+    ///
+    /// Every compute op and every weight fetch is ready at cycle 0 and holds
+    /// its resource exclusively, so each resource is busy for the sum of its
+    /// ops and the layer takes as long as the busier one: the fetches are
+    /// double-buffered behind compute unless they outlast it, in which case
+    /// the layer is memory-bound.
+    fn node_performance(&self, layer: &LayerCost, layers: usize) -> NodePerformance {
+        let cost = self.design.cost_model();
+        let layer_cycles = layer.compute_cycles.max(layer.memory_cycles);
+        let layers = u64_from_usize(layers);
         let total_cycles = layer_cycles * layers;
-        let memory_bound =
-            schedule.busy_cycles(Resource::Memory) > schedule.busy_cycles(Resource::Compute);
+        let memory_bound = layer.memory_cycles > layer.compute_cycles;
         let compute_utilization =
-            if layer_cycles == 0 { 0.0 } else { compute_cycles_total as f64 / layer_cycles as f64 }
+            if layer_cycles == 0 { 0.0 } else { layer.compute_cycles as f64 / layer_cycles as f64 }
                 .min(1.0);
 
-        let dynamic_energy_pj = energy_breakdown.total() * layers as f64;
+        let dynamic_energy_pj = layer.energy_breakdown.total() * layers as f64;
         let runtime_s = cost.cycles_to_seconds(total_cycles);
         let leakage_energy_pj = self.design.leakage_mw() * 1e-3 * runtime_s * 1e12;
 
         NodePerformance {
             total_cycles,
-            cycle_breakdown: cycle_breakdown.scale(layers as f64),
+            cycle_breakdown: layer.cycle_breakdown.scale(layers as f64),
             dynamic_energy_pj,
-            energy_breakdown: energy_breakdown.scale(layers as f64),
+            energy_breakdown: layer.energy_breakdown.scale(layers as f64),
             leakage_energy_pj,
-            hbm_energy_pj: hbm_energy_pj * layers as f64,
+            hbm_energy_pj: layer.hbm_energy_pj * layers as f64,
             memory_bound,
             compute_utilization,
         }
@@ -222,32 +281,38 @@ impl PerfModel {
     /// multi-node dataflow), so throughput scales by the NoC multiplier while
     /// the NoC adds area and transfer energy.
     pub fn evaluate_noc(&self, trace: &OpTrace, noc: NocConfig) -> WorkloadPerformance {
+        self.evaluate_layer(
+            &self.layer_cost(trace),
+            trace.model.layers,
+            trace.tokens_per_step(),
+            noc,
+        )
+    }
+
+    /// [`evaluate_noc`](Self::evaluate_noc) from one layer's folded costs: a
+    /// `layers`-deep model producing `tokens_per_step` tokens per forward
+    /// pass (see [`OpTrace::tokens_per_step`]).
+    pub fn evaluate_layer(
+        &self,
+        layer: &LayerCost,
+        layers: usize,
+        tokens_per_step: usize,
+        noc: NocConfig,
+    ) -> WorkloadPerformance {
         let cost = self.design.cost_model();
-        let node = self.run_trace(trace);
+        let node = self.node_performance(layer, layers);
         let nodes = noc.nodes() as f64;
         let speedup = noc.throughput_multiplier();
         let effective_cycles = node.total_cycles as f64 / speedup;
         let runtime_s = effective_cycles / cost.frequency_hz;
-        // Tokens per step: each forward pass produces one token per decode
-        // request of the (possibly mixed) micro-batch; a pure-prefill trace
-        // counts prompts per step instead. For the classic single-slice
-        // decode traces this is exactly `trace.batch`.
-        let tokens_per_step = trace.tokens_per_step() as f64;
+        let tokens_per_step = tokens_per_step as f64;
         let tokens_per_second = if runtime_s > 0.0 { tokens_per_step / runtime_s } else { 0.0 };
 
         // Energy: dynamic energy is workload-defined (unchanged by the NoC),
         // leakage scales with node count and runtime, NoC transfer energy
         // covers activation/output movement between nodes.
         let leakage_pj = self.design.leakage_mw() * 1e-3 * runtime_s * 1e12 * nodes;
-        let noc_bytes: u64 = trace
-            .layer_ops
-            .iter()
-            .map(|op| match op {
-                WorkloadOp::Gemm(g) => g.activation_bytes() * u64_from_usize(g.repeats),
-                WorkloadOp::Nonlinear(_) => 0,
-            })
-            .sum::<u64>()
-            * u64_from_usize(trace.model.layers);
+        let noc_bytes = layer.noc_bytes * u64_from_usize(layers);
         let noc_energy_pj = noc.transfer_energy_pj(noc_bytes, cost);
         let total_energy_pj =
             node.dynamic_energy_pj + node.hbm_energy_pj + leakage_pj + noc_energy_pj;
@@ -483,6 +548,51 @@ mod tests {
         let prefill = OpTrace::generate(&cfg, Phase::Prefill, 4, 256, true, true);
         assert_eq!(prefill.tokens_per_step(), 4);
         assert!(model.evaluate(&prefill).tokens_per_second > 0.0);
+    }
+
+    fn gemm_cost(cycles: u64, hbm_cycles: u64) -> OpCost {
+        OpCost {
+            gemm_kind: Some(GemmKind::Ffn),
+            cycles,
+            energy_pj: 1.0,
+            hbm_cycles,
+            hbm_energy_pj: 0.5,
+            noc_bytes: 8,
+        }
+    }
+
+    #[test]
+    fn compute_and_memory_overlap() {
+        // A 100-cycle GEMM hides its 60-cycle fetch: the layer takes 100.
+        let model = PerfModel::new(Design::new(DesignConfig::mugi(128)));
+        let mut layer = LayerCost::default();
+        layer.add(&gemm_cost(100, 60));
+        let node = model.node_performance(&layer, 3);
+        assert_eq!(node.total_cycles, 300);
+        assert!(!node.memory_bound);
+        assert_eq!(node.compute_utilization, 1.0);
+        assert_eq!(node.cycle_breakdown.ffn, 300.0);
+        assert_eq!(node.hbm_energy_pj, 1.5);
+    }
+
+    #[test]
+    fn memory_bound_layer_detected() {
+        // Fetches longer than their GEMMs set the layer time: four 100-cycle
+        // fetches against four 20-cycle GEMMs take 400 cycles, compute busy
+        // a fifth of them.
+        let model = PerfModel::new(Design::new(DesignConfig::mugi(128)));
+        let mut layer = LayerCost::default();
+        for _ in 0..4 {
+            layer.add(&gemm_cost(20, 100));
+        }
+        let node = model.node_performance(&layer, 1);
+        assert_eq!(node.total_cycles, 400);
+        assert!(node.memory_bound);
+        assert!((node.compute_utilization - 0.2).abs() < 1e-12);
+        // An empty layer takes no time and is not memory-bound.
+        let empty = model.node_performance(&LayerCost::default(), 1);
+        assert_eq!((empty.total_cycles, empty.memory_bound), (0, false));
+        assert_eq!(empty.compute_utilization, 0.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Criterion benches for the serving simulator's per-step hot path: the
-//! memoized `estimate_micro_batch_noc` (cold miss vs steady-state hit) and
-//! one full `EventEngine::run_stream_folded` serve, so regressions in the
-//! two-level estimate cache or the stepping loop are measurable in
-//! isolation.
+//! Criterion benches for the serving simulator's per-step hot path:
+//! `estimate_micro_batch_noc` on a cold and a warm slice memo, and one full
+//! `EventEngine::run_stream_folded` serve, so regressions in slice pricing,
+//! the slice memo or the stepping loop are measurable in isolation.
 //!
 //! Set `MUGI_BENCH_QUICK=1` to shrink sample counts and the folded serve —
 //! the CI perf smoke, which only asserts that the hot path executes, not
@@ -30,10 +29,10 @@ fn shape() -> Vec<BatchSlice> {
     ]
 }
 
-/// Cold vs hot estimate: the cold case pays trace generation plus the
-/// performance model's event-engine run on a fresh accelerator every
-/// iteration; the hot case is the memoized steady-state lookup the serving
-/// loop sees once per step.
+/// Cold vs hot estimate: the cold case builds a fresh accelerator every
+/// iteration and prices each slice's ops from scratch before folding them;
+/// the hot case folds the slices' memoized op costs — what the serving loop
+/// pays whenever the executor's front memo misses on a known slice mix.
 fn bench_estimate(c: &mut Criterion) {
     let mut group = c.benchmark_group("estimate_hot_path");
     group.sample_size(if quick() { 10 } else { 30 });

@@ -31,7 +31,6 @@ fn main() {
             "TTFT p99 (s)",
             "TPOT p50 (s)",
             "steps",
-            "cached traces",
         ],
     );
     for policy in [SchedulingPolicy::Fcfs, SchedulingPolicy::ShortestPrefillFirst] {
@@ -60,7 +59,6 @@ fn main() {
                     format!("{:.1}", report.ttft.p99),
                     format!("{:.2}", report.tpot.p50),
                     report.micro_batches.to_string(),
-                    report.trace_cache_entries.to_string(),
                 ]);
             }
         }

@@ -51,7 +51,7 @@ pub use crate::memo::shape_hash;
 use crate::memo::ShapeCache;
 use mugi_arch::designs::{Design, DesignConfig};
 use mugi_arch::noc::NocConfig;
-use mugi_arch::perf::{PerfModel, WorkloadPerformance};
+use mugi_arch::perf::{LayerCost, OpCost, PerfModel, WorkloadPerformance};
 use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_numerics::quant::{weight_only_quantize, QuantizedMatrix};
@@ -59,70 +59,45 @@ use mugi_numerics::tensor::Matrix;
 use mugi_vlp::approx::{ApproxStats, VlpApproxConfig, VlpNonlinear};
 use mugi_vlp::gemm::{GemmStats, VlpGemm, VlpGemmConfig};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::ops::{BatchSlice, OpTrace};
+use mugi_workloads::ops::{slice_ops, step_tokens, BatchSlice, SLICE_OPS};
 use std::sync::{Arc, Mutex};
 
-/// Key of the per-accelerator operator-trace cache: a micro-batch shape on a
-/// model under fixed quantization flags.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct TraceKey {
+/// Key of the per-accelerator slice memo: one micro-batch slice on a model
+/// under fixed quantization flags. Op costs do not depend on the NoC, which
+/// only scales the folded totals, so one entry serves every mesh.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct SliceKey {
     model: ModelId,
-    slices: Vec<BatchSlice>,
+    slice: BatchSlice,
     woq: bool,
     kvq: bool,
 }
 
-impl TraceKey {
-    /// Whether this owned key denotes the borrowed shape.
-    fn denotes(&self, model: ModelId, slices: &[BatchSlice], woq: bool, kvq: bool) -> bool {
-        self.model == model && self.woq == woq && self.kvq == kvq && self.slices == slices
-    }
-}
+/// The costs of one slice's layer operations, in op order.
+type SliceCosts = [OpCost; SLICE_OPS];
 
-/// Key of the per-accelerator performance-memo cache: a trace shape plus the
-/// NoC it was evaluated on. [`PerfModel::evaluate_noc`] is a pure function
-/// of `(trace, design, noc)` and the design is fixed per accelerator, so the
-/// memoized [`WorkloadPerformance`] is bit-identical to a fresh evaluation.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct PerfKey {
-    trace: TraceKey,
-    noc: NocConfig,
-}
-
-/// Traces cached per accelerator before the LRU half is evicted. Traces
-/// are the heavy entries (an op list per layer), and they are only
-/// consulted when the perf memo misses — once the perf cache is warm they
-/// are never touched again — so their cap stays well below the perf
-/// cache's to bound resident memory.
-const TRACE_CACHE_CAP: usize = 4096;
-
-/// Memoized performance estimates cached before the LRU half is evicted.
-/// Entries are small `Copy` structs, so the cap is generous: long-stream
-/// continuous batching touches several thousand distinct micro-batch
-/// shapes (decode widths × prefill-length combinations), and an evicted
-/// shape costs a full trace generation plus performance-model evaluation
-/// to re-learn — the single most expensive steady-state event.
-const PERF_CACHE_CAP: usize = 16384;
+/// Slices memoized per accelerator before the LRU half is evicted.
+/// Long-stream continuous batching touches several thousand distinct slices
+/// (decode widths × context buckets, prefill chunks), and an evicted slice
+/// costs a fresh pricing of its eight ops to re-learn.
+const SLICE_MEMO_CAP: usize = 16384;
 
 /// A single-node Mugi accelerator: the paper's contribution wrapped in one
 /// object that exposes functional execution (GEMM, nonlinear approximation)
 /// and architectural estimation (throughput, energy, area, carbon).
 ///
-/// Clones share both estimate caches — the operator traces and the memoized
-/// per-shape [`WorkloadPerformance`] results — so a serving runtime can hand
-/// clones to workers without re-deriving either.
+/// Clones share the slice memo — the op costs of every micro-batch slice
+/// estimated so far — so a serving runtime can hand clones to workers
+/// without re-pricing them.
 #[derive(Clone, Debug)]
 pub struct MugiAccelerator {
-    design: DesignConfig,
     gemm: VlpGemm,
     softmax_engine: VlpNonlinear,
     silu_engine: VlpNonlinear,
     gelu_engine: VlpNonlinear,
-    trace_cache: Arc<Mutex<ShapeCache<TraceKey, Arc<OpTrace>>>>,
-    /// Second cache level: the full performance-model result per
-    /// `(shape, NoC)`, so a steady-state estimate is one hash lookup instead
-    /// of an event-engine run over the cached trace.
-    perf_cache: Arc<Mutex<ShapeCache<PerfKey, WorkloadPerformance>>>,
+    /// The performance model of this node's design.
+    perf: PerfModel,
+    slice_memo: Arc<Mutex<ShapeCache<SliceKey, SliceCosts>>>,
 }
 
 impl MugiAccelerator {
@@ -138,9 +113,7 @@ impl MugiAccelerator {
     /// and from there to the blocked matrix kernel; it changes execution
     /// speed only, never results or modelled statistics.
     pub fn with_context(array_height: usize, exec: ExecutionContext) -> Self {
-        let design = DesignConfig::mugi(array_height);
         MugiAccelerator {
-            design,
             gemm: VlpGemm::with_context(VlpGemmConfig::mugi(array_height), exec),
             softmax_engine: VlpNonlinear::with_array_rows(
                 NonlinearOp::Softmax,
@@ -157,14 +130,14 @@ impl MugiAccelerator {
                 VlpApproxConfig::recommended_for(NonlinearOp::Gelu),
                 array_height,
             ),
-            trace_cache: Arc::new(Mutex::new(ShapeCache::with_cap(TRACE_CACHE_CAP))),
-            perf_cache: Arc::new(Mutex::new(ShapeCache::with_cap(PERF_CACHE_CAP))),
+            perf: PerfModel::new(Design::new(DesignConfig::mugi(array_height))),
+            slice_memo: Arc::new(Mutex::new(ShapeCache::with_cap(SLICE_MEMO_CAP))),
         }
     }
 
     /// The architectural configuration of this node.
     pub fn design_config(&self) -> &DesignConfig {
-        &self.design
+        self.perf.design().config()
     }
 
     /// The execution context the software kernels run under.
@@ -175,12 +148,12 @@ impl MugiAccelerator {
     /// Clock frequency of this node's cost model in Hz (used by the serving
     /// runtime to convert simulated cycles to wall-clock time).
     pub fn frequency_hz(&self) -> f64 {
-        Design::new(self.design).cost_model().frequency_hz
+        self.perf.design().cost_model().frequency_hz
     }
 
     /// Node area in mm² under the default cost model.
     pub fn area_mm2(&self) -> f64 {
-        Design::new(self.design).area_mm2()
+        self.perf.design().area_mm2()
     }
 
     /// Quantizes a weight matrix for this accelerator (INT4 weight-only
@@ -213,48 +186,30 @@ impl MugiAccelerator {
         }
     }
 
-    /// Returns the cached operator trace for a micro-batch shape, generating
-    /// and inserting it on first use. Traces are immutable once built, so
-    /// clones of the accelerator share them through the `Arc`. The lookup
-    /// hashes the *borrowed* slices and only clones them into an owned key
-    /// on a miss, so steady-state hits allocate nothing.
-    fn cached_trace(
-        &self,
-        model: ModelId,
-        slices: &[BatchSlice],
-        woq: bool,
-        kvq: bool,
-    ) -> Arc<OpTrace> {
-        let hash = shape_hash(&(model, slices, woq, kvq));
-        let hit = self
-            .trace_cache
-            .lock()
-            .expect("trace cache poisoned")
-            .get(hash, |k| k.denotes(model, slices, woq, kvq));
-        if let Some(trace) = hit {
-            return trace;
+    /// The op costs of one slice, priced and memoized on first use.
+    fn slice_costs(&self, key: SliceKey) -> SliceCosts {
+        let hash = shape_hash(&key);
+        let hit = self.slice_memo.lock().expect("slice memo poisoned").get(hash, |k| *k == key);
+        if let Some(costs) = hit {
+            return costs;
         }
-        // Generate outside the lock so concurrent clones estimating other
-        // shapes are not serialized behind this (relatively expensive) call;
-        // a racing miss on the same key just generates the trace twice and
-        // the second insert wins harmlessly.
-        let trace = Arc::new(OpTrace::generate_mixed(&model.config(), slices, woq, kvq));
-        let key = TraceKey { model, slices: slices.to_vec(), woq, kvq };
-        self.trace_cache.lock().expect("trace cache poisoned").insert(
-            hash,
-            key,
-            Arc::clone(&trace),
-            |k| k.denotes(model, slices, woq, kvq),
-        );
-        trace
+        // Price outside the lock, so a slice with a zero dimension panics
+        // without poisoning the memo; a racing miss on the same slice
+        // inserts the same pure-function result twice, harmlessly.
+        let ops = slice_ops(&key.model.config(), key.slice, key.woq, key.kvq);
+        let costs = ops.map(|op| self.perf.op_cost(&op));
+        self.slice_memo
+            .lock()
+            .expect("slice memo poisoned")
+            .insert(hash, key, costs, |k| *k == key);
+        costs
     }
 
-    /// Evaluates a micro-batch shape on `noc`, memoizing the result: the
-    /// first estimate of a shape builds the trace and runs the performance
-    /// model's event engine; every later one is a hash lookup returning the
-    /// bit-identical [`WorkloadPerformance`]. This is the whole serving hot
-    /// path — one call per scheduler step.
-    fn memoized_perf(
+    /// Evaluates a micro-batch on `noc` by folding its slices' memoized op
+    /// costs in op order — bit-identical to
+    /// [`PerfModel::evaluate_noc`] on the composed
+    /// [`OpTrace`](mugi_workloads::ops::OpTrace), without building one.
+    fn estimate(
         &self,
         model: ModelId,
         slices: &[BatchSlice],
@@ -262,55 +217,46 @@ impl MugiAccelerator {
         kvq: bool,
         noc: NocConfig,
     ) -> WorkloadPerformance {
-        let hash = shape_hash(&(model, slices, woq, kvq, noc));
-        let matches = |k: &PerfKey| k.noc == noc && k.trace.denotes(model, slices, woq, kvq);
-        let hit = self.perf_cache.lock().expect("perf cache poisoned").get(hash, matches);
-        if let Some(perf) = hit {
-            return perf;
+        assert!(!slices.is_empty(), "slices must be non-empty");
+        let mut layer = LayerCost::default();
+        for &slice in slices {
+            for cost in &self.slice_costs(SliceKey { model, slice, woq, kvq }) {
+                layer.add(cost);
+            }
         }
-        // Evaluate outside the lock, like the trace path: the result is a
-        // pure function of (shape, design, noc), so a racing duplicate
-        // insert is bit-identical and harmless.
-        let trace = self.cached_trace(model, slices, woq, kvq);
-        let perf = PerfModel::new(Design::new(self.design)).evaluate_noc(&trace, noc);
-        let key = PerfKey { trace: TraceKey { model, slices: slices.to_vec(), woq, kvq }, noc };
-        self.perf_cache.lock().expect("perf cache poisoned").insert(hash, key, perf, matches);
-        perf
+        self.perf.evaluate_layer(&layer, model.config().layers, step_tokens(slices), noc)
     }
 
-    /// Number of operator traces currently cached (shared across clones).
+    /// Always 0: estimates fold memoized per-slice op costs and build no
+    /// operator trace, so no trace cache exists. Kept for callers that
+    /// still report it.
     pub fn trace_cache_entries(&self) -> usize {
-        self.trace_cache.lock().expect("trace cache poisoned").len()
+        0
     }
 
-    /// Number of memoized performance estimates currently cached (shared
+    /// Number of micro-batch slices whose op costs are memoized (shared
     /// across clones).
     pub fn perf_cache_entries(&self) -> usize {
-        self.perf_cache.lock().expect("perf cache poisoned").len()
+        self.slice_memo.lock().expect("slice memo poisoned").len()
     }
 
     /// Estimates decode throughput and efficiency for one of the paper's LLMs
     /// at the given batch size and context length (WOQ + KVQ enabled, as in
-    /// the paper's main configuration). The underlying operator trace is
-    /// cached per `(model, batch, seq_len)`, so repeated estimates — e.g. one
-    /// per scheduler step — do not regenerate it.
+    /// the paper's main configuration). The slice's op costs are memoized,
+    /// so repeated estimates — e.g. one per scheduler step — do not re-price
+    /// it.
     pub fn estimate_llm_throughput(
         &self,
         model: ModelId,
         batch: usize,
         seq_len: usize,
     ) -> WorkloadPerformance {
-        self.memoized_perf(
-            model,
-            &[BatchSlice::decode(batch, seq_len)],
-            true,
-            true,
-            NocConfig::single(),
-        )
+        self.estimate_llm_throughput_noc(model, batch, seq_len, NocConfig::single())
     }
 
-    /// Estimates throughput and efficiency on a multi-node NoC (trace cached
-    /// as in [`estimate_llm_throughput`](Self::estimate_llm_throughput)).
+    /// Estimates throughput and efficiency on a multi-node NoC (op costs
+    /// memoized as in
+    /// [`estimate_llm_throughput`](Self::estimate_llm_throughput)).
     pub fn estimate_llm_throughput_noc(
         &self,
         model: ModelId,
@@ -318,14 +264,13 @@ impl MugiAccelerator {
         seq_len: usize,
         noc: NocConfig,
     ) -> WorkloadPerformance {
-        self.memoized_perf(model, &[BatchSlice::decode(batch, seq_len)], true, true, noc)
+        self.estimate(model, &[BatchSlice::decode(batch, seq_len)], true, true, noc)
     }
 
     /// Evaluates one continuous-batching micro-batch — an arbitrary
     /// composition of decode slots and (chunked) prefill slices on `model` —
-    /// under WOQ + KVQ, caching the composed trace by its slice shape. This
-    /// is the entry point the `mugi-runtime` executor drives once per
-    /// scheduler step.
+    /// under WOQ + KVQ, memoizing op costs per slice. This is the entry
+    /// point the `mugi-runtime` executor drives once per scheduler step.
     ///
     /// # Panics
     /// Panics if `slices` is empty or contains a zero dimension.
@@ -334,16 +279,15 @@ impl MugiAccelerator {
         model: ModelId,
         slices: &[BatchSlice],
     ) -> WorkloadPerformance {
-        // `PerfModel::evaluate` is exactly `evaluate_noc` on the 1×1 mesh,
-        // so the single-node path shares the memo with `noc: single()`.
-        self.memoized_perf(model, slices, true, true, NocConfig::single())
+        // `PerfModel::evaluate` is exactly `evaluate_noc` on the 1×1 mesh.
+        self.estimate(model, slices, true, true, NocConfig::single())
     }
 
     /// Evaluates one continuous-batching micro-batch tiled across a NoC mesh
     /// of identical nodes (the paper's output-stationary multi-node
     /// dataflow): cycles shrink by the mesh's throughput multiplier while the
     /// NoC charges transfer energy for inter-node activation / accumulation
-    /// movement. The composed trace is cached exactly as in
+    /// movement. Op costs are memoized exactly as in
     /// [`estimate_micro_batch`](Self::estimate_micro_batch); with a 1×1 mesh
     /// the result is identical to the single-node estimate.
     ///
@@ -355,13 +299,13 @@ impl MugiAccelerator {
         slices: &[BatchSlice],
         noc: NocConfig,
     ) -> WorkloadPerformance {
-        self.memoized_perf(model, slices, true, true, noc)
+        self.estimate(model, slices, true, true, noc)
     }
 
     /// The circuit-level cost model backing this node's estimates (used by
     /// the serving runtime to price NoC transfers between nodes).
     pub fn cost_model(&self) -> mugi_arch::cost::CostModel {
-        *Design::new(self.design).cost_model()
+        *self.perf.design().cost_model()
     }
 }
 
@@ -375,6 +319,8 @@ impl Default for MugiAccelerator {
 mod tests {
     use super::*;
     use mugi_numerics::tensor::pseudo_random_matrix;
+    use mugi_workloads::ops::{OpTrace, Phase};
+    use proptest::prelude::*;
 
     #[test]
     fn accelerator_end_to_end_smoke() {
@@ -409,47 +355,37 @@ mod tests {
     }
 
     #[test]
-    fn traces_are_cached_per_micro_batch_shape() {
+    fn slice_costs_are_memoized_per_slice() {
         let accel = MugiAccelerator::new(128);
-        assert_eq!(accel.trace_cache_entries(), 0);
+        assert_eq!(accel.perf_cache_entries(), 0);
         let a = accel.estimate_llm_throughput(ModelId::Llama2_7b, 8, 2048);
-        assert_eq!(accel.trace_cache_entries(), 1);
-        // Same shape again: cache hit, identical result, no new entry.
+        assert_eq!(accel.perf_cache_entries(), 1);
+        // Same slice again: memo hit, identical result, no new entry.
         let b = accel.estimate_llm_throughput(ModelId::Llama2_7b, 8, 2048);
-        assert_eq!(accel.trace_cache_entries(), 1);
+        assert_eq!(accel.perf_cache_entries(), 1);
         assert_eq!(a, b);
-        // A different shape or model adds entries; clones share the cache.
+        // A different slice or model adds entries; clones share the memo.
         let clone = accel.clone();
         clone.estimate_llm_throughput(ModelId::Llama2_7b, 8, 4096);
         clone.estimate_llm_throughput(ModelId::Llama2_13b, 8, 2048);
-        assert_eq!(accel.trace_cache_entries(), 3);
+        assert_eq!(accel.perf_cache_entries(), 3);
+        // A micro-batch composed of memoized slices prices nothing new.
+        let slices = [BatchSlice::decode(8, 4096), BatchSlice::decode(8, 2048)];
+        accel.estimate_micro_batch(ModelId::Llama2_7b, &slices);
+        assert_eq!(clone.perf_cache_entries(), 3);
     }
 
     #[test]
     fn micro_batch_estimate_matches_direct_evaluation() {
-        use mugi_workloads::ops::BatchSlice;
         let accel = MugiAccelerator::new(256);
         let slices = [BatchSlice::decode(8, 2048), BatchSlice::prefill(1, 128).with_kv_len(256)];
         let via_accel = accel.estimate_micro_batch(ModelId::Llama2_7b, &slices);
         let trace = OpTrace::generate_mixed(&ModelId::Llama2_7b.config(), &slices, true, true);
         let direct = PerfModel::new(Design::new(*accel.design_config())).evaluate(&trace);
         assert_eq!(via_accel, direct);
-        // Repeating the same micro-batch shape hits the cache.
-        accel.estimate_micro_batch(ModelId::Llama2_7b, &slices);
-        assert_eq!(accel.trace_cache_entries(), 1);
-    }
-
-    #[test]
-    fn cache_hit_returns_the_same_trace_arc() {
-        use mugi_workloads::ops::BatchSlice;
-        let accel = MugiAccelerator::new(128);
-        let slices = [BatchSlice::decode(4, 512)];
-        let first = accel.cached_trace(ModelId::Llama2_7b, &slices, true, true);
-        let second = accel.cached_trace(ModelId::Llama2_7b, &slices, true, true);
-        assert!(Arc::ptr_eq(&first, &second), "a cache hit must return the same Arc, not a copy");
-        // A clone shares the cache, so it too sees the very same allocation.
-        let third = accel.clone().cached_trace(ModelId::Llama2_7b, &slices, true, true);
-        assert!(Arc::ptr_eq(&first, &third));
+        // Repeating the micro-batch hits both slices' entries.
+        assert_eq!(accel.estimate_micro_batch(ModelId::Llama2_7b, &slices), direct);
+        assert_eq!(accel.perf_cache_entries(), 2);
     }
 
     #[test]
@@ -458,8 +394,8 @@ mod tests {
         let clone = accel.clone();
         assert_eq!(accel.perf_cache_entries(), 0);
         let via_clone = clone.estimate_llm_throughput(ModelId::Llama2_7b, 8, 1024);
-        // The original observes the clone's insert (Arc-shared cache) and a
-        // repeat estimate through it returns the bit-identical memo.
+        // The original observes the clone's insert (Arc-shared memo) and a
+        // repeat estimate through it returns the bit-identical result.
         assert_eq!(accel.perf_cache_entries(), 1);
         let via_original = accel.estimate_llm_throughput(ModelId::Llama2_7b, 8, 1024);
         assert_eq!(via_clone, via_original);
@@ -467,55 +403,129 @@ mod tests {
     }
 
     #[test]
-    fn perf_memo_is_keyed_by_noc_config() {
-        use mugi_workloads::ops::BatchSlice;
+    fn one_slice_entry_serves_every_noc() {
         let accel = MugiAccelerator::new(256);
         let slices = [BatchSlice::decode(8, 2048)];
         let single =
             accel.estimate_micro_batch_noc(ModelId::Llama2_7b, &slices, NocConfig::single());
         let mesh =
             accel.estimate_micro_batch_noc(ModelId::Llama2_7b, &slices, NocConfig::mesh_4x4());
-        // One trace, two memo entries: the NoC config is folded into the key,
-        // so distinct meshes never alias each other's estimates.
-        assert_eq!(accel.trace_cache_entries(), 1);
-        assert_eq!(accel.perf_cache_entries(), 2);
+        // Op costs do not depend on the NoC, so both meshes fold the same
+        // memo entry and differ only in the final scaling.
+        assert_eq!(accel.perf_cache_entries(), 1);
         assert!(mesh.tokens_per_second > single.tokens_per_second);
-        // Each memoized result stays bit-identical to direct evaluation.
         let trace = OpTrace::generate_mixed(&ModelId::Llama2_7b.config(), &slices, true, true);
         let model = PerfModel::new(Design::new(*accel.design_config()));
         assert_eq!(single, model.evaluate_noc(&trace, NocConfig::single()));
         assert_eq!(mesh, model.evaluate_noc(&trace, NocConfig::mesh_4x4()));
-        // The single-node convenience path shares the `single()` memo entry.
+        // The single-node convenience path is the `single()` estimate.
         assert_eq!(accel.estimate_micro_batch(ModelId::Llama2_7b, &slices), single);
-        assert_eq!(accel.perf_cache_entries(), 2);
+        assert_eq!(accel.perf_cache_entries(), 1);
     }
 
     #[test]
-    fn capped_trace_cache_keeps_its_hottest_shape() {
+    fn capped_slice_memo_keeps_its_hottest_slice() {
         // Regression for the wholesale-clear eviction bug: a steady-state
-        // shape that hits between floods of cold one-off shapes must survive
-        // the cap, however many eviction rounds happen.
+        // slice that hits between floods of cold one-off slices must survive
+        // the cap, however many eviction rounds happen. A hit adds no entry
+        // and a miss always changes the count, so an unchanged count after
+        // estimating the hot slice proves it was still resident.
         let accel = MugiAccelerator::new(64);
         let cap = 32;
-        accel.trace_cache.lock().unwrap().set_cap(cap);
+        accel.slice_memo.lock().unwrap().set_cap(cap);
         let hot = [BatchSlice::decode(16, 4096)];
-        accel.cached_trace(ModelId::Llama2_7b, &hot, true, true);
-        let hot_arc = accel.cached_trace(ModelId::Llama2_7b, &hot, true, true);
+        accel.estimate_micro_batch(ModelId::Llama2_7b, &hot);
+        let hot_perf = accel.estimate_micro_batch(ModelId::Llama2_7b, &hot);
         for seq_len in 1..=4 * cap {
-            accel.cached_trace(ModelId::Llama2_7b, &[BatchSlice::decode(1, seq_len)], true, true);
-            // Touch the hot shape every few cold inserts, like a scheduler
+            accel.estimate_micro_batch(ModelId::Llama2_7b, &[BatchSlice::decode(1, seq_len)]);
+            // Touch the hot slice every few cold inserts, like a scheduler
             // steadily stepping one resident batch shape.
             if seq_len % 8 == 0 {
-                let again = accel.cached_trace(ModelId::Llama2_7b, &hot, true, true);
-                assert!(
-                    Arc::ptr_eq(&hot_arc, &again),
-                    "hot shape evicted after {seq_len} cold inserts"
+                let before = accel.perf_cache_entries();
+                assert_eq!(accel.estimate_micro_batch(ModelId::Llama2_7b, &hot), hot_perf);
+                assert_eq!(
+                    accel.perf_cache_entries(),
+                    before,
+                    "hot slice evicted after {seq_len} cold inserts"
                 );
             }
         }
-        assert!(accel.trace_cache_entries() <= cap);
-        let again = accel.cached_trace(ModelId::Llama2_7b, &hot, true, true);
-        assert!(Arc::ptr_eq(&hot_arc, &again));
+        assert!(accel.perf_cache_entries() <= cap);
+    }
+
+    #[test]
+    #[should_panic(expected = "slices must be non-empty")]
+    fn empty_micro_batch_rejected() {
+        MugiAccelerator::new(64).estimate_micro_batch(ModelId::Llama2_7b, &[]);
+    }
+
+    #[test]
+    fn zero_dimension_slice_panics_without_poisoning_the_memo() {
+        let accel = MugiAccelerator::new(64);
+        let bad = BatchSlice { batch: 0, ..BatchSlice::decode(1, 64) };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            accel.estimate_micro_batch(ModelId::Llama2_7b, &[bad])
+        }));
+        assert!(caught.is_err(), "a zero-batch slice must be rejected");
+        assert_eq!(accel.perf_cache_entries(), 0);
+        assert!(accel.estimate_llm_throughput(ModelId::Llama2_7b, 1, 64).tokens_per_second > 0.0);
+    }
+
+    prop_compose! {
+        fn slice_strategy()(
+            prefill in any::<bool>(),
+            batch in 1usize..16,
+            seq_len in 1usize..2048,
+            extra_kv in 0usize..2048,
+        ) -> BatchSlice {
+            let phase = if prefill { Phase::Prefill } else { Phase::Decode };
+            // `extra_kv > 0` attends to a cached prefix beyond the slice's
+            // own tokens, as a chunked prefill does.
+            BatchSlice::new(phase, batch, seq_len).with_kv_len(seq_len + extra_kv)
+        }
+    }
+
+    /// Estimates `slices` on one node and on a 2×2 mesh, each checked bit
+    /// for bit against evaluating the composed trace directly.
+    fn check_against_trace(
+        accel: &MugiAccelerator,
+        model: ModelId,
+        slices: &[BatchSlice],
+        woq: bool,
+        kvq: bool,
+    ) -> Result<(), TestCaseError> {
+        let trace = OpTrace::generate_mixed(&model.config(), slices, woq, kvq);
+        let direct = PerfModel::new(Design::new(*accel.design_config()));
+        for noc in [NocConfig::single(), NocConfig { rows: 2, cols: 2 }] {
+            let folded = accel.estimate(model, slices, woq, kvq, noc);
+            prop_assert_eq!(folded, direct.evaluate_noc(&trace, noc));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn slice_folds_match_trace_evaluation(
+            model in prop::sample::select(vec![
+                ModelId::Llama2_7b,
+                ModelId::Llama2_13b,
+                ModelId::Llama2_70b,
+            ]),
+            slices in prop::collection::vec(slice_strategy(), 1..=20),
+            woq in any::<bool>(),
+            kvq in any::<bool>(),
+        ) {
+            let accel = MugiAccelerator::new(128);
+            // Cold memo, then warm: the same bits either way.
+            check_against_trace(&accel, model, &slices, woq, kvq)?;
+            let memoized = accel.perf_cache_entries();
+            check_against_trace(&accel, model, &slices, woq, kvq)?;
+            // Reversed, the batch folds the same entries in another op
+            // order and must still match its own trace.
+            let reversed: Vec<BatchSlice> = slices.iter().rev().copied().collect();
+            check_against_trace(&accel, model, &reversed, woq, kvq)?;
+            prop_assert_eq!(accel.perf_cache_entries(), memoized);
+        }
     }
 
     #[test]

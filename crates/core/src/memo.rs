@@ -1,17 +1,16 @@
 //! A shape-keyed memo cache with borrowed two-phase lookup and
 //! segmented-LRU eviction.
 //!
-//! Both per-accelerator caches — operator traces and memoized
-//! [`WorkloadPerformance`](mugi_arch::perf::WorkloadPerformance) estimates —
-//! are keyed by a micro-batch shape (`&[BatchSlice]` plus a handful of
-//! `Copy` flags). The serving hot path looks the same shape up once per
-//! scheduler step, so two properties matter:
+//! The per-accelerator slice memo keys the op costs of one micro-batch
+//! slice by the slice plus a handful of `Copy` flags. The serving hot path
+//! looks slices up on every estimate the executor's front memo misses, so
+//! two properties matter:
 //!
-//! * **Hits must not allocate.** The caller hashes the *borrowed* shape
-//!   first ([`ShapeCache::get`] takes the precomputed hash plus an equality
-//!   predicate) and only clones the slices into an owned key on a miss
-//!   ([`ShapeCache::insert`]). A steady-state lookup is a hash, a bucket
-//!   probe and a slice comparison — no `to_vec`.
+//! * **Hits must not allocate.** The caller hashes its key first
+//!   ([`ShapeCache::get`] takes the precomputed hash plus an equality
+//!   predicate), so a steady-state lookup is a hash, a bucket probe and a
+//!   key comparison; only a miss builds an owned key
+//!   ([`ShapeCache::insert`]).
 //! * **Eviction must keep hot shapes.** A full cache evicts its
 //!   least-recently-used *half* (a segmented-LRU sweep) instead of clearing
 //!   wholesale, so the steady-state decode shapes that hit every step
@@ -22,8 +21,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Deterministic multiply–rotate hasher (Fx-style) for shape keys: one
 /// multiply per written word instead of SipHash's per-byte rounds. The
-/// serving hot path hashes a whole `&[BatchSlice]` once per scheduler step,
-/// so hashing cost is first-order; collision quality only costs an extra
+/// serving hot path hashes a micro-batch shape once per scheduler step, so
+/// hashing cost is first-order; collision quality only costs an extra
 /// equality-predicate probe (entries chain per bucket), and there is no
 /// per-process seed, so hashes — like everything else in the simulator —
 /// are process-deterministic.
@@ -196,7 +195,13 @@ impl<K, V: Clone> ShapeCache<K, V> {
         if self.len >= self.cap {
             self.evict_lru_half();
         }
-        self.buckets.entry(hash).or_default().push(Slot { key, value, last_use: tick });
+        // Almost every bucket holds a single entry, so size new buckets
+        // for one instead of `Vec`'s default first growth to four.
+        self.buckets.entry(hash).or_insert_with(|| Vec::with_capacity(1)).push(Slot {
+            key,
+            value,
+            last_use: tick,
+        });
         self.len += 1;
     }
 
@@ -223,10 +228,10 @@ impl<K, V: Clone> ShapeCache<K, V> {
 }
 
 /// Hashes a borrowed shape with the process-deterministic `ShapeHasher`.
-/// Both cache layers key on this, so a hit costs one multiply-per-word pass
-/// over the borrowed slices — never an owned-key materialization, and never
-/// a SipHash round. Public so front-side memos (the runtime executor's
-/// dispatch cache) can index by the same deterministic hash.
+/// The slice memo keys on this, so a hit costs one multiply-per-word pass
+/// over the key — never a SipHash round. Public so front-side memos (the
+/// runtime executor's dispatch cache) can index by the same deterministic
+/// hash.
 pub fn shape_hash(parts: &impl Hash) -> u64 {
     let mut hasher = ShapeHasher::default();
     parts.hash(&mut hasher);
@@ -296,6 +301,14 @@ mod tests {
         }
         assert!(get(&mut cache, 7777).is_some());
         assert!(cache.len() <= 16);
+    }
+
+    #[test]
+    fn a_single_insert_sizes_its_bucket_for_one_entry() {
+        let mut cache = ShapeCache::with_cap(8);
+        insert(&mut cache, 1);
+        let bucket = &cache.buckets[&shape_hash(&1u64)];
+        assert_eq!((bucket.len(), bucket.capacity()), (1, 1));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Each dispatch asks the scheduler for one micro-batch, converts it into
 //! workload slices (decode contexts bucketed at paged-KV granularity) and
-//! evaluates the composed trace on the accelerator's performance model — the
-//! trace itself is cached per micro-batch shape by `MugiAccelerator`. Where
-//! the batch runs depends on the [`Placement`]:
+//! prices them on the accelerator's performance model — `MugiAccelerator`
+//! memoizes op costs per slice and folds them per micro-batch. Where the
+//! batch runs depends on the [`Placement`]:
 //!
 //! * **data-parallel** — the batch runs whole on the idle node with the
 //!   earliest clock; other nodes keep executing their own batches, so
@@ -54,9 +54,9 @@ use serde::{Deserialize, Serialize};
 pub struct ExecutorConfig {
     /// Decode contexts are rounded up to this many KV entries when building
     /// workload slices (the paged-KV view of the cache). Coarser buckets
-    /// mean fewer distinct trace shapes and a hotter trace cache. Under a
+    /// mean fewer distinct slice shapes and hotter estimate memos. Under a
     /// bounded [`KvConfig`](crate::kv::KvConfig) this must equal the pool's
-    /// `page_tokens`, so the trace-cache view and the page-table view of a
+    /// `page_tokens`, so the estimate view and the page-table view of a
     /// context agree.
     pub kv_bucket: usize,
     /// Stall cycles charged per KV page evicted to form a micro-batch: the
@@ -128,7 +128,7 @@ struct FrontEntry {
     model: ModelId,
     slices: Vec<BatchSlice>,
     /// The four numbers [`Executor::dispatch`] consumes, copied verbatim
-    /// from the accelerator's memoized estimate: step cycles, node compute
+    /// from the accelerator's estimate: step cycles, node compute
     /// energy, the estimate's NoC energy (sharded placement only; the
     /// data-parallel arm derives its own from the batch) and the attention
     /// share of the dynamic energy.
@@ -138,15 +138,18 @@ struct FrontEntry {
     attention_energy_pj: f64,
 }
 
-/// A direct-mapped memo sitting in front of the accelerator's shared shape
-/// cache. Steady-state serving re-dispatches the same micro-batch shapes
-/// over and over, and for those this skips the cache mutex, the bucket
-/// probe and the full `WorkloadPerformance` copy — a hit is one indexed
-/// slot comparison returning exactly the numbers `dispatch` uses. The
+/// A direct-mapped memo of whole micro-batch estimates, sitting in front of
+/// the accelerator's shared per-slice cost memo. Steady-state serving
+/// re-dispatches the same micro-batch shapes over and over, and for those
+/// this skips a memo lock and probe per slice, the in-order fold of every
+/// op cost and the NoC scaling — a hit is one indexed slot comparison
+/// returning exactly the numbers `dispatch` uses. It pays for itself: fresh
+/// pricing from the slice memo costs ~450 ns, and dropping this front
+/// doubled the host time of a decode-heavy 2×2 data-parallel stream. The
 /// placement policy and NoC are fixed for an executor's lifetime, so
 /// `(model, slices)` fully determines the estimate; cached values are
-/// bit-copies of the memoized pure-function result and the hash only picks
-/// the slot, so both engines stay bit-identical.
+/// bit-copies of the pure-function result and the hash only picks the slot,
+/// so both engines stay bit-identical.
 #[derive(Clone, Debug, Default)]
 struct PerfFront {
     /// Lazily sized to [`PerfFront::SLOTS`] on first insert; a colliding
@@ -313,7 +316,7 @@ impl Executor {
 
     /// Creates an executor dispatching onto a NoC mesh under `placement`.
     /// One `accel` instance models every (identical) node of the pool, so
-    /// all nodes share its operator-trace cache. With a 1×1 mesh the
+    /// all nodes share its slice memo. With a 1×1 mesh the
     /// executor behaves exactly like the single-node one, whatever the
     /// policy.
     ///
@@ -332,7 +335,7 @@ impl Executor {
                 scheduler.kv_config().page_tokens,
                 config.kv_bucket,
                 "the KV pool's page_tokens must equal the executor's kv_bucket: a page and a \
-                 trace bucket are the same granularity"
+                 decode-context bucket are the same granularity"
             );
         }
         // Partition the bounded KV capacity to match the placement: each
@@ -1085,7 +1088,6 @@ impl Executor {
             micro_batches: self.steps,
             ttft,
             tpot,
-            trace_cache_entries: self.accel.trace_cache_entries(),
             nodes: self.pool.len(),
             noc: self.placement.noc.label(),
             noc_energy_uj: {
@@ -1233,13 +1235,10 @@ mod tests {
         ex.submit(Request::new(ModelId::Llama2_7b, 100, 40));
         let report = ex.run();
         // 1 prefill + 39 decode micro-batches, but the bucketed decode
-        // context means only a handful of distinct trace shapes.
+        // context means only a handful of distinct slices to price.
         assert_eq!(report.micro_batches, 40);
-        assert!(
-            report.trace_cache_entries < 8,
-            "expected few cached shapes, got {}",
-            report.trace_cache_entries
-        );
+        let slices = ex.accel.perf_cache_entries();
+        assert!(slices < 8, "expected few memoized slices, got {slices}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * a [`KvPool`] holds a bounded number of physical *pages*, each covering
 //!   [`KvConfig::page_tokens`] KV entries (the same granularity the executor
-//!   buckets decode contexts at for trace caching);
+//!   buckets decode contexts at for estimate memoization);
 //! * every admitted session owns a [`PageTable`] of page handles; prefill
 //!   chunks and decode growth allocate pages from the pool of the node the
 //!   session's KV lives on;
@@ -117,9 +117,9 @@ pub struct SloConfig {
 /// Static configuration of the paged KV cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct KvConfig {
-    /// KV entries per page. Must match the executor's trace-bucketing
-    /// granularity (`ExecutorConfig::kv_bucket`) for the paged view and the
-    /// trace-cache view of a context to agree.
+    /// KV entries per page. Must match the executor's decode-context
+    /// bucketing granularity (`ExecutorConfig::kv_bucket`) for the paged
+    /// view and the estimate view of a context to agree.
     pub page_tokens: usize,
     /// Physical pages per node, or `None` for an unbounded pool (no
     /// bookkeeping at all — the pre-paging behaviour).

@@ -24,8 +24,8 @@
 //!   being recomputed;
 //! * [`executor`] — the [`Executor`] drives one or many
 //!   [`MugiAccelerator`](mugi::MugiAccelerator) nodes over the scheduled
-//!   micro-batches (composed into mixed prefill/decode operator traces,
-//!   cached per shape), charges NoC transfer energy for inter-node movement
+//!   micro-batches (mixed prefill/decode slices priced from per-slice op
+//!   costs), charges NoC transfer energy for inter-node movement
 //!   and keeps per-request cycle/energy accounting;
 //! * [`event`] — the discrete-event [`EventEngine`]: the same machinery
 //!   driven by a binary-heap [`EventQueue`] of arrival/completion events

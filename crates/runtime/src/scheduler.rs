@@ -248,13 +248,14 @@ impl MicroBatch {
         self.items.iter().filter(|i| i.phase == Phase::Decode).count()
     }
 
-    /// Converts the batch into workload slices for
-    /// [`OpTrace::generate_mixed`](mugi_workloads::ops::OpTrace::generate_mixed).
+    /// Converts the batch into the workload slices
+    /// [`MugiAccelerator::estimate_micro_batch`](mugi::MugiAccelerator::estimate_micro_batch)
+    /// prices.
     ///
     /// Decode slots are grouped by their context length rounded up to
     /// `kv_bucket` (the paged-KV page-granularity view of the cache), which
-    /// keeps the number of distinct trace shapes — and therefore the size of
-    /// the accelerator's trace cache — small. Prefill chunks become one
+    /// keeps the number of distinct slices — and therefore the size of the
+    /// accelerator's slice memo — small. Prefill chunks become one
     /// slice each, with the attended KV length bucketed the same way.
     ///
     /// The rounding is [`pages_for`]`(len) * kv_bucket` — the same page

@@ -166,8 +166,6 @@ pub struct RuntimeReport {
     pub ttft: Percentiles,
     /// Time-per-output-token percentiles in seconds (multi-token requests).
     pub tpot: Percentiles,
-    /// Operator traces cached by the accelerator at the end of the run.
-    pub trace_cache_entries: usize,
     /// Accelerator nodes the run executed on (1 for the single-node
     /// executor).
     pub nodes: usize,
@@ -226,7 +224,6 @@ impl fmt::Display for RuntimeReport {
             self.tpot.p95,
             self.tpot.p99,
         )?;
-        writeln!(f, "trace cache: {} entries", self.trace_cache_entries)?;
         match self.kv.capacity_pages {
             None => write!(f, "KV pool: unbounded ({}-token pages)", self.kv.page_tokens),
             Some(capacity) => write!(
@@ -490,7 +487,6 @@ mod tests {
             micro_batches: 42,
             ttft: Percentiles { p50: 0.001, p95: 0.002, p99: 0.003 },
             tpot: Percentiles { p50: 0.0001, p95: 0.0002, p99: 0.0003 },
-            trace_cache_entries: 7,
             nodes: 16,
             noc: "4x4".to_string(),
             noc_energy_uj: 1.5,
@@ -501,7 +497,6 @@ mod tests {
         assert!(text.contains("2000.00 tokens/s"));
         assert!(text.contains("TTFT"));
         assert!(text.contains("42 micro-batches"));
-        assert!(text.contains("7 entries"));
         assert!(text.contains("16 node(s)"));
         assert!(text.contains("4x4 mesh"));
         assert!(text.contains("KV pool: unbounded"));
@@ -583,7 +578,6 @@ mod tests {
             micro_batches: 15,
             ttft: Percentiles::default(),
             tpot: Percentiles::default(),
-            trace_cache_entries: 0,
             nodes: 1,
             noc: "1x1".to_string(),
             noc_energy_uj: 1.25,

@@ -42,9 +42,6 @@ fn serves_64_concurrent_requests_across_two_models() {
     assert!(report.throughput_tokens_per_s > 0.0);
     assert!(report.ttft.p50 > 0.0 && report.ttft.p99 >= report.ttft.p50);
     assert!(report.tpot.p50 > 0.0 && report.tpot.p99 >= report.tpot.p50);
-    // Bucketed decode contexts keep the shared trace cache far smaller than
-    // the number of executed micro-batches.
-    assert!((report.trace_cache_entries as u64) < report.micro_batches);
     let total: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
     assert_eq!(report.total_output_tokens, total);
 }

@@ -243,12 +243,9 @@ impl OpTrace {
         kvq: bool,
     ) -> Self {
         assert!(!slices.is_empty(), "slices must be non-empty");
-        // Each slice contributes a fixed op sequence (7 GEMMs + 2
-        // nonlinears); reserving it up front keeps trace generation free of
-        // incremental reallocation.
-        let mut ops = Vec::with_capacity(slices.len() * 9);
+        let mut ops = Vec::with_capacity(slices.len() * SLICE_OPS);
         for slice in slices {
-            push_slice_ops(model, *slice, woq, kvq, &mut ops);
+            ops.extend(slice_ops(model, *slice, woq, kvq));
         }
         let batch = slices.iter().map(|s| s.batch).sum();
         let seq_len = slices.iter().map(|s| s.seq_len).max().unwrap_or(0);
@@ -286,12 +283,7 @@ impl OpTrace {
     /// preserving the historical prompts-per-second meaning of prefill
     /// throughput.
     pub fn tokens_per_step(&self) -> usize {
-        let decode = self.decode_tokens_per_step();
-        if decode > 0 {
-            decode
-        } else {
-            self.batch
-        }
+        step_tokens(&self.slices)
     }
 
     /// Total MACs across all GEMMs of one layer.
@@ -356,20 +348,42 @@ impl OpTrace {
     }
 }
 
-/// Appends the per-layer operations of one micro-batch slice to `ops`.
+/// Operations one micro-batch slice contributes to each layer: the Q/O and
+/// K/V projections, the score and value attention GEMMs, the softmax, the
+/// FFN up (+ gate) and down GEMMs and the FFN activation — six GEMMs and two
+/// nonlinears.
+pub const SLICE_OPS: usize = 8;
+
+/// Tokens per step used for throughput accounting of a micro-batch made of
+/// `slices`: its decode tokens (one per decode request), or — when every
+/// slice is prefill — the number of prompts, preserving the historical
+/// prompts-per-second meaning of prefill throughput.
+pub fn step_tokens(slices: &[BatchSlice]) -> usize {
+    let decode: usize = slices.iter().filter(|s| s.phase == Phase::Decode).map(|s| s.batch).sum();
+    if decode > 0 {
+        decode
+    } else {
+        slices.iter().map(|s| s.batch).sum()
+    }
+}
+
+/// The per-layer operations of one micro-batch slice, in execution order;
+/// a mixed trace is the concatenation of its slices' operations.
 ///
 /// * In `Prefill`, every GEMM sees `batch × seq_len` activation rows.
 /// * In `Decode`, projections/FFN see `batch` rows; attention GEMMs run
 ///   against the `kv_len` cached keys/values. Under GQA the group of query
 ///   heads sharing a KV head forms a small-batch GEMM of `batch × group`
 ///   rows (the utilisation-critical case for Mugi).
-fn push_slice_ops(
+///
+/// # Panics
+/// Panics if any dimension of `slice` is zero.
+pub fn slice_ops(
     model: &ModelConfig,
     slice: BatchSlice,
     woq: bool,
     kvq: bool,
-    ops: &mut Vec<WorkloadOp>,
-) {
+) -> [WorkloadOp; SLICE_OPS] {
     assert!(slice.batch > 0, "batch must be non-zero");
     assert!(slice.seq_len > 0, "seq_len must be non-zero");
     assert!(slice.kv_len > 0, "kv_len must be non-zero");
@@ -384,93 +398,48 @@ fn push_slice_ops(
         Phase::Prefill => batch * seq_len,
         Phase::Decode => batch,
     };
-
-    // --- Projections: Q, K, V, O ------------------------------------
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Projection,
-        m: rows,
-        k: d,
-        n: d,
-        activation_bits: 16,
-        weight_bits,
-        repeats: 2, // Q and O projections (d × d)
-    }));
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Projection,
-        m: rows,
-        k: d,
-        n: kv_dim,
-        activation_bits: 16,
-        weight_bits,
-        repeats: 2, // K and V projections (d × kv_dim)
-    }));
-
-    // --- Attention ---------------------------------------------------
-    // Score GEMM (Q Kᵀ) and value GEMM (P V) per KV head. Under GQA the
-    // group of query heads forms the activation rows.
+    // Under GQA the group of query heads sharing a KV head forms the
+    // attention activation rows.
     let group = model.gqa_group_size();
     let attn_rows = match phase {
         Phase::Prefill => batch * seq_len * group,
         Phase::Decode => batch * group,
     };
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Attention,
-        m: attn_rows,
-        k: head_dim,
-        n: kv_len,
-        activation_bits: 16,
-        weight_bits: kv_bits,
-        repeats: model.kv_heads, // score GEMM per KV head
-    }));
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Attention,
-        m: attn_rows,
-        k: kv_len,
-        n: head_dim,
-        activation_bits: 16,
-        weight_bits: kv_bits,
-        repeats: model.kv_heads, // value GEMM per KV head
-    }));
     // Softmax over the attention scores: one row of `kv_len` per query
     // head per token.
     let softmax_rows = match phase {
         Phase::Prefill => batch as u64 * seq_len as u64 * model.attention_heads as u64,
         Phase::Decode => batch as u64 * model.attention_heads as u64,
     };
-    ops.push(WorkloadOp::Nonlinear(NonlinearTrace {
-        op: mugi_numerics::nonlinear::NonlinearOp::Softmax,
-        elements: softmax_rows * kv_len as u64,
-        row_len: kv_len,
-        repeats: 1,
-    }));
-
-    // --- FFN -----------------------------------------------------------
     let up_repeats = if model.gated_ffn { 2 } else { 1 };
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Ffn,
-        m: rows,
-        k: d,
-        n: f,
-        activation_bits: 16,
-        weight_bits,
-        repeats: up_repeats, // up (+ gate) projection
-    }));
-    ops.push(WorkloadOp::Gemm(GemmOp {
-        kind: GemmKind::Ffn,
-        m: rows,
-        k: f,
-        n: d,
-        activation_bits: 16,
-        weight_bits,
-        repeats: 1, // down projection
-    }));
-    // FFN activation applied to the up-projection output.
-    ops.push(WorkloadOp::Nonlinear(NonlinearTrace {
-        op: model.ffn_activation(),
-        elements: rows as u64 * f as u64,
-        row_len: 1,
-        repeats: 1,
-    }));
+    let gemm = |kind, m, k, n, weight_bits, repeats| {
+        WorkloadOp::Gemm(GemmOp { kind, m, k, n, activation_bits: 16, weight_bits, repeats })
+    };
+
+    [
+        // --- Projections: Q and O (d × d), K and V (d × kv_dim) ----------
+        gemm(GemmKind::Projection, rows, d, d, weight_bits, 2),
+        gemm(GemmKind::Projection, rows, d, kv_dim, weight_bits, 2),
+        // --- Attention: score (Q Kᵀ) and value (P V) GEMMs per KV head ---
+        gemm(GemmKind::Attention, attn_rows, head_dim, kv_len, kv_bits, model.kv_heads),
+        gemm(GemmKind::Attention, attn_rows, kv_len, head_dim, kv_bits, model.kv_heads),
+        WorkloadOp::Nonlinear(NonlinearTrace {
+            op: mugi_numerics::nonlinear::NonlinearOp::Softmax,
+            elements: softmax_rows * kv_len as u64,
+            row_len: kv_len,
+            repeats: 1,
+        }),
+        // --- FFN: up (+ gate) and down projections, then the activation
+        // applied to the up-projection output --------------------------
+        gemm(GemmKind::Ffn, rows, d, f, weight_bits, up_repeats),
+        gemm(GemmKind::Ffn, rows, f, d, weight_bits, 1),
+        WorkloadOp::Nonlinear(NonlinearTrace {
+            op: model.ffn_activation(),
+            elements: rows as u64 * f as u64,
+            row_len: 1,
+            repeats: 1,
+        }),
+    ]
 }
 
 #[cfg(test)]
@@ -590,6 +559,22 @@ mod tests {
         assert_eq!(mixed.decode_tokens_per_step(), 8);
         assert_eq!(mixed.prefill_tokens(), 256);
         assert_eq!(mixed.tokens_per_step(), 8);
+    }
+
+    #[test]
+    fn every_slice_contributes_slice_ops_operations() {
+        let cfg = ModelId::Llama2_70b.config();
+        let slices = [
+            BatchSlice::decode(8, 1024),
+            BatchSlice::prefill(1, 128).with_kv_len(512),
+            BatchSlice::decode(3, 64),
+        ];
+        for k in 1..=slices.len() {
+            let trace = OpTrace::generate_mixed(&cfg, &slices[..k], true, false);
+            assert_eq!(trace.layer_ops.len(), SLICE_OPS * k);
+            let last = slice_ops(&cfg, slices[k - 1], true, false);
+            assert_eq!(trace.layer_ops[SLICE_OPS * (k - 1)..], last);
+        }
     }
 
     #[test]
