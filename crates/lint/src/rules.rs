@@ -174,8 +174,17 @@ const UNORDERED_ITER_METHODS: [&str; 11] = [
 const SIMULATION_CRATES: [&str; 4] = ["arch", "core", "runtime", "workloads"];
 
 /// Hot-path files for R5 (matched on basename, under any simulation crate).
-const HOT_PANIC_FILES: [&str; 5] =
-    ["scheduler.rs", "executor.rs", "memo.rs", "control.rs", "kv.rs"];
+const HOT_PANIC_FILES: [&str; 9] = [
+    "scheduler.rs",
+    "executor.rs",
+    "memo.rs",
+    "control.rs",
+    "kv.rs",
+    "event.rs",
+    "request.rs",
+    "placement.rs",
+    "stats.rs",
+];
 
 /// Whether `path` is a cycle/byte-accounting hot-path module for R4.
 fn is_hot_cast_path(path: &str) -> bool {

@@ -118,7 +118,7 @@ fn hot_path_panic_diagnostics_are_exact() {
 
 #[test]
 fn hot_path_panic_only_applies_to_hot_files() {
-    assert_eq!(spans("crates/runtime/src/stats.rs", PANICS), vec![]);
+    assert_eq!(spans("crates/runtime/src/workload.rs", PANICS), vec![]);
 }
 
 #[test]

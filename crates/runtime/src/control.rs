@@ -35,9 +35,9 @@
 //!    free pages, which systematically over-packs nodes hosting
 //!    long-output sessions.
 //!
-//! Everything here is deterministic integer arithmetic on quantities both
-//! engines observe in the same order, so the per-step executor and the
-//! discrete-event engine stay bit-identical with the controller on.
+//! Everything here is deterministic integer arithmetic on quantities the
+//! serving loop observes in one fixed completion order, so adaptive runs
+//! replay bit for bit, pre-submitted or streamed.
 
 use crate::placement::PoolRole;
 use serde::{Deserialize, Serialize};

@@ -1,95 +1,55 @@
-//! The discrete-event serving engine: the same scheduler, placement,
-//! paging, migration and accounting machinery as [`Executor`], driven by a
-//! binary-heap event queue instead of the per-step outer loop.
+//! The discrete-event serving engine: an [`Executor`] fed a lazily
+//! streamed request sequence instead of a pre-submitted trace.
 //!
-//! Two things change, and neither is the simulation's arithmetic:
+//! There is one decision loop, [`Executor::step`]'s round; the engine runs
+//! it with a stream. Instead of materializing a whole trace into the
+//! scheduler up front, it stages one arrival at a time from a
+//! [`WorkloadStream`](crate::workload::WorkloadStream) (or any request
+//! iterator) and submits it when simulated time reaches it. Completions
+//! and the staged arrival land in `(time, seq)` order, `seq` drawn from one
+//! counter at staging and at dispatch. Combined with retiring every
+//! finished session into a [`StatsFold`], memory stays O(live sessions)
+//! however long the stream runs.
 //!
-//! * **Completions live in a heap.** The per-step executor re-scans its
-//!   in-flight vector for the earliest completion on every decision; the
-//!   event engine pops it from an [`EventQueue`] keyed `(end_cycle, seq)`.
-//!   `Vec::remove` preserves insertion order and batches are inserted in
-//!   dispatch order, so the per-step tie-break `(end, index)` and the heap
-//!   tie-break `(end, seq)` select the *same* batch — the decision sequence
-//!   is provably identical, which the golden and property suites then pin
-//!   bit for bit.
-//! * **Arrivals stream in lazily.** Instead of materializing a whole trace
-//!   into the scheduler up front, the engine stages one arrival event at a
-//!   time from a [`WorkloadStream`](crate::workload::WorkloadStream) (or
-//!   any request iterator) and submits it when simulated time reaches it.
-//!   Combined with always-on incremental retirement and the
-//!   [`StatsFold`]-based report, memory stays O(live sessions) however
-//!   long the stream runs.
+//! Migration retries and swap-in barriers ride inside completions rather
+//! than as events of their own: KV pages are freed exclusively by
+//! completion effects, and servicing a migration at any other instant could
+//! pick a different target pool for no modeling gain.
 //!
-//! Migration retries and swap-in barriers deliberately ride *inside*
-//! completion events rather than as separate heap entries: KV pages are
-//! freed exclusively by completion effects, and servicing a migration at
-//! any other instant could pick a different target pool than the per-step
-//! oracle — breaking bit-identity for no modeling gain.
-//!
-//! Event submission is passive (admission control aside, submitting a
-//! request affects nothing until a batch forms at or after its arrival), so
-//! lazy submission is equivalent to the oracle's pre-submitted traces for
-//! every state-independent admission configuration. The stateful admission
-//! checks (`max_live_sessions` backpressure, SLO projection) evaluate
-//! against the population *at submission time*, which under lazy submission
-//! is the arrival instant — the more realistic reading, but a divergence
-//! from pre-submitted runs; equivalence tests therefore exercise them with
-//! those bounds unset.
+//! Submission is passive (admission control aside, submitting a request
+//! affects nothing until a batch forms at or after its arrival), so lazy
+//! submission is equivalent to a pre-submitted trace for every
+//! state-independent admission configuration. The stateful admission checks
+//! (`max_live_sessions` backpressure, SLO projection) evaluate against the
+//! population *at submission time*, which under lazy submission is the
+//! arrival instant — the more realistic reading, but a divergence from
+//! pre-submitted runs; equivalence tests therefore exercise them with those
+//! bounds unset.
 
 use crate::executor::Executor;
 use crate::kv::AdmissionError;
 use crate::request::{Request, RequestId};
 use crate::stats::{RuntimeReport, ScaleReport, StatsFold};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::iter::Peekable;
 
-/// What a popped event asks the engine to do.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A request's arrival instant: submit it to the scheduler and stage
-    /// the next one from the stream.
-    Arrival(Request),
-    /// A dispatched micro-batch (identified by its dispatch sequence
-    /// number) reached its end cycle: apply its completion effects,
-    /// service KV migrations and retire finished sessions.
-    Completion {
-        /// Dispatch sequence number of the finishing batch.
-        flight: u64,
-    },
-}
-
-/// One scheduled event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Simulated cycle the event fires at.
-    pub time: u64,
-    /// Global push order, the tie-break within a cycle.
-    pub seq: u64,
-    /// What fires.
-    pub kind: EventKind,
-}
-
-/// The event engine's priority queue: node-completion events in a binary
-/// min-heap keyed `(end_cycle, seq)`, plus at most one *staged* arrival —
-/// the stream's next request, so unbounded request streams occupy O(1)
-/// queue memory. Popping merges the two sources in `(time, seq)` order.
+/// The engine's pending arrival and its observability counters. Pending
+/// completions are the executor's in-flight batches, so the queue proper is
+/// at most one batch per node plus the staged arrival — the stream's next
+/// request, so unbounded request streams occupy O(1) queue memory.
 ///
-/// The queue tracks its own observability counters: pops, the queue-length
-/// high-water mark, and per-kind time regressions (a pop earlier than the
-/// previous pop of the same kind). Arrival pops are monotone whenever the
-/// stream's arrivals are sorted; completion pops are monotone except in one
-/// documented per-step-oracle artifact — a node with a lagging clock may
-/// form a batch *in the past* using KV pages freed by a completion that
-/// popped at a later cycle (bounded multi-pool placement only), and the
-/// engine reproduces that batch exactly rather than breaking bit-identity.
+/// The counters: events landed, the high-water mark of in-flight batches
+/// plus the staged arrival, and per-kind time regressions (an event landing
+/// earlier than the previous one of its kind). Arrivals are monotone
+/// whenever the stream's arrivals are sorted; completions are monotone
+/// except in one documented artifact — a node with a lagging clock may form
+/// a batch *in the past* using KV pages freed by a completion that landed
+/// at a later cycle (bounded multi-pool placement only).
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
-    completions: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    staged_arrival: Option<(u64, u64, Request)>,
+    /// The staged arrival and its sequence number.
+    pub(crate) staged: Option<(u64, Request)>,
     next_seq: u64,
     pops: u64,
-    peak_len: usize,
+    pub(crate) peak_len: usize,
     last_completion_pop: u64,
     last_arrival_pop: u64,
     completion_regressions: u64,
@@ -97,107 +57,28 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    fn bump_peak(&mut self) {
-        let len = self.len();
-        self.peak_len = self.peak_len.max(len);
-    }
-
-    /// Queued events (completions plus the staged arrival).
-    pub fn len(&self) -> usize {
-        self.completions.len() + usize::from(self.staged_arrival.is_some())
-    }
-
-    /// Whether no event is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules a completion event for the batch dispatched as `flight`.
-    pub fn push_completion(&mut self, time: u64, flight: u64) {
-        let seq = self.next_seq;
+    /// The next sequence number, the tie-break between events at one cycle.
+    pub(crate) fn next_seq(&mut self) -> u64 {
         self.next_seq += 1;
-        self.completions.push(Reverse((time, seq, flight)));
-        self.bump_peak();
+        self.next_seq - 1
     }
 
-    /// Stages the stream's next arrival (at most one at a time).
-    ///
-    /// # Panics
-    /// Debug-asserts no arrival is already staged.
-    pub fn stage_arrival(&mut self, request: Request) {
-        debug_assert!(self.staged_arrival.is_none(), "one staged arrival at a time");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.staged_arrival = Some((request.arrival_cycle, seq, request));
-        self.bump_peak();
-    }
-
-    /// `(time, seq)` of the next event without popping it.
-    pub fn peek_key(&self) -> Option<(u64, u64)> {
-        let completion = self.completions.peek().map(|&Reverse((t, s, _))| (t, s));
-        let arrival = self.staged_arrival.as_ref().map(|&(t, s, _)| (t, s));
-        match (completion, arrival) {
-            (Some(c), Some(a)) => Some(c.min(a)),
-            (c, a) => c.or(a),
-        }
-    }
-
-    /// End cycle of the earliest queued completion, ignoring any staged
-    /// arrival (the oracle prefers finishing a pending batch over jumping
-    /// to an earlier arrival, so the engine must be able to ask).
-    pub fn earliest_completion_time(&self) -> Option<u64> {
-        self.completions.peek().map(|&Reverse((t, _, _))| t)
-    }
-
-    /// Arrival cycle of the staged arrival, if any.
-    pub fn staged_arrival_time(&self) -> Option<u64> {
-        self.staged_arrival.as_ref().map(|&(t, _, _)| t)
-    }
-
-    /// Pops the next event in `(time, seq)` order.
-    pub fn pop(&mut self) -> Option<Event> {
-        let take_arrival = match (self.completions.peek(), &self.staged_arrival) {
-            (Some(&Reverse((ct, cs, _))), Some((at, asq, _))) => (*at, *asq) < (ct, cs),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let event = if take_arrival {
-            let (time, seq, request) = self.staged_arrival.take()?;
-            if time < self.last_arrival_pop {
-                self.arrival_regressions += 1;
-            }
-            self.last_arrival_pop = time;
-            Event { time, seq, kind: EventKind::Arrival(request) }
+    /// Counts one landed event at `time`, and a regression when it lands
+    /// before the previous event of its kind.
+    pub(crate) fn count_pop(&mut self, time: u64, arrival: bool) {
+        let (last, regressions) = if arrival {
+            (&mut self.last_arrival_pop, &mut self.arrival_regressions)
         } else {
-            let Reverse((time, seq, flight)) = self.completions.pop()?;
-            if time < self.last_completion_pop {
-                self.completion_regressions += 1;
-            }
-            self.last_completion_pop = time;
-            Event { time, seq, kind: EventKind::Completion { flight } }
+            (&mut self.last_completion_pop, &mut self.completion_regressions)
         };
-        self.pops += 1;
-        Some(event)
-    }
-
-    /// Pops the earliest completion event, skipping a staged arrival.
-    fn pop_completion(&mut self) -> Option<(u64, u64)> {
-        let Reverse((time, seq, flight)) = self.completions.pop()?;
-        if time < self.last_completion_pop {
-            self.completion_regressions += 1;
+        if time < *last {
+            *regressions += 1;
         }
-        self.last_completion_pop = time;
+        *last = time;
         self.pops += 1;
-        let _ = seq;
-        Some((time, flight))
     }
 
-    /// Events popped so far.
+    /// Events landed so far.
     pub fn pop_count(&self) -> u64 {
         self.pops
     }
@@ -207,13 +88,13 @@ impl EventQueue {
         self.peak_len
     }
 
-    /// Completion pops that went back in time (see the type docs; zero on
+    /// Completions that landed back in time (see the type docs; zero on
     /// every single-pool or unbounded configuration).
     pub fn completion_time_regressions(&self) -> u64 {
         self.completion_regressions
     }
 
-    /// Arrival pops that went back in time (zero whenever the stream's
+    /// Arrivals that landed back in time (zero whenever the stream's
     /// arrivals are nondecreasing).
     pub fn arrival_time_regressions(&self) -> u64 {
         self.arrival_regressions
@@ -227,18 +108,12 @@ impl EventQueue {
 #[derive(Clone, Debug)]
 pub struct EventEngine {
     ex: Executor,
-    queue: EventQueue,
 }
 
 impl EventEngine {
     /// Creates a single-node event engine (cf. [`Executor::new`]).
     pub fn new(accel: mugi::MugiAccelerator, scheduler: crate::scheduler::Scheduler) -> Self {
-        EventEngine::with_placement(
-            accel,
-            scheduler,
-            crate::executor::ExecutorConfig::default(),
-            crate::placement::Placement::single_node(),
-        )
+        EventEngine { ex: Executor::new(accel, scheduler) }
     }
 
     /// Creates an event engine dispatching onto a NoC mesh under
@@ -253,10 +128,7 @@ impl EventEngine {
         config: crate::executor::ExecutorConfig,
         placement: crate::placement::Placement,
     ) -> Self {
-        EventEngine {
-            ex: Executor::with_placement(accel, scheduler, config, placement),
-            queue: EventQueue::new(),
-        }
+        EventEngine { ex: Executor::with_placement(accel, scheduler, config, placement) }
     }
 
     /// Submits a request up front (the materialized-trace path shared with
@@ -280,19 +152,19 @@ impl EventEngine {
 
     /// The event queue's observability counters.
     pub fn queue(&self) -> &EventQueue {
-        &self.queue
+        &self.ex.queue
     }
 
-    /// Runs every pre-submitted request to completion and reports —
-    /// bit-identical to [`Executor::run`] on the same inputs.
+    /// Runs every pre-submitted request to completion and reports, exactly
+    /// like [`Executor::run`].
     pub fn run(&mut self) -> RuntimeReport {
         self.run_stream(std::iter::empty())
     }
 
     /// Serves `stream` lazily to completion: each request is submitted at
-    /// its arrival event, not up front. Requests the admission control
-    /// rejects are counted in the report's KV statistics and dropped, as
-    /// with [`Executor::try_submit`]. The stream's arrivals must be
+    /// its arrival, not up front. Requests the admission control rejects
+    /// are counted in the report's KV statistics and dropped, as with
+    /// [`Executor::try_submit`]. The stream's arrivals must be
     /// nondecreasing (true for Poisson and single-burst
     /// [`WorkloadStream`](crate::workload::WorkloadStream)s) and no later
     /// than any pre-[`submit`](EventEngine::submit)ted request still
@@ -301,10 +173,9 @@ impl EventEngine {
     where
         I: IntoIterator<Item = Request>,
     {
-        let mut stream = stream.into_iter().peekable();
-        self.pull_arrival(&mut stream);
-        let mut fold = None;
-        while self.advance(&mut stream, &mut fold) {}
+        let mut stream = stream.into_iter();
+        self.ex.stage_next(&mut stream);
+        while self.ex.round(&mut stream, &mut None) {}
         self.ex.report()
     }
 
@@ -316,176 +187,13 @@ impl EventEngine {
     where
         I: IntoIterator<Item = Request>,
     {
-        // Folded retirement replaces the executor-side retirement: stats
-        // must reach the fold, not the executor's retired vector.
-        self.ex.config.retire_finished = false;
-        let mut stream = stream.into_iter().peekable();
-        self.pull_arrival(&mut stream);
+        let mut stream = stream.into_iter();
+        self.ex.stage_next(&mut stream);
         let mut fold = Some(StatsFold::default());
-        while self.advance(&mut stream, &mut fold) {}
-        let mut fold = fold.expect("fold survives the run");
+        while self.ex.round(&mut stream, &mut fold) {}
+        let mut fold = fold.unwrap_or_default();
         self.ex.retire_finished_with(|stats| fold.add(&stats));
         self.scale_report(fold)
-    }
-
-    /// Stages the stream's next request as an arrival event.
-    fn pull_arrival<I>(&mut self, stream: &mut Peekable<I>)
-    where
-        I: Iterator<Item = Request>,
-    {
-        if let Some(request) = stream.next() {
-            debug_assert!(
-                self.queue.last_arrival_pop <= request.arrival_cycle,
-                "streamed arrivals must be nondecreasing"
-            );
-            self.queue.stage_arrival(request);
-        }
-    }
-
-    /// Handles a popped event. Returns `true` for completions (the caller
-    /// restarts its decision loop, as the oracle does after a `finish`).
-    fn handle(
-        &mut self,
-        event: Event,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        match event.kind {
-            EventKind::Arrival(request) => {
-                // Rejections are the scheduler's to count, as in the
-                // per-step harnesses.
-                let _ = self.ex.try_submit(request);
-                self.pull_arrival(stream);
-                false
-            }
-            EventKind::Completion { flight } => {
-                self.finish_flight(flight, fold);
-                true
-            }
-        }
-    }
-
-    /// Applies the completion effects of the batch dispatched as `flight`,
-    /// then retires what finished (into the fold, when folding).
-    ///
-    /// # Panics
-    /// Panics if the event targets a batch that is no longer in flight —
-    /// the queue invariant every completion event is consumed exactly once.
-    fn finish_flight(&mut self, flight: u64, fold: &mut Option<StatsFold>) {
-        let idx = self
-            .ex
-            .in_flight
-            .iter()
-            .position(|f| f.seq == flight)
-            .expect("completion event targets a batch no longer in flight");
-        self.ex.finish(idx);
-        if let Some(fold) = fold {
-            self.ex.retire_finished_with(|stats| fold.add(&stats));
-        }
-    }
-
-    /// Pops and handles every event due at or before `t`. Returns `true`
-    /// as soon as a completion was applied (the caller must re-derive its
-    /// idle set, exactly like the per-step loop after a `finish`).
-    fn drain_due(
-        &mut self,
-        t: u64,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        while let Some((time, _)) = self.queue.peek_key() {
-            if time > t {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked event pops");
-            if self.handle(event, stream, fold) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// One decision round: mirrors [`Executor::step`] exactly, with the
-    /// heap standing in for the in-flight scan and arrival events standing
-    /// in for the pre-submitted trace. Returns `false` when everything —
-    /// submitted, queued and streamed — has finished.
-    fn advance(
-        &mut self,
-        stream: &mut Peekable<impl Iterator<Item = Request>>,
-        fold: &mut Option<StatsFold>,
-    ) -> bool {
-        let mut idle = std::mem::take(&mut self.ex.idle_scratch);
-        let advanced = 'outer: loop {
-            if self.ex.in_flight.is_empty()
-                && self.ex.scheduler.all_finished()
-                && self.queue.is_empty()
-                && stream.peek().is_none()
-            {
-                break false;
-            }
-            idle.clear();
-            idle.extend((0..self.ex.pool.len()).filter(|&i| !self.ex.occupied(i)));
-            if idle.is_empty() {
-                // Every node is busy: the next event must land first (the
-                // oracle finishes its earliest completion; an earlier staged
-                // arrival is passive, so popping it first changes nothing).
-                let event = self.queue.pop().expect("busy nodes imply queued completions");
-                self.handle(event, stream, fold);
-                continue;
-            }
-            idle.sort_by_key(|&i| {
-                let free = self.ex.kv_free_pages(i).ranking();
-                (self.ex.pool.free_at(i), Reverse(free), i)
-            });
-            let primary = idle[0];
-            let now = self.ex.pool.free_at(primary);
-            // Events at or before this node's clock must apply first so the
-            // batch formed at `now` sees their effects.
-            if self.drain_due(now, stream, fold) {
-                continue;
-            }
-            let tries = if self.ex.multi_pool || self.ex.disagg { idle.len() } else { 1 };
-            for &node in &idle[..tries] {
-                let node_now = self.ex.pool.free_at(node);
-                // Later idle nodes have later clocks; events in between must
-                // land before a batch forms at that clock.
-                if self.drain_due(node_now, stream, fold) {
-                    continue 'outer;
-                }
-                // A draining node has no phase: it forms no new batches
-                // until its role flip completes (mirrors the oracle).
-                let Some(phase) = self.ex.phase_for(node) else { continue };
-                if let Some(batch) = self.ex.scheduler.next_micro_batch_phased(
-                    node_now,
-                    self.ex.pool_for(node),
-                    phase,
-                ) {
-                    self.ex.dispatch(node, batch, node_now);
-                    let flight = self.ex.in_flight.last().expect("dispatch queued a batch");
-                    self.queue.push_completion(flight.end, flight.seq);
-                    break 'outer true;
-                }
-            }
-            // Nothing runnable on any idle node's clock: wait for the next
-            // completion — even one later than a staged arrival, matching
-            // the oracle — or jump to the next arrival.
-            if let Some((end, flight)) = self.queue.pop_completion() {
-                self.finish_flight(flight, fold);
-                self.ex.pool.wait_until(primary, end);
-                continue;
-            }
-            let scheduled = self.ex.scheduler.next_arrival_after(now);
-            let staged = self.queue.staged_arrival_time().filter(|&t| t > now);
-            let next = match (scheduled, staged) {
-                (Some(a), Some(b)) => a.min(b),
-                (a, b) => {
-                    a.or(b).expect("unfinished sessions but no runnable work and no future arrival")
-                }
-            };
-            self.ex.pool.wait_all_until(next);
-        };
-        self.ex.idle_scratch = idle;
-        advanced
     }
 
     /// Builds the folded report for the completed run.
@@ -501,7 +209,7 @@ impl EventEngine {
             micro_batches: self.ex.steps(),
             nodes: self.ex.node_clocks().len(),
             peak_live_sessions: self.ex.scheduler().peak_live_sessions(),
-            peak_event_queue: self.queue.peak_len(),
+            peak_event_queue: self.ex.queue.peak_len(),
             kv: self.ex.kv_stats(),
         }
     }
@@ -513,37 +221,6 @@ mod tests {
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use mugi::MugiAccelerator;
     use mugi_workloads::models::ModelId;
-
-    #[test]
-    fn event_queue_merges_completions_and_arrival_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push_completion(400, 0);
-        q.push_completion(400, 1);
-        q.push_completion(200, 2);
-        q.stage_arrival(Request::new(ModelId::Llama2_7b, 8, 1).arriving_at(300));
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_key(), Some((200, 2)));
-        assert_eq!(q.earliest_completion_time(), Some(200));
-        assert_eq!(q.staged_arrival_time(), Some(300));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
-        // Same-time completions pop in push (seq) order.
-        assert_eq!(order, [200, 300, 400, 400]);
-        assert!(q.is_empty());
-        assert_eq!(q.pop_count(), 4);
-        assert_eq!(q.peak_len(), 4);
-        assert_eq!(q.completion_time_regressions(), 0);
-        assert_eq!(q.arrival_time_regressions(), 0);
-    }
-
-    #[test]
-    fn event_queue_counts_time_regressions() {
-        let mut q = EventQueue::new();
-        q.push_completion(500, 0);
-        q.pop();
-        q.push_completion(100, 1); // pushed below the last popped time
-        q.pop();
-        assert_eq!(q.completion_time_regressions(), 1);
-    }
 
     #[test]
     fn single_request_event_run_matches_per_step() {

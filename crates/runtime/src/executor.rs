@@ -33,15 +33,24 @@
 //! except the attention share of the dynamic energy, which is weighted by
 //! attended KV as well — a 4096-context decode slot costs more than a
 //! 64-context one.
+//!
+//! One decision loop serves every run. Each round of [`Executor::step`]
+//! lands the events due at the earliest idle node's clock — completions of
+//! in-flight batches (one slot per node; a sharded batch sits in slot 0 and
+//! occupies every node) and, when the
+//! [`EventEngine`](crate::event::EventEngine) streams requests in, the one
+//! staged arrival — in `(time, seq)` order, then dispatches one
+//! micro-batch.
 
 // mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results")
 
 use crate::control::{desired_prefill_nodes, ControlConfig, Drain};
+use crate::event::EventQueue;
 use crate::kv::{AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState};
 use crate::scheduler::{BatchItem, MicroBatch, PhaseFilter, Scheduler};
-use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport};
+use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, StatsFold};
 use mugi::arch::cost::CostModel;
 use mugi::MugiAccelerator;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
@@ -66,13 +75,6 @@ pub struct ExecutorConfig {
     /// its prefill. Zero evictions — in particular any unbounded pool —
     /// charge nothing.
     pub fault_stall_cycles: u64,
-    /// Retire finished sessions incrementally: their statistics fold into
-    /// the report as they finish and the scheduler drops them, so neither
-    /// the session window nor the executor's accounting grows without bound
-    /// on long request streams. Off by default — with it on,
-    /// [`Scheduler::sessions`] only exposes the unretired tail (the report
-    /// is unaffected).
-    pub retire_finished: bool,
     /// The adaptive control plane (see [`crate::control`]): dynamic role
     /// reassignment, online SLO calibration and load-aware migration
     /// placement. Fully disabled by default, in which case the executor is
@@ -82,13 +84,11 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 128-entry KV pages, 256-cycle page faults, no incremental retirement,
-    /// controller off.
+    /// 128-entry KV pages, 256-cycle page faults, controller off.
     fn default() -> Self {
         ExecutorConfig {
             kv_bucket: 128,
             fault_stall_cycles: 256,
-            retire_finished: false,
             control: ControlConfig::default(),
         }
     }
@@ -106,20 +106,18 @@ struct Accounting {
 
 /// A dispatched micro-batch whose completion effects are still pending.
 #[derive(Clone, Debug)]
-pub(crate) struct InFlight {
-    pub(crate) batch: MicroBatch,
-    /// Executing node (0 for sharded batches, which occupy every node).
-    pub(crate) node: usize,
+struct InFlight {
+    batch: MicroBatch,
     /// Cycle at which the batch started executing (the SLO calibrator
     /// measures service rate over `end - start`).
-    pub(crate) start: u64,
+    start: u64,
     /// Cycle at which the batch finishes and its effects apply.
-    pub(crate) end: u64,
-    /// Monotone dispatch sequence number. Completions tie-break on it: the
-    /// per-step executor's `(end, Vec index)` order and the event engine's
-    /// `(end, seq)` heap order pick the same batch, because `Vec::remove`
-    /// preserves insertion order and insertion order *is* seq order.
-    pub(crate) seq: u64,
+    end: u64,
+    /// Drawn at dispatch from the counter staged arrivals draw from too, so
+    /// `(end, seq)` orders completions among themselves in dispatch order
+    /// and against an arrival at the same cycle in the order they were
+    /// scheduled.
+    seq: u64,
 }
 
 /// One memoized estimate in the executor's [`PerfFront`].
@@ -149,7 +147,7 @@ struct FrontEntry {
 /// placement policy and NoC are fixed for an executor's lifetime, so
 /// `(model, slices)` fully determines the estimate; cached values are
 /// bit-copies of the pure-function result and the hash only picks the slot,
-/// so both engines stay bit-identical.
+/// so a hit is bit-identical to fresh pricing.
 #[derive(Clone, Debug, Default)]
 struct PerfFront {
     /// Lazily sized to [`PerfFront::SLOTS`] on first insert; a colliding
@@ -231,32 +229,35 @@ impl PerfFront {
 #[derive(Clone, Debug)]
 pub struct Executor {
     accel: MugiAccelerator,
-    pub(crate) scheduler: Scheduler,
-    pub(crate) config: ExecutorConfig,
+    scheduler: Scheduler,
+    config: ExecutorConfig,
     placement: Placement,
     pub(crate) cost: CostModel,
-    pub(crate) pool: NodePool,
-    pub(crate) in_flight: Vec<InFlight>,
+    pool: NodePool,
+    /// One slot per node holding the batch it executes; a sharded batch
+    /// occupies every node and sits in slot 0.
+    in_flight: Vec<Option<InFlight>>,
+    /// `(end, seq, slot)` of the earliest-finishing in-flight batch: the
+    /// minimum over the occupied slots, kept current by `dispatch` and
+    /// `finish` (the only writers of `in_flight`) because every decision
+    /// round asks for it once per idle node.
+    next_completion: Option<(u64, u64, usize)>,
+    /// The stream's staged arrival plus the event counters.
+    pub(crate) queue: EventQueue,
     clock_cycles: u64,
     steps: u64,
     accounting: Vec<Accounting>,
-    /// Ids below this have had their accounting retired into
-    /// `retired_stats`; session `id`'s slot lives at `id - acct_base`.
+    /// Ids below this have been retired (their statistics streamed into a
+    /// [`StatsFold`]); session `id`'s slot lives at `id - acct_base`.
     acct_base: usize,
-    /// Statistics of sessions already retired from the scheduler (only
-    /// populated under [`ExecutorConfig::retire_finished`]).
-    retired_stats: Vec<RequestStats>,
-    /// NoC energy of retired accounting slots in pJ, folded in id order so
-    /// the report total matches a never-retiring run bit for bit.
-    retired_noc_energy_pj: f64,
     /// Whether each node has its own KV pool (bounded data-parallel
     /// placement): dispatch must then consider every idle node, since a
     /// session may only run where its pages live.
-    pub(crate) multi_pool: bool,
+    multi_pool: bool,
     /// Whether the placement disaggregates prefill from decode: dispatch
     /// phase-filters every node and completed prefills migrate their KV
     /// pages to a decode node.
-    pub(crate) disagg: bool,
+    disagg: bool,
     /// Sessions whose KV pages are waiting to move into a decode pool —
     /// completed prefills plus swapped-out victims. Retried after every
     /// completion (completions are what free decode-pool pages).
@@ -287,10 +288,9 @@ pub struct Executor {
     slice_scratch: Vec<BatchSlice>,
     /// Reusable per-item energy-share buffer for the same hot path.
     share_scratch: Vec<f64>,
-    /// Reusable idle-node buffer for the dispatch loop — re-derived every
-    /// decision round by [`Executor::step`] (and the event engine's mirror),
-    /// so the round allocates nothing.
-    pub(crate) idle_scratch: Vec<usize>,
+    /// Reusable idle-node buffer, re-derived every decision round, so the
+    /// round allocates nothing.
+    idle_scratch: Vec<usize>,
     /// Executor-local move-to-front memo over the accelerator's estimates:
     /// steady-state dispatches skip the shared cache's hash and mutex.
     perf_front: PerfFront,
@@ -385,13 +385,13 @@ impl Executor {
             placement,
             cost,
             pool,
-            in_flight: Vec::new(),
+            in_flight: vec![None; placement.nodes()],
+            next_completion: None,
+            queue: EventQueue::default(),
             clock_cycles: 0,
             steps: 0,
             accounting,
             acct_base,
-            retired_stats: Vec::new(),
-            retired_noc_energy_pj: 0.0,
             multi_pool,
             disagg,
             pending_migrations: Vec::new(),
@@ -506,7 +506,7 @@ impl Executor {
     /// The KV pool node `i` allocates from: its own under data-parallel and
     /// disaggregated placement, the single aggregate pool under sharded
     /// placement.
-    pub(crate) fn pool_for(&self, i: usize) -> usize {
+    fn pool_for(&self, i: usize) -> usize {
         match self.placement.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => i,
             PlacementPolicy::Sharded => 0,
@@ -517,7 +517,7 @@ impl Executor {
     /// split by the node's *live* role under disaggregation — and `None`
     /// while the control plane drains the node for a role flip, during
     /// which it forms no new batches at all.
-    pub(crate) fn phase_for(&self, i: usize) -> Option<PhaseFilter> {
+    fn phase_for(&self, i: usize) -> Option<PhaseFilter> {
         if self.draining.is_some_and(|d| d.node == i) {
             return None;
         }
@@ -544,14 +544,17 @@ impl Executor {
         self.role_rerolls
     }
 
-    /// Whether node `i` currently executes an in-flight batch.
-    pub(crate) fn occupied(&self, i: usize) -> bool {
+    /// The in-flight slot of a batch executing on node `i`.
+    fn slot_of(&self, i: usize) -> usize {
         match self.placement.policy {
-            PlacementPolicy::Sharded => !self.in_flight.is_empty(),
-            PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
-                self.in_flight.iter().any(|f| f.node == i)
-            }
+            PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => i,
+            PlacementPolicy::Sharded => 0,
         }
+    }
+
+    /// Whether node `i` currently executes an in-flight batch.
+    fn occupied(&self, i: usize) -> bool {
+        self.in_flight[self.slot_of(i)].is_some()
     }
 
     /// Accounting slot of session `id`.
@@ -559,18 +562,18 @@ impl Executor {
         usize_from_u64(id.0).checked_sub(self.acct_base).expect("accounting slot was retired")
     }
 
-    /// Index (into `in_flight`) of the earliest-finishing pending batch.
-    fn earliest_completion(&self) -> Option<usize> {
-        (0..self.in_flight.len()).min_by_key(|&i| (self.in_flight[i].end, i))
-    }
-
-    /// Applies the completion effects of `in_flight[idx]`. Under
-    /// disaggregated placement this is also where KV handoffs happen:
-    /// freshly completed prefills queue for migration, and every pending
-    /// migration is retried (a completion is exactly what frees decode-pool
-    /// pages or produces new movable KV).
-    pub(crate) fn finish(&mut self, idx: usize) {
-        let pending = self.in_flight.remove(idx);
+    /// Applies the completion effects of the batch in `slot`, then retires
+    /// what finished into `fold`, when folding. Under disaggregated
+    /// placement this is also where KV handoffs happen: freshly completed
+    /// prefills queue for migration, and every pending migration is retried
+    /// (a completion is exactly what frees decode-pool pages or produces new
+    /// movable KV).
+    fn finish(&mut self, slot: usize, fold: &mut Option<StatsFold>) {
+        let Some(pending) = self.in_flight[slot].take() else { return };
+        let slots = self.in_flight.iter().enumerate();
+        self.next_completion =
+            slots.filter_map(|(slot, f)| f.as_ref().map(|f| (f.end, f.seq, slot))).min();
+        self.queue.count_pop(pending.end, false);
         self.scheduler.complete(&pending.batch, pending.end);
         self.clock_cycles = self.clock_cycles.max(pending.end);
         if self.config.control.calibrate_slo {
@@ -604,8 +607,8 @@ impl Executor {
         // The batch is fully applied: hand its allocations back so the next
         // formation reuses them.
         self.scheduler.recycle(pending.batch);
-        if self.config.retire_finished {
-            self.retire_finished();
+        if let Some(fold) = fold {
+            self.retire_finished_with(|stats| fold.add(&stats));
         }
     }
 
@@ -698,11 +701,10 @@ impl Executor {
         }
     }
 
-    /// One control-plane sample, taken at a completion boundary (both
-    /// engines call [`Executor::finish`], so the controller observes the
-    /// same sequence under either). Advances an in-progress drain toward
-    /// its quiescent flip, or — demand split allowing and cooldown expired —
-    /// starts a new one.
+    /// One control-plane sample, taken at a completion boundary (from
+    /// [`Executor::finish`], in `(end, seq)` completion order). Advances an
+    /// in-progress drain toward its quiescent flip, or — demand split
+    /// allowing and cooldown expired — starts a new one.
     fn role_tick(&mut self, now: u64) {
         if let Some(drain) = self.draining {
             let pool = self.pool_for(drain.node);
@@ -788,22 +790,10 @@ impl Executor {
         self.service_migrations(now);
     }
 
-    /// Folds the statistics of every finished session at the front of the
-    /// session window into `retired_stats` and drops the sessions plus
-    /// their accounting slots.
-    fn retire_finished(&mut self) {
-        let mut retired = std::mem::take(&mut self.retired_stats);
-        self.retire_finished_with(|stats| retired.push(stats));
-        self.retired_stats = retired;
-    }
-
     /// Retires every finished session at the front of the session window —
-    /// dropping it from the scheduler, folding its NoC energy and freeing
-    /// its accounting slot — streaming each session's statistics into
-    /// `sink` in id order. The per-step executor sinks into
-    /// `retired_stats` for the full report; the event engine's folded mode
-    /// sinks straight into a [`StatsFold`](crate::stats::StatsFold), so
-    /// nothing grows — or allocates — with the request count.
+    /// dropping it from the scheduler and freeing its accounting slot —
+    /// streaming each session's statistics into `sink` in id order, so
+    /// nothing grows (or allocates) with the request count.
     pub(crate) fn retire_finished_with(&mut self, mut sink: impl FnMut(RequestStats)) {
         let prefix = self.scheduler.sessions().iter().take_while(|s| s.is_finished()).count();
         if prefix == 0 {
@@ -816,9 +806,6 @@ impl Executor {
         }
         let retired = self.scheduler.retire_finished_prefix();
         debug_assert_eq!(retired, prefix);
-        for a in &self.accounting[..retired] {
-            self.retired_noc_energy_pj += a.noc_energy_pj;
-        }
         self.accounting.drain(..retired);
         self.acct_base += retired;
     }
@@ -828,6 +815,20 @@ impl Executor {
     /// when the only remaining work lies in the future (an arrival, or a
     /// batch still executing on another node), the idle node's clock jumps
     /// forward and execution continues.
+    ///
+    /// This is [`Executor::round`] without a request stream; the
+    /// [`EventEngine`](crate::event::EventEngine) runs the same round with
+    /// one.
+    pub fn step(&mut self) -> bool {
+        self.round(&mut std::iter::empty(), &mut None)
+    }
+
+    /// One decision round, the only serving loop: lands due events, then
+    /// dispatches one micro-batch. Events land in `(time, seq)` order —
+    /// completions of in-flight batches, and the staged arrival, which is
+    /// submitted when simulated time reaches it while the next request is
+    /// staged from `stream`. When `fold` is set, sessions are retired into
+    /// it as they finish.
     ///
     /// With per-node KV pools (bounded data-parallel placement) dispatch
     /// considers every idle node, earliest clock first and — on equal
@@ -841,18 +842,26 @@ impl Executor {
     /// Panics if unfinished sessions exist but neither runnable work, nor an
     /// executing batch, nor a future arrival does (a scheduler invariant
     /// violation).
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn round(
+        &mut self,
+        stream: &mut impl Iterator<Item = Request>,
+        fold: &mut Option<StatsFold>,
+    ) -> bool {
         let mut idle = std::mem::take(&mut self.idle_scratch);
         let stepped = 'outer: loop {
-            if self.in_flight.is_empty() && self.scheduler.all_finished() {
+            if self.scheduler.all_finished()
+                && self.queue.staged.is_none()
+                && self.next_completion.is_none()
+            {
                 break false;
             }
             idle.clear();
             idle.extend((0..self.pool.len()).filter(|&i| !self.occupied(i)));
             if idle.is_empty() {
-                // Every node is busy: retire the earliest completion first.
-                let idx = self.earliest_completion().expect("busy nodes imply in-flight batches");
-                self.finish(idx);
+                // Every node is busy: land events up to the earliest
+                // completion (an earlier staged arrival is passive, so
+                // submitting it first changes nothing).
+                self.land_due(u64::MAX, stream, fold);
                 continue;
             }
             idle.sort_by_key(|&i| {
@@ -861,26 +870,20 @@ impl Executor {
             });
             let primary = idle[0];
             let now = self.pool.free_at(primary);
-            // Completions at or before this node's clock must apply first so
-            // the batch formed at `now` sees their effects.
-            if let Some(idx) = self.earliest_completion() {
-                if self.in_flight[idx].end <= now {
-                    self.finish(idx);
-                    continue;
-                }
+            // Events at or before this node's clock must land first so the
+            // batch formed at `now` sees their effects.
+            if self.land_due(now, stream, fold) {
+                continue;
             }
             // Disaggregated nodes differ by phase even with a shared or
             // unbounded pool, so every idle node must be tried there too.
             let tries = if self.multi_pool || self.disagg { idle.len() } else { 1 };
             for &node in &idle[..tries] {
                 let node_now = self.pool.free_at(node);
-                // Later idle nodes have later clocks; completions in between
+                // Later idle nodes have later clocks; events in between
                 // must land before a batch forms at that clock.
-                if let Some(idx) = self.earliest_completion() {
-                    if self.in_flight[idx].end <= node_now {
-                        self.finish(idx);
-                        continue 'outer;
-                    }
+                if self.land_due(node_now, stream, fold) {
+                    continue 'outer;
                 }
                 // A draining node has no phase: it forms no new batches
                 // until its role flip completes.
@@ -893,17 +896,19 @@ impl Executor {
                 }
             }
             // Nothing runnable on any idle node's clock: wait for the next
-            // completion (which may unlock decode work or free pages) or
-            // jump to the next arrival.
-            if let Some(idx) = self.earliest_completion() {
-                let end = self.in_flight[idx].end;
-                self.finish(idx);
+            // completion (which may unlock decode work or free pages) —
+            // even one later than the staged arrival — or jump to the next
+            // arrival.
+            if let Some((end, _, slot)) = self.next_completion {
+                self.finish(slot, fold);
                 self.pool.wait_until(primary, end);
                 continue;
             }
-            let next = self
-                .scheduler
-                .next_arrival_after(now)
+            let staged = self.queue.staged.as_ref().map(|(_, r)| r.arrival_cycle);
+            let next = [self.scheduler.next_arrival_after(now), staged]
+                .into_iter()
+                .flatten()
+                .min()
                 .expect("unfinished sessions but no runnable work and no future arrival");
             // With nothing in flight, `next` is the minimum ready time after
             // the earliest idle clock, so no node can dispatch before it:
@@ -915,9 +920,56 @@ impl Executor {
         stepped
     }
 
+    /// Lands every event due at or before `t` in `(time, seq)` order. A
+    /// staged arrival is submitted (rejections are the scheduler's to
+    /// count) and the stream's next request staged; the first completion
+    /// ends the call with `true`, because the caller must re-derive its idle
+    /// set.
+    fn land_due(
+        &mut self,
+        t: u64,
+        stream: &mut impl Iterator<Item = Request>,
+        fold: &mut Option<StatsFold>,
+    ) -> bool {
+        loop {
+            let arrival = self.queue.staged.as_ref().map(|(seq, r)| (r.arrival_cycle, *seq));
+            match (self.next_completion, arrival) {
+                (c, Some(a)) if a.0 <= t && c.is_none_or(|(end, seq, _)| a < (end, seq)) => {
+                    if let Some((_, request)) = self.queue.staged.take() {
+                        self.queue.count_pop(request.arrival_cycle, true);
+                        let _ = self.try_submit(request);
+                        self.stage_next(stream);
+                    }
+                }
+                (Some((end, _, slot)), _) if end <= t => {
+                    self.finish(slot, fold);
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// Stages the stream's next request as the pending arrival.
+    pub(crate) fn stage_next(&mut self, stream: &mut impl Iterator<Item = Request>) {
+        if let Some(request) = stream.next() {
+            let seq = self.queue.next_seq();
+            self.queue.staged = Some((seq, request));
+            self.count_queued();
+        }
+    }
+
+    /// Feeds the event queue's high-water mark: in-flight batches plus the
+    /// staged arrival.
+    fn count_queued(&mut self) {
+        let queued =
+            self.in_flight.iter().flatten().count() + usize::from(self.queue.staged.is_some());
+        self.queue.peak_len = self.queue.peak_len.max(queued);
+    }
+
     /// Evaluates one micro-batch on the accelerator model, occupies its
     /// node(s) and queues the completion.
-    pub(crate) fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) {
+    fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) {
         let mut slices = std::mem::take(&mut self.slice_scratch);
         batch.slices_into(self.config.kv_bucket, &mut slices);
         let noc = self.placement.noc;
@@ -1014,7 +1066,12 @@ impl Executor {
             acct.micro_batches += 1;
         }
         self.share_scratch = shares;
-        self.in_flight.push(InFlight { batch, node, start, end, seq: self.steps });
+        let slot = self.slot_of(node);
+        let seq = self.queue.next_seq();
+        self.in_flight[slot] = Some(InFlight { batch, start, end, seq });
+        let key = (end, seq, slot);
+        self.next_completion = Some(self.next_completion.map_or(key, |next| next.min(key)));
+        self.count_queued();
     }
 
     /// Runs until every submitted request has finished, then reports.
@@ -1057,18 +1114,12 @@ impl Executor {
     }
 
     /// Builds the report for the work completed so far. Unfinished sessions
-    /// (if any) are excluded from the per-request statistics; sessions
-    /// retired incrementally ([`ExecutorConfig::retire_finished`]) are
-    /// included from the retired set.
+    /// (if any) are excluded from the per-request statistics.
     pub fn report(&self) -> RuntimeReport {
         let freq = self.cost.frequency_hz;
         let to_s = |cycles: u64| cycles as f64 / freq;
-        let mut requests = self.retired_stats.clone();
-        for s in self.scheduler.sessions() {
-            if let Some(stats) = self.session_stats(s) {
-                requests.push(stats);
-            }
-        }
+        let requests: Vec<RequestStats> =
+            self.scheduler.sessions().iter().filter_map(|s| self.session_stats(s)).collect();
         let total_output_tokens: u64 =
             requests.iter().map(|r| u64_from_usize(r.output_tokens)).sum();
         let makespan_s = to_s(self.clock_cycles);
@@ -1090,16 +1141,7 @@ impl Executor {
             tpot,
             nodes: self.pool.len(),
             noc: self.placement.noc.label(),
-            noc_energy_uj: {
-                // Start from the retired prefix and fold the live window in
-                // id order — the same addition sequence as a never-retiring
-                // run, so retirement cannot perturb the total bit-wise.
-                let mut total_pj = self.retired_noc_energy_pj;
-                for a in &self.accounting {
-                    total_pj += a.noc_energy_pj;
-                }
-                total_pj * 1e-6
-            },
+            noc_energy_uj: self.accounting.iter().fold(0.0, |pj, a| pj + a.noc_energy_pj) * 1e-6,
             node_busy_cycles: self.pool.busy().to_vec(),
             kv: self.kv_stats(),
         }

@@ -27,11 +27,10 @@
 //!   micro-batches (mixed prefill/decode slices priced from per-slice op
 //!   costs), charges NoC transfer energy for inter-node movement
 //!   and keeps per-request cycle/energy accounting;
-//! * [`event`] — the discrete-event [`EventEngine`]: the same machinery
-//!   driven by a binary-heap [`EventQueue`] of arrival/completion events
-//!   instead of the per-step outer loop, bit-identical to the [`Executor`]
-//!   (the golden/property suites pin this) while serving lazily-streamed
-//!   workloads of millions of requests in O(live sessions) memory;
+//! * [`event`] — the discrete-event [`EventEngine`]: the [`Executor`]'s
+//!   one decision loop fed a lazily streamed workload, one staged arrival
+//!   at a time, landing completions and arrivals in `(time, seq)` order and
+//!   serving millions of requests in O(live sessions) memory;
 //! * [`control`] — the adaptive control plane: a feedback controller
 //!   sampled at batch-completion boundaries that re-rolls node roles toward
 //!   the live prefill:decode demand split (quiescent handoffs), calibrates
@@ -78,7 +77,7 @@ pub mod stats;
 pub mod workload;
 
 pub use control::{ControlConfig, SloCalibrator};
-pub use event::{Event, EventEngine, EventKind, EventQueue};
+pub use event::{EventEngine, EventQueue};
 pub use executor::{Executor, ExecutorConfig};
 pub use kv::{
     pages_for, AdmissionError, Extent, KvConfig, KvFreePages, KvPool, PageId, PageTable,

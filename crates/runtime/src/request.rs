@@ -239,12 +239,12 @@ impl SessionArena {
 
     /// The live (unretired) sessions in submission order.
     pub fn live(&self) -> &[Session] {
-        &self.slots[self.head..]
+        self.slots.get(self.head..).unwrap_or_default()
     }
 
     /// Mutable view of the live window.
     pub fn live_mut(&mut self) -> &mut [Session] {
-        &mut self.slots[self.head..]
+        self.slots.get_mut(self.head..).unwrap_or_default()
     }
 
     /// Number of live sessions.
@@ -279,7 +279,7 @@ impl SessionArena {
     /// # Panics
     /// Debug-asserts that every retired session is finished.
     pub fn retire_prefix(&mut self, n: usize) {
-        debug_assert!(self.live()[..n].iter().all(Session::is_finished));
+        debug_assert!(self.live().iter().take(n).all(Session::is_finished));
         self.head += n;
         self.retired += n;
         if self.head > ARENA_COMPACT_FLOOR && self.head >= self.slots.len() - self.head {
@@ -310,12 +310,14 @@ impl std::ops::Index<usize> for SessionArena {
 
     /// Indexes the live window (position `id - retired_count()`).
     fn index(&self, i: usize) -> &Session {
+        // mugi-lint: allow(hot-path-panic, "`Index` panics out of range by contract; the scheduler maps only live dense ids here")
         &self.slots[self.head + i]
     }
 }
 
 impl std::ops::IndexMut<usize> for SessionArena {
     fn index_mut(&mut self, i: usize) -> &mut Session {
+        // mugi-lint: allow(hot-path-panic, "`IndexMut` panics out of range by contract; the scheduler maps only live dense ids here")
         &mut self.slots[self.head + i]
     }
 }

@@ -32,7 +32,8 @@
 //! Under a bounded [`KvConfig`] the scheduler also owns the physical
 //! [`KvPool`]s (one per data-parallel node, or one aggregate pool under
 //! sharded placement) and every micro-batch formation is a paging
-//! transaction against the pool passed to [`Scheduler::next_micro_batch_on`]:
+//! transaction against the pool passed to
+//! [`Scheduler::next_micro_batch_phased`]:
 //!
 //! * a **decode slot** needs its session's table to cover `kv_len + 1`
 //!   entries; when the pool is short, the scheduler *preempts* — it evicts
@@ -730,7 +731,7 @@ impl Scheduler {
 
     /// Drops every *finished* session at the front of the session window,
     /// returning how many were dropped. The executor calls this after
-    /// folding their statistics into its report, so `sessions` stops growing
+    /// folding their statistics into a `StatsFold`, so `sessions` stops growing
     /// without bound on long request streams; ids keep working because only
     /// a contiguous finished prefix ever retires.
     pub fn retire_finished_prefix(&mut self) -> usize {
@@ -1066,34 +1067,28 @@ impl Scheduler {
     }
 
     /// Assembles the next micro-batch at simulated cycle `now` against KV
-    /// pool 0 — the single-node / sharded view. A data-parallel multi-node
-    /// executor uses [`Scheduler::next_micro_batch_on`] with the target
-    /// node's pool instead. Returns `None` when no session has runnable
-    /// work (all finished, everything runnable already in flight, blocked on
-    /// KV pages, or only future arrivals remain).
+    /// pool 0 with both phases allowed — the single-node / sharded view.
+    /// Returns `None` when no session has runnable work (all finished,
+    /// everything runnable already in flight, blocked on KV pages, or only
+    /// future arrivals remain).
     pub fn next_micro_batch(&mut self, now: u64) -> Option<MicroBatch> {
-        self.next_micro_batch_on(now, 0)
+        self.next_micro_batch_phased(now, 0, PhaseFilter::Both)
     }
 
     /// Assembles the next micro-batch at simulated cycle `now` for the node
-    /// whose KV lives in pool `pool`. Scheduled sessions are marked in
-    /// flight until [`Scheduler::complete`] is called for the batch, so
-    /// overlapping micro-batches on different nodes never share a session.
+    /// whose KV lives in pool `pool`, restricted to `phase`: a disaggregated
+    /// executor forms [`PhaseFilter::PrefillOnly`] batches on prefill nodes
+    /// and [`PhaseFilter::DecodeOnly`] batches on decode nodes;
+    /// [`PhaseFilter::Both`] is the colocated behaviour. Scheduled sessions
+    /// are marked in flight until [`Scheduler::complete`] is called for the
+    /// batch, so overlapping micro-batches on different nodes never share a
+    /// session.
     ///
     /// Under a bounded [`KvConfig`] the formation is a paging transaction:
     /// decode growth and prefill chunks allocate pages from `pool`,
     /// preempting most-recently-admitted page holders when it runs dry (see
     /// the module docs). Models whose eligible sessions are all blocked on
     /// pages are skipped in favour of the next least-recently-served one.
-    pub fn next_micro_batch_on(&mut self, now: u64, pool: usize) -> Option<MicroBatch> {
-        self.next_micro_batch_phased(now, pool, PhaseFilter::Both)
-    }
-
-    /// Like [`Scheduler::next_micro_batch_on`], but restricted to `phase`:
-    /// a disaggregated executor forms [`PhaseFilter::PrefillOnly`] batches
-    /// on prefill nodes and [`PhaseFilter::DecodeOnly`] batches on decode
-    /// nodes. [`PhaseFilter::Both`] is the colocated behaviour and is
-    /// exactly what [`Scheduler::next_micro_batch_on`] delegates to.
     pub fn next_micro_batch_phased(
         &mut self,
         now: u64,
@@ -1228,8 +1223,7 @@ impl Scheduler {
                 }
             }
             let mut last_granted = None;
-            for k in 0..decoding.len() {
-                let id = decoding[k];
+            for &id in &decoding {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
                 }
@@ -1286,8 +1280,7 @@ impl Scheduler {
             if policy == SchedulingPolicy::ShortestPrefillFirst {
                 waiting.sort_by_key(|&id| (self.sessions[self.sidx(id)].remaining_prefill(), id));
             }
-            for k in 0..waiting.len() {
-                let id = waiting[k];
+            for &id in &waiting {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
                 }
@@ -1413,8 +1406,7 @@ impl Scheduler {
         }
         let swap_eligible =
             self.kv.preemption == PreemptionMode::Swap && self.pool_role(pool) == PoolRole::Decode;
-        for k in 0..victims.len() {
-            let victim = victims[k];
+        for &victim in &victims {
             let vi = self.sidx(victim);
             let victim_pages = self.sessions[vi].page_table.mapped_pages();
             let swap_target = if swap_eligible && self.sessions[vi].state == SessionState::Decoding
@@ -2121,16 +2113,16 @@ mod tests {
         sched.configure_kv_pools(2, 1);
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 4));
-        let on_zero = sched.next_micro_batch_on(0, 0).unwrap();
+        let on_zero = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(on_zero.items.len(), 2, "both prompts fit pool 0");
         sched.complete(&on_zero, 1);
         assert_eq!(sched.session(a).page_table.home(), Some(0));
         assert_eq!(sched.session(b).page_table.home(), Some(0));
         assert!(
-            sched.next_micro_batch_on(1, 1).is_none(),
+            sched.next_micro_batch_phased(1, 1, PhaseFilter::Both).is_none(),
             "homed sessions are not eligible on another node's pool"
         );
-        let again = sched.next_micro_batch_on(1, 0).unwrap();
+        let again = sched.next_micro_batch_phased(1, 0, PhaseFilter::Both).unwrap();
         assert_eq!(again.decode_slots(), 2);
     }
 

@@ -63,7 +63,7 @@ impl Percentiles {
             return Percentiles::default();
         }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        sorted.sort_by(f64::total_cmp);
         Percentiles {
             p50: percentile(&sorted, 50.0),
             p95: percentile(&sorted, 95.0),
@@ -78,7 +78,7 @@ impl Percentiles {
 /// interpolation: the result is always a member of the population.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = usize_from_f64((p / 100.0 * sorted.len() as f64).ceil());
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted.get(rank.max(1) - 1).copied().unwrap_or_default()
 }
 
 /// Paged-KV statistics of one serving run: how full the pool ran and what

@@ -1,13 +1,14 @@
 //! Prefill/decode disaggregation integration tests: bit-identity of
 //! colocated placements against pre-refactor golden outputs, hand-computed
 //! KV-migration transfer energy/stall counters, swap-style versus
-//! recompute-style preemption, and incremental session retirement.
+//! recompute-style preemption, and folded session retirement.
 
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, DecodeOrder, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, WorkloadSpec, KV_BITS,
+    pages_for, synthetic_requests, DecodeOrder, EventEngine, Executor, ExecutorConfig, KvConfig,
+    Placement, Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec,
+    KV_BITS,
 };
 use mugi_workloads::models::ModelId;
 
@@ -326,35 +327,35 @@ fn disaggregation_beats_colocated_decode_tpot_under_long_prefills() {
 
 #[test]
 fn incremental_retirement_matches_the_unretired_report() {
-    // The same workload with and without incremental retirement must
-    // produce identical reports — retirement only changes *when* statistics
-    // are folded in, never their values — while keeping the scheduler's
-    // session window bounded instead of growing with every submission.
+    // Folding each finished session into a `StatsFold` as it retires only
+    // changes *when* its statistics are folded, never their values: the
+    // folded run of a disaggregated workload equals the fold of the full
+    // report of the same run, while the scheduler's session window is
+    // emptied instead of growing with every submission.
     let requests = synthetic_requests(9, 32, &[MODEL], WorkloadSpec::default());
-    let run = |retire_finished: bool| {
-        let mut ex = Executor::with_config(
+    let build = || {
+        EventEngine::with_placement(
             MugiAccelerator::new(64),
             Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig { retire_finished, ..ExecutorConfig::default() },
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
-        (ex, report)
+            ExecutorConfig::default(),
+            Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
+        )
     };
-    let (keep_ex, keep) = run(false);
-    let (retire_ex, retire) = run(true);
-    assert_eq!(keep, retire, "retirement must not perturb the report at all");
-    assert_eq!(keep_ex.scheduler().sessions().len(), requests.len());
-    assert_eq!(
-        retire_ex.scheduler().sessions().len(),
-        0,
-        "every finished session must have been retired"
-    );
-    assert_eq!(retire_ex.scheduler().retired_session_count(), requests.len());
-    assert_eq!(retire_ex.scheduler().submitted_count(), requests.len());
-    assert!(retire_ex.scheduler().all_finished());
+    let mut keep = build();
+    let full = keep.run_stream(requests.iter().copied());
+    let mut retire = build();
+    let folded = retire.run_stream_folded(requests.iter().copied());
+    assert_eq!(folded.fold, StatsFold::of_report(&full), "retirement must not perturb any stat");
+    assert_eq!(folded.micro_batches, full.micro_batches);
+    assert_eq!(folded.makespan_s.to_bits(), full.makespan_s.to_bits());
+    assert_eq!(folded.kv, full.kv);
+    assert!(full.kv.migrations > 0, "the workload must exercise the handoff");
+    assert_eq!(keep.executor().scheduler().sessions().len(), requests.len());
+    let sched = retire.executor().scheduler();
+    assert_eq!(sched.sessions().len(), 0, "every finished session must have been retired");
+    assert_eq!(sched.retired_session_count(), requests.len());
+    assert_eq!(sched.submitted_count(), requests.len());
+    assert!(sched.all_finished());
 }
 
 #[test]
