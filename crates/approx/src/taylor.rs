@@ -112,9 +112,11 @@ impl TaylorSeries {
                 continue;
             }
             for row in (col + 1)..n {
-                let f = m[row][col] / p;
-                for c2 in col..n {
-                    m[row][c2] -= f * m[col][c2];
+                let (upper, lower) = m.split_at_mut(row);
+                let (pivot_row, target) = (&upper[col], &mut lower[0]);
+                let f = target[col] / p;
+                for (x, &pv) in target[col..n].iter_mut().zip(&pivot_row[col..n]) {
+                    *x -= f * pv;
                 }
                 b[row] -= f * b[col];
             }

@@ -9,7 +9,7 @@
 //! which only asserts that the formation path executes, not how fast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mugi_runtime::{KvConfig, Request, Scheduler, SchedulerConfig};
+use mugi_runtime::{KvConfig, PhaseFilter, Request, Scheduler, SchedulerConfig};
 use mugi_workloads::models::ModelId;
 use std::hint::black_box;
 
@@ -35,7 +35,7 @@ fn bench_cold(c: &mut Criterion) {
             for _ in 0..16 {
                 sched.submit(Request::new(ModelId::Llama2_7b, 16, 4));
             }
-            black_box(sched.next_micro_batch(0))
+            black_box(sched.next_micro_batch(0, 0, PhaseFilter::Both))
         })
     });
     group.finish();
@@ -60,13 +60,13 @@ fn bench_hot(c: &mut Criterion) {
     }
     // Warm up past the initial prefills so the timed loop starts decoding.
     for _ in 0..8 {
-        if let Some(batch) = sched.next_micro_batch(0) {
+        if let Some(batch) = sched.next_micro_batch(0, 0, PhaseFilter::Both) {
             sched.complete(&batch, 0);
         }
     }
     group.bench_function("bounded_hot_form_complete", |b| {
         b.iter(|| {
-            match sched.next_micro_batch(0) {
+            match sched.next_micro_batch(0, 0, PhaseFilter::Both) {
                 Some(batch) => {
                     sched.complete(&batch, 0);
                     black_box(batch.items.len());

@@ -1,6 +1,6 @@
 //! Criterion benches for the serving simulator's per-step hot path:
 //! `estimate_micro_batch_noc` on a cold and a warm slice memo, and one full
-//! `EventEngine::run_stream_folded` serve, so regressions in slice pricing,
+//! `Executor::run_stream_folded` serve, so regressions in slice pricing,
 //! the slice memo or the stepping loop are measurable in isolation.
 //!
 //! Set `MUGI_BENCH_QUICK=1` to shrink sample counts and the folded serve —
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
-use mugi_runtime::{EventEngine, Scheduler, SchedulerConfig, WorkloadSpec, WorkloadStream};
+use mugi_runtime::{Executor, Scheduler, SchedulerConfig, WorkloadSpec, WorkloadStream};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::BatchSlice;
 use std::hint::black_box;
@@ -54,7 +54,7 @@ fn bench_estimate(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full folded event-engine serve over a seeded open-loop stream — the
+/// One full folded serve over a seeded open-loop stream — the
 /// scale_sweep inner loop at microbench size, covering scheduling, the
 /// memoized estimates and stats folding end to end.
 fn bench_step_loop(c: &mut Criterion) {
@@ -65,11 +65,9 @@ fn bench_step_loop(c: &mut Criterion) {
         .with_poisson_arrivals(3_000_000_000);
     group.bench_function("run_stream_folded", |b| {
         b.iter(|| {
-            let mut ev = EventEngine::new(
-                MugiAccelerator::new(64),
-                Scheduler::new(SchedulerConfig::default()),
-            );
-            let report = ev.run_stream_folded(
+            let mut ex =
+                Executor::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
+            let report = ex.run_stream_folded(
                 WorkloadStream::new(4242, &[ModelId::Llama2_7b], spec).take(requests),
             );
             black_box(report)

@@ -28,8 +28,8 @@ use mugi::arch::noc::NocConfig;
 use mugi::report::TextTable;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    phased_requests, ControlConfig, EventEngine, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec,
+    phased_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement, Request,
+    RuntimeReport, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
@@ -84,7 +84,7 @@ fn main() {
     let noc = NocConfig::mesh_4x4();
 
     let mut table = TextTable::new(
-        &format!(
+        format!(
             "Adaptive role reassignment: {} requests, prefill-heavy opening then decode-heavy \
              tail, Llama 2 7B, Mugi(128) nodes on a 4x4 mesh",
             requests.len()
@@ -177,7 +177,7 @@ fn main() {
     );
     slo_requests.sort_by_key(|r| r.arrival_cycle);
     let mut table = TextTable::new(
-        &format!(
+        format!(
             "Online SLO calibration: {} streamed long-prefill requests under a projected-TTFT \
              SLO (target {} s), configured service-rate guess {GUESS} cycles/token",
             slo_requests.len(),
@@ -189,7 +189,7 @@ fn main() {
     let mut ttft = [0.0f64; 2];
     let mut rejected = [0u64; 2];
     for calibrate in [false, true] {
-        let mut engine = EventEngine::with_placement(
+        let mut engine = Executor::with_placement(
             MugiAccelerator::new(128),
             Scheduler::with_kv(
                 SchedulerConfig::default(),

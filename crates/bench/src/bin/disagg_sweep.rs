@@ -55,7 +55,7 @@ fn main() {
 
     // Table 1: colocated vs disaggregated splits, unbounded KV.
     let mut table = TextTable::new(
-        &format!(
+        format!(
             "Disaggregation sweep: {count} mixed long-prefill requests (768-2048-token \
              prompts), Llama 2 7B, Mugi(128) nodes on a 4x4 mesh"
         ),
@@ -129,7 +129,7 @@ fn main() {
         .unwrap();
     let placement = Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2);
     let mut table = TextTable::new(
-        &format!(
+        format!(
             "Preemption under pressure: {pressure_count} decode-heavy requests (48-96 output \
              tokens), {}-page pools ({page_tokens}-token pages), {}",
             max_need + 2,

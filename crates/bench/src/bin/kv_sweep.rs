@@ -71,7 +71,7 @@ fn main() {
         MODEL.config().kv_cache_bytes(PAGE_TOKENS, 16) as f64 / (1024.0 * 1024.0 * 1024.0);
 
     let mut table = TextTable::new(
-        &format!(
+        format!(
             "KV pressure sweep: Llama 2 7B, {PAGE_TOKENS}-token pages ({page_gib:.3} GiB each), \
              one Mugi(128) node"
         ),

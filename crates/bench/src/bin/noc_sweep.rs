@@ -49,7 +49,7 @@ fn main() {
     };
 
     let mut table = TextTable::new(
-        &format!("NoC serving sweep: {count} requests, Llama 2 7B + 70B, Mugi(256) nodes"),
+        format!("NoC serving sweep: {count} requests, Llama 2 7B + 70B, Mugi(256) nodes"),
         &[
             "mesh",
             "placement",

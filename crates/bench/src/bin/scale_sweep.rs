@@ -13,18 +13,15 @@
 //!   prefill and decode nodes, so every request's pages migrate over the
 //!   NoC (the Mugi mesh-serving regime).
 //!
-//! Three engines run the same seeded open-loop Poisson workload at each
-//! request count:
+//! Two runs of the `Executor` serve the same seeded open-loop Poisson
+//! workload at each request count, and must agree bit for bit (asserted):
 //!
-//! * `per-step` — the cycle-stepping `Executor` with the whole trace
-//!   materialized and pre-submitted (the original path; skipped at 10⁶,
-//!   where holding a million sessions plus a million stat records is
-//!   exactly the curve this sweep exists to show);
-//! * `event` — the `EventEngine` on the same pre-submitted trace, which
-//!   must produce the identical report (asserted);
-//! * `event-folded` — the `EventEngine` fed lazily from a `WorkloadStream`,
-//!   folding every retired session into a `StatsFold`, so memory is O(live
-//!   sessions) regardless of the horizon.
+//! * `per-step` — the whole trace materialized and pre-submitted (skipped
+//!   at 10⁶, where holding a million sessions plus a million stat records
+//!   is exactly the curve this sweep exists to show);
+//! * `event-folded` — fed lazily from a `WorkloadStream`
+//!   (`Executor::run_stream_folded`), folding every retired session into a
+//!   `StatsFold`, so memory is O(live sessions) regardless of the horizon.
 //!
 //! Reported per row: simulator wall-clock, requests simulated per second of
 //! wall-clock, peak live sessions, peak event-queue length and the
@@ -42,8 +39,8 @@ use mugi::arch::noc::NocConfig;
 use mugi::report::TextTable;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    EventEngine, Executor, ExecutorConfig, KvConfig, Placement, ScaleReport, Scheduler,
-    SchedulerConfig, StatsFold, WorkloadSpec, WorkloadStream,
+    Executor, ExecutorConfig, KvConfig, Placement, ScaleReport, Scheduler, SchedulerConfig,
+    StatsFold, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 use std::time::Instant;
@@ -163,15 +160,6 @@ impl SweepConfig {
             self.placement(),
         )
     }
-
-    fn engine(&self) -> EventEngine {
-        EventEngine::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), self.kv),
-            self.executor_config(),
-            self.placement(),
-        )
-    }
 }
 
 /// Peak resident set of this process in MiB (`VmHWM` from
@@ -241,33 +229,12 @@ fn run_per_step(cfg: &SweepConfig, count: usize) -> Row {
     }
 }
 
-fn run_event_presubmitted(cfg: &SweepConfig, count: usize) -> Row {
-    let rss = begin_rss_window();
-    // mugi-lint: allow(ambient-nondeterminism, "wall-clock timing of the host run; measures the simulator, never feeds simulated state")
-    let t0 = Instant::now();
-    let mut ev = cfg.engine();
-    for r in WorkloadStream::new(SEED, &[MODEL], cfg.spec()).take(count) {
-        ev.submit(r);
-    }
-    let report = ev.run();
-    Row {
-        engine: "event",
-        wall_s: t0.elapsed().as_secs_f64(),
-        fold: StatsFold::of_report(&report),
-        peak_live: count,
-        peak_queue: ev.queue().peak_len(),
-        rss_mib: end_rss_window(rss),
-        role_rerolls: report.kv.role_rerolls,
-        calibration_samples: report.kv.calibration_samples,
-    }
-}
-
 fn run_event_folded(cfg: &SweepConfig, count: usize) -> (Row, ScaleReport) {
     let rss = begin_rss_window();
     // mugi-lint: allow(ambient-nondeterminism, "wall-clock timing of the host run; measures the simulator, never feeds simulated state")
     let t0 = Instant::now();
-    let mut ev = cfg.engine();
-    let report = ev.run_stream_folded(WorkloadStream::new(SEED, &[MODEL], cfg.spec()).take(count));
+    let mut ex = cfg.executor();
+    let report = ex.run_stream_folded(WorkloadStream::new(SEED, &[MODEL], cfg.spec()).take(count));
     let row = Row {
         engine: "event-folded",
         wall_s: t0.elapsed().as_secs_f64(),
@@ -275,8 +242,8 @@ fn run_event_folded(cfg: &SweepConfig, count: usize) -> (Row, ScaleReport) {
         peak_live: report.peak_live_sessions,
         peak_queue: report.peak_event_queue,
         rss_mib: end_rss_window(rss),
-        role_rerolls: ev.executor().role_reroll_count(),
-        calibration_samples: ev.executor().scheduler().calibration_samples(),
+        role_rerolls: ex.role_reroll_count(),
+        calibration_samples: ex.scheduler().calibration_samples(),
     };
     (row, report)
 }
@@ -332,7 +299,6 @@ fn main() {
             let mut reference: Option<StatsFold> = None;
             if count <= per_step_cap {
                 rows.push(run_per_step(cfg, count));
-                rows.push(run_event_presubmitted(cfg, count));
             }
             let (folded, report) = run_event_folded(cfg, count);
             assert_eq!(folded.fold.requests, count as u64, "every generated request must retire");

@@ -293,22 +293,16 @@ pub fn table3_end_to_end(preset: Preset) -> Vec<EndToEndRow> {
     }
     // Scaled-up single nodes and the tensor core.
     if preset == Preset::Full {
-        for dim in [64usize] {
-            push("SN-S", format!("SA ({dim})"), DesignConfig::systolic(dim), NocConfig::single());
-            push(
-                "SN-S",
-                format!("SA-F ({dim})"),
-                DesignConfig::systolic_figna(dim),
-                NocConfig::single(),
-            );
-            push("SN-S", format!("SD ({dim})"), DesignConfig::simd(dim), NocConfig::single());
-            push(
-                "SN-S",
-                format!("SD-F ({dim})"),
-                DesignConfig::simd_figna(dim),
-                NocConfig::single(),
-            );
-        }
+        let dim = 64usize;
+        push("SN-S", format!("SA ({dim})"), DesignConfig::systolic(dim), NocConfig::single());
+        push(
+            "SN-S",
+            format!("SA-F ({dim})"),
+            DesignConfig::systolic_figna(dim),
+            NocConfig::single(),
+        );
+        push("SN-S", format!("SD ({dim})"), DesignConfig::simd(dim), NocConfig::single());
+        push("SN-S", format!("SD-F ({dim})"), DesignConfig::simd_figna(dim), NocConfig::single());
     }
     push("SN-S", "Tensor".to_string(), DesignConfig::tensor_core(), NocConfig::single());
     // NoC group.

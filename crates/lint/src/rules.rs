@@ -524,7 +524,7 @@ fn literal_fits(value: u128, dst: Prim) -> bool {
     match dst {
         Prim::Int { bits, signed } => {
             let usable = if signed { bits - 1 } else { bits };
-            u32::try_from(value.leading_zeros()).is_ok() && 128 - value.leading_zeros() <= usable
+            128 - value.leading_zeros() <= usable
         }
         Prim::Float { .. } => true,
     }

@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn mantissa_rounding_identity_when_keeping_all_bits() {
-        for v in [-2.71828f32, 0.1, 7.5, 1e-3] {
+        for v in [-std::f32::consts::E, 0.1, 7.5, 1e-3] {
             let x = Bf16::from_f32(v);
             assert_eq!(x.round_mantissa(7), x);
         }

@@ -37,9 +37,8 @@
 //! One decision loop serves every run. Each round of [`Executor::step`]
 //! lands the events due at the earliest idle node's clock — completions of
 //! in-flight batches (one slot per node; a sharded batch sits in slot 0 and
-//! occupies every node) and, when the
-//! [`EventEngine`](crate::event::EventEngine) streams requests in, the one
-//! staged arrival — in `(time, seq)` order, then dispatches one
+//! occupies every node) and, when [`Executor::run_stream`] streams requests
+//! in, the one staged arrival — in `(time, seq)` order, then dispatches one
 //! micro-batch.
 
 // mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results")
@@ -50,7 +49,7 @@ use crate::kv::{AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState};
 use crate::scheduler::{BatchItem, MicroBatch, PhaseFilter, Scheduler};
-use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, StatsFold};
+use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 use mugi::arch::cost::CostModel;
 use mugi::MugiAccelerator;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
@@ -232,7 +231,7 @@ pub struct Executor {
     scheduler: Scheduler,
     config: ExecutorConfig,
     placement: Placement,
-    pub(crate) cost: CostModel,
+    cost: CostModel,
     pool: NodePool,
     /// One slot per node holding the batch it executes; a sharded batch
     /// occupies every node and sits in slot 0.
@@ -243,7 +242,7 @@ pub struct Executor {
     /// round asks for it once per idle node.
     next_completion: Option<(u64, u64, usize)>,
     /// The stream's staged arrival plus the event counters.
-    pub(crate) queue: EventQueue,
+    queue: EventQueue,
     clock_cycles: u64,
     steps: u64,
     accounting: Vec<Accounting>,
@@ -338,28 +337,28 @@ impl Executor {
                  decode-context bucket are the same granularity"
             );
         }
+        if let PlacementPolicy::Disaggregated { prefill_nodes, decode_nodes } = placement.policy {
+            assert!(
+                prefill_nodes > 0 && decode_nodes > 0,
+                "disaggregation needs at least one prefill node and one decode node"
+            );
+            assert_eq!(
+                prefill_nodes + decode_nodes,
+                placement.nodes(),
+                "the prefill and decode pools must partition the mesh exactly"
+            );
+        }
+        let node_roles: Vec<PoolRole> =
+            (0..placement.nodes()).map(|i| placement.node_role(i)).collect();
         // Partition the bounded KV capacity to match the placement: each
         // data-parallel or disaggregated node owns its pages (prefill /
         // decode roles marking the disaggregated split); a sharded mesh
         // tiles every session's KV across all nodes, so it forms one
         // aggregate pool.
-        match placement.policy {
-            PlacementPolicy::DataParallel => scheduler.configure_kv_pools(placement.nodes(), 1),
-            PlacementPolicy::Sharded => scheduler.configure_kv_pools(1, placement.nodes()),
-            PlacementPolicy::Disaggregated { prefill_nodes, decode_nodes } => {
-                assert!(
-                    prefill_nodes > 0 && decode_nodes > 0,
-                    "disaggregation needs at least one prefill node and one decode node"
-                );
-                assert_eq!(
-                    prefill_nodes + decode_nodes,
-                    placement.nodes(),
-                    "the prefill and decode pools must partition the mesh exactly"
-                );
-                let roles: Vec<PoolRole> =
-                    (0..placement.nodes()).map(|i| placement.node_role(i)).collect();
-                scheduler.configure_kv_pools_with_roles(&roles, 1);
-            }
+        if placement.policy == PlacementPolicy::Sharded {
+            scheduler.configure_kv_pools(&[PoolRole::Colocated], placement.nodes());
+        } else {
+            scheduler.configure_kv_pools(&node_roles, 1);
         }
         let disagg = matches!(placement.policy, PlacementPolicy::Disaggregated { .. });
         let multi_pool =
@@ -370,8 +369,6 @@ impl Executor {
                 config.control.calibration_ewma_shift,
             );
         }
-        let node_roles: Vec<PoolRole> =
-            (0..placement.nodes()).map(|i| placement.node_role(i)).collect();
         // The scheduler may already hold sessions submitted before the
         // executor was constructed; give each one an accounting slot.
         let accounting = vec![Accounting::default(); scheduler.sessions().len()];
@@ -500,13 +497,14 @@ impl Executor {
     /// bounded free count otherwise. Panics (via the scheduler) if a bug
     /// maps `i` to a nonexistent bounded pool.
     pub fn kv_free_pages(&self, i: usize) -> KvFreePages {
-        self.scheduler.kv_free_pages(self.pool_for(i))
+        self.scheduler.kv_free_pages(self.slot_of(i))
     }
 
-    /// The KV pool node `i` allocates from: its own under data-parallel and
-    /// disaggregated placement, the single aggregate pool under sharded
-    /// placement.
-    fn pool_for(&self, i: usize) -> usize {
+    /// Node `i`'s KV pool and in-flight slot: its own under data-parallel
+    /// and disaggregated placement; under sharded placement every node
+    /// shares the single aggregate pool and slot 0, since a sharded batch
+    /// occupies the whole mesh.
+    fn slot_of(&self, i: usize) -> usize {
         match self.placement.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => i,
             PlacementPolicy::Sharded => 0,
@@ -542,14 +540,6 @@ impl Executor {
     /// Completed control-plane role re-rolls.
     pub fn role_reroll_count(&self) -> u64 {
         self.role_rerolls
-    }
-
-    /// The in-flight slot of a batch executing on node `i`.
-    fn slot_of(&self, i: usize) -> usize {
-        match self.placement.policy {
-            PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => i,
-            PlacementPolicy::Sharded => 0,
-        }
     }
 
     /// Whether node `i` currently executes an in-flight batch.
@@ -624,7 +614,7 @@ impl Executor {
         // A draining node's residents must leave even though its pool may
         // still be rolled Decode (decode→decode evacuation), so its pool is
         // exempt from the role half of the staleness check.
-        let drain_home = self.draining.map(|d| self.pool_for(d.node));
+        let drain_home = self.draining.map(|d| self.slot_of(d.node));
         let mut i = 0;
         while i < self.pending_migrations.len() {
             let id = self.pending_migrations[i];
@@ -650,7 +640,7 @@ impl Executor {
                 i += 1; // no decode pool has room yet; retry next completion
                 continue;
             };
-            let Some(migration) = self.scheduler.migrate_session(id, self.pool_for(node)) else {
+            let Some(migration) = self.scheduler.migrate_session(id, self.slot_of(node)) else {
                 i += 1;
                 continue;
             };
@@ -687,16 +677,16 @@ impl Executor {
             return self.pool.earliest(decode_nodes);
         }
         let fitting =
-            decode_nodes.filter(|&i| self.scheduler.kv_free_pages(self.pool_for(i)).fits(pages));
+            decode_nodes.filter(|&i| self.scheduler.kv_free_pages(self.slot_of(i)).fits(pages));
         if self.config.control.load_aware_migration {
             fitting.min_by_key(|&i| {
-                let pool = self.pool_for(i);
+                let pool = self.slot_of(i);
                 let free = self.scheduler.kv_free_pages(pool).ranking();
                 (self.scheduler.pool_decode_load(pool), std::cmp::Reverse(free), i)
             })
         } else {
             fitting.max_by_key(|&i| {
-                (self.scheduler.kv_free_pages(self.pool_for(i)).ranking(), std::cmp::Reverse(i))
+                (self.scheduler.kv_free_pages(self.slot_of(i)).ranking(), std::cmp::Reverse(i))
             })
         }
     }
@@ -707,7 +697,7 @@ impl Executor {
     /// allowing and cooldown expired — starts a new one.
     fn role_tick(&mut self, now: u64) {
         if let Some(drain) = self.draining {
-            let pool = self.pool_for(drain.node);
+            let pool = self.slot_of(drain.node);
             // Residents that were mid-batch at drain start become evictable
             // only as their batches complete; keep sweeping.
             self.drain_sweep(drain, now);
@@ -750,13 +740,13 @@ impl Executor {
         };
         let node =
             (0..self.pool.len()).filter(|&i| self.node_roles[i] == from_role).min_by_key(|&i| {
-                (self.scheduler.kv_pool_used_pages(self.pool_for(i)), std::cmp::Reverse(i))
+                (self.scheduler.kv_pool_used_pages(self.slot_of(i)), std::cmp::Reverse(i))
             });
         let Some(node) = node else { return };
         let drain = Drain { node, target: to_role };
         self.draining = Some(drain);
         self.last_flip_cycle = now;
-        self.scheduler.set_drain_pool(Some(self.pool_for(node)));
+        self.scheduler.set_drain_pool(Some(self.slot_of(node)));
         // Sweep immediately — and flip in this same tick if the node was
         // already quiescent (common when converting an idle empty node).
         self.role_tick(now);
@@ -769,7 +759,7 @@ impl Executor {
     /// so only the migration retry applies.
     fn drain_sweep(&mut self, drain: Drain, now: u64) {
         if self.scheduler.kv_config().is_bounded() {
-            let pool = self.pool_for(drain.node);
+            let pool = self.slot_of(drain.node);
             let released = self.scheduler.preempt_pool_residents(pool);
             if released > 0 {
                 // Teardown is charged like any other eviction: fault stalls
@@ -794,7 +784,7 @@ impl Executor {
     /// dropping it from the scheduler and freeing its accounting slot —
     /// streaming each session's statistics into `sink` in id order, so
     /// nothing grows (or allocates) with the request count.
-    pub(crate) fn retire_finished_with(&mut self, mut sink: impl FnMut(RequestStats)) {
+    fn retire_finished_with(&mut self, mut sink: impl FnMut(RequestStats)) {
         let prefix = self.scheduler.sessions().iter().take_while(|s| s.is_finished()).count();
         if prefix == 0 {
             return;
@@ -816,9 +806,8 @@ impl Executor {
     /// batch still executing on another node), the idle node's clock jumps
     /// forward and execution continues.
     ///
-    /// This is [`Executor::round`] without a request stream; the
-    /// [`EventEngine`](crate::event::EventEngine) runs the same round with
-    /// one.
+    /// This is one decision round without a request stream;
+    /// [`Executor::run_stream`] runs the same round with one.
     pub fn step(&mut self) -> bool {
         self.round(&mut std::iter::empty(), &mut None)
     }
@@ -838,11 +827,16 @@ impl Executor {
     /// the earliest idle node is consulted, which is exactly the pre-paging
     /// behaviour.
     ///
+    /// The round ends with `false` once every submitted request has
+    /// finished, nothing is in flight and nothing is staged — also when the
+    /// round itself landed the stream's last arrival and admission rejected
+    /// it.
+    ///
     /// # Panics
     /// Panics if unfinished sessions exist but neither runnable work, nor an
     /// executing batch, nor a future arrival does (a scheduler invariant
     /// violation).
-    pub(crate) fn round(
+    fn round(
         &mut self,
         stream: &mut impl Iterator<Item = Request>,
         fold: &mut Option<StatsFold>,
@@ -889,7 +883,7 @@ impl Executor {
                 // until its role flip completes.
                 let Some(phase) = self.phase_for(node) else { continue };
                 if let Some(batch) =
-                    self.scheduler.next_micro_batch_phased(node_now, self.pool_for(node), phase)
+                    self.scheduler.next_micro_batch(node_now, self.slot_of(node), phase)
                 {
                     self.dispatch(node, batch, node_now);
                     break 'outer true;
@@ -905,11 +899,17 @@ impl Executor {
                 continue;
             }
             let staged = self.queue.staged.as_ref().map(|(_, r)| r.arrival_cycle);
-            let next = [self.scheduler.next_arrival_after(now), staged]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("unfinished sessions but no runnable work and no future arrival");
+            let Some(next) =
+                [self.scheduler.next_arrival_after(now), staged].into_iter().flatten().min()
+            else {
+                // Nothing in flight, staged or arriving: this round landed
+                // the stream's last arrival and admission rejected it.
+                assert!(
+                    self.scheduler.all_finished(),
+                    "unfinished sessions but no runnable work and no future arrival"
+                );
+                break false;
+            };
             // With nothing in flight, `next` is the minimum ready time after
             // the earliest idle clock, so no node can dispatch before it:
             // advance every earlier node in one pass instead of re-scanning
@@ -951,7 +951,7 @@ impl Executor {
     }
 
     /// Stages the stream's next request as the pending arrival.
-    pub(crate) fn stage_next(&mut self, stream: &mut impl Iterator<Item = Request>) {
+    fn stage_next(&mut self, stream: &mut impl Iterator<Item = Request>) {
         if let Some(request) = stream.next() {
             let seq = self.queue.next_seq();
             self.queue.staged = Some((seq, request));
@@ -1076,13 +1076,79 @@ impl Executor {
 
     /// Runs until every submitted request has finished, then reports.
     pub fn run(&mut self) -> RuntimeReport {
-        while self.step() {}
+        self.run_stream(std::iter::empty())
+    }
+
+    /// Serves `stream` lazily to completion, alongside any pre-submitted
+    /// requests: each streamed request is staged as the one pending arrival
+    /// and submitted when simulated time reaches it, not up front. Requests
+    /// the admission control rejects are counted in the report's KV
+    /// statistics and dropped, as with [`Executor::try_submit`]. The
+    /// stream's arrivals must be nondecreasing (true for Poisson and
+    /// single-burst [`WorkloadStream`](crate::workload::WorkloadStream)s)
+    /// and no later than any pre-[`submit`](Executor::submit)ted request
+    /// still outstanding.
+    ///
+    /// Submission is passive (admission control aside, a submitted request
+    /// affects nothing until a batch forms at or after its arrival), so a
+    /// streamed run equals the pre-submitted run of the same trace under
+    /// every state-independent admission configuration. The stateful checks
+    /// (`max_live_sessions` backpressure, SLO projection) see the population
+    /// at the arrival instant instead of at up-front submission — the more
+    /// realistic reading, and a divergence from pre-submitted runs.
+    pub fn run_stream<I>(&mut self, stream: I) -> RuntimeReport
+    where
+        I: IntoIterator<Item = Request>,
+    {
+        let mut stream = stream.into_iter();
+        self.stage_next(&mut stream);
+        while self.round(&mut stream, &mut None) {}
         self.report()
+    }
+
+    /// Serves `stream` lazily like [`Executor::run_stream`], but retires
+    /// every finished session into a [`StatsFold`] instead of keeping its
+    /// statistics, so memory stays O(live sessions) for arbitrarily long
+    /// streams and the report is the O(1) [`ScaleReport`].
+    pub fn run_stream_folded<I>(&mut self, stream: I) -> ScaleReport
+    where
+        I: IntoIterator<Item = Request>,
+    {
+        let mut stream = stream.into_iter();
+        self.stage_next(&mut stream);
+        let mut fold = Some(StatsFold::default());
+        while self.round(&mut stream, &mut fold) {}
+        let mut fold = fold.unwrap_or_default();
+        self.retire_finished_with(|stats| fold.add(&stats));
+        self.scale_report(fold)
+    }
+
+    /// Builds the folded report for the completed run.
+    fn scale_report(&self, fold: StatsFold) -> ScaleReport {
+        let makespan_s = self.clock_cycles as f64 / self.cost.frequency_hz;
+        let throughput_tokens_per_s =
+            if makespan_s > 0.0 { fold.output_tokens as f64 / makespan_s } else { 0.0 };
+        ScaleReport {
+            fold,
+            makespan_s,
+            throughput_tokens_per_s,
+            micro_batches: self.steps,
+            nodes: self.pool.len(),
+            peak_live_sessions: self.scheduler.peak_live_sessions(),
+            peak_event_queue: self.queue.peak_len(),
+            kv: self.kv_stats(),
+        }
+    }
+
+    /// The event queue's observability counters: events landed, the
+    /// high-water mark and per-kind time regressions.
+    pub fn queue(&self) -> &EventQueue {
+        &self.queue
     }
 
     /// The statistics of one finished session (`None` while it is still
     /// running).
-    pub(crate) fn session_stats(&self, s: &Session) -> Option<RequestStats> {
+    fn session_stats(&self, s: &Session) -> Option<RequestStats> {
         // The cached cost model's frequency is the exact value
         // `accel.frequency_hz()` would rebuild a `Design` to compute — this
         // runs once per retired session, so it must not.
@@ -1148,8 +1214,8 @@ impl Executor {
     }
 
     /// The run's paged-KV statistics so far (shared by [`Executor::report`]
-    /// and the event engine's folded report).
-    pub(crate) fn kv_stats(&self) -> KvStats {
+    /// and [`Executor::run_stream_folded`]'s report).
+    fn kv_stats(&self) -> KvStats {
         KvStats {
             page_tokens: self.scheduler.kv_config().page_tokens,
             capacity_pages: self.scheduler.kv_capacity_pages(),

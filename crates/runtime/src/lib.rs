@@ -26,11 +26,14 @@
 //!   [`MugiAccelerator`](mugi::MugiAccelerator) nodes over the scheduled
 //!   micro-batches (mixed prefill/decode slices priced from per-slice op
 //!   costs), charges NoC transfer energy for inter-node movement
-//!   and keeps per-request cycle/energy accounting;
-//! * [`event`] — the discrete-event [`EventEngine`]: the [`Executor`]'s
-//!   one decision loop fed a lazily streamed workload, one staged arrival
-//!   at a time, landing completions and arrivals in `(time, seq)` order and
-//!   serving millions of requests in O(live sessions) memory;
+//!   and keeps per-request cycle/energy accounting. Its one decision loop
+//!   serves pre-submitted traces and lazily streamed workloads alike
+//!   ([`Executor::run_stream`]), one staged arrival at a time, landing
+//!   completions and arrivals in `(time, seq)` order; the folded mode
+//!   ([`Executor::run_stream_folded`]) serves millions of requests in
+//!   O(live sessions) memory;
+//! * [`event`] — the [`EventQueue`] counters of that loop (plus a thin
+//!   benchmark-facing wrapper);
 //! * [`control`] — the adaptive control plane: a feedback controller
 //!   sampled at batch-completion boundaries that re-rolls node roles toward
 //!   the live prefill:decode demand split (quiescent handoffs), calibrates
@@ -38,7 +41,7 @@
 //!   projected decode load — all off by default and bit-inert when off;
 //! * [`stats`] — TTFT/TPOT/throughput per request plus p50/p95/p99
 //!   aggregates in a [`RuntimeReport`], and the O(1) [`StatsFold`] /
-//!   [`ScaleReport`] the event engine folds retired sessions into;
+//!   [`ScaleReport`] a folded run streams retired sessions into;
 //! * [`workload`] — deterministic synthetic request streams — materialized
 //!   via [`synthetic_requests`] or lazily via a [`WorkloadStream`] — with
 //!   uniform-spread or open-loop Poisson [`ArrivalModel`]s.

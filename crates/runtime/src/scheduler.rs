@@ -32,8 +32,7 @@
 //! Under a bounded [`KvConfig`] the scheduler also owns the physical
 //! [`KvPool`]s (one per data-parallel node, or one aggregate pool under
 //! sharded placement) and every micro-batch formation is a paging
-//! transaction against the pool passed to
-//! [`Scheduler::next_micro_batch_phased`]:
+//! transaction against the pool passed to [`Scheduler::next_micro_batch`]:
 //!
 //! * a **decode slot** needs its session's table to cover `kv_len + 1`
 //!   entries; when the pool is short, the scheduler *preempts* — it evicts
@@ -58,7 +57,7 @@
 //!
 //! A disaggregated executor partitions the mesh into prefill and decode
 //! pools ([`PoolRole`]) and forms *pure* micro-batches through
-//! [`Scheduler::next_micro_batch_phased`]: a [`PhaseFilter::PrefillOnly`]
+//! [`Scheduler::next_micro_batch`]: a [`PhaseFilter::PrefillOnly`]
 //! batch admits and advances prompts on a prefill pool, a
 //! [`PhaseFilter::DecodeOnly`] batch runs decode slots on a decode pool.
 //! Completed prefills hand their KV pages over via
@@ -437,9 +436,8 @@ pub struct Scheduler {
     swap_outs: u64,
     /// Pages moved by those swap-outs.
     swapped_pages: u64,
-    /// Reusable model-ranking buffer for
-    /// [`Scheduler::next_micro_batch_phased`], so steady-state formation
-    /// allocates nothing.
+    /// Reusable model-ranking buffer for [`Scheduler::next_micro_batch`], so
+    /// steady-state formation allocates nothing.
     scratch_candidates: Vec<(u64, RequestId, usize)>,
     /// Reusable eligible-session buffer for [`Scheduler::try_form`] (filled
     /// for the decode pass, then refilled for the prefill pass).
@@ -549,34 +547,22 @@ impl Scheduler {
         &self.kv
     }
 
-    /// Repartitions the bounded KV capacity into `pools` pools of
-    /// `kv.node_pages * capacity_scale` pages each. The executor calls this
-    /// at construction: one pool per node under data-parallel placement
-    /// (`(nodes, 1)`), one aggregate pool under sharded placement
-    /// (`(1, nodes)`, the KV being tiled across the mesh). No-op when the
-    /// configuration is unbounded.
-    ///
-    /// # Panics
-    /// Under a bounded configuration, panics if `pools` or `capacity_scale`
-    /// is zero, or if any session already holds pages (pools cannot be
-    /// repartitioned mid-run).
-    pub fn configure_kv_pools(&mut self, pools: usize, capacity_scale: usize) {
-        self.configure_kv_pools_with_roles(&vec![PoolRole::Colocated; pools], capacity_scale);
-    }
-
-    /// Like [`Scheduler::configure_kv_pools`], but assigns each pool a
-    /// [`PoolRole`] — one pool per node, `roles[i]` being node `i`'s role. A
-    /// disaggregated executor marks its prefill and decode pools here; every
-    /// colocated policy passes all-`Colocated` roles (via
-    /// [`Scheduler::configure_kv_pools`]) and behaves exactly as before.
-    /// No-op when the configuration is unbounded (arguments are not even
-    /// validated — there are no pools to configure).
+    /// Repartitions the bounded KV capacity into one pool per entry of
+    /// `roles`, each of `kv.node_pages * capacity_scale` pages, pool `i`
+    /// taking scheduling role `roles[i]`. The executor calls this at
+    /// construction with its nodes' roles: one pool per node under
+    /// data-parallel (all [`PoolRole::Colocated`]) and disaggregated
+    /// (prefill and decode) placement, scale 1; one aggregate colocated
+    /// pool under sharded placement, scaled by the node count (the KV being
+    /// tiled across the mesh). No-op when the configuration is unbounded
+    /// (arguments are not even validated — there are no pools to
+    /// configure).
     ///
     /// # Panics
     /// Under a bounded configuration, panics if `roles` is empty or
     /// `capacity_scale` is zero, or if any session already holds pages
     /// (pools cannot be repartitioned mid-run).
-    pub fn configure_kv_pools_with_roles(&mut self, roles: &[PoolRole], capacity_scale: usize) {
+    pub fn configure_kv_pools(&mut self, roles: &[PoolRole], capacity_scale: usize) {
         let Some(node_pages) = self.kv.node_pages else { return };
         assert!(!roles.is_empty(), "at least one KV pool is required");
         assert!(capacity_scale > 0, "capacity_scale must be non-zero");
@@ -881,8 +867,8 @@ impl Scheduler {
     /// dropped — not finished, not decoding (those migrate out instead, KV
     /// intact) and not inside an in-flight batch — returning the pages
     /// released. The executor's drain sweep calls this until the pool
-    /// empties; preemption counters and the prefill ledger are maintained
-    /// exactly as for capacity evictions.
+    /// empties; each victim takes the same recompute eviction as a capacity
+    /// eviction during formation.
     pub fn preempt_pool_residents(&mut self, pool: usize) -> u64 {
         let victims: Vec<RequestId> = self
             .queues
@@ -896,26 +882,45 @@ impl Scheduler {
                     && !s.in_flight
             })
             .collect();
-        let mut released_total = 0u64;
-        for victim in victims {
-            let vi = self.sidx(victim);
-            let s = &mut self.sessions[vi];
-            let lost_tokens = u64_from_usize(s.kv_len());
-            let mut table = std::mem::take(&mut s.page_table);
-            let released = table.release_all(&mut self.pools[pool]);
-            let prev_owed = u64_from_usize(s.remaining_prefill());
-            s.preempt();
-            let owed = u64_from_usize(s.remaining_prefill());
-            if self.kv.slo.is_some() {
-                self.pending_prefill.insert((s.request.arrival_cycle, victim), owed);
-            }
-            self.pending_prefill_total = self.pending_prefill_total - prev_owed + owed;
-            self.preempted += 1;
-            self.reprefill_tokens += lost_tokens;
-            released_total += u64_from_usize(released);
+        let released: usize = victims.into_iter().map(|v| self.evict_for_recompute(v, pool)).sum();
+        u64_from_usize(released)
+    }
+
+    /// Recompute-evicts `victim` from pool `pool`: releases its pages,
+    /// resets it to prefill its whole cache again, re-credits the prefill
+    /// ledger with that debt and moves it back to its model's waiting
+    /// queue. Charges the preemption, re-prefill and evicted-page counters
+    /// and returns the pages released.
+    fn evict_for_recompute(&mut self, victim: RequestId, pool: usize) -> usize {
+        let ledger = self.ledger_enabled();
+        let vi = self.sidx(victim);
+        let s = &mut self.sessions[vi];
+        let lost_tokens = u64_from_usize(s.kv_len());
+        let mut table = std::mem::take(&mut s.page_table);
+        let released = table.release_all(&mut self.pools[pool]);
+        let prev_owed = u64_from_usize(s.remaining_prefill());
+        s.preempt();
+        // Re-credit the recompute debt: the eviction reset the session's
+        // prefill target to prompt + generated, so the ledger entry (absent
+        // when the victim had fully prefilled) is replaced wholesale rather
+        // than adjusted.
+        let owed = u64_from_usize(s.remaining_prefill());
+        if ledger {
+            self.pending_prefill.insert((s.request.arrival_cycle, victim), owed);
         }
-        self.evicted_pages += released_total;
-        released_total
+        self.pending_prefill_total = self.pending_prefill_total - prev_owed + owed;
+        let model = s.request.model;
+        let queue = self
+            .queues
+            .iter_mut()
+            .find(|q| q.model == model)
+            .expect("page holders live in a model queue");
+        sorted_remove(&mut queue.decoding, victim);
+        sorted_insert(&mut queue.waiting, victim);
+        self.preempted += 1;
+        self.reprefill_tokens += lost_tokens;
+        self.evicted_pages += u64_from_usize(released);
+        released
     }
 
     /// Number of KV pools (zero under an unbounded configuration).
@@ -1066,30 +1071,24 @@ impl Scheduler {
                 || self.sessions[self.sidx(id)].page_table.admissible_on(pool))
     }
 
-    /// Assembles the next micro-batch at simulated cycle `now` against KV
-    /// pool 0 with both phases allowed — the single-node / sharded view.
-    /// Returns `None` when no session has runnable work (all finished,
-    /// everything runnable already in flight, blocked on KV pages, or only
-    /// future arrivals remain).
-    pub fn next_micro_batch(&mut self, now: u64) -> Option<MicroBatch> {
-        self.next_micro_batch_phased(now, 0, PhaseFilter::Both)
-    }
-
     /// Assembles the next micro-batch at simulated cycle `now` for the node
     /// whose KV lives in pool `pool`, restricted to `phase`: a disaggregated
     /// executor forms [`PhaseFilter::PrefillOnly`] batches on prefill nodes
     /// and [`PhaseFilter::DecodeOnly`] batches on decode nodes;
-    /// [`PhaseFilter::Both`] is the colocated behaviour. Scheduled sessions
-    /// are marked in flight until [`Scheduler::complete`] is called for the
+    /// [`PhaseFilter::Both`] is the colocated behaviour (pool 0 with both
+    /// phases is the single-node and sharded view). Scheduled sessions are
+    /// marked in flight until [`Scheduler::complete`] is called for the
     /// batch, so overlapping micro-batches on different nodes never share a
-    /// session.
+    /// session. Returns `None` when no session has runnable work (all
+    /// finished, everything runnable already in flight, blocked on KV
+    /// pages, or only future arrivals remain).
     ///
     /// Under a bounded [`KvConfig`] the formation is a paging transaction:
     /// decode growth and prefill chunks allocate pages from `pool`,
     /// preempting most-recently-admitted page holders when it runs dry (see
     /// the module docs). Models whose eligible sessions are all blocked on
     /// pages are skipped in favour of the next least-recently-served one.
-    pub fn next_micro_batch_phased(
+    pub fn next_micro_batch(
         &mut self,
         now: u64,
         pool: usize,
@@ -1326,7 +1325,6 @@ impl Scheduler {
         }
 
         debug_assert!(tokens <= token_budget, "token budget exceeded");
-        self.evicted_pages += evicted_pages as u64;
         if items.is_empty() {
             // Nothing formed: hand the (possibly warm) vector straight back
             // to the free list instead of dropping its capacity.
@@ -1430,32 +1428,7 @@ impl Scheduler {
                 self.swapped_pages += u64_from_usize(moved);
                 swapped_out.push(SwapOut { id: victim, to_pool: dst, pages: moved, bytes });
             } else {
-                let s = &mut self.sessions[vi];
-                let lost_tokens = u64_from_usize(s.kv_len());
-                let mut table = std::mem::take(&mut s.page_table);
-                let released = table.release_all(&mut self.pools[pool]);
-                let prev_owed = u64_from_usize(s.remaining_prefill());
-                s.preempt();
-                // Re-credit the recompute debt: the eviction reset the
-                // session's prefill target to prompt + generated, so the
-                // ledger entry (absent when the victim had fully prefilled)
-                // is replaced wholesale rather than adjusted.
-                let owed = u64_from_usize(s.remaining_prefill());
-                if self.kv.slo.is_some() {
-                    self.pending_prefill.insert((s.request.arrival_cycle, victim), owed);
-                }
-                self.pending_prefill_total = self.pending_prefill_total - prev_owed + owed;
-                let model = s.request.model;
-                let queue = self
-                    .queues
-                    .iter_mut()
-                    .find(|q| q.model == model)
-                    .expect("page holders live in a model queue");
-                sorted_remove(&mut queue.decoding, victim);
-                sorted_insert(&mut queue.waiting, victim);
-                self.preempted += 1;
-                self.reprefill_tokens += lost_tokens;
-                *evicted_pages += released;
+                *evicted_pages += self.evict_for_recompute(victim, pool);
             }
         }
         victims.clear();
@@ -1546,15 +1519,6 @@ impl Scheduler {
         s.ready_cycle = s.ready_cycle.max(cycle);
     }
 
-    /// Applies the effects of an executed micro-batch at simulated cycle
-    /// `end_cycle`: prefill chunks advance the cached prefix (a completed
-    /// *first* prefill emits the first output token; a completed recompute
-    /// prefill after a preemption just restores the cache and resumes
-    /// decoding), decode slots emit one token each, and sessions that reach
-    /// their requested output length finish, retire from their model queue
-    /// and release their KV pages. Every session of the batch leaves the
-    /// in-flight set and becomes schedulable again at `end_cycle`.
-    ///
     /// Hands a completed micro-batch's allocations back for reuse: the next
     /// formation pops its items vector off a free list instead of
     /// allocating. Purely an optimization — dropping the batch instead is
@@ -1569,6 +1533,15 @@ impl Scheduler {
         }
     }
 
+    /// Applies the effects of an executed micro-batch at simulated cycle
+    /// `end_cycle`: prefill chunks advance the cached prefix (a completed
+    /// *first* prefill emits the first output token; a completed recompute
+    /// prefill after a preemption just restores the cache and resumes
+    /// decoding), decode slots emit one token each, and sessions that reach
+    /// their requested output length finish, retire from their model queue
+    /// and release their KV pages. Every session of the batch leaves the
+    /// in-flight set and becomes schedulable again at `end_cycle`.
+    ///
     /// # Panics
     /// Panics if the batch references an id this scheduler did not issue.
     pub fn complete(&mut self, batch: &MicroBatch, end_cycle: u64) {
@@ -1686,7 +1659,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 100, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 40, 4));
         // First batch: no decodes yet, two prefill chunks (32 + 32 = 64).
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch.items.len(), 2);
         assert_eq!(batch.total_tokens(), 64);
         assert!(batch.items.iter().all(|i| i.phase == Phase::Prefill));
@@ -1697,13 +1670,13 @@ mod tests {
         sched.complete(&batch, 10);
         // b finished its prompt? 40 > 32, so both still prefilling. Second
         // batch continues the chunks.
-        let batch2 = sched.next_micro_batch(10).unwrap();
+        let batch2 = sched.next_micro_batch(10, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch2.items[0].tokens, 32); // a: 100 - 32 = 68 left, next 32
         assert_eq!(batch2.items[1].tokens, 8); // b: 40 - 32 = 8 left
         sched.complete(&batch2, 20);
         // b's prefill completed: it now holds a decode slot ahead of a's
         // remaining prefill.
-        let batch3 = sched.next_micro_batch(20).unwrap();
+        let batch3 = sched.next_micro_batch(20, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch3.items[0].id, b);
         assert_eq!(batch3.items[0].phase, Phase::Decode);
         assert_eq!(batch3.items[1].id, a);
@@ -1728,7 +1701,7 @@ mod tests {
         let mut since_served = vec![0usize; models.len()];
         let mut now = 0;
         for _ in 0..60 {
-            let Some(batch) = sched.next_micro_batch(now) else { break };
+            let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) else { break };
             for (mi, m) in models.iter().enumerate() {
                 if *m == batch.model {
                     since_served[mi] = 0;
@@ -1752,13 +1725,16 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let a = sched.submit(request(ModelId::Llama2_7b, 64, 8));
         let b = sched.submit(request(ModelId::Llama2_7b, 64, 8));
-        let first = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(first.items.len(), 2, "both prompts fit one batch");
         assert_eq!(sched.in_flight_count(), 2);
-        assert!(sched.next_micro_batch(0).is_none(), "everything runnable is in flight");
+        assert!(
+            sched.next_micro_batch(0, 0, PhaseFilter::Both).is_none(),
+            "everything runnable is in flight"
+        );
         sched.complete(&first, 10);
         assert_eq!(sched.in_flight_count(), 0);
-        let second = sched.next_micro_batch(10).unwrap();
+        let second = sched.next_micro_batch(10, 0, PhaseFilter::Both).unwrap();
         let ids: Vec<RequestId> = second.items.iter().map(|i| i.id).collect();
         assert!(ids.contains(&a) && ids.contains(&b), "completion frees the sessions");
     }
@@ -1770,11 +1746,14 @@ mod tests {
         // its input token.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 4));
-        let prefill = sched.next_micro_batch(0).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&prefill, 500);
-        assert!(sched.next_micro_batch(100).is_none(), "token only exists at cycle 500");
+        assert!(
+            sched.next_micro_batch(100, 0, PhaseFilter::Both).is_none(),
+            "token only exists at cycle 500"
+        );
         assert_eq!(sched.next_arrival_after(100), Some(500));
-        assert!(sched.next_micro_batch(500).is_some());
+        assert!(sched.next_micro_batch(500, 0, PhaseFilter::Both).is_some());
     }
 
     #[test]
@@ -1788,7 +1767,7 @@ mod tests {
         });
         sched.submit(request(ModelId::Llama2_7b, 400, 2));
         let short = sched.submit(request(ModelId::Llama2_7b, 50, 2));
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(batch.items[0].id, short, "shortest prompt admitted first");
     }
 
@@ -1797,8 +1776,8 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 8));
         sched.submit(request(ModelId::Llama2_70b, 64, 8));
-        let first = sched.next_micro_batch(0).unwrap();
-        let second = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let second = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_ne!(first.model, second.model);
     }
 
@@ -1806,7 +1785,7 @@ mod tests {
     fn prefill_completion_emits_first_token_and_transitions_to_decode() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let id = sched.submit(request(ModelId::Llama2_7b, 64, 3));
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 100);
         let s = sched.session(id);
         assert_eq!(s.state, SessionState::Decoding);
@@ -1814,7 +1793,7 @@ mod tests {
         assert_eq!(s.first_token_cycle, Some(100));
         // Two decode steps finish the request.
         for t in [200, 300] {
-            let b = sched.next_micro_batch(t - 100).unwrap();
+            let b = sched.next_micro_batch(t - 100, 0, PhaseFilter::Both).unwrap();
             assert_eq!(b.items[0].phase, Phase::Decode);
             sched.complete(&b, t);
         }
@@ -1823,16 +1802,16 @@ mod tests {
         assert_eq!(s.generated_tokens, 3);
         assert_eq!(s.finish_cycle, Some(300));
         assert!(sched.all_finished());
-        assert!(sched.next_micro_batch(400).is_none());
+        assert!(sched.next_micro_batch(400, 0, PhaseFilter::Both).is_none());
     }
 
     #[test]
     fn future_arrivals_wait_and_are_reported() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 16, 1).arriving_at(1000));
-        assert!(sched.next_micro_batch(0).is_none());
+        assert!(sched.next_micro_batch(0, 0, PhaseFilter::Both).is_none());
         assert_eq!(sched.next_arrival_after(0), Some(1000));
-        assert!(sched.next_micro_batch(1000).is_some());
+        assert!(sched.next_micro_batch(1000, 0, PhaseFilter::Both).is_some());
     }
 
     #[test]
@@ -1924,7 +1903,7 @@ mod tests {
         while !sched.all_finished() {
             steps += 1;
             assert!(steps < 10_000, "scheduler failed to drain (livelock)");
-            if let Some(batch) = sched.next_micro_batch(now) {
+            if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
                 now += 1;
                 sched.complete(&batch, now);
             } else {
@@ -2022,7 +2001,7 @@ mod tests {
         );
         sched.submit(request(ModelId::Llama2_7b, 8, 5)); // peak: pages_for(13) = 4 pages
         let late = sched.submit(request(ModelId::Llama2_7b, 8, 2));
-        let first = sched.next_micro_batch(0).unwrap();
+        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         // Only the first prompt fits: 8 + 1 emitted token = 3 pages, leaving
         // one free page — short of the second prompt's 3-page need.
         assert_eq!(first.items.len(), 1, "the second prefill must be deferred");
@@ -2068,7 +2047,7 @@ mod tests {
         // always uses the per-node capacity, so a sharded 4-node aggregate
         // (32 pages) still rejects what one node (8 pages) cannot hold.
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(4, 8));
-        sched.configure_kv_pools(1, 4);
+        sched.configure_kv_pools(&[PoolRole::Colocated], 4);
         assert_eq!(sched.kv_capacity_pages(), Some(32));
         assert_eq!(
             sched.try_submit(request(ModelId::Llama2_7b, 60, 8)),
@@ -2091,15 +2070,15 @@ mod tests {
     fn pool_repartitioning_scales_capacity_and_guards_mapped_pages() {
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(16, 8));
         assert_eq!(sched.kv_pool_count(), 1);
-        sched.configure_kv_pools(4, 1); // data-parallel over 4 nodes
+        sched.configure_kv_pools(&[PoolRole::Colocated; 4], 1); // data-parallel over 4 nodes
         assert_eq!(sched.kv_pool_count(), 4);
         assert_eq!(sched.kv_capacity_pages(), Some(32));
-        sched.configure_kv_pools(1, 4); // sharded across 4 nodes
+        sched.configure_kv_pools(&[PoolRole::Colocated], 4); // sharded across 4 nodes
         assert_eq!(sched.kv_pool_count(), 1);
         assert_eq!(sched.kv_capacity_pages(), Some(32));
         // Unbounded schedulers ignore repartitioning entirely.
         let mut unbounded = Scheduler::new(SchedulerConfig::default());
-        unbounded.configure_kv_pools(4, 1);
+        unbounded.configure_kv_pools(&[PoolRole::Colocated; 4], 1);
         assert_eq!(unbounded.kv_pool_count(), 0);
         assert_eq!(unbounded.kv_capacity_pages(), None);
     }
@@ -2110,19 +2089,19 @@ mod tests {
         // be schedulable on pool 1, and a fresh session is admissible on
         // either.
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(4, 4));
-        sched.configure_kv_pools(2, 1);
+        sched.configure_kv_pools(&[PoolRole::Colocated; 2], 1);
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 4));
-        let on_zero = sched.next_micro_batch_phased(0, 0, PhaseFilter::Both).unwrap();
+        let on_zero = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(on_zero.items.len(), 2, "both prompts fit pool 0");
         sched.complete(&on_zero, 1);
         assert_eq!(sched.session(a).page_table.home(), Some(0));
         assert_eq!(sched.session(b).page_table.home(), Some(0));
         assert!(
-            sched.next_micro_batch_phased(1, 1, PhaseFilter::Both).is_none(),
+            sched.next_micro_batch(1, 1, PhaseFilter::Both).is_none(),
             "homed sessions are not eligible on another node's pool"
         );
-        let again = sched.next_micro_batch_phased(1, 0, PhaseFilter::Both).unwrap();
+        let again = sched.next_micro_batch(1, 0, PhaseFilter::Both).unwrap();
         assert_eq!(again.decode_slots(), 2);
     }
 
@@ -2150,9 +2129,9 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0).unwrap();
+        let p1 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(ids(&p1), vec![a, b]);
-        let p2 = sched.next_micro_batch(0).unwrap();
+        let p2 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         assert_eq!(ids(&p2), vec![c], "overlapping batch picks up the third prompt");
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
@@ -2160,7 +2139,7 @@ mod tests {
         let expected = [vec![a, b], vec![c, a], vec![b, c], vec![a, b], vec![c, a]];
         let mut now = 1;
         for want in expected {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
             assert_eq!(ids(&batch), want, "rotation diverged at cycle {now}");
             assert!(batch.items.iter().all(|i| i.phase == Phase::Decode));
             now += 1;
@@ -2183,14 +2162,14 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0).unwrap();
-        let p2 = sched.next_micro_batch(0).unwrap();
+        let p1 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let p2 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
         let mut now = 1;
         // a and b need five decode slots each; every batch is [a, b].
         for _ in 0..5 {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
             assert_eq!(ids(&batch), vec![a, b]);
             now += 1;
             sched.complete(&batch, now);
@@ -2204,17 +2183,17 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 3));
         assert!(
-            sched.next_micro_batch_phased(0, 0, PhaseFilter::DecodeOnly).is_none(),
+            sched.next_micro_batch(0, 0, PhaseFilter::DecodeOnly).is_none(),
             "a waiting prompt is not decode work"
         );
-        let prefill = sched.next_micro_batch_phased(0, 0, PhaseFilter::PrefillOnly).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::PrefillOnly).unwrap();
         assert!(prefill.items.iter().all(|i| i.phase == Phase::Prefill));
         sched.complete(&prefill, 1);
         assert!(
-            sched.next_micro_batch_phased(1, 0, PhaseFilter::PrefillOnly).is_none(),
+            sched.next_micro_batch(1, 0, PhaseFilter::PrefillOnly).is_none(),
             "a decoding session is not prefill work"
         );
-        let decode = sched.next_micro_batch_phased(1, 0, PhaseFilter::DecodeOnly).unwrap();
+        let decode = sched.next_micro_batch(1, 0, PhaseFilter::DecodeOnly).unwrap();
         assert!(decode.items.iter().all(|i| i.phase == Phase::Decode));
     }
 
@@ -2238,7 +2217,7 @@ mod tests {
         assert_eq!(sched.rejected_count(), 1);
         // Once the prompt prefills, the backlog drains and admission opens
         // again (decoding sessions carry no prefill backlog).
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.try_submit(request(ModelId::Llama2_7b, 100, 2)).is_ok());
         // A 101-token prompt alone projects to 1010: rejected on arrival.
@@ -2278,7 +2257,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 8, 1));
         let b = sched.submit(request(ModelId::Llama2_7b, 600, 1));
         // a finishes in one chunk; b still has prefill left.
-        let batch = sched.next_micro_batch(0).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.session(a).is_finished());
         assert!(!sched.session(b).is_finished());
@@ -2291,7 +2270,7 @@ mod tests {
         // The rest of the run drains normally.
         let mut now = 1;
         while !sched.all_finished() {
-            let batch = sched.next_micro_batch(now).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
             now += 1;
             sched.complete(&batch, now);
         }

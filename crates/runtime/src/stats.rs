@@ -258,8 +258,9 @@ impl fmt::Display for RuntimeReport {
 }
 
 /// Incrementally folded per-request statistics: the O(1)-memory counterpart
-/// of [`RuntimeReport::requests`]. The event engine folds each session's
-/// [`RequestStats`] in here the moment it retires, so serving a million
+/// of [`RuntimeReport::requests`]. A folded run
+/// ([`Executor::run_stream_folded`](crate::Executor::run_stream_folded))
+/// folds each session's [`RequestStats`] in here the moment it retires, so serving a million
 /// requests costs the memory of the fold, not of a million stat records.
 ///
 /// Floating-point sums accumulate in retirement (= id) order — the same

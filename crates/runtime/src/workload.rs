@@ -108,7 +108,8 @@ impl WorkloadSpec {
 /// A lazy, seeded request generator: yields the exact sequence
 /// [`synthetic_requests`] would materialize for the same arguments, one
 /// request at a time, in O(1) memory. Unbounded — callers `take(n)` or stop
-/// consuming; the event engine feeds it straight into its arrival events.
+/// consuming; [`Executor::run_stream`](crate::Executor::run_stream) stages
+/// it one arrival at a time.
 #[derive(Clone, Debug)]
 pub struct WorkloadStream {
     rng: SmallRng,

@@ -15,8 +15,8 @@ use common::report_digest;
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    phased_requests, ControlConfig, EventEngine, Executor, ExecutorConfig, KvConfig, Placement,
-    PoolRole, Request, RuntimeReport, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec,
+    phased_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement, PoolRole,
+    Request, RuntimeReport, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
@@ -134,16 +134,15 @@ fn disabled_controller_knobs_are_bit_inert() {
     assert_eq!(fingerprint(&baseline), fingerprint(&tuned));
 }
 
-/// With the controller fully enabled, the discrete-event engine must
-/// reproduce the per-step executor's report as captured before the serving
-/// loop was merged into one, every float via `to_bits`: the controller's
+/// With the controller fully enabled, the executor must reproduce its
+/// report as captured before the serving loop was merged into one, every float via `to_bits`: the controller's
 /// integer decisions — drains, flips, calibration samples — replay
 /// identically.
 #[test]
 fn adaptive_engines_agree_bit_for_bit() {
     let requests = shifting_mix(12, 36);
     let kv = KvConfig::unbounded();
-    let mut event = EventEngine::with_placement(
+    let mut ex = Executor::with_placement(
         MugiAccelerator::new(128),
         Scheduler::with_kv(SchedulerConfig::default(), kv),
         ExecutorConfig {
@@ -154,11 +153,11 @@ fn adaptive_engines_agree_bit_for_bit() {
         Placement::disaggregated(NocConfig::mesh_4x4(), 8),
     );
     for r in &requests {
-        event.submit(*r);
+        ex.submit(*r);
     }
-    let evented = event.run();
-    assert_eq!(event.executor().role_reroll_count(), 31, "this mix must exercise the controller");
-    assert_eq!(report_digest(&evented), 0x15e78c831e1d6cec);
+    let report = ex.run();
+    assert_eq!(ex.role_reroll_count(), 31, "this mix must exercise the controller");
+    assert_eq!(report_digest(&report), 0x15e78c831e1d6cec);
 }
 
 /// Stepwise safety under bounded KV: at most one draining node at a time,
@@ -233,7 +232,7 @@ fn calibration_tightens_streamed_admission() {
     let guess = 500;
     let mut results = Vec::new();
     for calibrate in [false, true] {
-        let mut engine = EventEngine::with_placement(
+        let mut engine = Executor::with_placement(
             MugiAccelerator::new(128),
             Scheduler::with_kv(
                 SchedulerConfig::default(),

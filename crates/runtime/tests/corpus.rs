@@ -1,7 +1,7 @@
 //! Fingerprint corpus: 64 seeded workloads across every placement family ×
 //! KV regime × controller setting, each served twice — pre-submitted through
 //! [`Executor::run`] and streamed with Poisson arrivals through
-//! [`EventEngine::run_stream`] — and pinned against a table captured before
+//! [`Executor::run_stream`] — and pinned against a table captured before
 //! the serving loop was merged into one. Every float of every report enters
 //! its digest via `to_bits`, so any change to the decision order (which
 //! batch completes first, whether an arrival lands before a same-cycle
@@ -19,8 +19,8 @@ use common::report_digest;
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, ControlConfig, EventEngine, Executor, ExecutorConfig, KvConfig,
-    Placement, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec, WorkloadStream,
+    pages_for, synthetic_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement,
+    Scheduler, SchedulerConfig, SloConfig, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
@@ -76,8 +76,10 @@ fn case(i: usize) -> Case {
     };
     match i % 8 {
         3 => kv = kv.with_max_live_sessions(3),
-        // Bursts stay unbounded here: an SLO-gated streamed burst on a
-        // bounded sharded pool stalls with no runnable work.
+        // Bursts stay SLO-free here: this bound rejects every burst
+        // prompt (1024 tokens project past the target), which the
+        // rejected-stream tests in `event_engine.rs` cover, and the rows
+        // below were captured with the bursts left ungated.
         6 if !burst => {
             kv.slo = Some(SloConfig {
                 target_ttft_cycles: 3_000_000_000,
@@ -117,7 +119,7 @@ fn run_case(c: &Case) -> Row {
     }
     let pre = ex.run();
     let mut ev =
-        EventEngine::with_placement(MugiAccelerator::new(64), scheduler(), c.executor, c.placement);
+        Executor::with_placement(MugiAccelerator::new(64), scheduler(), c.executor, c.placement);
     let streamed = ev.run_stream(WorkloadStream::new(c.seed, c.models, c.spec).take(REQUESTS));
     (
         pre.micro_batches,

@@ -9,22 +9,25 @@
 //! consequence: two independently constructed schedulers fed the identical
 //! workload must form byte-for-byte identical micro-batch sequences.
 
-use mugi_runtime::{synthetic_requests, Scheduler, SchedulerConfig, WorkloadSpec};
+use mugi_runtime::{synthetic_requests, PhaseFilter, Scheduler, SchedulerConfig, WorkloadSpec};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::Phase;
 
 const MODELS: [ModelId; 2] = [ModelId::Llama2_7b, ModelId::Llama2_70b];
 
+/// Every formed micro-batch as `(cycle, model, [(id, phase, tokens)])`.
+type BatchTrace = Vec<(u64, ModelId, Vec<(u64, Phase, usize)>)>;
+
 /// Drives `sched` to completion with a fixed completion latency, recording
-/// every formed micro-batch as `(cycle, model, [(id, phase, tokens)])`.
-fn batch_trace(mut sched: Scheduler) -> Vec<(u64, ModelId, Vec<(u64, Phase, usize)>)> {
+/// every formed micro-batch.
+fn batch_trace(mut sched: Scheduler) -> BatchTrace {
     for r in synthetic_requests(11, 96, &MODELS, WorkloadSpec::default()) {
         sched.submit(r);
     }
     let mut trace = Vec::new();
     let mut now = 0;
     while !sched.all_finished() {
-        if let Some(batch) = sched.next_micro_batch(now) {
+        if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
             trace.push((
                 now,
                 batch.model,

@@ -6,9 +6,8 @@
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, DecodeOrder, EventEngine, Executor, ExecutorConfig, KvConfig,
-    Placement, Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec,
-    KV_BITS,
+    pages_for, synthetic_requests, DecodeOrder, Executor, ExecutorConfig, KvConfig, Placement,
+    Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec, KV_BITS,
 };
 use mugi_workloads::models::ModelId;
 
@@ -334,7 +333,7 @@ fn incremental_retirement_matches_the_unretired_report() {
     // emptied instead of growing with every submission.
     let requests = synthetic_requests(9, 32, &[MODEL], WorkloadSpec::default());
     let build = || {
-        EventEngine::with_placement(
+        Executor::with_placement(
             MugiAccelerator::new(64),
             Scheduler::new(SchedulerConfig::default()),
             ExecutorConfig::default(),
@@ -350,8 +349,8 @@ fn incremental_retirement_matches_the_unretired_report() {
     assert_eq!(folded.makespan_s.to_bits(), full.makespan_s.to_bits());
     assert_eq!(folded.kv, full.kv);
     assert!(full.kv.migrations > 0, "the workload must exercise the handoff");
-    assert_eq!(keep.executor().scheduler().sessions().len(), requests.len());
-    let sched = retire.executor().scheduler();
+    assert_eq!(keep.scheduler().sessions().len(), requests.len());
+    let sched = retire.scheduler();
     assert_eq!(sched.sessions().len(), 0, "every finished session must have been retired");
     assert_eq!(sched.retired_session_count(), requests.len());
     assert_eq!(sched.submitted_count(), requests.len());

@@ -1,13 +1,14 @@
-//! Event-engine equivalence suite: golden bit-identity tests captured from
+//! Serving-loop equivalence suite: golden bit-identity tests captured from
 //! the pre-refactor per-step runtime (commit e0e057f), a streaming-workload
-//! determinism test, and the 1M-request soak proving memory stays bounded.
+//! determinism test, streamed runs that end on a rejected arrival, and the
+//! 1M-request soak proving memory stays bounded.
 //!
 //! The golden fingerprints below were captured by running the per-step
 //! `Executor` at commit e0e057f on the exact scenarios in this file: every
 //! float is pinned via `to_bits`, so any perturbation — however small —
-//! fails. The event engine must reproduce each one exactly (FP-sum order
-//! preserved), which proves the discrete-event reorganization changes *how*
-//! the simulation is driven, never *what* it computes.
+//! fails. The executor must keep reproducing each one exactly (FP-sum order
+//! preserved), which proves that reorganizing the serving loop changes
+//! *how* the simulation is driven, never *what* it computes.
 
 mod common;
 
@@ -15,8 +16,8 @@ use common::report_digest;
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, EventEngine, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec, WorkloadStream,
+    pages_for, synthetic_requests, Executor, ExecutorConfig, KvConfig, Placement, Request,
+    RuntimeReport, Scheduler, SchedulerConfig, SloConfig, StatsFold, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
@@ -61,8 +62,7 @@ fn fingerprint(report: &RuntimeReport) -> Vec<u64> {
     ]
 }
 
-/// One golden scenario: a workload plus the full engine configuration, so
-/// the per-step oracle and the event engine can both be built from it.
+/// One golden scenario: a workload plus the full executor configuration.
 struct Scenario {
     name: &'static str,
     requests: Vec<Request>,
@@ -141,20 +141,6 @@ fn scenarios() -> Vec<Scenario> {
     });
 
     out
-}
-
-/// Runs one scenario on the per-step executor.
-fn run_per_step(s: &Scenario) -> RuntimeReport {
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(s.scheduler, s.kv),
-        s.executor,
-        s.placement,
-    );
-    for r in &s.requests {
-        ex.submit(*r);
-    }
-    ex.run()
 }
 
 /// Golden fingerprints captured from the per-step executor at commit
@@ -304,20 +290,20 @@ fn per_step_report_digest(name: &str) -> u64 {
     }
 }
 
-/// Runs one scenario on the event engine, returning the engine too so
-/// tests can inspect its queue counters after the run.
-fn run_event(s: &Scenario) -> (RuntimeReport, EventEngine) {
-    let mut ev = EventEngine::with_placement(
+/// Runs one pre-submitted scenario, returning the executor too so tests can
+/// inspect its queue counters after the run.
+fn run(s: &Scenario) -> (RuntimeReport, Executor) {
+    let mut ex = Executor::with_placement(
         MugiAccelerator::new(64),
         Scheduler::with_kv(s.scheduler, s.kv),
         s.executor,
         s.placement,
     );
     for r in &s.requests {
-        ev.submit(*r);
+        ex.submit(*r);
     }
-    let report = ev.run();
-    (report, ev)
+    let report = ex.run();
+    (report, ex)
 }
 
 /// Regeneration helper, not a check: prints every scenario's fingerprint in
@@ -331,42 +317,26 @@ fn run_event(s: &Scenario) -> (RuntimeReport, EventEngine) {
 fn print_fingerprints() {
     for s in scenarios() {
         println!("        \"{}\" => vec![", s.name);
-        for word in fingerprint(&run_per_step(&s)) {
+        for word in fingerprint(&run(&s).0) {
             println!("            0x{word:016x},");
         }
         println!("        ],");
     }
     for s in scenarios() {
-        println!("        \"{}\" => 0x{:016x},", s.name, report_digest(&run_per_step(&s)));
+        println!("        \"{}\" => 0x{:016x},", s.name, report_digest(&run(&s).0));
     }
 }
 
-/// The per-step executor must keep matching the digests captured at
-/// e0e057f: the refactor that extracted its core must not perturb it.
-#[test]
-fn per_step_executor_matches_goldens() {
-    for s in scenarios() {
-        let fp = fingerprint(&run_per_step(&s));
-        assert_eq!(fp, golden(s.name), "per-step fingerprint drifted for {}", s.name);
-    }
-}
-
-/// The tentpole claim: the event engine reproduces every golden scenario —
-/// every placement policy, preemption mode and migration path — bit for
-/// bit, floats included.
+/// The executor reproduces every golden scenario — every placement policy,
+/// preemption mode and migration path — bit for bit, floats included.
 #[test]
 fn event_engine_matches_goldens() {
     for s in scenarios() {
-        let (report, ev) = run_event(&s);
-        assert_eq!(
-            fingerprint(&report),
-            golden(s.name),
-            "event-engine fingerprint drifted for {}",
-            s.name
-        );
+        let (report, ex) = run(&s);
+        assert_eq!(fingerprint(&report), golden(s.name), "fingerprint drifted for {}", s.name);
         // Every dispatched batch raised exactly one completion event.
-        assert_eq!(ev.queue().pop_count(), report.micro_batches, "{}", s.name);
-        assert_eq!(ev.queue().arrival_time_regressions(), 0, "{}", s.name);
+        assert_eq!(ex.queue().pop_count(), report.micro_batches, "{}", s.name);
+        assert_eq!(ex.queue().arrival_time_regressions(), 0, "{}", s.name);
     }
 }
 
@@ -376,9 +346,9 @@ fn event_engine_matches_goldens() {
 #[test]
 fn event_engine_reports_equal_per_step_reports_exactly() {
     for s in scenarios() {
-        let (event, _) = run_event(&s);
+        let (report, _) = run(&s);
         assert_eq!(
-            report_digest(&event),
+            report_digest(&report),
             per_step_report_digest(s.name),
             "full-report divergence for {}",
             s.name
@@ -394,8 +364,8 @@ fn event_engine_reports_equal_per_step_reports_exactly() {
 fn event_queue_completion_pops_are_monotone() {
     for s in scenarios() {
         let single_pool = matches!(s.name, "single-node" | "sharded");
-        let (_, ev) = run_event(&s);
-        let regressions = ev.queue().completion_time_regressions();
+        let (_, ex) = run(&s);
+        let regressions = ex.queue().completion_time_regressions();
         if single_pool {
             assert_eq!(regressions, 0, "single-pool {} must pop monotonically", s.name);
         } else {
@@ -407,7 +377,7 @@ fn event_queue_completion_pops_are_monotone() {
     }
 }
 
-/// Engine-level streaming determinism: serving a sorted (Poisson) workload
+/// Streaming determinism: serving a sorted (Poisson) workload
 /// lazily from a `WorkloadStream` must produce the exact report of
 /// pre-submitting the materialized trace — on a multi-node placement, with
 /// arrivals landing mid-flight.
@@ -416,7 +386,7 @@ fn streamed_poisson_run_matches_presubmitted() {
     let spec = WorkloadSpec::kv_pressure().with_poisson_arrivals(3_000_000);
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b];
     let build = || {
-        EventEngine::with_placement(
+        Executor::with_placement(
             MugiAccelerator::new(64),
             Scheduler::with_kv(SchedulerConfig::default(), KvConfig::unbounded()),
             ExecutorConfig::default(),
@@ -438,6 +408,78 @@ fn streamed_poisson_run_matches_presubmitted() {
     assert_eq!(streaming.queue().arrival_time_regressions(), 0);
     // 40 arrival events + one completion per micro-batch.
     assert_eq!(streaming.queue().pop_count(), 40 + streamed.micro_batches);
+}
+
+/// A streamed run whose every request is rejected by SLO admission must end
+/// cleanly. The config is a burst of equal 1024-token prompts whose
+/// projected TTFT (1024 tokens × 4·10⁶ cycles) exceeds the 3·10⁹-cycle
+/// target even with an empty backlog. It once panicked "unfinished sessions
+/// but no runnable work" after landing the last rejected arrival.
+#[test]
+fn streamed_run_with_every_request_slo_rejected_terminates() {
+    const COUNT: usize = 12;
+    let spec = WorkloadSpec { prompt_tokens: (1024, 1024), ..WorkloadSpec::default() }
+        .with_poisson_arrivals(1);
+    let slo = SloConfig { target_ttft_cycles: 3_000_000_000, cycles_per_prefill_token: 4_000_000 };
+    let noc = NocConfig { rows: 2, cols: 2 };
+    let page_tokens = 32;
+    let kv = KvConfig { slo: Some(slo), ..KvConfig::bounded(page_tokens, 64) };
+    for placement in
+        [Placement::single_node(), Placement::data_parallel(noc), Placement::sharded(noc)]
+    {
+        let build = || {
+            Executor::with_placement(
+                MugiAccelerator::new(64),
+                Scheduler::with_kv(SchedulerConfig::default(), kv),
+                ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
+                placement,
+            )
+        };
+        let stream = || WorkloadStream::new(6, &[MODEL], spec).take(COUNT);
+        let report = build().run_stream(stream());
+        assert_eq!(report.kv.rejected_requests, COUNT as u64, "{}", placement.label());
+        assert!(report.requests.is_empty());
+        assert_eq!(report.micro_batches, 0);
+        let folded = build().run_stream_folded(stream());
+        assert_eq!(folded.kv.rejected_requests, COUNT as u64, "{}", placement.label());
+        assert_eq!(folded.fold.requests, 0);
+    }
+}
+
+/// A streamed run whose only rejected request is a late tail, arriving after
+/// everything else has finished, must end cleanly with that one rejection.
+/// With an empty backlog the tail's 2000-token prompt alone projects past
+/// the SLO target, while the short prompts before it fit.
+#[test]
+fn streamed_run_ending_on_a_rejected_tail_arrival_terminates() {
+    let slo = SloConfig { target_ttft_cycles: 1_000_000, cycles_per_prefill_token: 1_000 };
+    let mut requests: Vec<Request> =
+        (0..6).map(|i| Request::new(MODEL, 64, 4).arriving_at(i * 1_000_000_000)).collect();
+    let tail = Request::new(MODEL, 2_000, 4).arriving_at(1 << 50);
+    requests.push(tail);
+    for placement in
+        [Placement::single_node(), Placement::data_parallel(NocConfig { rows: 2, cols: 2 })]
+    {
+        let build = || {
+            Executor::with_placement(
+                MugiAccelerator::new(64),
+                Scheduler::with_kv(
+                    SchedulerConfig::default(),
+                    KvConfig { slo: Some(slo), ..KvConfig::unbounded() },
+                ),
+                ExecutorConfig::default(),
+                placement,
+            )
+        };
+        let mut ex = build();
+        let report = ex.run_stream(requests.iter().copied());
+        assert_eq!(report.kv.rejected_requests, 1, "{}", placement.label());
+        assert_eq!(report.requests.len(), requests.len() - 1);
+        assert!(ex.clock_cycles() < tail.arrival_cycle, "the others finished before the tail");
+        let folded = build().run_stream_folded(requests.iter().copied());
+        assert_eq!(folded.kv.rejected_requests, 1, "{}", placement.label());
+        assert_eq!(folded.fold.requests, requests.len() as u64 - 1);
+    }
 }
 
 /// The 1M-request soak (ignored in the default tier; CI runs it with
@@ -463,7 +505,7 @@ fn soak_one_million_requests_in_bounded_memory() {
     let models = [MODEL];
 
     let mut engine =
-        EventEngine::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
+        Executor::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
     let report = engine.run_stream_folded(WorkloadStream::new(4242, &models, spec).take(COUNT));
 
     assert_eq!(report.fold.requests, COUNT as u64, "every request must retire");

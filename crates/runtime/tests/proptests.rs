@@ -6,7 +6,7 @@
 //! makespan, 1×1 placement bit-identical to the single-node executor), the
 //! paging invariants (pages never double-mapped, `free + Σ mapped ==
 //! capacity` after any op sequence, an unbounded pool bit-identical to a
-//! never-full bounded one), and the event-engine invariants (token and page
+//! never-full bounded one), and the serving-loop invariants (token and page
 //! conservation, causality and one completion per batch across every
 //! placement policy, streamed runs equal to pre-submitted ones,
 //! session-arena slots never aliased while live).
@@ -15,8 +15,9 @@ use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
-    pages_for, EventEngine, Executor, ExecutorConfig, KvConfig, KvPool, PageId, PageTable,
-    Placement, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena, KV_BITS,
+    pages_for, ControlConfig, Executor, ExecutorConfig, KvConfig, KvPool, PageId, PageTable,
+    PhaseFilter, Placement, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
+    SloConfig, KV_BITS,
 };
 use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
@@ -140,7 +141,7 @@ proptest! {
         while !sched.all_finished() {
             steps += 1;
             prop_assert!(steps <= cap, "scheduler made no progress (starvation)");
-            if let Some(batch) = sched.next_micro_batch(now) {
+            if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
                 // The hard caps hold for every micro-batch.
                 prop_assert!(batch.items.len() <= config.max_batch);
                 prop_assert!(batch.total_tokens() <= config.token_budget);
@@ -440,24 +441,44 @@ proptest! {
     fn prefill_backlog_ledger_matches_the_scan_it_replaced(
         requests in prop::collection::vec(small_request_strategy(), 1..10),
         headroom in 0usize..3,
+        disagg in any::<bool>(),
     ) {
         // The incremental pending-prefill ledger must agree with the
         // live-session scan it replaced at *every* step and *every* arrival
         // cutoff — including mid-run, with evictions re-crediting recompute
         // debt and chunked prefills debiting it, which is exactly where an
         // incremental counter would drift if any mutation site were missed.
+        // The ledger is maintained only under an SLO, so the config sets one
+        // that admits everything. The disaggregated case re-rolls node
+        // roles, so drain sweeps recompute-evict too.
         let page_tokens = 32;
         let max_need = requests
             .iter()
             .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
             .max()
             .unwrap();
-        let kv = KvConfig::bounded(page_tokens, max_need + headroom);
+        let slo = SloConfig { target_ttft_cycles: u64::MAX, cycles_per_prefill_token: 1 };
+        let kv = KvConfig { slo: Some(slo), ..KvConfig::bounded(page_tokens, max_need + headroom) };
+        let noc = NocConfig { rows: 2, cols: 2 };
+        let (placement, control, prefill_chunk) = if disagg {
+            // Short chunks leave prompts part-prefilled on a prefill node
+            // when it drains, and those residents are recompute-evicted.
+            let control = ControlConfig {
+                reassign_roles: true,
+                min_flip_interval_cycles: 1,
+                min_demand_tokens: 1,
+                ..ControlConfig::default()
+            };
+            (Placement::disaggregated(noc, 2), control, 16)
+        } else {
+            (Placement::data_parallel(noc), ControlConfig::default(), 512)
+        };
+        let config = SchedulerConfig { prefill_chunk, ..SchedulerConfig::default() };
         let mut ex = Executor::with_placement(
             MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+            Scheduler::with_kv(config, kv),
+            ExecutorConfig { kv_bucket: page_tokens, control, ..ExecutorConfig::default() },
+            placement,
         );
         for r in &requests {
             ex.submit(*r);
@@ -670,7 +691,7 @@ proptest! {
             if sched.all_finished() {
                 break;
             }
-            match sched.next_micro_batch(now) {
+            match sched.next_micro_batch(now, 0, PhaseFilter::Both) {
                 Some(batch) => {
                     prop_assert!(batch.decode_slots() <= requests.len());
                     // A session appears at most once per micro-batch.
@@ -716,17 +737,16 @@ proptest! {
         } else {
             KvConfig::unbounded()
         };
-        let mut ev = EventEngine::with_placement(
+        let mut ex = Executor::with_placement(
             MugiAccelerator::new(64),
             Scheduler::with_kv(SchedulerConfig::default(), kv),
             ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
             placement,
         );
         for r in &requests {
-            ev.submit(*r);
+            ex.submit(*r);
         }
-        let report = ev.run();
-        let ex = ev.executor();
+        let report = ex.run();
         prop_assert_eq!(report.requests.len(), requests.len());
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
@@ -743,8 +763,8 @@ proptest! {
             prop_assert!(clock <= makespan && busy <= makespan);
         }
         // Pre-submitted runs land exactly one completion per batch.
-        prop_assert_eq!(ev.queue().pop_count(), report.micro_batches);
-        prop_assert_eq!(ev.queue().arrival_time_regressions(), 0);
+        prop_assert_eq!(ex.queue().pop_count(), report.micro_batches);
+        prop_assert_eq!(ex.queue().arrival_time_regressions(), 0);
     }
 
     #[test]
@@ -758,7 +778,7 @@ proptest! {
         // same-cycle requests in generation order, preserving ids).
         requests.sort_by_key(|r| r.arrival_cycle);
         let build = || {
-            EventEngine::with_placement(
+            Executor::with_placement(
                 MugiAccelerator::new(64),
                 Scheduler::new(SchedulerConfig::default()),
                 ExecutorConfig::default(),

@@ -620,16 +620,14 @@ mod tests {
 
     #[test]
     fn config_validation_errors() {
-        let mut cfg = VlpApproxConfig::default();
-        cfg.window_size = 50;
-        assert!(cfg.validate().is_err());
-        cfg = VlpApproxConfig::default();
-        cfg.mantissa_bits = 0;
-        assert!(cfg.validate().is_err());
-        cfg = VlpApproxConfig::default();
-        cfg.lut_min_exp = 10;
-        cfg.lut_max_exp = 0;
-        assert!(cfg.validate().is_err());
+        let invalid = [
+            VlpApproxConfig { window_size: 50, ..VlpApproxConfig::default() },
+            VlpApproxConfig { mantissa_bits: 0, ..VlpApproxConfig::default() },
+            VlpApproxConfig { lut_min_exp: 10, lut_max_exp: 0, ..VlpApproxConfig::default() },
+        ];
+        for cfg in invalid {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
         assert!(VlpApproxConfig::default().validate().is_ok());
     }
 

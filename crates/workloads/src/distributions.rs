@@ -187,7 +187,7 @@ impl ProfileHistogram {
                 .filter(|&&(e, _)| e >= lo && e <= hi)
                 .map(|&(_, f)| f)
                 .sum();
-            if best.map_or(true, |(_, m)| mass > m) {
+            if best.is_none_or(|(_, m)| mass > m) {
                 best = Some((lo, mass));
             }
         }
