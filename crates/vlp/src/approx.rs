@@ -331,14 +331,16 @@ impl VlpNonlinear {
         let mut stats = ApproxStats { elements: inputs.len(), ..ApproxStats::default() };
         let mantissa_sweep = sweep_cycles(config.mantissa_bits as u32);
         let exponent_sweep = config.window_size as u64;
-        for mapping in inputs.chunks(self.array_rows.max(1)) {
-            let fields: Vec<FloatFields> =
-                mapping.iter().map(|&x| FloatFields::split_f32(x, config.mantissa_bits)).collect();
-            let exponents: Vec<i32> = fields
-                .iter()
-                .filter(|f| !f.is_zero && f.special.is_none())
-                .map(|f| f.exponent)
-                .collect();
+        let rows = self.array_rows.min(inputs.len());
+        let mut fields = Vec::with_capacity(rows);
+        let mut exponents = Vec::with_capacity(rows);
+        for mapping in inputs.chunks(self.array_rows) {
+            fields.clear();
+            fields.extend(mapping.iter().map(|&x| FloatFields::split_f32(x, config.mantissa_bits)));
+            exponents.clear();
+            exponents.extend(
+                fields.iter().filter(|f| !f.is_zero && f.special.is_none()).map(|f| f.exponent),
+            );
             let window = select_window(&config, &exponents);
             for f in &fields {
                 outputs.push(self.approximate_one(f, &window, &mut stats));
@@ -616,6 +618,37 @@ mod tests {
         let inputs = vec![-0.5f32; 100];
         let (_, stats) = engine.apply(&inputs);
         assert_eq!(stats.mappings, 4); // ceil(100 / 32)
+    }
+
+    #[test]
+    fn mappings_are_independent_of_earlier_mappings() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // `a` fills one mapping with large exponents; `b` holds small ones,
+        // zeros and specials, so a window leaking from `a` would change `b`.
+        let a = [12.0f32, -9.5, 7.25, -15.0];
+        let b = [0.03f32, -0.02, 0.0, f32::NAN, 0.045, f32::INFINITY, -0.0, f32::NEG_INFINITY];
+        let ab: Vec<f32> = a.iter().chain(&b).copied().collect();
+        for op in [NonlinearOp::Silu, NonlinearOp::Gelu] {
+            for strategy in [WindowStrategy::AnchorMax, WindowStrategy::AnchorMin] {
+                let config = VlpApproxConfig { strategy, ..VlpApproxConfig::recommended_for(op) };
+                let engine = VlpNonlinear::with_array_rows(op, config, a.len());
+                let (whole, stats) = engine.apply(&ab);
+                let (head, head_stats) = engine.apply(&a);
+                let (tail, tail_stats) = engine.apply(&b);
+                let split: Vec<f32> = head.iter().chain(&tail).copied().collect();
+                assert_eq!(bits(&whole), bits(&split), "{op:?} {strategy:?}");
+                assert_eq!(stats.mappings, head_stats.mappings + tail_stats.mappings);
+                assert_eq!(stats.underflows, head_stats.underflows + tail_stats.underflows);
+                assert_eq!(stats.overflows, head_stats.overflows + tail_stats.overflows);
+                assert_eq!(stats.specials, 3);
+                if strategy == WindowStrategy::AnchorMax {
+                    // Sharing one mapping with `a` does change `b`'s outputs.
+                    let wide = VlpNonlinear::with_array_rows(op, config, ab.len());
+                    let (shared, _) = wide.apply(&ab);
+                    assert_ne!(bits(&shared[a.len()..]), bits(&tail), "{op:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -119,6 +119,15 @@ fn gaussian<R: Rng>(rng: &mut R) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
+/// Lowest unbiased BF16 exponent: normals start there, and subnormals
+/// report it too. NaN, infinities and values that quantize to BF16 zero
+/// report exponent 0.
+const MIN_EXPONENT: i32 = -126;
+
+/// Bins of the exponent histogram, one per unbiased BF16 exponent from
+/// [`MIN_EXPONENT`] to 127.
+const EXPONENT_BINS: usize = 254;
+
 /// A histogram over values and over BF16 exponents, the two panels the paper
 /// plots per model/op in Figure 4.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -145,7 +154,7 @@ impl ProfileHistogram {
         let max = samples.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let span = (max - min).max(f32::MIN_POSITIVE);
         let mut value_counts = vec![0usize; bins];
-        let mut exp_counts = std::collections::BTreeMap::new();
+        let mut exp_counts = [0usize; EXPONENT_BINS];
         let mut zeros = 0usize;
         for &s in samples {
             let idx = (((s - min) / span) * bins as f32) as usize;
@@ -154,13 +163,17 @@ impl ProfileHistogram {
                 zeros += 1;
             } else {
                 let fields = FloatFields::split_f32(s, 7);
-                *exp_counts.entry(fields.exponent).or_insert(0usize) += 1;
+                exp_counts[(fields.exponent - MIN_EXPONENT) as usize] += 1;
             }
         }
         let n = samples.len() as f32;
         let value_edges = (0..=bins).map(|i| min + span * i as f32 / bins as f32).collect();
         let value_density = value_counts.iter().map(|&c| c as f32 / n).collect();
-        let exponent_density = exp_counts.into_iter().map(|(e, c)| (e, c as f32 / n)).collect();
+        let exponent_density = (MIN_EXPONENT..)
+            .zip(exp_counts)
+            .filter(|&(_, c)| c > 0)
+            .map(|(e, c)| (e, c as f32 / n))
+            .collect();
         ProfileHistogram {
             value_edges,
             value_density,
@@ -282,6 +295,53 @@ mod tests {
         // larger exponents of |x|; the window moves up or stays, it must not
         // move down.
         assert!(lo_late >= lo_early, "early {lo_early} late {lo_late}");
+    }
+
+    /// The exponent histogram built the direct way, with an ordered map.
+    fn map_exponent_density(samples: &[f32]) -> Vec<(i32, f32)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for &s in samples.iter().filter(|&&s| s != 0.0) {
+            *counts.entry(FloatFields::split_f32(s, 7).exponent).or_insert(0usize) += 1;
+        }
+        let n = samples.len() as f32;
+        counts.into_iter().map(|(e, c)| (e, c as f32 / n)).collect()
+    }
+
+    #[test]
+    fn exponent_histogram_matches_an_ordered_map_on_edge_inputs() {
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            // f32 subnormals that quantize to BF16 zero, but are not zero.
+            f32::from_bits(1),
+            -f32::from_bits(0x7FFF),
+            // A subnormal BF16 keeps the lowest exponent.
+            f32::from_bits(0x0040_0000),
+            // Values that round up to BF16 infinity.
+            f32::MAX,
+            -f32::MAX,
+            // Smallest and largest normal exponents.
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            2f32.powi(127),
+            0.0,
+            -0.0,
+            1.0,
+            -0.75,
+        ];
+        let expected = map_exponent_density(&edges);
+        let exponents: Vec<i32> = expected.iter().map(|&(e, _)| e).collect();
+        assert_eq!(exponents, [-126, -1, 0, 127]);
+        let h = ProfileHistogram::from_samples(&edges, 16);
+        assert_eq!(h.exponent_density, expected);
+        assert_eq!(h.zero_fraction, 2.0 / edges.len() as f32);
+
+        let mut mixed = DistributionProfile::for_model(ModelId::Llama2_7b, NonlinearOp::Silu, 0.5)
+            .sample(3000, 31);
+        mixed.extend_from_slice(&edges);
+        let h = ProfileHistogram::from_samples(&mixed, 64);
+        assert_eq!(h.exponent_density, map_exponent_density(&mixed));
     }
 
     #[test]

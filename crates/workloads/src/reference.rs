@@ -221,24 +221,48 @@ impl ReferenceModel {
         hidden.matmul(&self.lm_head)
     }
 
+    /// The exact next-token targets of the first `sequences` synthetic
+    /// sequences: one exact forward per sequence, softmaxed per position.
+    /// Build them once and score every backend against them.
+    pub fn proxy_targets(&self, sequences: usize) -> ProxyTargets {
+        let vocab = self.config.vocab;
+        let sequences = (0..sequences)
+            .map(|s| {
+                let tokens = self.synthetic_sequence(s as u64);
+                let exact_logits = self.forward(&tokens, &ExactBackend);
+                let positions = tokens.len().saturating_sub(1);
+                let mut data = Vec::with_capacity(positions * vocab);
+                for pos in 0..positions {
+                    data.extend(softmax(exact_logits.row(pos)));
+                }
+                SequenceTargets { tokens, targets: Matrix::from_vec(positions, vocab, data) }
+            })
+            .collect();
+        ProxyTargets { config: self.config, sequences }
+    }
+
     /// Average next-token cross-entropy (nats) of the model under `backend`
-    /// over a batch of deterministic synthetic sequences. The *target*
-    /// distribution at every position is the exact backend's softmax output,
-    /// so the metric is `H(p_exact, q_backend)`; by Gibbs' inequality the
-    /// exact backend is the floor and any approximation can only increase the
-    /// proxy perplexity — the mechanism behind Figure 6.
-    pub fn proxy_cross_entropy<B: NonlinearBackend>(&self, backend: &B, sequences: usize) -> f32 {
-        let exact = ExactBackend;
+    /// over the sequences of `targets`. The *target* distribution at every
+    /// position is the exact backend's softmax output, so the metric is
+    /// `H(p_exact, q_backend)`; by Gibbs' inequality the exact backend is the
+    /// floor and any approximation can only increase the proxy perplexity —
+    /// the mechanism behind Figure 6.
+    ///
+    /// # Panics
+    /// Panics if `targets` was built by a model with another configuration.
+    pub fn proxy_cross_entropy<B: NonlinearBackend>(
+        &self,
+        backend: &B,
+        targets: &ProxyTargets,
+    ) -> f32 {
+        assert_eq!(targets.config, self.config, "proxy targets belong to another model");
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for s in 0..sequences {
-            let tokens = self.synthetic_sequence(s as u64);
-            let exact_logits = self.forward(&tokens, &exact);
-            let logits = self.forward(&tokens, backend);
-            for pos in 0..tokens.len().saturating_sub(1) {
-                let target = softmax(exact_logits.row(pos));
+        for seq in &targets.sequences {
+            let logits = self.forward(&seq.tokens, backend);
+            for pos in 0..seq.targets.rows() {
                 let probs = softmax(logits.row(pos));
-                for (t, q) in target.iter().zip(&probs) {
+                for (t, q) in seq.targets.row(pos).iter().zip(&probs) {
                     if *t > 0.0 {
                         total -= *t as f64 * (q.max(1e-9) as f64).ln();
                     }
@@ -254,8 +278,12 @@ impl ReferenceModel {
     }
 
     /// Proxy perplexity (exp of the proxy cross-entropy).
-    pub fn proxy_perplexity<B: NonlinearBackend>(&self, backend: &B, sequences: usize) -> f32 {
-        perplexity_from_nats(self.proxy_cross_entropy(backend, sequences))
+    pub fn proxy_perplexity<B: NonlinearBackend>(
+        &self,
+        backend: &B,
+        targets: &ProxyTargets,
+    ) -> f32 {
+        perplexity_from_nats(self.proxy_cross_entropy(backend, targets))
     }
 
     /// Deterministic synthetic token sequence.
@@ -275,6 +303,22 @@ impl ReferenceModel {
             })
             .collect()
     }
+}
+
+/// Exact next-token targets for proxy scoring, built by
+/// [`ReferenceModel::proxy_targets`].
+#[derive(Clone, Debug)]
+pub struct ProxyTargets {
+    config: ReferenceConfig,
+    sequences: Vec<SequenceTargets>,
+}
+
+/// One sequence's tokens and the exact softmax at each of its positions but
+/// the last (a `(seq_len - 1) × vocab` matrix).
+#[derive(Clone, Debug)]
+struct SequenceTargets {
+    tokens: Vec<usize>,
+    targets: Matrix,
 }
 
 /// RMS normalisation (as used by Llama-family models), applied row-wise.
@@ -351,7 +395,8 @@ mod tests {
     #[test]
     fn exact_backend_achieves_floor_perplexity() {
         let model = ReferenceModel::new(ReferenceConfig::small(2));
-        let exact_ppl = model.proxy_perplexity(&ExactBackend, 2);
+        let targets = model.proxy_targets(2);
+        let exact_ppl = model.proxy_perplexity(&ExactBackend, &targets);
         // By construction the targets are the exact backend's own argmax, so
         // the exact perplexity is small (peaked softmax) and any perturbation
         // can only increase it.
@@ -365,7 +410,7 @@ mod tests {
                     .collect()
             },
         );
-        let noisy_ppl = model.proxy_perplexity(&noisy, 2);
+        let noisy_ppl = model.proxy_perplexity(&noisy, &targets);
         assert!(exact_ppl <= noisy_ppl + 1e-3, "exact {exact_ppl} noisy {noisy_ppl}");
         assert!(exact_ppl >= 1.0);
     }
@@ -394,12 +439,74 @@ mod tests {
             },
             move |data, cols| sm_engine.softmax_rows(data, cols).0,
         );
-        let exact_ppl = model.proxy_perplexity(&ExactBackend, 2);
-        let vlp_ppl = model.proxy_perplexity(&vlp, 2);
+        let targets = model.proxy_targets(2);
+        let exact_ppl = model.proxy_perplexity(&ExactBackend, &targets);
+        let vlp_ppl = model.proxy_perplexity(&vlp, &targets);
         assert!(vlp_ppl >= exact_ppl - 1e-3);
         // VLP approximation should not blow the proxy perplexity up by more
         // than ~2x on this small model.
         assert!(vlp_ppl < exact_ppl * 2.0 + 1.0, "exact {exact_ppl} vlp {vlp_ppl}");
+    }
+
+    /// Scores `backend` the direct way: both forwards of every sequence,
+    /// back to back, with the exact targets recomputed inline.
+    fn inline_cross_entropy<B: NonlinearBackend>(
+        model: &ReferenceModel,
+        backend: &B,
+        sequences: usize,
+    ) -> f32 {
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for s in 0..sequences {
+            let tokens = model.synthetic_sequence(s as u64);
+            let exact_logits = model.forward(&tokens, &ExactBackend);
+            let logits = model.forward(&tokens, backend);
+            for pos in 0..tokens.len() - 1 {
+                let target = softmax(exact_logits.row(pos));
+                let probs = softmax(logits.row(pos));
+                for (t, q) in target.iter().zip(&probs) {
+                    if *t > 0.0 {
+                        total -= *t as f64 * (q.max(1e-9) as f64).ln();
+                    }
+                }
+                count += 1;
+            }
+        }
+        (total / count as f64) as f32
+    }
+
+    #[test]
+    fn precomputed_targets_score_bit_identically_to_inline_recompute() {
+        let model = ReferenceModel::new(ReferenceConfig::small(9));
+        let noisy = HookedBackend::new(
+            "noisy",
+            |op, xs: &[f32]| xs.iter().map(|&x| op.eval(x) * 1.1 - 0.05).collect(),
+            |data, cols| {
+                mugi_numerics::nonlinear::softmax_rows(data, cols)
+                    .iter()
+                    .map(|&p| (p + 0.02) / 1.5)
+                    .collect()
+            },
+        );
+        for sequences in [2, 3] {
+            let targets = model.proxy_targets(sequences);
+            let exact = model.proxy_cross_entropy(&ExactBackend, &targets);
+            let inline_exact = inline_cross_entropy(&model, &ExactBackend, sequences);
+            assert_eq!(exact.to_bits(), inline_exact.to_bits(), "{sequences} sequences");
+            let scored = model.proxy_cross_entropy(&noisy, &targets);
+            let inline = inline_cross_entropy(&model, &noisy, sequences);
+            assert_eq!(scored.to_bits(), inline.to_bits(), "{sequences} sequences");
+            assert!(scored > exact, "noise must raise the cross-entropy");
+            // Scoring twice against the same targets repeats the result.
+            assert_eq!(model.proxy_cross_entropy(&noisy, &targets).to_bits(), scored.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "proxy targets belong to another model")]
+    fn targets_of_another_model_rejected() {
+        let targets = ReferenceModel::new(ReferenceConfig::small(1)).proxy_targets(1);
+        ReferenceModel::new(ReferenceConfig::small(2)).proxy_cross_entropy(&ExactBackend, &targets);
     }
 
     #[test]
