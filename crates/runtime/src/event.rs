@@ -27,10 +27,14 @@ use mugi::MugiAccelerator;
 /// The counters: events landed, the high-water mark of in-flight batches
 /// plus the staged arrival, and per-kind time regressions (an event landing
 /// earlier than the previous one of its kind). Arrivals are monotone
-/// whenever the stream's arrivals are sorted; completions are monotone
-/// except in one documented artifact — a node with a lagging clock may form
-/// a batch *in the past* using KV pages freed by a completion that landed
-/// at a later cycle (bounded multi-pool placement only).
+/// whenever the stream's arrivals are sorted. Completions are not, on any
+/// multi-node placement: when an idle node finds nothing runnable at its
+/// clock, the round finishes the earliest in-flight batch even if that
+/// batch ends later than the node's clock (the one clock advance that can
+/// unlock work), so a completion can land before an earlier one on another
+/// node. Under bounded multi-pool placement a lagging node may also form a
+/// batch *in the past* using KV pages freed by a completion that landed at
+/// a later cycle. A single node lands its completions in order.
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
     /// The staged arrival and its sequence number.
@@ -76,8 +80,9 @@ impl EventQueue {
         self.peak_len
     }
 
-    /// Completions that landed back in time (see the type docs; zero on
-    /// every single-pool or unbounded configuration).
+    /// Completions that landed back in time (see the type docs; zero on a
+    /// single node, commonly nonzero on a multi-node mesh whatever its KV
+    /// pools).
     pub fn completion_time_regressions(&self) -> u64 {
         self.completion_regressions
     }
@@ -129,10 +134,12 @@ impl EventEngine {
 
 #[cfg(test)]
 mod tests {
-    use crate::executor::Executor;
+    use crate::executor::{Executor, ExecutorConfig};
+    use crate::placement::Placement;
     use crate::request::Request;
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use crate::stats::StatsFold;
+    use mugi::arch::noc::NocConfig;
     use mugi::MugiAccelerator;
     use mugi_workloads::models::ModelId;
 
@@ -153,6 +160,27 @@ mod tests {
         }
         let streamed = executor().run_stream(requests.clone());
         assert_eq!(pre.run(), streamed);
+    }
+
+    #[test]
+    fn unbounded_data_parallel_runs_count_completion_regressions() {
+        // Two of four nodes take the two prefills and the other two find
+        // nothing runnable at cycle 0: the round finishes the 7B prefill
+        // for one of them and the 70B session's first 512-token chunk for
+        // the other, long before the 7B session's decode steps, which then
+        // land earlier than that chunk.
+        let mut ex = Executor::with_placement(
+            MugiAccelerator::new(128),
+            Scheduler::new(SchedulerConfig::default()),
+            ExecutorConfig::default(),
+            Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+        );
+        ex.run_stream([
+            Request::new(ModelId::Llama2_7b, 32, 40),
+            Request::new(ModelId::Llama2_70b, 2048, 2),
+        ]);
+        assert!(ex.queue().completion_time_regressions() > 0);
+        assert_eq!(ex.queue().arrival_time_regressions(), 0);
     }
 
     #[test]

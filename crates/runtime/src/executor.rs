@@ -40,12 +40,18 @@
 //! occupies every node) and, when [`Executor::run_stream`] streams requests
 //! in, the one staged arrival — in `(time, seq)` order, then dispatches one
 //! micro-batch.
+//!
+//! When the dispatched batch is decode-only, the round keeps advancing it
+//! in place for as long as its next step is forced — a *decode run* — doing
+//! for each step exactly the work the skipped rounds would have done, in
+//! the same order, so every output is bit-identical to deciding each step
+//! afresh. A run of one step is the general case.
 
 // mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results")
 
 use crate::control::{desired_prefill_nodes, ControlConfig, Drain};
 use crate::event::EventQueue;
-use crate::kv::{AdmissionError, KvFreePages};
+use crate::kv::{pages_for, AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState};
 use crate::scheduler::{BatchItem, MicroBatch, PhaseFilter, Scheduler};
@@ -119,28 +125,35 @@ struct InFlight {
     seq: u64,
 }
 
-/// One memoized estimate in the executor's [`PerfFront`].
-#[derive(Clone, Debug)]
-struct FrontEntry {
-    model: ModelId,
-    slices: Vec<BatchSlice>,
-    /// The four numbers [`Executor::dispatch`] consumes, copied verbatim
-    /// from the accelerator's estimate: step cycles, node compute
-    /// energy, the estimate's NoC energy (sharded placement only; the
-    /// data-parallel arm derives its own from the batch) and the attention
-    /// share of the dynamic energy.
+/// What [`Executor::occupy`] consumes from the accelerator's estimate of one
+/// micro-batch, copied verbatim: step cycles, node compute energy, the
+/// estimate's NoC energy (sharded placement only; the data-parallel arm
+/// derives its own from the batch) and the attention share of the dynamic
+/// energy.
+#[derive(Clone, Copy, Debug)]
+struct Price {
     step_cycles: u64,
     compute_energy_pj: f64,
     perf_noc_energy_pj: f64,
     attention_energy_pj: f64,
 }
 
+/// One memoized estimate in the executor's [`PerfFront`].
+#[derive(Clone, Debug)]
+struct FrontEntry {
+    model: ModelId,
+    slices: Vec<BatchSlice>,
+    price: Price,
+}
+
 /// A direct-mapped memo of whole micro-batch estimates, sitting in front of
 /// the accelerator's shared per-slice cost memo. Steady-state serving
 /// re-dispatches the same micro-batch shapes over and over, and for those
 /// this skips a memo lock and probe per slice, the in-order fold of every
-/// op cost and the NoC scaling — a hit is one indexed slot comparison
-/// returning exactly the numbers `dispatch` uses. It pays for itself: fresh
+/// op cost and the NoC scaling — a hit is one hash of the shape and one
+/// indexed slot comparison returning exactly the [`Price`] `occupy` uses.
+/// (Inside a decode run, steps whose slices equal the previous step's reuse
+/// that step's price without probing at all.) It pays for itself: fresh
 /// pricing from the slice memo costs ~450 ns, and dropping this front
 /// doubled the host time of a decode-heavy 2×2 data-parallel stream. The
 /// placement policy and NoC are fixed for an executor's lifetime, so
@@ -170,22 +183,12 @@ impl PerfFront {
     }
 
     /// The cached estimate for `(model, slices)` under `hash`.
-    fn get(
-        &mut self,
-        hash: u64,
-        model: ModelId,
-        slices: &[BatchSlice],
-    ) -> Option<(u64, f64, f64, f64)> {
+    fn get(&mut self, hash: u64, model: ModelId, slices: &[BatchSlice]) -> Option<Price> {
         let slot = self.slots.get(Self::slot_of(hash))?.as_ref();
         match slot {
             Some(e) if e.model == model && e.slices == slices => {
                 self.hits += 1;
-                Some((
-                    e.step_cycles,
-                    e.compute_energy_pj,
-                    e.perf_noc_energy_pj,
-                    e.attention_energy_pj,
-                ))
+                Some(e.price)
             }
             _ => {
                 self.misses += 1;
@@ -196,30 +199,16 @@ impl PerfFront {
 
     /// Caches a freshly computed estimate, evicting whatever shape shared
     /// its slot (and reusing that entry's slice allocation).
-    fn insert(
-        &mut self,
-        hash: u64,
-        model: ModelId,
-        slices: &[BatchSlice],
-        v: (u64, f64, f64, f64),
-    ) {
+    fn insert(&mut self, hash: u64, model: ModelId, slices: &[BatchSlice], price: Price) {
         if self.slots.is_empty() {
             self.slots.resize_with(Self::SLOTS, || None);
         }
         let slot = &mut self.slots[Self::slot_of(hash)];
-        let e = slot.get_or_insert_with(|| FrontEntry {
-            model,
-            slices: Vec::new(),
-            step_cycles: 0,
-            compute_energy_pj: 0.0,
-            perf_noc_energy_pj: 0.0,
-            attention_energy_pj: 0.0,
-        });
+        let e = slot.get_or_insert_with(|| FrontEntry { model, slices: Vec::new(), price });
         e.model = model;
         e.slices.clear();
         e.slices.extend_from_slice(slices);
-        (e.step_cycles, e.compute_energy_pj, e.perf_noc_energy_pj) = (v.0, v.1, v.2);
-        e.attention_energy_pj = v.3;
+        e.price = price;
     }
 }
 
@@ -290,8 +279,9 @@ pub struct Executor {
     /// Reusable idle-node buffer, re-derived every decision round, so the
     /// round allocates nothing.
     idle_scratch: Vec<usize>,
-    /// Executor-local move-to-front memo over the accelerator's estimates:
-    /// steady-state dispatches skip the shared cache's hash and mutex.
+    /// Executor-local direct-mapped memo over the accelerator's estimates:
+    /// a steady-state dispatch hashes its shape once and probes one slot,
+    /// skipping the shared slice memo's mutex and per-slice probes.
     perf_front: PerfFront,
 }
 
@@ -800,11 +790,14 @@ impl Executor {
         self.acct_base += retired;
     }
 
-    /// Dispatches one micro-batch. Returns `false` once every submitted
-    /// request has finished and every pending completion has been applied;
-    /// when the only remaining work lies in the future (an arrival, or a
-    /// batch still executing on another node), the idle node's clock jumps
-    /// forward and execution continues.
+    /// Makes one scheduling decision: dispatches one micro-batch and, when
+    /// that batch is decode-only and its following steps are forced,
+    /// advances it through a decode run of k ≥ 1 steps (see the module
+    /// docs), so [`Executor::steps`] may grow by more than one per call.
+    /// Returns `false` once every submitted request has finished and every
+    /// pending completion has been applied; when the only remaining work
+    /// lies in the future (an arrival, or a batch still executing on another
+    /// node), the idle node's clock jumps forward and execution continues.
     ///
     /// This is one decision round without a request stream;
     /// [`Executor::run_stream`] runs the same round with one.
@@ -813,7 +806,7 @@ impl Executor {
     }
 
     /// One decision round, the only serving loop: lands due events, then
-    /// dispatches one micro-batch. Events land in `(time, seq)` order —
+    /// dispatches one micro-batch (and any decode run it starts). Events land in `(time, seq)` order —
     /// completions of in-flight batches, and the staged arrival, which is
     /// submitted when simulated time reaches it while the next request is
     /// staged from `stream`. When `fold` is set, sessions are retired into
@@ -968,38 +961,60 @@ impl Executor {
     }
 
     /// Evaluates one micro-batch on the accelerator model, occupies its
-    /// node(s) and queues the completion.
+    /// node(s) and queues the completion — then, while the batch's next step
+    /// is forced, advances it through that step too (see
+    /// [`Executor::advance_run`]).
     fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) {
+        let price = self.price(&batch);
+        self.occupy(node, batch, start, price);
+        self.advance_run(node, price);
+    }
+
+    /// Prices `batch` through the [`PerfFront`], pricing a missing shape
+    /// from the accelerator's slice memo.
+    fn price(&mut self, batch: &MicroBatch) -> Price {
         let mut slices = std::mem::take(&mut self.slice_scratch);
         batch.slices_into(self.config.kv_bucket, &mut slices);
-        let noc = self.placement.noc;
         let front_hash = mugi::shape_hash(&(batch.model, slices.as_slice()));
-        let (step_cycles, compute_energy_pj, perf_noc_energy_pj, attention_energy_pj) = match self
-            .perf_front
-            .get(front_hash, batch.model, &slices)
-        {
+        let price = match self.perf_front.get(front_hash, batch.model, &slices) {
             Some(hit) => hit,
             None => {
-                let v = match self.placement.policy {
+                let price = match self.placement.policy {
                     PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
                         let perf = self.accel.estimate_micro_batch(batch.model, &slices);
-                        let cycles = perf.node.total_cycles.max(1);
-                        let energy = perf.node.dynamic_energy_pj
-                            + perf.node.hbm_energy_pj
-                            + perf.node.leakage_energy_pj;
-                        (cycles, energy, 0.0, perf.node.energy_breakdown.attention)
+                        Price {
+                            step_cycles: perf.node.total_cycles.max(1),
+                            compute_energy_pj: perf.node.dynamic_energy_pj
+                                + perf.node.hbm_energy_pj
+                                + perf.node.leakage_energy_pj,
+                            perf_noc_energy_pj: 0.0,
+                            attention_energy_pj: perf.node.energy_breakdown.attention,
+                        }
                     }
                     PlacementPolicy::Sharded => {
+                        let noc = self.placement.noc;
                         let perf = self.accel.estimate_micro_batch_noc(batch.model, &slices, noc);
-                        let cycles = perf.effective_cycles.max(1);
-                        let energy = perf.total_energy_pj - perf.noc_energy_pj;
-                        (cycles, energy, perf.noc_energy_pj, perf.node.energy_breakdown.attention)
+                        Price {
+                            step_cycles: perf.effective_cycles.max(1),
+                            compute_energy_pj: perf.total_energy_pj - perf.noc_energy_pj,
+                            perf_noc_energy_pj: perf.noc_energy_pj,
+                            attention_energy_pj: perf.node.energy_breakdown.attention,
+                        }
                     }
                 };
-                self.perf_front.insert(front_hash, batch.model, &slices, v);
-                v
+                self.perf_front.insert(front_hash, batch.model, &slices, price);
+                price
             }
         };
+        slices.clear();
+        self.slice_scratch = slices;
+        price
+    }
+
+    /// Occupies `node` (every node, when sharded) with `batch` from `start`
+    /// at `price`: charges stalls and energy and queues the completion.
+    fn occupy(&mut self, node: usize, batch: MicroBatch, start: u64, price: Price) {
+        let noc = self.placement.noc;
         let noc_energy_pj = match self.placement.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
                 // The front end ships the batch's BF16 token activations to
@@ -1008,10 +1023,8 @@ impl Executor {
                 let bytes = 2 * (batch.total_tokens() * batch.model.config().hidden_dim * 2);
                 noc.transfer_energy_pj(u64_from_usize(bytes), &self.cost)
             }
-            PlacementPolicy::Sharded => perf_noc_energy_pj,
+            PlacementPolicy::Sharded => price.perf_noc_energy_pj,
         };
-        slices.clear();
-        self.slice_scratch = slices;
         // Preemptions stall the step while the pool is reshuffled: a fixed
         // fault cost per evicted page, on top of the victims' much larger
         // recompute cost (paid when their prefills re-execute). Unbounded
@@ -1041,7 +1054,7 @@ impl Executor {
             self.pending_migrations.push(swap.id);
         }
         self.transfer_stall_cycles += swap_stall_cycles;
-        let step_cycles = step_cycles + stall_cycles + swap_stall_cycles;
+        let step_cycles = price.step_cycles + stall_cycles + swap_stall_cycles;
         let end = start + step_cycles;
         match self.placement.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
@@ -1053,8 +1066,8 @@ impl Executor {
         let mut shares = std::mem::take(&mut self.share_scratch);
         attribute_step_energy_into(
             &batch.items,
-            compute_energy_pj,
-            attention_energy_pj,
+            price.compute_energy_pj,
+            price.attention_energy_pj,
             &mut shares,
         );
         let total_tokens = batch.total_tokens().max(1) as f64;
@@ -1072,6 +1085,107 @@ impl Executor {
         let key = (end, seq, slot);
         self.next_completion = Some(self.next_completion.map_or(key, |next| next.min(key)));
         self.count_queued();
+    }
+
+    /// Advances the decode batch just dispatched on `node` through every
+    /// further step that is *forced* — where the rounds in between could
+    /// only land its completion and re-form the same batch on the same node
+    /// — doing for each step exactly the work those rounds would have done,
+    /// in the same order. This is a *decode run*; a run of one step (no
+    /// extension) is the general case.
+    ///
+    /// Let `t` be the end of the batch in flight. The next step is forced
+    /// when all of these hold:
+    ///
+    /// * the placement is data-parallel (single node included) with an
+    ///   unbounded or a single KV pool — disaggregated, sharded and bounded
+    ///   multi-pool runs never extend;
+    /// * the batch is decode-only, no item emits its last output token at
+    ///   `t`, and under a bounded pool no item needs a new page for the next
+    ///   step (formation could evict) — [`Scheduler::reform_is_forced`];
+    /// * `t` lies before the horizon: every other in-flight batch's end, the
+    ///   staged arrival, the scheduler's earliest unreleased arrival or
+    ///   not-in-flight session ready time, and the clock of every idle node
+    ///   with a lower index (which would win `t`'s formation). Nothing else
+    ///   happens during a run, so the horizon is computed once;
+    /// * when another node is busy, at most one idle node other than `node`
+    ///   lags behind `t`: with two lagging, the round's "nothing runnable"
+    ///   branch would land that later completion early. Raising a lagging
+    ///   node to `t` leaves it lagging at the next step, so this is checked
+    ///   on every step.
+    ///
+    /// The rounds a run replaces raise each lagging idle node to every
+    /// step's start; the run raises them once, to its last step's start.
+    /// While a step's slices equal the previous step's (no item's context
+    /// crosses a `kv_bucket` boundary), its price is reused without probing
+    /// the [`PerfFront`].
+    fn advance_run(&mut self, node: usize, mut price: Price) {
+        if self.placement.policy != PlacementPolicy::DataParallel || self.multi_pool {
+            return;
+        }
+        let forced = |f: &InFlight| self.scheduler.reform_is_forced(&f.batch);
+        if !self.in_flight[node].as_ref().is_some_and(forced) {
+            return;
+        }
+        let others = self
+            .in_flight
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| slot != node)
+            .filter_map(|(slot, f)| f.as_ref().map(|f| (f.end, f.seq, slot)))
+            .min();
+        let end =
+            |ex: &Self| ex.in_flight[node].as_ref().expect("the run's batch is in flight").end;
+        let staged = self.queue.staged.as_ref().map(|(_, r)| r.arrival_cycle);
+        let lower_idle = (0..node).filter(|&i| !self.occupied(i)).map(|i| self.pool.free_at(i));
+        let mut horizon =
+            lower_idle.chain(others.map(|o| o.0)).chain(staged).min().unwrap_or(u64::MAX);
+        // The session scan is the one costly part of the horizon: skip it
+        // when the cheap part already ends the run.
+        let t = end(self);
+        if t < horizon {
+            let ready = self.scheduler.earliest_ready_not_in_flight(t);
+            horizon = ready.map_or(horizon, |r| horizon.min(r));
+        }
+        let kv_bucket = self.config.kv_bucket;
+        let bucket = move |len: usize| pages_for(len, kv_bucket);
+        let mut last_start = None;
+        loop {
+            let t = end(self);
+            if t >= horizon {
+                break;
+            }
+            if others.is_some() {
+                let lagging = (0..self.pool.len())
+                    .filter(|&i| i != node && !self.occupied(i) && self.pool.free_at(i) < t)
+                    .count();
+                if lagging > 1 {
+                    break;
+                }
+            }
+            let f = self.in_flight[node].as_mut().expect("the run's batch is in flight");
+            let rebucket =
+                f.batch.items.iter().any(|i| bucket(i.context_len) != bucket(i.context_len + 1));
+            if !self.scheduler.complete_and_reform(&mut f.batch, t) {
+                break;
+            }
+            let f = self.in_flight[node].take().expect("the run's batch is in flight");
+            self.next_completion = others;
+            self.queue.count_pop(t, false);
+            self.clock_cycles = self.clock_cycles.max(t);
+            if rebucket {
+                price = self.price(&f.batch);
+            }
+            last_start = Some(t);
+            self.occupy(node, f.batch, t, price);
+        }
+        if let Some(start) = last_start {
+            for i in 0..self.pool.len() {
+                if i != node && !self.occupied(i) {
+                    self.pool.wait_until(i, start);
+                }
+            }
+        }
     }
 
     /// Runs until every submitted request has finished, then reports.

@@ -1021,19 +1021,37 @@ impl Scheduler {
         // any entries at or before `now`.
         let pending =
             self.future.iter().map(|&(arrival, _)| arrival).find(|&arrival| arrival > now);
-        // Released sessions become ready at their `ready_cycle`; the queues
-        // hold only unfinished sessions, so this scan is in-flight-sized.
-        let queued = self
-            .queues
+        // Released sessions become ready at their `ready_cycle`.
+        let queued = self.queued().map(|s| s.ready_cycle).filter(|&ready| ready > now).min();
+        pending.into_iter().chain(queued).min()
+    }
+
+    /// The earliest cycle at which a session outside every in-flight batch
+    /// can next be scheduled: the earliest unreleased arrival, or the
+    /// earliest `ready_cycle` of a released unfinished session that is not
+    /// in flight — whether or not that cycle has passed. The executor's
+    /// decode runs stop there, since such a session could join or displace
+    /// the run's batch. The scan returns the first cycle it finds at or
+    /// before `t`, since the caller stops there anyway; `None` when every
+    /// unfinished session is in flight.
+    pub(crate) fn earliest_ready_not_in_flight(&self, t: u64) -> Option<u64> {
+        let mut earliest = self.future.front().map(|&(arrival, _)| arrival);
+        for s in self.queued().filter(|s| !s.in_flight) {
+            if s.ready_cycle <= t {
+                return Some(s.ready_cycle);
+            }
+            earliest = Some(earliest.map_or(s.ready_cycle, |e| e.min(s.ready_cycle)));
+        }
+        earliest
+    }
+
+    /// Every released unfinished session (the model queues hold only
+    /// those, so this is in-flight-sized, not history-sized).
+    fn queued(&self) -> impl Iterator<Item = &Session> {
+        self.queues
             .iter()
             .flat_map(|q| q.waiting.iter().chain(q.decoding.iter()))
-            .map(|&id| self.sessions[self.sidx(id)].ready_cycle)
-            .filter(|&ready| ready > now)
-            .min();
-        match (pending, queued) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+            .map(|&id| &self.sessions[self.sidx(id)])
     }
 
     /// Moves every submitted session whose arrival is at or before `now`
@@ -1517,6 +1535,58 @@ impl Scheduler {
         let i = self.sidx(id);
         let s = &mut self.sessions[i];
         s.ready_cycle = s.ready_cycle.max(cycle);
+    }
+
+    /// Whether [`Scheduler::complete_and_reform`] would re-form `batch`:
+    /// it is decode-only, no item emits its last output token when it
+    /// completes (that item would finish and leave the batch), and — under
+    /// a bounded pool — no item's next step needs a new page (formation
+    /// could then allocate or evict).
+    pub(crate) fn reform_is_forced(&self, batch: &MicroBatch) -> bool {
+        let paged = !self.pools.is_empty();
+        let page_tokens = self.kv.page_tokens;
+        batch.items.iter().all(|item| {
+            let s = &self.sessions[self.sidx(item.id)];
+            item.phase == Phase::Decode
+                && s.generated_tokens + 1 < s.request.output_tokens
+                && (!paged || pages_for(s.kv_len() + 2, page_tokens) <= s.page_table.mapped_pages())
+        })
+    }
+
+    /// Completes the decode-only `batch` at `end_cycle` and re-forms it in
+    /// place for its next step: the same items in the same order, each
+    /// attending one more KV entry. When nothing outside the batch is
+    /// schedulable at `end_cycle` (which the executor guarantees), this is
+    /// exactly [`Scheduler::complete`] followed by a
+    /// [`Scheduler::next_micro_batch`] that re-forms the batch on its pool:
+    /// every item emits one token and becomes ready at `end_cycle`, the
+    /// batch's model is served again, and the in-flight marks and the
+    /// decode rotation cursor end where they were.
+    ///
+    /// Returns `false`, changing nothing, when the next step is not forced
+    /// (see [`Scheduler::reform_is_forced`]).
+    pub(crate) fn complete_and_reform(&mut self, batch: &mut MicroBatch, end_cycle: u64) -> bool {
+        if !self.reform_is_forced(batch) {
+            return false;
+        }
+        for item in &mut batch.items {
+            let i = self.sidx(item.id);
+            let s = &mut self.sessions[i];
+            s.generated_tokens += 1;
+            s.ready_cycle = s.ready_cycle.max(end_cycle);
+            item.context_len = s.kv_len();
+        }
+        self.pending_decode_tokens -= u64_from_usize(batch.items.len());
+        self.serve_counter += 1;
+        let queue = self
+            .queues
+            .iter_mut()
+            .find(|q| q.model == batch.model)
+            .expect("a formed batch's model has a queue");
+        queue.last_served = self.serve_counter;
+        batch.evicted_pages = 0;
+        batch.swapped_out.clear();
+        true
     }
 
     /// Hands a completed micro-batch's allocations back for reuse: the next
@@ -2277,5 +2347,80 @@ mod tests {
         assert_eq!(sched.retire_finished_prefix(), 1);
         assert_eq!(sched.sessions().len(), 0);
         assert!(sched.all_finished());
+    }
+
+    /// Everything [`Scheduler::complete_and_reform`] may touch.
+    #[allow(clippy::type_complexity)]
+    fn reform_state(
+        sched: &Scheduler,
+    ) -> (Vec<Session>, u64, Vec<(u64, Vec<Option<RequestId>>)>, usize, u64) {
+        let queues = sched.queues.iter().map(|q| (q.last_served, q.last_decode.clone())).collect();
+        (
+            sched.sessions().to_vec(),
+            sched.serve_counter,
+            queues,
+            sched.in_flight_count,
+            sched.pending_decode_tokens,
+        )
+    }
+
+    #[test]
+    fn complete_and_reform_equals_complete_then_form() {
+        for decode_order in [DecodeOrder::Fcfs, DecodeOrder::RoundRobin] {
+            let mut sched =
+                Scheduler::new(SchedulerConfig { decode_order, ..SchedulerConfig::default() });
+            let [a, b, c] = [0, 1, 2].map(|_| sched.submit(request(ModelId::Llama2_7b, 64, 10)));
+            let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+            sched.complete(&prefill, 100);
+            // Serve a and b while c waits, then keep b busy elsewhere, so
+            // under round-robin the next batch rotates past the cursor at
+            // b: [c, a].
+            sched.stall_session_until(c, 250);
+            let first = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+            assert_eq!(first.items.iter().map(|i| i.id).collect::<Vec<_>>(), [a, b]);
+            sched.complete(&first, 200);
+            sched.stall_session_until(b, u64::MAX);
+            let now = 300;
+            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
+            let expected = match decode_order {
+                DecodeOrder::Fcfs => [a, c],
+                DecodeOrder::RoundRobin => [c, a],
+            };
+            assert_eq!(batch.items.iter().map(|i| i.id).collect::<Vec<_>>(), expected);
+            let end = now + 100;
+            let mut generic = sched.clone();
+            generic.complete(&batch, end);
+            let formed = generic.next_micro_batch(end, 0, PhaseFilter::Both).unwrap();
+            let mut reformed = batch.clone();
+            assert!(sched.complete_and_reform(&mut reformed, end));
+            assert_eq!(reformed, formed, "{decode_order:?}: items, context lengths included");
+            assert_eq!(reform_state(&sched), reform_state(&generic), "{decode_order:?}");
+            assert_eq!(sched.in_flight_count(), 2);
+        }
+    }
+
+    #[test]
+    fn complete_and_reform_changes_nothing_when_the_next_step_is_not_forced() {
+        // A 14-token prompt emits its first token into a one-page table
+        // (15 entries); the first decode fills the page, so the step after
+        // it needs a second page.
+        let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(16, 8));
+        let id = sched.submit(request(ModelId::Llama2_7b, 14, 10));
+        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        sched.complete(&prefill, 100);
+        let mut batch = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+        assert_eq!(sched.session(id).page_table.mapped_pages(), 1);
+        let (before, formed) = (reform_state(&sched), batch.clone());
+        assert!(!sched.complete_and_reform(&mut batch, 200), "page boundary");
+        assert_eq!((reform_state(&sched), &batch), (before, &formed));
+        // A session about to emit its last token leaves the batch instead.
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        sched.submit(request(ModelId::Llama2_7b, 14, 2));
+        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        sched.complete(&prefill, 100);
+        let mut batch = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+        let (before, formed) = (reform_state(&sched), batch.clone());
+        assert!(!sched.complete_and_reform(&mut batch, 200), "last output token");
+        assert_eq!((reform_state(&sched), &batch), (before, &formed));
     }
 }

@@ -60,6 +60,11 @@ pub fn report_digest(report: &RuntimeReport) -> u64 {
             r.micro_batches,
         ]);
     }
+    fnv(&words)
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+pub fn fnv(words: &[u64]) -> u64 {
     words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
         word.to_le_bytes()
             .iter()

@@ -7,6 +7,9 @@
 //! batch completes first, whether an arrival lands before a same-cycle
 //! completion, what admission control sees) fails a row.
 //!
+//! A second, hand-built table ([`EDGES`]) pins small workloads that each put
+//! one stopping rule of the executor's decode runs in the middle of a run.
+//!
 //! Every eighth case bounds the live-session population and every eighth
 //! (offset) sets an SLO admission bound: those are the configurations where
 //! the instant a request is submitted changes the outcome. Every third case
@@ -15,12 +18,12 @@
 
 mod common;
 
-use common::report_digest;
+use common::{fnv, report_digest};
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
     pages_for, synthetic_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement,
-    Scheduler, SchedulerConfig, SloConfig, WorkloadSpec, WorkloadStream,
+    Request, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
@@ -151,6 +154,186 @@ fn serving_loop_matches_the_fingerprint_corpus() {
         assert_eq!(run_case(&case(i)), *expected, "corpus case {i} drifted");
     }
 }
+
+/// One horizon-edge case: explicit `(model, prompt tokens, output tokens,
+/// arrival cycle)` requests on one engine, with 16-token KV pages (128 for
+/// the `serve_mixed_dp`-shaped case).
+struct Edge {
+    name: &'static str,
+    placement: Placement,
+    kv: KvConfig,
+    control: ControlConfig,
+    requests: &'static [(ModelId, usize, usize, u64)],
+}
+
+/// The horizon-edge cases. Each was picked because dropping or weakening
+/// the stopping rule it names changes its row.
+fn edges() -> Vec<Edge> {
+    use ModelId::{Llama2_13b as M13, Llama2_70b as M70, Llama2_7b as M7};
+    let unbounded = KvConfig { page_tokens: 16, ..KvConfig::unbounded() };
+    let dp = |rows, cols| Placement::data_parallel(NocConfig { rows, cols });
+    vec![
+        // The second request arrives while the first one decodes alone.
+        Edge {
+            name: "arrival mid-run",
+            placement: Placement::single_node(),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[(M7, 272, 44, 37_456_727_381), (M7, 1237, 33, 93_717_275_348)],
+        },
+        // A 13B prefill on one node finishes while a 70B session decodes on
+        // the other.
+        Edge {
+            name: "another node finishes mid-run",
+            placement: dp(2, 1),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[(M70, 234, 30, 25_251_569_415), (M13, 601, 45, 89_354_282_377)],
+        },
+        // One bounded node of 12 pages: decode growth crosses page
+        // boundaries mid-run, and two of those growths evict the youngest
+        // page holder.
+        Edge {
+            name: "page boundary mid-run",
+            placement: Placement::single_node(),
+            kv: KvConfig::bounded(16, 12),
+            control: ControlConfig::default(),
+            requests: &[
+                (M7, 65, 30, 2_794_885_226),
+                (M7, 94, 39, 19_121_993_536),
+                (M7, 64, 24, 52_267_568_024),
+            ],
+        },
+        // Disaggregated 2+2 with swap preemption and the control plane
+        // re-rolling node roles while decodes run.
+        Edge {
+            name: "role flip mid-run",
+            placement: Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
+            kv: KvConfig::bounded(16, 36).with_swap_preemption(),
+            control: ControlConfig {
+                reassign_roles: true,
+                load_aware_migration: true,
+                calibrate_slo: true,
+                min_flip_interval_cycles: 1_000_000,
+                min_demand_tokens: 16,
+                ..ControlConfig::default()
+            },
+            requests: &[
+                (M7, 357, 13, 487_012_939),
+                (M7, 262, 24, 548_569_797),
+                (M7, 454, 18, 569_137_297),
+                (M7, 287, 13, 938_959_698),
+            ],
+        },
+        // 2x2 data-parallel: a 13B session decodes on node 1 while a 70B
+        // prefill keeps node 0 busy, and nodes 2 and 3 idle at one clock
+        // that falls inside the run's second step. From there both lag, so
+        // the round's "nothing runnable" branch lands the 70B prefill early
+        // (a completion regression). Cut from the `serve_mixed_dp` stream,
+        // seed 4242.
+        Edge {
+            name: "two idle nodes lag behind a run while a third is busy",
+            placement: dp(2, 2),
+            kv: KvConfig { page_tokens: 128, ..KvConfig::unbounded() },
+            control: ControlConfig::default(),
+            requests: &[
+                (M70, 1827, 58, 0),
+                (M70, 1636, 12, 2_343_129_193_085),
+                (M13, 671, 12, 2_797_148_374_938),
+                (M70, 555, 19, 3_229_169_472_307),
+                (M13, 1189, 31, 3_944_854_050_552),
+                (M70, 1340, 50, 4_221_424_208_304),
+            ],
+        },
+        // 2x2 data-parallel: lower-index idle nodes whose clocks a run
+        // would overtake, so they win the next formation instead.
+        Edge {
+            name: "lower-index idle node mid-run",
+            placement: dp(2, 2),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[
+                (M13, 677, 23, 8_139_674),
+                (M70, 1336, 36, 27_740_023),
+                (M70, 1120, 21, 46_492_067),
+                (M7, 777, 42, 95_000_660),
+            ],
+        },
+    ]
+}
+
+/// One horizon-edge row: `(pre-submitted micro-batches, pre-submitted
+/// digest, streamed micro-batches, streamed digest)`. Each digest covers
+/// the report plus the event queue's completion and arrival time
+/// regressions, the node clocks and the step count.
+type EdgeRow = (u64, u64, u64, u64);
+
+fn run_edge(e: &Edge) -> EdgeRow {
+    let requests: Vec<Request> = e
+        .requests
+        .iter()
+        .map(|&(model, prompt, output, arrival)| {
+            Request::new(model, prompt, output).arriving_at(arrival)
+        })
+        .collect();
+    let executor = ExecutorConfig {
+        kv_bucket: e.kv.page_tokens,
+        control: e.control,
+        ..ExecutorConfig::default()
+    };
+    let engine = || {
+        let scheduler = Scheduler::with_kv(SchedulerConfig::default(), e.kv);
+        Executor::with_placement(MugiAccelerator::new(64), scheduler, executor, e.placement)
+    };
+    let digest = |ex: &Executor, report| {
+        let queue = ex.queue();
+        let mut words = vec![
+            report_digest(report),
+            queue.completion_time_regressions(),
+            queue.arrival_time_regressions(),
+            ex.steps(),
+        ];
+        words.extend(ex.node_clocks());
+        fnv(&words)
+    };
+    let mut ex = engine();
+    for &r in &requests {
+        let _ = ex.try_submit(r);
+    }
+    let pre = ex.run();
+    let mut ev = engine();
+    let streamed = ev.run_stream(requests);
+    (pre.micro_batches, digest(&ex, &pre), streamed.micro_batches, digest(&ev, &streamed))
+}
+
+/// Regeneration helper for [`EDGES`], like [`print_corpus`].
+#[test]
+#[ignore = "corpus regeneration helper; prints, asserts nothing"]
+fn print_edges() {
+    for e in edges() {
+        let (a, b, c, d) = run_edge(&e);
+        println!("    ({a}, 0x{b:016x}, {c}, 0x{d:016x}), // {}", e.name);
+    }
+}
+
+#[test]
+fn decode_run_horizon_edges_match_their_rows() {
+    let edges = edges();
+    assert_eq!(edges.len(), EDGES.len());
+    for (e, expected) in edges.iter().zip(EDGES) {
+        assert_eq!(run_edge(e), *expected, "horizon-edge case \"{}\" drifted", e.name);
+    }
+}
+
+#[rustfmt::skip]
+const EDGES: &[EdgeRow] = &[
+    (71, 0x4f310d2d5eafca03, 71, 0x4f310d2d5eafca03),
+    (76, 0x31d265c753e53715, 76, 0x31d265c753e53715),
+    (78, 0xec015a7cfd0709cd, 78, 0xec015a7cfd0709cd),
+    (64, 0xf1133a8f9d3891f7, 64, 0xf1133a8f9d3891f7),
+    (194, 0x4585fbfe72699d62, 194, 0x4585fbfe72699d62),
+    (128, 0xd71dcbe9d268b7bf, 128, 0xd71dcbe9d268b7bf),
+];
 
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
