@@ -7,6 +7,7 @@ use mugi_approx::pwl::PwlConfig;
 use mugi_approx::taylor::TaylorConfig;
 use mugi_approx::{Approximator, DirectLut, PartialApprox, PiecewiseLinear, TaylorSeries};
 use mugi_numerics::error::ErrorSummary;
+use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_vlp::approx::{VlpApproxConfig, VlpNonlinear, WindowStrategy};
 use mugi_vlp::tuning::{config_for_anchor, tune_layers, TuningTrace};
@@ -39,14 +40,15 @@ pub struct ProfilingRow {
 
 /// Figure 4: profiles every studied model's nonlinear inputs and reports how
 /// concentrated their exponents are (the observation that motivates the
-/// value-centric LUT window).
+/// value-centric LUT window). The profiles are independent, so they run on
+/// every core.
 pub fn fig04_profiling(preset: Preset) -> Vec<ProfilingRow> {
-    let mut rows = Vec::new();
     let samples = preset.profile_samples();
     let models: Vec<ModelId> = match preset {
         Preset::Quick => vec![ModelId::Llama2_7b, ModelId::WhisperTiny],
         Preset::Full => ModelId::all().to_vec(),
     };
+    let mut points = Vec::new();
     for (mi, model) in models.iter().enumerate() {
         let ops = match model.config().family {
             mugi_workloads::models::ModelFamily::Llama2 => {
@@ -55,22 +57,23 @@ pub fn fig04_profiling(preset: Preset) -> Vec<ProfilingRow> {
             _ => vec![NonlinearOp::Softmax, NonlinearOp::Gelu],
         };
         for op in ops {
-            for (di, depth) in [0.0f32, 0.5, 1.0].iter().enumerate() {
-                let hist: ProfileHistogram =
-                    profile(*model, op, *depth, samples, (mi * 10 + di) as u64 + 1);
-                let (lo, mass) = hist.best_exponent_window(8, 0.0).unwrap_or((0, 0.0));
-                rows.push(ProfilingRow {
-                    model: *model,
-                    op,
-                    depth: *depth,
-                    best_window_lo: lo,
-                    window_mass: mass,
-                    zero_fraction: hist.zero_fraction,
-                });
+            for (di, depth) in [0.0f32, 0.5, 1.0].into_iter().enumerate() {
+                points.push((*model, op, depth, (mi * 10 + di) as u64 + 1));
             }
         }
     }
-    rows
+    ExecutionContext::host_parallel().map(&points, |&(model, op, depth, seed)| {
+        let hist: ProfileHistogram = profile(model, op, depth, samples, seed);
+        let (lo, mass) = hist.best_exponent_window(8, 0.0).unwrap_or((0, 0.0));
+        ProfilingRow {
+            model,
+            op,
+            depth,
+            best_window_lo: lo,
+            window_mass: mass,
+            zero_fraction: hist.zero_fraction,
+        }
+    })
 }
 
 /// Renders Figure 4 rows as a text table.
@@ -176,96 +179,105 @@ fn approximator_backend(
     )
 }
 
+/// One configuration of the Figure 6 sweep.
+#[derive(Clone, Copy)]
+enum SweepPoint {
+    Exact,
+    /// VLP with the adaptive AnchorMax window.
+    VlpAdaptive,
+    /// VLP with a fixed sliding-window anchor.
+    VlpFixed(i32),
+    /// PWL with a segment range.
+    Pwl(f32),
+    /// Taylor series with a degree and (softmax) centre.
+    Taylor(usize, f32),
+}
+
 /// Figure 6: sweeps approximation configurations per method and reports the
 /// proxy perplexity of each on a reference model mimicking `model`'s family.
+/// The points are independent, so they are scored on every core.
 pub fn fig06_accuracy_sweep(preset: Preset, model: ModelId) -> Vec<AccuracyRow> {
     let reference = ReferenceModel::new(ReferenceConfig::scaled_from(model, 17));
     let targets = reference.proxy_targets(preset.eval_sequences());
-    let mut rows = Vec::new();
 
-    // Exact floor.
-    rows.push(AccuracyRow {
-        model,
-        method: Method::Exact,
-        config: "-".to_string(),
-        proxy_perplexity: reference.proxy_perplexity(&ExactBackend, &targets),
-    });
-
-    // VLP: sweep the sliding-window anchor (Fixed strategy) plus the adaptive
-    // AnchorMax default.
-    let anchors: Vec<i32> = match preset {
-        Preset::Quick => vec![-4, -2],
-        Preset::Full => vec![-6, -5, -4, -3, -2, -1, 0],
+    // The exact floor, then VLP's adaptive default and its fixed anchors,
+    // then PWL's segment ranges, then Taylor's degrees / centres.
+    let (anchors, ranges, degrees) = match preset {
+        Preset::Quick => (vec![-4, -2], vec![8.0, 20.0], vec![(9, -1.0)]),
+        Preset::Full => (
+            vec![-6, -5, -4, -3, -2, -1, 0],
+            vec![4.0, 8.0, 12.0, 16.0, 20.0, 24.0],
+            vec![(5, -1.0), (7, -1.0), (9, -1.0), (9, -3.0), (9, -5.0)],
+        ),
     };
+    let points: Vec<SweepPoint> = [SweepPoint::Exact, SweepPoint::VlpAdaptive]
+        .into_iter()
+        .chain(anchors.into_iter().map(SweepPoint::VlpFixed))
+        .chain(ranges.into_iter().map(SweepPoint::Pwl))
+        .chain(degrees.into_iter().map(|(degree, center)| SweepPoint::Taylor(degree, center)))
+        .collect();
+
     let base_sm = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);
     let base_act = VlpApproxConfig::recommended_for(NonlinearOp::Silu);
-    rows.push(AccuracyRow {
-        model,
-        method: Method::Vlp,
-        config: "adaptive (AnchorMax)".to_string(),
-        proxy_perplexity: reference.proxy_perplexity(&vlp_backend(base_sm, base_act), &targets),
-    });
-    for anchor in anchors {
-        let sm = VlpApproxConfig { strategy: WindowStrategy::Fixed(anchor), ..base_sm };
-        let act = VlpApproxConfig { strategy: WindowStrategy::Fixed(anchor), ..base_act };
-        rows.push(AccuracyRow {
-            model,
-            method: Method::Vlp,
-            config: format!("window lo = {anchor}"),
-            proxy_perplexity: reference.proxy_perplexity(&vlp_backend(sm, act), &targets),
-        });
-    }
-
-    // PWL: sweep the segment range.
-    let ranges: Vec<f32> = match preset {
-        Preset::Quick => vec![8.0, 20.0],
-        Preset::Full => vec![4.0, 8.0, 12.0, 16.0, 20.0, 24.0],
-    };
-    for sr in ranges {
-        let backend = approximator_backend(
-            "PWL",
-            Box::new(PiecewiseLinear::new(
-                NonlinearOp::Softmax,
-                PwlConfig { segments: 22, segment_range: sr },
-            )),
-            Box::new(PiecewiseLinear::new(
-                NonlinearOp::Silu,
-                PwlConfig { segments: 22, segment_range: sr },
-            )),
-            Box::new(PiecewiseLinear::new(
-                NonlinearOp::Gelu,
-                PwlConfig { segments: 22, segment_range: sr },
-            )),
-        );
-        rows.push(AccuracyRow {
-            model,
-            method: Method::Pwl,
-            config: format!("22 segments, range {sr}"),
-            proxy_perplexity: reference.proxy_perplexity(&backend, &targets),
-        });
-    }
-
-    // Taylor: sweep degree / centre.
-    let degrees: Vec<(usize, f32)> = match preset {
-        Preset::Quick => vec![(9, -1.0)],
-        Preset::Full => vec![(5, -1.0), (7, -1.0), (9, -1.0), (9, -3.0), (9, -5.0)],
-    };
-    for (degree, center) in degrees {
-        let backend = approximator_backend(
-            "Taylor",
-            Box::new(TaylorSeries::new(NonlinearOp::Exp, TaylorConfig { degree, center })),
-            Box::new(TaylorSeries::new(NonlinearOp::Silu, TaylorConfig { degree, center: 0.0 })),
-            Box::new(TaylorSeries::new(NonlinearOp::Gelu, TaylorConfig { degree, center: 0.0 })),
-        );
-        rows.push(AccuracyRow {
-            model,
-            method: Method::Taylor,
-            config: format!("degree {degree}, center {center}"),
-            proxy_perplexity: reference.proxy_perplexity(&backend, &targets),
-        });
-    }
-
-    rows
+    ExecutionContext::host_parallel().map(&points, |&point| {
+        let (method, config, proxy_perplexity) = match point {
+            SweepPoint::Exact => (
+                Method::Exact,
+                "-".to_string(),
+                reference.proxy_perplexity(&ExactBackend, &targets),
+            ),
+            SweepPoint::VlpAdaptive => (
+                Method::Vlp,
+                "adaptive (AnchorMax)".to_string(),
+                reference.proxy_perplexity(&vlp_backend(base_sm, base_act), &targets),
+            ),
+            SweepPoint::VlpFixed(anchor) => {
+                let sm = VlpApproxConfig { strategy: WindowStrategy::Fixed(anchor), ..base_sm };
+                let act = VlpApproxConfig { strategy: WindowStrategy::Fixed(anchor), ..base_act };
+                (
+                    Method::Vlp,
+                    format!("window lo = {anchor}"),
+                    reference.proxy_perplexity(&vlp_backend(sm, act), &targets),
+                )
+            }
+            SweepPoint::Pwl(segment_range) => {
+                let pwl = |op| {
+                    Box::new(PiecewiseLinear::new(op, PwlConfig { segments: 22, segment_range }))
+                };
+                let backend = approximator_backend(
+                    "PWL",
+                    pwl(NonlinearOp::Softmax),
+                    pwl(NonlinearOp::Silu),
+                    pwl(NonlinearOp::Gelu),
+                );
+                (
+                    Method::Pwl,
+                    format!("22 segments, range {segment_range}"),
+                    reference.proxy_perplexity(&backend, &targets),
+                )
+            }
+            SweepPoint::Taylor(degree, center) => {
+                let backend = approximator_backend(
+                    "Taylor",
+                    Box::new(TaylorSeries::new(NonlinearOp::Exp, TaylorConfig { degree, center })),
+                    Box::new(TaylorSeries::new(
+                        NonlinearOp::Silu,
+                        TaylorConfig { degree, center: 0.0 },
+                    )),
+                    Box::new(TaylorSeries::new(
+                        NonlinearOp::Gelu,
+                        TaylorConfig { degree, center: 0.0 },
+                    )),
+                );
+                (
+                    Method::Taylor,
+                    format!("degree {degree}, center {center}"),
+                    reference.proxy_perplexity(&backend, &targets),
+                )
+            }
+        };
+        AccuracyRow { model, method, config, proxy_perplexity }
+    })
 }
 
 /// Renders Figure 6 rows as a text table.
@@ -299,7 +311,8 @@ pub fn best_perplexity(rows: &[AccuracyRow], method: Method) -> Option<f32> {
 
 /// Figure 7: progressive per-layer tuning of the softmax LUT window on a
 /// Llama-like reference model. Returns the tuning trace (quality = proxy
-/// perplexity after fixing each layer).
+/// perplexity after fixing each layer). Each layer's candidates are scored
+/// on every core.
 pub fn fig07_per_layer_tuning(preset: Preset, model: ModelId) -> TuningTrace {
     let reference = ReferenceModel::new(ReferenceConfig::scaled_from(model, 29));
     let layers = reference.config().layers;
@@ -310,13 +323,15 @@ pub fn fig07_per_layer_tuning(preset: Preset, model: ModelId) -> TuningTrace {
     };
     let base_sm = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);
     let base_act = VlpApproxConfig::recommended_for(NonlinearOp::Silu);
-    tune_layers(layers, &candidates, -2, |anchors| {
+    tune_layers(&ExecutionContext::host_parallel(), layers, &candidates, -2, |anchors| {
         // Build a backend whose softmax window depends on the layer index.
         // The reference model calls softmax once per head per layer in order,
         // so we rotate through the per-layer anchors by tracking calls.
         // Known defect, kept because the full-preset table digest pins it:
         // the counter is never reset between sequences, so every sequence
         // after the first runs all layers with the last layer's anchor.
+        // Each evaluation builds its own counter, so concurrent evaluations
+        // never share one.
         let engines: Vec<VlpNonlinear> = anchors
             .iter()
             .map(|&a| VlpNonlinear::new(NonlinearOp::Softmax, config_for_anchor(&base_sm, a)))

@@ -8,6 +8,7 @@
 //! search against an arbitrary layer-quality oracle.
 
 use crate::approx::{VlpApproxConfig, WindowStrategy};
+use mugi_numerics::exec::ExecutionContext;
 use serde::{Deserialize, Serialize};
 
 /// One candidate window anchor (the `Fixed` strategy's low exponent).
@@ -51,6 +52,9 @@ impl TuningTrace {
 
 /// Greedy progressive per-layer tuning.
 ///
+/// * `ctx` — scores one layer's candidates concurrently
+///   ([`ExecutionContext::map`]); the trace is the same at every thread
+///   count.
 /// * `num_layers` — number of layers to tune.
 /// * `candidates` — window anchors to consider for each layer.
 /// * `default_anchor` — anchor used for not-yet-tuned layers.
@@ -59,27 +63,34 @@ impl TuningTrace {
 ///   end-to-end perplexity; in the reproduction it is the proxy perplexity
 ///   from `mugi-workloads`.
 ///
+/// Each layer keeps its lowest-quality candidate; of equal qualities, the
+/// earliest in `candidates` wins.
+///
 /// Returns the tuning trace; the caller turns anchors into
 /// [`VlpApproxConfig`]s with [`config_for_anchor`].
 ///
 /// # Panics
 /// Panics if `candidates` is empty or `num_layers` is zero.
 pub fn tune_layers(
+    ctx: &ExecutionContext,
     num_layers: usize,
     candidates: &[WindowAnchor],
     default_anchor: WindowAnchor,
-    mut evaluate: impl FnMut(&[WindowAnchor]) -> f32,
+    evaluate: impl Fn(&[WindowAnchor]) -> f32 + Sync,
 ) -> TuningTrace {
     assert!(num_layers > 0, "num_layers must be non-zero");
     assert!(!candidates.is_empty(), "candidates must not be empty");
     let mut anchors = vec![default_anchor; num_layers];
     let mut trace = TuningTrace::default();
     for layer in 0..num_layers {
+        let qualities = ctx.map(candidates, |&candidate| {
+            let mut trial = anchors.clone();
+            trial[layer] = candidate;
+            evaluate(&trial)
+        });
         let mut best_anchor = anchors[layer];
         let mut best_quality = f32::INFINITY;
-        for &candidate in candidates {
-            anchors[layer] = candidate;
-            let quality = evaluate(&anchors);
+        for (&candidate, quality) in candidates.iter().zip(qualities) {
             if quality < best_quality {
                 best_quality = quality;
                 best_anchor = candidate;
@@ -110,7 +121,7 @@ mod tests {
             anchors.iter().enumerate().map(|(l, &a)| ((a - ideal(l)) as f32).powi(2)).sum()
         };
         let candidates: Vec<i32> = (-5..=1).collect();
-        let trace = tune_layers(4, &candidates, 0, oracle);
+        let trace = tune_layers(&ExecutionContext::single_threaded(), 4, &candidates, 0, oracle);
         assert_eq!(trace.anchors(), vec![0, -1, -2, -3]);
         assert_eq!(trace.final_quality(), Some(0.0));
         // Quality must be monotonically non-increasing across the progressive
@@ -122,9 +133,62 @@ mod tests {
 
     #[test]
     fn tuning_trace_is_complete() {
-        let trace = tune_layers(3, &[-2, -1, 0], -1, |_| 1.0);
+        let trace = tune_layers(&ExecutionContext::single_threaded(), 3, &[-2, -1, 0], -1, |_| 1.0);
         assert_eq!(trace.layers.len(), 3);
         assert!(trace.layers.iter().enumerate().all(|(i, l)| l.layer == i));
+    }
+
+    /// A rugged oracle: every layer's anchor interacts with every other's,
+    /// and the cost of an evaluation varies with its anchors.
+    fn rugged(anchors: &[WindowAnchor]) -> f32 {
+        let mut acc = 0.0f32;
+        for (l, &a) in anchors.iter().enumerate() {
+            for _ in 0..(a.unsigned_abs() as usize * 300) {
+                acc = (acc * 0.999 + 1e-3).sin().abs();
+            }
+            acc += ((a * (l as i32 + 3)) as f32 * 0.37).sin() * (1.0 + anchors[0] as f32 * 0.1);
+        }
+        acc
+    }
+
+    #[test]
+    fn trace_is_the_same_at_one_and_four_threads() {
+        let candidates: Vec<i32> = (-6..=1).collect();
+        let one = tune_layers(&ExecutionContext::single_threaded(), 5, &candidates, -2, rugged);
+        let four = tune_layers(&ExecutionContext::with_threads(4), 5, &candidates, -2, rugged);
+        assert_eq!(one.anchors(), four.anchors());
+        let bits =
+            |t: &TuningTrace| t.layers.iter().map(|l| l.quality.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one), bits(&four));
+        // The oracle is not trivial: tuning moved some layer off the default.
+        assert!(one.anchors().iter().any(|&a| a != -2), "{:?}", one.anchors());
+    }
+
+    #[test]
+    fn ties_keep_the_earliest_candidate_at_four_threads() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Anchors -3 and 1 tie for the best quality. Scoring -3 waits until 1
+        // has been scored, so the later tied candidate always finishes first.
+        let scored_one = AtomicBool::new(false);
+        let oracle = |anchors: &[WindowAnchor]| -> f32 {
+            match anchors[0] {
+                -3 => {
+                    while !scored_one.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    0.0
+                }
+                1 => {
+                    scored_one.store(true, Ordering::Release);
+                    0.0
+                }
+                _ => 1.0,
+            }
+        };
+        let candidates = [0, -3, 2, 1, -1];
+        let trace = tune_layers(&ExecutionContext::with_threads(4), 1, &candidates, 0, oracle);
+        assert_eq!(trace.anchors(), vec![-3]);
+        assert_eq!(trace.final_quality(), Some(0.0));
     }
 
     #[test]
@@ -138,12 +202,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "candidates must not be empty")]
     fn empty_candidates_rejected() {
-        tune_layers(1, &[], 0, |_| 0.0);
+        tune_layers(&ExecutionContext::single_threaded(), 1, &[], 0, |_| 0.0);
     }
 
     #[test]
     #[should_panic(expected = "num_layers must be non-zero")]
     fn zero_layers_rejected() {
-        tune_layers(0, &[0], 0, |_| 0.0);
+        tune_layers(&ExecutionContext::single_threaded(), 0, &[0], 0, |_| 0.0);
     }
 }
