@@ -6,15 +6,19 @@ use mugi_approx::lut_direct::DirectLutConfig;
 use mugi_approx::pwl::PwlConfig;
 use mugi_approx::taylor::TaylorConfig;
 use mugi_approx::{Approximator, DirectLut, PartialApprox, PiecewiseLinear, TaylorSeries};
-use mugi_numerics::error::ErrorSummary;
+use mugi_numerics::error::{perplexity_from_nats, ErrorSummary};
 use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::NonlinearOp;
+use mugi_numerics::tensor::Matrix;
 use mugi_vlp::approx::{VlpApproxConfig, VlpNonlinear, WindowStrategy};
-use mugi_vlp::tuning::{config_for_anchor, tune_layers, TuningTrace};
+use mugi_vlp::tuning::{config_for_anchor, tune_layers, TuningTrace, WindowAnchor};
 use mugi_workloads::distributions::{profile, DistributionProfile, ProfileHistogram};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::reference::{ExactBackend, HookedBackend, ReferenceConfig, ReferenceModel};
+use mugi_workloads::reference::{
+    ExactBackend, HookedBackend, NonlinearBackend, ProxyTargets, ReferenceConfig, ReferenceModel,
+};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 // ---------------------------------------------------------------------------
 // Figure 4: input value / exponent distributions
@@ -138,10 +142,7 @@ pub struct AccuracyRow {
     pub proxy_perplexity: f32,
 }
 
-fn vlp_backend(
-    softmax_cfg: VlpApproxConfig,
-    act_cfg: VlpApproxConfig,
-) -> impl mugi_workloads::reference::NonlinearBackend {
+fn vlp_backend(softmax_cfg: VlpApproxConfig, act_cfg: VlpApproxConfig) -> impl NonlinearBackend {
     let sm = VlpNonlinear::new(NonlinearOp::Softmax, softmax_cfg);
     let silu = VlpNonlinear::new(NonlinearOp::Silu, act_cfg);
     let gelu = VlpNonlinear::new(NonlinearOp::Gelu, act_cfg);
@@ -161,7 +162,7 @@ fn approximator_backend(
     softmax: Box<dyn Approximator + Send + Sync>,
     silu: Box<dyn Approximator + Send + Sync>,
     gelu: Box<dyn Approximator + Send + Sync>,
-) -> impl mugi_workloads::reference::NonlinearBackend {
+) -> impl NonlinearBackend {
     HookedBackend::new(
         name.to_string(),
         move |op, xs: &[f32]| match op {
@@ -311,52 +312,202 @@ pub fn best_perplexity(rows: &[AccuracyRow], method: Method) -> Option<f32> {
 
 /// Figure 7: progressive per-layer tuning of the softmax LUT window on a
 /// Llama-like reference model. Returns the tuning trace (quality = proxy
-/// perplexity after fixing each layer). Each layer's candidates are scored
-/// on every core.
+/// perplexity after fixing each layer). Each layer's candidates share the
+/// layers before it, so every sequence's forward runs that shared prefix
+/// once; the candidates then run the rest on every core.
 pub fn fig07_per_layer_tuning(preset: Preset, model: ModelId) -> TuningTrace {
     let reference = ReferenceModel::new(ReferenceConfig::scaled_from(model, 29));
-    let layers = reference.config().layers;
     let targets = reference.proxy_targets(preset.eval_sequences());
-    let candidates: Vec<i32> = match preset {
+    let candidates: Vec<WindowAnchor> = match preset {
         Preset::Quick => vec![-4, -2],
         Preset::Full => vec![-6, -4, -3, -2, -1, 0],
     };
+    let backends = fig07_backends(&candidates);
+    let ctx = ExecutionContext::host_parallel();
+    let mut scorer = PrefixScorer::new(&ctx, &reference, &targets, &backends, layer_anchors);
+    let layers = reference.config().layers;
+    tune_layers(layers, &candidates, FIG07_DEFAULT_ANCHOR, |_, trials| scorer.score(trials))
+}
+
+/// The anchor every layer starts from, before it is tuned.
+const FIG07_DEFAULT_ANCHOR: WindowAnchor = -2;
+
+/// One VLP backend per anchor that Figure 7 can run (every candidate and
+/// the default): softmax on that anchor's fixed window, activations on the
+/// recommended configuration.
+fn fig07_backends(
+    candidates: &[WindowAnchor],
+) -> Vec<(WindowAnchor, impl NonlinearBackend + Sync)> {
     let base_sm = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);
     let base_act = VlpApproxConfig::recommended_for(NonlinearOp::Silu);
-    tune_layers(&ExecutionContext::host_parallel(), layers, &candidates, -2, |anchors| {
-        // Build a backend whose softmax window depends on the layer index.
-        // The reference model calls softmax once per head per layer in order,
-        // so we rotate through the per-layer anchors by tracking calls.
-        // Known defect, kept because the full-preset table digest pins it:
-        // the counter is never reset between sequences, so every sequence
-        // after the first runs all layers with the last layer's anchor.
-        // Each evaluation builds its own counter, so concurrent evaluations
-        // never share one.
-        let engines: Vec<VlpNonlinear> = anchors
-            .iter()
-            .map(|&a| VlpNonlinear::new(NonlinearOp::Softmax, config_for_anchor(&base_sm, a)))
-            .collect();
-        let act = VlpNonlinear::new(NonlinearOp::Silu, base_act);
-        let gelu = VlpNonlinear::new(NonlinearOp::Gelu, base_act);
-        let call_counter = std::cell::Cell::new(0usize);
-        let heads = reference.config().heads;
-        let layer_count = anchors.len();
-        let backend = HookedBackend::new(
-            "per-layer VLP",
-            move |op, xs: &[f32]| match op {
-                NonlinearOp::Silu => act.apply(xs).0,
-                NonlinearOp::Gelu => gelu.apply(xs).0,
-                _ => xs.iter().map(|&x| op.eval(x)).collect(),
-            },
-            move |data, cols| {
-                let call = call_counter.get();
-                call_counter.set(call + 1);
-                let layer = (call / heads).min(layer_count - 1);
-                engines[layer].softmax_rows(data, cols).0
-            },
-        );
-        reference.proxy_perplexity(&backend, &targets)
-    })
+    let mut anchors = candidates.to_vec();
+    anchors.push(FIG07_DEFAULT_ANCHOR);
+    anchors.sort_unstable();
+    anchors.dedup();
+    anchors
+        .into_iter()
+        .map(|a| (a, vlp_backend(config_for_anchor(&base_sm, a), base_act)))
+        .collect()
+}
+
+/// Which anchor each layer of one sequence runs with when a trial (one
+/// anchor per layer) is scored.
+type Schedule = fn(usize, &[WindowAnchor]) -> Vec<WindowAnchor>;
+
+/// Figure 7's [`Schedule`]. Known defect, kept because the full-preset table
+/// digest pins it: the softmax hook this replaces counted calls across all
+/// of an evaluation's sequences and never reset, so only sequence 0 runs
+/// layer `j` with `trial[j]`, and every later sequence runs all layers with
+/// the last layer's anchor `trial[L − 1]`. The quick preset scores one
+/// sequence, which hides it. The fix is to return `trial` for every sequence
+/// and re-pin the full `fig07` digest.
+fn layer_anchors(sequence: usize, trial: &[WindowAnchor]) -> Vec<WindowAnchor> {
+    if sequence == 0 {
+        trial.to_vec()
+    } else {
+        vec![trial[trial.len() - 1]; trial.len()]
+    }
+}
+
+/// The backend of `anchor` in a list built by [`fig07_backends`].
+fn backend_of<B>(backends: &[(WindowAnchor, B)], anchor: WindowAnchor) -> &B {
+    let (_, backend) = backends
+        .iter()
+        .find(|(a, _)| *a == anchor)
+        .unwrap_or_else(|| panic!("no backend for anchor {anchor}"));
+    backend
+}
+
+/// Transformer-layer and LM-head passes run by a [`PrefixScorer`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Passes {
+    layers: usize,
+    logits: usize,
+}
+
+impl Passes {
+    fn add(self, other: Passes) -> Passes {
+        Passes { layers: self.layers + other.layers, logits: self.logits + other.logits }
+    }
+}
+
+/// One sequence's cached forward: the anchors of the layers run so far, the
+/// hidden state after them and, once every layer has run, the logits.
+#[derive(Clone)]
+struct Prefix {
+    anchors: Vec<WindowAnchor>,
+    hidden: Matrix,
+    logits: Option<Matrix>,
+}
+
+/// Extends `cached` (or, if its anchors are not a prefix of `shared`, a
+/// fresh embedding of `tokens`) through the layers of `shared`, and runs the
+/// LM head once `shared` covers every layer.
+fn extend_prefix<B: NonlinearBackend>(
+    reference: &ReferenceModel,
+    tokens: &[usize],
+    cached: Option<&Prefix>,
+    shared: &[WindowAnchor],
+    backends: &[(WindowAnchor, B)],
+) -> (Prefix, Passes) {
+    let mut prefix = match cached {
+        Some(p) if shared.starts_with(&p.anchors) => p.clone(),
+        _ => Prefix { anchors: Vec::new(), hidden: reference.embed(tokens), logits: None },
+    };
+    let mut passes = Passes::default();
+    for &anchor in &shared[prefix.anchors.len()..] {
+        let j = prefix.anchors.len();
+        prefix.hidden = reference.layer(j, &prefix.hidden, backend_of(backends, anchor));
+        prefix.anchors.push(anchor);
+        passes.layers += 1;
+    }
+    if prefix.anchors.len() == reference.config().layers && prefix.logits.is_none() {
+        prefix.logits = Some(reference.logits(&prefix.hidden));
+        passes.logits += 1;
+    }
+    (prefix, passes)
+}
+
+/// The length of the longest prefix that every schedule shares.
+fn shared_len(schedules: &[Vec<WindowAnchor>]) -> usize {
+    let first = &schedules[0];
+    schedules[1..]
+        .iter()
+        .map(|other| first.iter().zip(other).take_while(|(a, b)| a == b).count())
+        .fold(first.len(), usize::min)
+}
+
+/// A [`tune_layers`] scorer that keeps each sequence's forward between
+/// calls, bit-identical to a full forward per trial and sequence. Each call
+/// first extends every sequence's cached forward to the longest prefix of
+/// its `schedule` that all trials share (one `map` over sequences); then
+/// each trial runs only the layers after it (one `map` over trials).
+struct PrefixScorer<'a, B> {
+    ctx: &'a ExecutionContext,
+    reference: &'a ReferenceModel,
+    targets: &'a ProxyTargets,
+    backends: &'a [(WindowAnchor, B)],
+    schedule: Schedule,
+    tokens: Vec<&'a [usize]>,
+    sequences: Vec<usize>,
+    prefixes: Vec<Option<Prefix>>,
+    passes: Passes,
+}
+
+impl<'a, B: NonlinearBackend + Sync> PrefixScorer<'a, B> {
+    fn new(
+        ctx: &'a ExecutionContext,
+        reference: &'a ReferenceModel,
+        targets: &'a ProxyTargets,
+        backends: &'a [(WindowAnchor, B)],
+        schedule: Schedule,
+    ) -> Self {
+        let tokens: Vec<&[usize]> = targets.tokens().collect();
+        PrefixScorer {
+            ctx,
+            reference,
+            targets,
+            backends,
+            schedule,
+            sequences: (0..tokens.len()).collect(),
+            prefixes: vec![None; tokens.len()],
+            tokens,
+            passes: Passes::default(),
+        }
+    }
+
+    /// The proxy perplexity of each trial.
+    fn score(&mut self, trials: &[Vec<WindowAnchor>]) -> Vec<f32> {
+        let PrefixScorer { ctx, reference, targets, backends, schedule, .. } = *self;
+        let extended = ctx.map(&self.sequences, |&s| {
+            let schedules: Vec<_> = trials.iter().map(|trial| schedule(s, trial)).collect();
+            let shared = &schedules[0][..shared_len(&schedules)];
+            extend_prefix(reference, self.tokens[s], self.prefixes[s].as_ref(), shared, backends)
+        });
+        let (cached, work): (Vec<Prefix>, Vec<Passes>) = extended.into_iter().unzip();
+        let scored = ctx.map(trials, |trial| {
+            let mut work = Passes::default();
+            let nats = reference.proxy_cross_entropy_of(targets, |s, _| {
+                let prefix = &cached[s];
+                if let Some(logits) = &prefix.logits {
+                    return Cow::Borrowed(logits);
+                }
+                let anchors = schedule(s, trial);
+                let mut hidden = Cow::Borrowed(&prefix.hidden);
+                for (j, &anchor) in anchors.iter().enumerate().skip(prefix.anchors.len()) {
+                    hidden = Cow::Owned(reference.layer(j, &hidden, backend_of(backends, anchor)));
+                    work.layers += 1;
+                }
+                work.logits += 1;
+                Cow::Owned(reference.logits(&hidden))
+            });
+            (perplexity_from_nats(nats), work)
+        });
+        let (qualities, scoring): (Vec<f32>, Vec<Passes>) = scored.into_iter().unzip();
+        self.passes = work.into_iter().chain(scoring).fold(self.passes, Passes::add);
+        self.prefixes = cached.into_iter().map(Some).collect();
+        qualities
+    }
 }
 
 /// Renders a tuning trace as a text table.
@@ -485,6 +636,7 @@ pub fn fig08_table(rows: &[RelativeErrorRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fig04_quick_covers_models_and_finds_concentrated_windows() {
@@ -512,6 +664,221 @@ mod tests {
         let best_baseline = pwl.min(taylor);
         assert!(vlp <= best_baseline * 1.2, "vlp {vlp} baseline {best_baseline}");
         assert!(!fig06_table(&rows).is_empty());
+    }
+
+    /// Figure 7's schedule once its pinned defect is fixed: every sequence
+    /// runs layer `j` with `trial[j]`.
+    fn per_layer(_: usize, trial: &[WindowAnchor]) -> Vec<WindowAnchor> {
+        trial.to_vec()
+    }
+
+    /// Counts the layer passes of the backend it wraps: each layer calls
+    /// its activation exactly once.
+    struct Counting<'a, B> {
+        inner: B,
+        layers: &'a AtomicUsize,
+    }
+
+    impl<B: NonlinearBackend> NonlinearBackend for Counting<'_, B> {
+        fn activation(&self, op: NonlinearOp, values: &[f32]) -> Vec<f32> {
+            self.layers.fetch_add(1, Ordering::Relaxed);
+            self.inner.activation(op, values)
+        }
+
+        fn softmax_rows(&self, data: &[f32], cols: usize) -> Vec<f32> {
+            self.inner.softmax_rows(data, cols)
+        }
+
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+    }
+
+    fn counting<B>(
+        backends: Vec<(WindowAnchor, B)>,
+        layers: &AtomicUsize,
+    ) -> Vec<(WindowAnchor, Counting<'_, B>)> {
+        backends.into_iter().map(|(a, inner)| (a, Counting { inner, layers })).collect()
+    }
+
+    /// Proxy perplexity of one trial the brute-force way: a full forward of
+    /// every sequence under its schedule.
+    fn scheduled_perplexity<B: NonlinearBackend>(
+        reference: &ReferenceModel,
+        targets: &ProxyTargets,
+        backends: &[(WindowAnchor, B)],
+        schedule: Schedule,
+        trial: &[WindowAnchor],
+    ) -> f32 {
+        perplexity_from_nats(reference.proxy_cross_entropy_of(targets, |s, tokens| {
+            let mut hidden = reference.embed(tokens);
+            for (j, &anchor) in schedule(s, trial).iter().enumerate() {
+                hidden = reference.layer(j, &hidden, backend_of(backends, anchor));
+            }
+            reference.logits(&hidden)
+        }))
+    }
+
+    fn quality_bits(trace: &TuningTrace) -> Vec<u32> {
+        trace.layers.iter().map(|l| l.quality.to_bits()).collect()
+    }
+
+    /// Tunes `reference` under `schedule` from cached prefixes and by brute
+    /// force. Asserts that every trial scores the same bits both ways and
+    /// that the traces agree, checks the scorer's layer passes against a
+    /// counting backend, and returns the passes of the prefix path.
+    fn prefixes_match_brute_force(
+        reference: &ReferenceModel,
+        sequences: usize,
+        candidates: &[WindowAnchor],
+        schedule: Schedule,
+    ) -> Passes {
+        let layers = reference.config().layers;
+        let targets = reference.proxy_targets(sequences);
+        let backends = fig07_backends(candidates);
+        let brute_force = |trials: &[Vec<WindowAnchor>]| -> Vec<f32> {
+            trials
+                .iter()
+                .map(|t| scheduled_perplexity(reference, &targets, &backends, schedule, t))
+                .collect()
+        };
+        let brute =
+            tune_layers(layers, candidates, FIG07_DEFAULT_ANCHOR, |_, trials| brute_force(trials));
+        let counter = AtomicUsize::new(0);
+        let counted = counting(fig07_backends(candidates), &counter);
+        let ctx = ExecutionContext::with_threads(2);
+        let mut scorer = PrefixScorer::new(&ctx, reference, &targets, &counted, schedule);
+        let trace = tune_layers(layers, candidates, FIG07_DEFAULT_ANCHOR, |layer, trials| {
+            let qualities = scorer.score(trials);
+            let bits = |q: &[f32]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&qualities), bits(&brute_force(trials)), "layer {layer}");
+            qualities
+        });
+        assert_eq!(trace.anchors(), brute.anchors());
+        assert_eq!(quality_bits(&trace), quality_bits(&brute));
+        assert_eq!(counter.load(Ordering::Relaxed), scorer.passes.layers);
+        scorer.passes
+    }
+
+    /// Three layers, three candidates, three sequences.
+    fn small_reference() -> ReferenceModel {
+        ReferenceModel::new(ReferenceConfig { layers: 3, ..ReferenceConfig::small(31) })
+    }
+
+    #[test]
+    fn prefix_reuse_matches_brute_force_under_the_pinned_schedule() {
+        let passes = prefixes_match_brute_force(&small_reference(), 3, &[-4, -2, 0], layer_anchors);
+        // Sequence 0: layer l extends its prefix by one layer (l > 0) and
+        // each of the 3 candidates runs the 3 − l layers after it: 2 + 3 ×
+        // (3 + 2 + 1) = 20 layer passes and 9 logits. Sequences 1 and 2 share
+        // their whole schedule until the last layer (3 layers, 1 logits),
+        // then every candidate runs all 3 layers (9 layers, 3 logits). Brute
+        // force runs 3 × 3 × 3 × 3 = 81 layer passes and 27 logits.
+        assert_eq!(passes, Passes { layers: 20 + 2 * (3 + 9), logits: 9 + 2 * (1 + 3) });
+    }
+
+    #[test]
+    fn prefix_reuse_matches_brute_force_under_the_per_layer_schedule() {
+        let passes = prefixes_match_brute_force(&small_reference(), 3, &[-4, -2, 0], per_layer);
+        // Every sequence runs as sequence 0 does under the pinned schedule.
+        assert_eq!(passes, Passes { layers: 3 * 20, logits: 3 * 9 });
+    }
+
+    #[test]
+    fn pinned_schedule_reproduces_the_call_counting_hook() {
+        // The hook Figure 7 used to build per evaluation: it maps softmax
+        // call `c` to layer `c / heads` and never resets between sequences.
+        let reference = small_reference();
+        let targets = reference.proxy_targets(3);
+        let base_sm = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);
+        let base_act = VlpApproxConfig::recommended_for(NonlinearOp::Silu);
+        let call_counting = |anchors: &[WindowAnchor]| {
+            let engines: Vec<VlpNonlinear> = anchors
+                .iter()
+                .map(|&a| VlpNonlinear::new(NonlinearOp::Softmax, config_for_anchor(&base_sm, a)))
+                .collect();
+            let act = VlpNonlinear::new(NonlinearOp::Silu, base_act);
+            let gelu = VlpNonlinear::new(NonlinearOp::Gelu, base_act);
+            let call_counter = std::cell::Cell::new(0usize);
+            let heads = reference.config().heads;
+            let layer_count = anchors.len();
+            let backend = HookedBackend::new(
+                "per-layer VLP",
+                move |op, xs: &[f32]| match op {
+                    NonlinearOp::Silu => act.apply(xs).0,
+                    NonlinearOp::Gelu => gelu.apply(xs).0,
+                    _ => xs.iter().map(|&x| op.eval(x)).collect(),
+                },
+                move |data, cols| {
+                    let call = call_counter.get();
+                    call_counter.set(call + 1);
+                    let layer = (call / heads).min(layer_count - 1);
+                    engines[layer].softmax_rows(data, cols).0
+                },
+            );
+            reference.proxy_perplexity(&backend, &targets)
+        };
+        let candidates = [-4, -2, 0];
+        let backends = fig07_backends(&candidates);
+        let mut fixed_differs = false;
+        let trace = tune_layers(3, &candidates, FIG07_DEFAULT_ANCHOR, |_, trials| {
+            trials
+                .iter()
+                .map(|trial| {
+                    let hook = call_counting(trial);
+                    let pinned =
+                        scheduled_perplexity(&reference, &targets, &backends, layer_anchors, trial);
+                    assert_eq!(hook.to_bits(), pinned.to_bits(), "trial {trial:?}");
+                    let fixed =
+                        scheduled_perplexity(&reference, &targets, &backends, per_layer, trial);
+                    fixed_differs |= fixed.to_bits() != hook.to_bits();
+                    hook
+                })
+                .collect()
+        });
+        assert_eq!(trace.layers.len(), 3);
+        // The schedules differ observably, so this test would catch a
+        // change of schedule.
+        assert!(fixed_differs);
+    }
+
+    #[test]
+    fn full_preset_shape_runs_fewer_passes_than_brute_force() {
+        // Figure 7's full shape: 4 layers, 6 candidates, 4 sequences. Brute
+        // force runs 6 × 4 × 4 × 4 = 384 layer passes and 96 logits. The
+        // passes do not depend on the backend's values, so an exact backend
+        // per anchor counts them.
+        let reference = ReferenceModel::new(ReferenceConfig::scaled_from(ModelId::Llama2_7b, 29));
+        assert_eq!(reference.config().layers, 4);
+        let targets = reference.proxy_targets(Preset::Full.eval_sequences());
+        let candidates = [-6, -4, -3, -2, -1, 0];
+        let ctx = ExecutionContext::with_threads(2);
+        for (schedule, expected) in [
+            (layer_anchors as Schedule, Passes { layers: 147, logits: 45 }),
+            (per_layer, Passes { layers: 252, logits: 96 }),
+        ] {
+            let counter = AtomicUsize::new(0);
+            let exact = candidates.iter().map(|&a| (a, ExactBackend)).collect();
+            let backends = counting(exact, &counter);
+            let mut scorer = PrefixScorer::new(&ctx, &reference, &targets, &backends, schedule);
+            tune_layers(4, &candidates, FIG07_DEFAULT_ANCHOR, |_, trials| scorer.score(trials));
+            assert_eq!(scorer.passes, expected);
+            assert_eq!(counter.load(Ordering::Relaxed), expected.layers);
+        }
+    }
+
+    /// The equivalence at Figure 7's full shape, with its VLP backends.
+    /// Run it in release mode:
+    /// `cargo test --release -p mugi --lib -- --ignored full_shape`.
+    #[test]
+    #[ignore = "full Figure 7 shape, brute force included; run in release mode"]
+    fn full_shape_prefix_reuse_matches_brute_force_under_both_schedules() {
+        let reference = ReferenceModel::new(ReferenceConfig::scaled_from(ModelId::Llama2_7b, 29));
+        let candidates = [-6, -4, -3, -2, -1, 0];
+        let pinned = prefixes_match_brute_force(&reference, 4, &candidates, layer_anchors);
+        assert_eq!(pinned, Passes { layers: 147, logits: 45 });
+        let fixed = prefixes_match_brute_force(&reference, 4, &candidates, per_layer);
+        assert_eq!(fixed, Passes { layers: 252, logits: 96 });
     }
 
     #[test]

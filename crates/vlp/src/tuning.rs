@@ -8,7 +8,6 @@
 //! search against an arbitrary layer-quality oracle.
 
 use crate::approx::{VlpApproxConfig, WindowStrategy};
-use mugi_numerics::exec::ExecutionContext;
 use serde::{Deserialize, Serialize};
 
 /// One candidate window anchor (the `Fixed` strategy's low exponent).
@@ -52,16 +51,16 @@ impl TuningTrace {
 
 /// Greedy progressive per-layer tuning.
 ///
-/// * `ctx` — scores one layer's candidates concurrently
-///   ([`ExecutionContext::map`]); the trace is the same at every thread
-///   count.
 /// * `num_layers` — number of layers to tune.
 /// * `candidates` — window anchors to consider for each layer.
 /// * `default_anchor` — anchor used for not-yet-tuned layers.
-/// * `evaluate` — quality oracle: given the per-layer anchors, returns the
-///   model-level quality metric (lower is better). In the paper this is the
-///   end-to-end perplexity; in the reproduction it is the proxy perplexity
-///   from `mugi-workloads`.
+/// * `score` — per-layer quality oracle: `score(layer, trials)` returns the
+///   model-level quality metric (lower is better) of each trial, in order.
+///   Trial `c` is the current per-layer anchors with `layer` set to
+///   `candidates[c]`, so the trials of one layer agree on every other layer
+///   and a scorer may share their common work or score them concurrently.
+///   In the paper the metric is the end-to-end perplexity; in the
+///   reproduction it is the proxy perplexity from `mugi-workloads`.
 ///
 /// Each layer keeps its lowest-quality candidate; of equal qualities, the
 /// earliest in `candidates` wins.
@@ -70,24 +69,29 @@ impl TuningTrace {
 /// [`VlpApproxConfig`]s with [`config_for_anchor`].
 ///
 /// # Panics
-/// Panics if `candidates` is empty or `num_layers` is zero.
+/// Panics if `candidates` is empty, `num_layers` is zero, or `score` does
+/// not return one quality per trial.
 pub fn tune_layers(
-    ctx: &ExecutionContext,
     num_layers: usize,
     candidates: &[WindowAnchor],
     default_anchor: WindowAnchor,
-    evaluate: impl Fn(&[WindowAnchor]) -> f32 + Sync,
+    mut score: impl FnMut(usize, &[Vec<WindowAnchor>]) -> Vec<f32>,
 ) -> TuningTrace {
     assert!(num_layers > 0, "num_layers must be non-zero");
     assert!(!candidates.is_empty(), "candidates must not be empty");
     let mut anchors = vec![default_anchor; num_layers];
     let mut trace = TuningTrace::default();
     for layer in 0..num_layers {
-        let qualities = ctx.map(candidates, |&candidate| {
-            let mut trial = anchors.clone();
-            trial[layer] = candidate;
-            evaluate(&trial)
-        });
+        let trials: Vec<Vec<WindowAnchor>> = candidates
+            .iter()
+            .map(|&candidate| {
+                let mut trial = anchors.clone();
+                trial[layer] = candidate;
+                trial
+            })
+            .collect();
+        let qualities = score(layer, &trials);
+        assert_eq!(qualities.len(), trials.len(), "score must return one quality per trial");
         let mut best_anchor = anchors[layer];
         let mut best_quality = f32::INFINITY;
         for (&candidate, quality) in candidates.iter().zip(qualities) {
@@ -110,7 +114,15 @@ pub fn config_for_anchor(base: &VlpApproxConfig, anchor: WindowAnchor) -> VlpApp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mugi_numerics::exec::ExecutionContext;
     use mugi_numerics::nonlinear::NonlinearOp;
+
+    /// Scores every trial with `oracle`, one trial at a time.
+    fn each(
+        oracle: impl Fn(&[WindowAnchor]) -> f32,
+    ) -> impl FnMut(usize, &[Vec<WindowAnchor>]) -> Vec<f32> {
+        move |_, trials| trials.iter().map(|trial| oracle(trial)).collect()
+    }
 
     #[test]
     fn tuning_finds_known_optimum() {
@@ -121,7 +133,7 @@ mod tests {
             anchors.iter().enumerate().map(|(l, &a)| ((a - ideal(l)) as f32).powi(2)).sum()
         };
         let candidates: Vec<i32> = (-5..=1).collect();
-        let trace = tune_layers(&ExecutionContext::single_threaded(), 4, &candidates, 0, oracle);
+        let trace = tune_layers(4, &candidates, 0, each(oracle));
         assert_eq!(trace.anchors(), vec![0, -1, -2, -3]);
         assert_eq!(trace.final_quality(), Some(0.0));
         // Quality must be monotonically non-increasing across the progressive
@@ -133,7 +145,7 @@ mod tests {
 
     #[test]
     fn tuning_trace_is_complete() {
-        let trace = tune_layers(&ExecutionContext::single_threaded(), 3, &[-2, -1, 0], -1, |_| 1.0);
+        let trace = tune_layers(3, &[-2, -1, 0], -1, each(|_| 1.0));
         assert_eq!(trace.layers.len(), 3);
         assert!(trace.layers.iter().enumerate().all(|(i, l)| l.layer == i));
     }
@@ -154,8 +166,12 @@ mod tests {
     #[test]
     fn trace_is_the_same_at_one_and_four_threads() {
         let candidates: Vec<i32> = (-6..=1).collect();
-        let one = tune_layers(&ExecutionContext::single_threaded(), 5, &candidates, -2, rugged);
-        let four = tune_layers(&ExecutionContext::with_threads(4), 5, &candidates, -2, rugged);
+        // The scorer maps each layer's trials on the context's workers.
+        let on = |ctx: ExecutionContext| {
+            move |_: usize, trials: &[Vec<WindowAnchor>]| ctx.map(trials, |trial| rugged(trial))
+        };
+        let one = tune_layers(5, &candidates, -2, on(ExecutionContext::single_threaded()));
+        let four = tune_layers(5, &candidates, -2, on(ExecutionContext::with_threads(4)));
         assert_eq!(one.anchors(), four.anchors());
         let bits =
             |t: &TuningTrace| t.layers.iter().map(|l| l.quality.to_bits()).collect::<Vec<_>>();
@@ -186,9 +202,35 @@ mod tests {
             }
         };
         let candidates = [0, -3, 2, 1, -1];
-        let trace = tune_layers(&ExecutionContext::with_threads(4), 1, &candidates, 0, oracle);
+        let ctx = ExecutionContext::with_threads(4);
+        let trace = tune_layers(1, &candidates, 0, |_, trials| ctx.map(trials, |t| oracle(t)));
         assert_eq!(trace.anchors(), vec![-3]);
         assert_eq!(trace.final_quality(), Some(0.0));
+    }
+
+    #[test]
+    fn scorer_sees_each_layer_once_with_its_trials() {
+        let mut seen = Vec::new();
+        let trace = tune_layers(3, &[-1, 0, 1], 5, |layer, trials| {
+            seen.push((layer, trials.to_vec()));
+            trials
+                .iter()
+                .map(|t| t.iter().map(|&a| (a - layer as i32).abs() as f32).sum())
+                .collect()
+        });
+        assert_eq!(trace.anchors(), vec![0, 1, 1]);
+        assert_eq!(seen.len(), 3);
+        // Trial c is the anchors chosen so far, the default beyond, and
+        // candidate c at the layer being tuned.
+        assert_eq!(seen[0], (0, vec![vec![-1, 5, 5], vec![0, 5, 5], vec![1, 5, 5]]));
+        assert_eq!(seen[1], (1, vec![vec![0, -1, 5], vec![0, 0, 5], vec![0, 1, 5]]));
+        assert_eq!(seen[2], (2, vec![vec![0, 1, -1], vec![0, 1, 0], vec![0, 1, 1]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "score must return one quality per trial")]
+    fn short_score_rejected() {
+        tune_layers(1, &[0, 1], 0, |_, _| vec![0.0]);
     }
 
     #[test]
@@ -202,12 +244,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "candidates must not be empty")]
     fn empty_candidates_rejected() {
-        tune_layers(&ExecutionContext::single_threaded(), 1, &[], 0, |_| 0.0);
+        tune_layers(1, &[], 0, each(|_| 0.0));
     }
 
     #[test]
     #[should_panic(expected = "num_layers must be non-zero")]
     fn zero_layers_rejected() {
-        tune_layers(&ExecutionContext::single_threaded(), 0, &[0], 0, |_| 0.0);
+        tune_layers(0, &[0], 0, each(|_| 0.0));
     }
 }

@@ -18,6 +18,7 @@ use mugi_numerics::error::perplexity_from_nats;
 use mugi_numerics::nonlinear::{softmax, NonlinearOp};
 use mugi_numerics::tensor::{pseudo_random_matrix, Matrix};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// How a nonlinear op is evaluated inside the reference model.
 pub trait NonlinearBackend {
@@ -164,60 +165,90 @@ impl ReferenceModel {
     }
 
     /// Runs the model over a token sequence and returns the next-token logits
-    /// for every position (a `seq_len × vocab` matrix).
+    /// for every position (a `seq_len × vocab` matrix): [`embed`](Self::embed),
+    /// every [`layer`](Self::layer) in order, then [`logits`](Self::logits).
     ///
     /// # Panics
     /// Panics if a token id is out of the vocabulary.
     pub fn forward<B: NonlinearBackend>(&self, tokens: &[usize], backend: &B) -> Matrix {
-        let d = self.config.hidden_dim;
-        let n = tokens.len();
-        let act_op =
-            if self.config.activation_is_silu { NonlinearOp::Silu } else { NonlinearOp::Gelu };
-        // Embed.
-        let mut hidden = Matrix::from_fn(n, d, |r, c| {
+        let mut hidden = self.embed(tokens);
+        for j in 0..self.config.layers {
+            hidden = self.layer(j, &hidden, backend);
+        }
+        self.logits(&hidden)
+    }
+
+    /// The hidden state layer 0 reads: one embedding row per token (a
+    /// `tokens.len() × hidden_dim` matrix).
+    ///
+    /// # Panics
+    /// Panics if a token id is out of the vocabulary.
+    pub fn embed(&self, tokens: &[usize]) -> Matrix {
+        Matrix::from_fn(tokens.len(), self.config.hidden_dim, |r, c| {
             let token = tokens[r];
             assert!(token < self.config.vocab, "token {token} out of vocabulary");
             self.embedding[(token, c)]
-        });
-        for layer in &self.layers {
-            // --- Attention ------------------------------------------------
-            let q = hidden.matmul(&layer.wq);
-            let k = hidden.matmul(&layer.wk);
-            let v = hidden.matmul(&layer.wv);
-            let head_dim = self.config.head_dim();
-            let mut attn_out = Matrix::zeros(n, d);
-            for h in 0..self.config.heads {
-                let col0 = h * head_dim;
-                let slice_cols = |m: &Matrix| Matrix::from_fn(n, head_dim, |r, c| m[(r, col0 + c)]);
-                let qh = slice_cols(&q);
-                let kh = slice_cols(&k);
-                let vh = slice_cols(&v);
-                // Causal scores.
-                let mut scores = qh.matmul(&kh.transpose()).scale(1.0 / (head_dim as f32).sqrt());
-                for r in 0..n {
-                    for c in (r + 1)..n {
-                        scores[(r, c)] = f32::NEG_INFINITY;
-                    }
-                }
-                let probs_flat = backend.softmax_rows(scores.data(), n);
-                let probs = Matrix::from_vec(n, n, probs_flat);
-                let out = probs.matmul(&vh);
-                for r in 0..n {
-                    for c in 0..head_dim {
-                        attn_out[(r, col0 + c)] = out[(r, c)];
-                    }
+        })
+    }
+
+    /// Runs transformer layer `j` (causal multi-head attention, then the
+    /// gated FFN, each with a residual and RMS norm) over the hidden state
+    /// `hidden` and returns the next one. `backend` evaluates this layer's
+    /// softmax (once per head) and activation (once). Running layers
+    /// `0..layers` in order from [`embed`](Self::embed) is the forward pass,
+    /// so a caller may keep the state after layer `j` and resume from it.
+    ///
+    /// # Panics
+    /// Panics if `j` is not a layer index or `hidden` is not `hidden_dim`
+    /// wide.
+    pub fn layer<B: NonlinearBackend>(&self, j: usize, hidden: &Matrix, backend: &B) -> Matrix {
+        let layer = &self.layers[j];
+        let d = self.config.hidden_dim;
+        let n = hidden.rows();
+        let act_op =
+            if self.config.activation_is_silu { NonlinearOp::Silu } else { NonlinearOp::Gelu };
+        // --- Attention ----------------------------------------------------
+        let q = hidden.matmul(&layer.wq);
+        let k = hidden.matmul(&layer.wk);
+        let v = hidden.matmul(&layer.wv);
+        let head_dim = self.config.head_dim();
+        let mut attn_out = Matrix::zeros(n, d);
+        for h in 0..self.config.heads {
+            let col0 = h * head_dim;
+            let slice_cols = |m: &Matrix| Matrix::from_fn(n, head_dim, |r, c| m[(r, col0 + c)]);
+            let qh = slice_cols(&q);
+            let kh = slice_cols(&k);
+            let vh = slice_cols(&v);
+            // Causal scores.
+            let mut scores = qh.matmul(&kh.transpose()).scale(1.0 / (head_dim as f32).sqrt());
+            for r in 0..n {
+                for c in (r + 1)..n {
+                    scores[(r, c)] = f32::NEG_INFINITY;
                 }
             }
-            let attn_proj = attn_out.matmul(&layer.wo);
-            hidden = rms_norm(&hidden.add(&attn_proj));
-            // --- FFN (gated) ----------------------------------------------
-            let up = hidden.matmul(&layer.w_up);
-            let gate = hidden.matmul(&layer.w_gate);
-            let activated =
-                Matrix::from_vec(up.rows(), up.cols(), backend.activation(act_op, gate.data()));
-            let ffn = activated.hadamard(&up).matmul(&layer.w_down);
-            hidden = rms_norm(&hidden.add(&ffn));
+            let probs_flat = backend.softmax_rows(scores.data(), n);
+            let probs = Matrix::from_vec(n, n, probs_flat);
+            let out = probs.matmul(&vh);
+            for r in 0..n {
+                for c in 0..head_dim {
+                    attn_out[(r, col0 + c)] = out[(r, c)];
+                }
+            }
         }
+        let attn_proj = attn_out.matmul(&layer.wo);
+        let hidden = rms_norm(&hidden.add(&attn_proj));
+        // --- FFN (gated) --------------------------------------------------
+        let up = hidden.matmul(&layer.w_up);
+        let gate = hidden.matmul(&layer.w_gate);
+        let activated =
+            Matrix::from_vec(up.rows(), up.cols(), backend.activation(act_op, gate.data()));
+        let ffn = activated.hadamard(&up).matmul(&layer.w_down);
+        rms_norm(&hidden.add(&ffn))
+    }
+
+    /// The LM head: next-token logits (a `rows × vocab` matrix) of the
+    /// hidden state after the last layer.
+    pub fn logits(&self, hidden: &Matrix) -> Matrix {
         hidden.matmul(&self.lm_head)
     }
 
@@ -255,11 +286,31 @@ impl ReferenceModel {
         backend: &B,
         targets: &ProxyTargets,
     ) -> f32 {
+        self.proxy_cross_entropy_of(targets, |_, tokens| self.forward(tokens, backend))
+    }
+
+    /// [`proxy_cross_entropy`](Self::proxy_cross_entropy) of logits the
+    /// caller supplies: `logits_of(s, tokens)` returns the logits of
+    /// sequence `s` of `targets` (whose tokens are `tokens`), owned or
+    /// borrowed. It is called once per sequence, in order, and the f64 sum
+    /// over sequences, positions and vocabulary keeps the order of
+    /// `proxy_cross_entropy`, so equal logits give the same bits. This lets
+    /// a caller that runs [`embed`](Self::embed), [`layer`](Self::layer) and
+    /// [`logits`](Self::logits) itself reuse a shared prefix of the forward.
+    ///
+    /// # Panics
+    /// Panics if `targets` was built by a model with another configuration.
+    pub fn proxy_cross_entropy_of<M: Borrow<Matrix>>(
+        &self,
+        targets: &ProxyTargets,
+        mut logits_of: impl FnMut(usize, &[usize]) -> M,
+    ) -> f32 {
         assert_eq!(targets.config, self.config, "proxy targets belong to another model");
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for seq in &targets.sequences {
-            let logits = self.forward(&seq.tokens, backend);
+        for (s, seq) in targets.sequences.iter().enumerate() {
+            let logits = logits_of(s, &seq.tokens);
+            let logits = logits.borrow();
             for pos in 0..seq.targets.rows() {
                 let probs = softmax(logits.row(pos));
                 for (t, q) in seq.targets.row(pos).iter().zip(&probs) {
@@ -311,6 +362,13 @@ impl ReferenceModel {
 pub struct ProxyTargets {
     config: ReferenceConfig,
     sequences: Vec<SequenceTargets>,
+}
+
+impl ProxyTargets {
+    /// The token sequences scored, in order.
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &[usize]> {
+        self.sequences.iter().map(|seq| seq.tokens.as_slice())
+    }
 }
 
 /// One sequence's tokens and the exact softmax at each of its positions but
@@ -499,6 +557,52 @@ mod tests {
             assert!(scored > exact, "noise must raise the cross-entropy");
             // Scoring twice against the same targets repeats the result.
             assert_eq!(model.proxy_cross_entropy(&noisy, &targets).to_bits(), scored.to_bits());
+        }
+    }
+
+    #[test]
+    fn stepwise_borrowed_logits_score_bit_identically_to_forward() {
+        let model = ReferenceModel::new(ReferenceConfig { layers: 3, ..ReferenceConfig::small(4) });
+        let noisy = HookedBackend::new(
+            "noisy",
+            |op, xs: &[f32]| xs.iter().map(|&x| op.eval(x) * 0.9 + 0.03).collect(),
+            |data, cols| {
+                mugi_numerics::nonlinear::softmax_rows(data, cols)
+                    .iter()
+                    .map(|&p| (p + 0.01) / 1.2)
+                    .collect()
+            },
+        );
+        // Every sequence's logits run step by step, held by the caller and
+        // lent to the scorer.
+        fn stepwise<B: NonlinearBackend>(
+            model: &ReferenceModel,
+            targets: &ProxyTargets,
+            backend: &B,
+        ) -> Vec<Matrix> {
+            targets
+                .tokens()
+                .map(|tokens| {
+                    let mut hidden = model.embed(tokens);
+                    for j in 0..model.config().layers {
+                        hidden = model.layer(j, &hidden, backend);
+                    }
+                    model.logits(&hidden)
+                })
+                .collect()
+        }
+        for sequences in [2, 3] {
+            let targets = model.proxy_targets(sequences);
+            assert_eq!(targets.tokens().len(), sequences);
+            let exact = stepwise(&model, &targets, &ExactBackend);
+            let of_exact = model.proxy_cross_entropy_of(&targets, |s, _| &exact[s]);
+            let whole = model.proxy_cross_entropy(&ExactBackend, &targets);
+            assert_eq!(of_exact.to_bits(), whole.to_bits(), "{sequences} sequences");
+            let noised = stepwise(&model, &targets, &noisy);
+            let of_noisy = model.proxy_cross_entropy_of(&targets, |s, _| &noised[s]);
+            let whole = model.proxy_cross_entropy(&noisy, &targets);
+            assert_eq!(of_noisy.to_bits(), whole.to_bits(), "{sequences} sequences");
+            assert!(of_noisy > of_exact, "noise must raise the cross-entropy");
         }
     }
 
