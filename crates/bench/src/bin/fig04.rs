@@ -1,4 +1,4 @@
-//! Regenerates Figure 4: nonlinear input value / exponent distributions.
+//! Regenerates Figure 4: nonlinear input exponent concentration.
 use mugi::experiments::accuracy::{fig04_profiling, fig04_table};
 use mugi_bench::{preset_from_args, print_header};
 

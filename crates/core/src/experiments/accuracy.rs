@@ -12,8 +12,8 @@ use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_numerics::tensor::Matrix;
 use mugi_vlp::approx::{VlpApproxConfig, VlpNonlinear, WindowStrategy};
 use mugi_vlp::tuning::{config_for_anchor, tune_layers, TuningTrace, WindowAnchor};
-use mugi_workloads::distributions::{profile, DistributionProfile, ProfileHistogram};
-use mugi_workloads::models::ModelId;
+use mugi_workloads::distributions::{profiles, DistributionProfile};
+use mugi_workloads::models::{ModelFamily, ModelId};
 use mugi_workloads::reference::{
     ExactBackend, HookedBackend, NonlinearBackend, ProxyTargets, ReferenceConfig, ReferenceModel,
 };
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 // ---------------------------------------------------------------------------
-// Figure 4: input value / exponent distributions
+// Figure 4: input exponent distributions
 // ---------------------------------------------------------------------------
 
 /// One profiled (model, op, layer-depth) combination.
@@ -44,40 +44,57 @@ pub struct ProfilingRow {
 
 /// Figure 4: profiles every studied model's nonlinear inputs and reports how
 /// concentrated their exponents are (the observation that motivates the
-/// value-centric LUT window). The profiles are independent, so they run on
-/// every core.
+/// value-centric LUT window). Both ops of one (model, depth) share a seed,
+/// so each point draws its stream once and bins it for both ops as it is
+/// drawn. The points are independent, so they run on every core. Rows come
+/// in (model, op, depth) order.
 pub fn fig04_profiling(preset: Preset) -> Vec<ProfilingRow> {
+    const DEPTHS: [f32; 3] = [0.0, 0.5, 1.0];
     let samples = preset.profile_samples();
     let models: Vec<ModelId> = match preset {
         Preset::Quick => vec![ModelId::Llama2_7b, ModelId::WhisperTiny],
         Preset::Full => ModelId::all().to_vec(),
     };
-    let mut points = Vec::new();
-    for (mi, model) in models.iter().enumerate() {
-        let ops = match model.config().family {
-            mugi_workloads::models::ModelFamily::Llama2 => {
-                vec![NonlinearOp::Softmax, NonlinearOp::Silu]
-            }
-            _ => vec![NonlinearOp::Softmax, NonlinearOp::Gelu],
-        };
-        for op in ops {
-            for (di, depth) in [0.0f32, 0.5, 1.0].into_iter().enumerate() {
-                points.push((*model, op, depth, (mi * 10 + di) as u64 + 1));
+    let points: Vec<(ModelId, f32, u64)> = models
+        .iter()
+        .enumerate()
+        .flat_map(|(mi, &model)| {
+            DEPTHS
+                .into_iter()
+                .enumerate()
+                .map(move |(di, depth)| (model, depth, (mi * 10 + di) as u64 + 1))
+        })
+        .collect();
+    let hists = ExecutionContext::host_parallel().map(&points, |&(model, depth, seed)| {
+        profiles(model, &fig04_ops(model), depth, samples, seed)
+    });
+    let mut rows = Vec::with_capacity(2 * points.len());
+    for (&model, model_hists) in models.iter().zip(hists.chunks(DEPTHS.len())) {
+        for (oi, op) in fig04_ops(model).into_iter().enumerate() {
+            for (depth, point_hists) in DEPTHS.into_iter().zip(model_hists) {
+                let hist = &point_hists[oi];
+                let (lo, mass) = hist.best_exponent_window(8).unwrap_or((0, 0.0));
+                rows.push(ProfilingRow {
+                    model,
+                    op,
+                    depth,
+                    best_window_lo: lo,
+                    window_mass: mass,
+                    zero_fraction: hist.zero_fraction,
+                });
             }
         }
     }
-    ExecutionContext::host_parallel().map(&points, |&(model, op, depth, seed)| {
-        let hist: ProfileHistogram = profile(model, op, depth, samples, seed);
-        let (lo, mass) = hist.best_exponent_window(8, 0.0).unwrap_or((0, 0.0));
-        ProfilingRow {
-            model,
-            op,
-            depth,
-            best_window_lo: lo,
-            window_mass: mass,
-            zero_fraction: hist.zero_fraction,
-        }
-    })
+    rows
+}
+
+/// The two nonlinear ops Figure 4 profiles for `model`: softmax, then its
+/// FFN activation.
+fn fig04_ops(model: ModelId) -> [NonlinearOp; 2] {
+    match model.config().family {
+        ModelFamily::Llama2 => [NonlinearOp::Softmax, NonlinearOp::Silu],
+        _ => [NonlinearOp::Softmax, NonlinearOp::Gelu],
+    }
 }
 
 /// Renders Figure 4 rows as a text table.
@@ -546,10 +563,15 @@ pub struct RelativeErrorRow {
 pub fn fig08_relative_error(preset: Preset) -> Vec<RelativeErrorRow> {
     let samples = preset.profile_samples();
     let mut rows = Vec::new();
+    let mut inputs = Vec::new();
     for op in [NonlinearOp::Exp, NonlinearOp::Silu, NonlinearOp::Gelu] {
-        let dist_op = if op == NonlinearOp::Exp { NonlinearOp::Softmax } else { op };
-        let dist = DistributionProfile::for_model(ModelId::Llama2_7b, dist_op, 0.3);
-        let inputs = dist.sample(samples, 101);
+        // The Llama SiLU and GELU profiles differ only in `op` and every op
+        // draws seed 101, so GELU's inputs are SiLU's: reuse them.
+        if op != NonlinearOp::Gelu {
+            let dist_op = if op == NonlinearOp::Exp { NonlinearOp::Softmax } else { op };
+            let dist = DistributionProfile::for_model(ModelId::Llama2_7b, dist_op, 0.3);
+            inputs = dist.sample(samples, 101);
+        }
         let exact: Vec<f32> = inputs.iter().map(|&x| op.eval(x)).collect();
         let important: Vec<usize> = inputs
             .iter()
@@ -636,6 +658,8 @@ pub fn fig08_table(rows: &[RelativeErrorRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mugi_numerics::fields::FloatFields;
+    use mugi_workloads::distributions::ProfileHistogram;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -647,6 +671,88 @@ mod tests {
         assert!(concentrated * 2 > rows.len(), "{concentrated}/{}", rows.len());
         let table = fig04_table(&rows);
         assert_eq!(table.len(), rows.len());
+    }
+
+    /// Figure 4 the brute-force way: every (model, op, depth) point draws
+    /// its own sample vector and bins it in a dense `FloatFields` histogram.
+    fn fig04_brute_force(preset: Preset) -> Vec<ProfilingRow> {
+        let models = match preset {
+            Preset::Quick => vec![ModelId::Llama2_7b, ModelId::WhisperTiny],
+            Preset::Full => ModelId::all().to_vec(),
+        };
+        let n = preset.profile_samples();
+        let mut rows = Vec::new();
+        for (mi, &model) in models.iter().enumerate() {
+            let activation = match model.config().family {
+                ModelFamily::Llama2 => NonlinearOp::Silu,
+                _ => NonlinearOp::Gelu,
+            };
+            for op in [NonlinearOp::Softmax, activation] {
+                for (di, depth) in [0.0f32, 0.5, 1.0].into_iter().enumerate() {
+                    let seed = (mi * 10 + di) as u64 + 1;
+                    let samples = DistributionProfile::for_model(model, op, depth).sample(n, seed);
+                    let mut counts = [0usize; 254];
+                    let mut zeros = 0usize;
+                    for &x in &samples {
+                        if x == 0.0 {
+                            zeros += 1;
+                        } else {
+                            counts[(FloatFields::split_f32(x, 7).exponent + 126) as usize] += 1;
+                        }
+                    }
+                    let hist = ProfileHistogram {
+                        exponent_density: (-126..)
+                            .zip(counts)
+                            .filter(|&(_, c)| c > 0)
+                            .map(|(e, c)| (e, c as f32 / n as f32))
+                            .collect(),
+                        zero_fraction: zeros as f32 / n as f32,
+                    };
+                    let (lo, mass) = hist.best_exponent_window(8).unwrap();
+                    rows.push(ProfilingRow {
+                        model,
+                        op,
+                        depth,
+                        best_window_lo: lo,
+                        window_mass: mass,
+                        zero_fraction: hist.zero_fraction,
+                    });
+                }
+            }
+        }
+        rows
+    }
+
+    /// Checks Figure 4 against [`fig04_brute_force`] bit for bit and returns
+    /// the number of rows.
+    fn fig04_rows_matching_brute_force(preset: Preset) -> usize {
+        let key = |r: &ProfilingRow| {
+            (
+                r.model,
+                r.op,
+                r.depth.to_bits(),
+                r.best_window_lo,
+                r.window_mass.to_bits(),
+                r.zero_fraction.to_bits(),
+            )
+        };
+        let fast: Vec<_> = fig04_profiling(preset).iter().map(key).collect();
+        let slow: Vec<_> = fig04_brute_force(preset).iter().map(key).collect();
+        assert_eq!(fast, slow);
+        fast.len()
+    }
+
+    #[test]
+    fn fig04_shared_streams_match_brute_force() {
+        assert_eq!(fig04_rows_matching_brute_force(Preset::Quick), 12);
+    }
+
+    /// All 48 full-preset points at 50 000 samples each. Run it in release
+    /// mode: `cargo test --release -p mugi --lib -- --ignored full_preset_fig04`.
+    #[test]
+    #[ignore = "full Figure 4 preset, brute force included; run in release mode"]
+    fn full_preset_fig04_shared_streams_match_brute_force() {
+        assert_eq!(fig04_rows_matching_brute_force(Preset::Full), 48);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! shape preserves the behaviour the paper measures.
 
 use crate::models::{ModelFamily, ModelId};
-use mugi_numerics::fields::FloatFields;
+use mugi_numerics::bf16::Bf16;
 use mugi_numerics::nonlinear::NonlinearOp;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -90,26 +90,39 @@ impl DistributionProfile {
         }
     }
 
-    /// Draws `count` samples from the profile.
+    /// Draws `count` samples from the profile: [`draws`] shaped by
+    /// [`DistributionProfile::shape`].
     pub fn sample(&self, count: usize, seed: u64) -> Vec<f32> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..count)
-            .map(|_| {
-                let scale = if rng.gen::<f32>() < self.tail_fraction {
-                    self.std_dev * self.tail_scale
-                } else {
-                    self.std_dev
-                };
-                let x = self.mean + gaussian(&mut rng) * scale;
-                if self.non_positive {
-                    // Softmax inputs are x_i - max(x), hence <= 0.
-                    -(x - self.mean).abs() + self.mean.min(0.0)
-                } else {
-                    x
-                }
-            })
-            .collect()
+        draws(count, seed).map(|d| self.shape(d)).collect()
     }
+
+    /// Shapes one draw `(u, g)` of [`draws`] into a sample of the profile:
+    /// `u` picks the heavy tail when it falls below `tail_fraction`, and the
+    /// standard normal `g` is scaled and shifted.
+    pub fn shape(&self, (u, g): (f32, f32)) -> f32 {
+        let scale =
+            if u < self.tail_fraction { self.std_dev * self.tail_scale } else { self.std_dev };
+        let x = self.mean + g * scale;
+        if self.non_positive {
+            // Softmax inputs are x_i - max(x), hence <= 0.
+            -(x - self.mean).abs() + self.mean.min(0.0)
+        } else {
+            x
+        }
+    }
+}
+
+/// The profile-independent random stream behind every sample: `count`
+/// pairs `(u, g)` of a tail-selecting uniform `u` in `[0, 1)` and a standard
+/// normal `g`, drawn in that order from a ChaCha8 stream seeded with `seed`.
+/// Profiles sharing a seed see the same draws, so one stream can feed
+/// several of them.
+pub fn draws(count: usize, seed: u64) -> impl Iterator<Item = (f32, f32)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..count).map(move |_| {
+        let u = rng.gen::<f32>();
+        (u, gaussian(&mut rng))
+    })
 }
 
 /// Standard normal sample via Box–Muller.
@@ -128,65 +141,23 @@ const MIN_EXPONENT: i32 = -126;
 /// [`MIN_EXPONENT`] to 127.
 const EXPONENT_BINS: usize = 254;
 
-/// A histogram over values and over BF16 exponents, the two panels the paper
-/// plots per model/op in Figure 4.
+/// A histogram over BF16 exponents, the panel behind the paper's Figure 4
+/// exponent-concentration observation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfileHistogram {
-    /// Histogram bin edges over the raw values.
-    pub value_edges: Vec<f32>,
-    /// Counts (fractions) per value bin.
-    pub value_density: Vec<f32>,
-    /// Exponent histogram: (exponent, fraction of samples).
+    /// Exponent histogram: (exponent, fraction of samples), ascending.
     pub exponent_density: Vec<(i32, f32)>,
     /// Fraction of exactly-zero samples (which have no exponent).
     pub zero_fraction: f32,
 }
 
 impl ProfileHistogram {
-    /// Builds value and exponent histograms from samples.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or `bins` is zero.
-    pub fn from_samples(samples: &[f32], bins: usize) -> Self {
-        assert!(!samples.is_empty(), "samples must not be empty");
-        assert!(bins > 0, "bins must be non-zero");
-        let min = samples.iter().cloned().fold(f32::INFINITY, f32::min);
-        let max = samples.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let span = (max - min).max(f32::MIN_POSITIVE);
-        let mut value_counts = vec![0usize; bins];
-        let mut exp_counts = [0usize; EXPONENT_BINS];
-        let mut zeros = 0usize;
-        for &s in samples {
-            let idx = (((s - min) / span) * bins as f32) as usize;
-            value_counts[idx.min(bins - 1)] += 1;
-            if s == 0.0 {
-                zeros += 1;
-            } else {
-                let fields = FloatFields::split_f32(s, 7);
-                exp_counts[(fields.exponent - MIN_EXPONENT) as usize] += 1;
-            }
-        }
-        let n = samples.len() as f32;
-        let value_edges = (0..=bins).map(|i| min + span * i as f32 / bins as f32).collect();
-        let value_density = value_counts.iter().map(|&c| c as f32 / n).collect();
-        let exponent_density = (MIN_EXPONENT..)
-            .zip(exp_counts)
-            .filter(|&(_, c)| c > 0)
-            .map(|(e, c)| (e, c as f32 / n))
-            .collect();
-        ProfileHistogram {
-            value_edges,
-            value_density,
-            exponent_density,
-            zero_fraction: zeros as f32 / n,
-        }
-    }
-
-    /// The smallest exponent window `[lo, lo + size)` that covers at least
-    /// `coverage` of the (non-zero) probability mass — the quantity that
-    /// justifies the value-centric LUT window.
-    pub fn best_exponent_window(&self, size: usize, coverage: f32) -> Option<(i32, f32)> {
-        if self.exponent_density.is_empty() || size == 0 {
+    /// The exponent window `[lo, lo + size)` with the highest mass, as
+    /// `(lo, mass)`; ties keep the lowest `lo`. Candidate windows start at
+    /// every exponent from the lowest to the highest present. `None` when
+    /// there are no non-zero samples or `size` is zero.
+    pub fn best_exponent_window(&self, size: usize) -> Option<(i32, f32)> {
+        if size == 0 {
             return None;
         }
         let min_exp = self.exponent_density.first().map(|&(e, _)| e)?;
@@ -204,12 +175,88 @@ impl ProfileHistogram {
                 best = Some((lo, mass));
             }
         }
-        best.filter(|&(_, m)| m >= coverage).or(best)
+        best
     }
 }
 
-/// Profiles one (model, op, layer-depth) combination: draws samples and builds
-/// the Figure-4-style histogram.
+/// Builds a [`ProfileHistogram`] one value at a time, so a sample stream is
+/// binned as it is drawn, without buffering it.
+#[derive(Clone, Debug)]
+pub struct HistogramAccumulator {
+    /// Count per unbiased exponent, offset by [`MIN_EXPONENT`].
+    exponents: [usize; EXPONENT_BINS],
+    /// Exactly-zero values.
+    zeros: usize,
+    /// All values pushed.
+    count: usize,
+}
+
+impl Default for HistogramAccumulator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl HistogramAccumulator {
+    /// An accumulator that has seen no values.
+    pub fn new() -> Self {
+        HistogramAccumulator { exponents: [0; EXPONENT_BINS], zeros: 0, count: 0 }
+    }
+
+    /// Counts `x`: exact zeros (either sign) apart, by the exponent of `x`
+    /// quantized to BF16. BF16 subnormals count as −126; NaN,
+    /// infinities and non-zero values that round to BF16 zero count as 0.
+    pub fn push(&mut self, x: f32) {
+        self.count += 1;
+        if x == 0.0 {
+            self.zeros += 1;
+            return;
+        }
+        let b = Bf16::from_f32(x);
+        let exponent = if b.is_finite() && !b.is_zero() { b.unbiased_exponent() } else { 0 };
+        self.exponents[(exponent - MIN_EXPONENT) as usize] += 1;
+    }
+
+    /// The histogram of every value pushed so far.
+    ///
+    /// # Panics
+    /// Panics if no value was pushed.
+    pub fn finish(&self) -> ProfileHistogram {
+        assert!(self.count > 0, "samples must not be empty");
+        let n = self.count as f32;
+        let exponent_density = (MIN_EXPONENT..)
+            .zip(self.exponents)
+            .filter(|&(_, c)| c > 0)
+            .map(|(e, c)| (e, c as f32 / n))
+            .collect();
+        ProfileHistogram { exponent_density, zero_fraction: self.zeros as f32 / n }
+    }
+}
+
+/// Profiles several ops of one (model, layer-depth) from a single draw
+/// stream: each op's profile shapes the same [`draws`] and bins them as they
+/// are drawn. Returns one Figure-4-style histogram per op, in `ops` order,
+/// each equal to [`profile`] of that op with the same `samples` and `seed`.
+pub fn profiles(
+    model: ModelId,
+    ops: &[NonlinearOp],
+    depth: f32,
+    samples: usize,
+    seed: u64,
+) -> Vec<ProfileHistogram> {
+    let dists: Vec<DistributionProfile> =
+        ops.iter().map(|&op| DistributionProfile::for_model(model, op, depth)).collect();
+    let mut accs = vec![HistogramAccumulator::new(); ops.len()];
+    for d in draws(samples, seed) {
+        for (dist, acc) in dists.iter().zip(&mut accs) {
+            acc.push(dist.shape(d));
+        }
+    }
+    accs.iter().map(HistogramAccumulator::finish).collect()
+}
+
+/// Profiles one (model, op, layer-depth) combination: draws samples and
+/// builds the Figure-4-style histogram.
 pub fn profile(
     model: ModelId,
     op: NonlinearOp,
@@ -217,14 +264,13 @@ pub fn profile(
     samples: usize,
     seed: u64,
 ) -> ProfileHistogram {
-    let dist = DistributionProfile::for_model(model, op, depth);
-    let data = dist.sample(samples, seed);
-    ProfileHistogram::from_samples(&data, 64)
+    profiles(model, &[op], depth, samples, seed).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mugi_numerics::fields::FloatFields;
 
     #[test]
     fn softmax_samples_are_non_positive() {
@@ -265,11 +311,8 @@ mod tests {
     #[test]
     fn histogram_densities_sum_to_one() {
         let h = profile(ModelId::Llama2_7b, NonlinearOp::Softmax, 0.0, 5000, 7);
-        let value_sum: f32 = h.value_density.iter().sum();
-        assert!((value_sum - 1.0).abs() < 1e-3);
         let exp_sum: f32 = h.exponent_density.iter().map(|&(_, f)| f).sum();
         assert!((exp_sum + h.zero_fraction - 1.0).abs() < 1e-3);
-        assert_eq!(h.value_edges.len(), h.value_density.len() + 1);
     }
 
     #[test]
@@ -277,11 +320,11 @@ mod tests {
         // The observation that motivates the value-centric LUT: a window of 8
         // exponents covers the overwhelming majority of softmax inputs.
         let h = profile(ModelId::Llama2_7b, NonlinearOp::Softmax, 0.0, 20000, 11);
-        let (lo, mass) = h.best_exponent_window(8, 0.9).unwrap();
+        let (lo, mass) = h.best_exponent_window(8).unwrap();
         assert!(mass > 0.9, "window starting at {lo} covers only {mass}");
         // SiLU likewise.
         let h = profile(ModelId::Llama2_7b, NonlinearOp::Silu, 0.5, 20000, 12);
-        let (_, mass) = h.best_exponent_window(8, 0.85).unwrap();
+        let (_, mass) = h.best_exponent_window(8).unwrap();
         assert!(mass > 0.85);
     }
 
@@ -289,8 +332,8 @@ mod tests {
     fn deeper_layers_shift_the_best_window() {
         let early = profile(ModelId::Llama2_7b, NonlinearOp::Softmax, 0.0, 20000, 21);
         let late = profile(ModelId::Llama2_7b, NonlinearOp::Softmax, 1.0, 20000, 22);
-        let (lo_early, _) = early.best_exponent_window(8, 0.5).unwrap();
-        let (lo_late, _) = late.best_exponent_window(8, 0.5).unwrap();
+        let (lo_early, _) = early.best_exponent_window(8).unwrap();
+        let (lo_late, _) = late.best_exponent_window(8).unwrap();
         // Later layers have larger-magnitude (more negative) inputs, hence
         // larger exponents of |x|; the window moves up or stays, it must not
         // move down.
@@ -333,20 +376,74 @@ mod tests {
         let expected = map_exponent_density(&edges);
         let exponents: Vec<i32> = expected.iter().map(|&(e, _)| e).collect();
         assert_eq!(exponents, [-126, -1, 0, 127]);
-        let h = ProfileHistogram::from_samples(&edges, 16);
+        let mut acc = HistogramAccumulator::new();
+        edges.iter().for_each(|&x| acc.push(x));
+        let h = acc.finish();
         assert_eq!(h.exponent_density, expected);
         assert_eq!(h.zero_fraction, 2.0 / edges.len() as f32);
 
         let mut mixed = DistributionProfile::for_model(ModelId::Llama2_7b, NonlinearOp::Silu, 0.5)
             .sample(3000, 31);
         mixed.extend_from_slice(&edges);
-        let h = ProfileHistogram::from_samples(&mixed, 64);
-        assert_eq!(h.exponent_density, map_exponent_density(&mixed));
+        let mut acc = HistogramAccumulator::new();
+        mixed.iter().for_each(|&x| acc.push(x));
+        assert_eq!(acc.finish().exponent_density, map_exponent_density(&mixed));
     }
 
     #[test]
     #[should_panic(expected = "samples must not be empty")]
     fn empty_samples_rejected() {
-        ProfileHistogram::from_samples(&[], 8);
+        HistogramAccumulator::new().finish();
+    }
+
+    #[test]
+    fn sample_is_draws_shaped_by_the_profile() {
+        for model in ModelId::all() {
+            for op in [NonlinearOp::Exp, NonlinearOp::Softmax, NonlinearOp::Silu, NonlinearOp::Gelu]
+            {
+                let p = DistributionProfile::for_model(model, op, 0.7);
+                let shaped: Vec<f32> = draws(500, 5).map(|d| p.shape(d)).collect();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&p.sample(500, 5)), bits(&shaped), "{model:?} {op:?}");
+            }
+        }
+    }
+
+    fn density_bits(h: &ProfileHistogram) -> (Vec<(i32, u32)>, u32) {
+        let density = h.exponent_density.iter().map(|&(e, f)| (e, f.to_bits())).collect();
+        (density, h.zero_fraction.to_bits())
+    }
+
+    #[test]
+    fn shared_profiles_equal_separate_profile_calls() {
+        for model in [ModelId::Llama2_7b, ModelId::WhisperTiny, ModelId::Swinv2Large] {
+            for (a, b) in [
+                (NonlinearOp::Softmax, NonlinearOp::Silu),
+                (NonlinearOp::Gelu, NonlinearOp::Softmax),
+                (NonlinearOp::Exp, NonlinearOp::Exp),
+            ] {
+                let shared = profiles(model, &[a, b], 0.5, 3000, 17);
+                assert_eq!(shared.len(), 2);
+                for (h, op) in shared.iter().zip([a, b]) {
+                    let alone = profile(model, op, 0.5, 3000, 17);
+                    assert_eq!(density_bits(h), density_bits(&alone), "{model:?} {op:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn llama_silu_and_gelu_profiles_differ_only_in_op() {
+        // Figure 8 feeds the Llama SiLU inputs to GELU as well; that is the
+        // same data only while the two profiles agree in every other field.
+        for depth in [0.0, 0.3, 0.5, 1.0] {
+            let silu = DistributionProfile::for_model(ModelId::Llama2_7b, NonlinearOp::Silu, depth);
+            let gelu = DistributionProfile::for_model(ModelId::Llama2_7b, NonlinearOp::Gelu, depth);
+            assert_eq!(
+                DistributionProfile { op: NonlinearOp::Gelu, ..silu },
+                gelu,
+                "depth {depth}"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self and inclusive time per function from a sampler.so profile.
 
-Usage: report.py PROFILE [--top N]
+Usage: report.py PROFILE [--top N] [--within FUNCTION]
 
 PROFILE is the file sampler.so wrote (SAMPLER_OUT). Each sample's program
 counters are attributed to the file mapped at that address, then
@@ -11,6 +11,10 @@ innermost frame it is; its inclusive time is the share of samples with it
 anywhere on the stack (counted once per sample, so recursion does not
 inflate it). Only the executable is symbolised; other addresses are
 attributed to their library's name.
+
+With --within FUNCTION, only the stacks with a frame whose name contains
+FUNCTION are kept, and shares are of those stacks: the split of one
+figure's time, e.g. `--within fig04_profiling`.
 """
 
 import argparse
@@ -100,6 +104,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile")
     parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--within", metavar="FUNCTION",
+                        help="keep only stacks with a frame whose name contains FUNCTION")
     args = parser.parse_args()
 
     header, executable, stacks, maps = read_profile(args.profile)
@@ -125,6 +131,7 @@ def main():
     chains = {path: symbolise(path, addresses) for path, addresses in wanted.items()}
 
     self_counts, inclusive_counts = collections.Counter(), collections.Counter()
+    kept = 0
     for sample in frames:
         names = []
         for path, elf, address in sample:
@@ -134,11 +141,20 @@ def main():
                 names.append(f"[{os.path.basename(path)}]")
             else:
                 names.append(f"[unmapped {address:#x}]")
+        if args.within and not any(args.within in name for name in names):
+            continue
+        kept += 1
         self_counts[names[0]] += 1
         inclusive_counts.update(set(names))
 
     total = len(frames)
     print(f"{header}; {total} stacks from {args.profile}")
+    if args.within:
+        if not kept:
+            sys.exit(f"{args.profile}: no stacks within {args.within}")
+        share = 100.0 * kept / total
+        print(f"{kept} stacks ({share:.2f}%) within {args.within}; shares below are of those")
+        total = kept
     for title, counts in (("self", self_counts), ("inclusive", inclusive_counts)):
         print(f"\n{title:>9}  samples  function")
         for name, count in counts.most_common(args.top):
