@@ -8,7 +8,7 @@
 //! (Section 4, phase 1): exponents below the sliding window underflow to the
 //! lowest stored entry, exponents above it saturate in an op-dependent way.
 
-use crate::bf16::Bf16;
+use crate::bf16::{Bf16, EXPONENT_BIAS, MANTISSA_BITS};
 use serde::{Deserialize, Serialize};
 
 /// The decomposed representation of a BF16 value used by the VLP datapath.
@@ -41,52 +41,44 @@ impl FloatFields {
     /// Splits a BF16 value into S-M-E fields, rounding the mantissa to
     /// `mantissa_bits` bits (Section 3.2 input approximation).
     ///
+    /// The split works on the 16 raw bits: half an ulp at the kept width is
+    /// added to the 15-bit magnitude (round to nearest, ties away from zero),
+    /// so a carry out of the mantissa bumps the exponent; the biased exponent
+    /// then saturates at `0xFE` (the largest finite binade). Subnormals
+    /// report the minimum exponent `-126`.
+    ///
     /// # Panics
     /// Panics if `mantissa_bits` is zero or greater than 7.
+    #[inline]
     pub fn split(value: Bf16, mantissa_bits: u8) -> Self {
         assert!(
             (1..=7).contains(&mantissa_bits),
             "mantissa_bits must be in 1..=7, got {mantissa_bits}"
         );
-        if value.is_nan() {
-            return FloatFields {
-                sign: value.sign(),
-                mantissa: 0,
-                mantissa_bits,
-                exponent: 0,
-                is_zero: false,
-                special: Some(Special::Nan),
-            };
-        }
-        if value.is_infinite() {
-            return FloatFields {
-                sign: value.sign(),
-                mantissa: 0,
-                mantissa_bits,
-                exponent: 0,
-                is_zero: false,
-                special: Some(Special::Infinity),
-            };
-        }
-        if value.is_zero() {
-            return FloatFields {
-                sign: value.sign(),
-                mantissa: 0,
-                mantissa_bits,
-                exponent: 0,
-                is_zero: true,
-                special: None,
-            };
-        }
-        let rounded = value.round_mantissa(mantissa_bits as u32);
-        FloatFields {
-            sign: rounded.sign(),
-            mantissa: rounded.mantissa() >> (7 - mantissa_bits),
+        let bits = value.to_bits();
+        let magnitude = bits & 0x7FFF;
+        let mut fields = FloatFields {
+            sign: bits >> 15 == 1,
+            mantissa: 0,
             mantissa_bits,
-            exponent: rounded.unbiased_exponent(),
-            is_zero: false,
+            exponent: 0,
+            is_zero: magnitude == 0,
             special: None,
+        };
+        if magnitude >= 0x7F80 {
+            fields.special =
+                Some(if magnitude == 0x7F80 { Special::Infinity } else { Special::Nan });
+            return fields;
         }
+        if fields.is_zero {
+            return fields;
+        }
+        let drop = (MANTISSA_BITS - u32::from(mantissa_bits)) as u16;
+        let rounded = magnitude + ((1 << drop) >> 1);
+        let biased = (rounded >> MANTISSA_BITS).min(0xFE);
+        fields.mantissa = ((rounded & 0x7F) >> drop) as u8;
+        fields.exponent = i32::from(biased.max(1)) - EXPONENT_BIAS;
+        fields
     }
 
     /// Splits an `f32` by first quantizing it to BF16.
@@ -225,6 +217,113 @@ mod tests {
     fn mantissa_spike_cycle_equals_mantissa() {
         let f = FloatFields::split_f32(1.75, 3); // 1.110b -> M = 6
         assert_eq!(f.mantissa_spike_cycle(), 6);
+    }
+
+    /// The split as it was written before the integer rewrite: specials
+    /// and zero by predicate, then `Bf16::round_mantissa` on the value and
+    /// the fields read back from the rounded BF16.
+    fn split_oracle(value: Bf16, mantissa_bits: u8) -> FloatFields {
+        let fields = |mantissa, exponent, is_zero, special| FloatFields {
+            sign: value.sign(),
+            mantissa,
+            mantissa_bits,
+            exponent,
+            is_zero,
+            special,
+        };
+        if value.is_nan() {
+            return fields(0, 0, false, Some(Special::Nan));
+        }
+        if value.is_infinite() {
+            return fields(0, 0, false, Some(Special::Infinity));
+        }
+        if value.is_zero() {
+            return fields(0, 0, true, None);
+        }
+        let rounded = round_mantissa_oracle(value, mantissa_bits as u32);
+        fields(rounded.mantissa() >> (7 - mantissa_bits), rounded.unbiased_exponent(), false, None)
+    }
+
+    /// A copy of `Bf16::round_mantissa` for a finite, non-zero value.
+    fn round_mantissa_oracle(value: Bf16, bits: u32) -> Bf16 {
+        if bits == MANTISSA_BITS {
+            return value;
+        }
+        let drop = MANTISSA_BITS - bits;
+        let rounded = value.mantissa() as u16 + (1u16 << (drop - 1));
+        let (mantissa, exponent) = if rounded >> MANTISSA_BITS != 0 {
+            (0, (value.biased_exponent() as u16 + 1).min(0xFE))
+        } else {
+            ((rounded >> drop) << drop, value.biased_exponent() as u16)
+        };
+        let sign = value.to_bits() & 0x8000;
+        Bf16::from_bits(sign | (exponent << MANTISSA_BITS) | (mantissa & 0x7F))
+    }
+
+    #[test]
+    fn split_matches_the_rounding_oracle_on_every_bf16_pattern() {
+        for bits in 0..=u16::MAX {
+            let value = Bf16::from_bits(bits);
+            for mantissa_bits in 1..=7 {
+                assert_eq!(
+                    FloatFields::split(value, mantissa_bits),
+                    split_oracle(value, mantissa_bits),
+                    "bits {bits:#06x}, mantissa_bits {mantissa_bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_f32_matches_the_rounding_oracle_across_bf16_boundaries() {
+        // The low half of each f32 sits on, just below or just above the
+        // BF16 rounding point, or anywhere, so `from_f32` rounds both ways
+        // (and carries into the exponent, up to infinity).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200_000 {
+            let word = next();
+            let high = (word >> 16) as u32 & 0xFFFF_0000;
+            let low = match word & 3 {
+                0 => 0x7FFF,
+                1 => 0x8000,
+                2 => 0x8001,
+                _ => word as u32 & 0xFFFF,
+            };
+            let value = f32::from_bits(high | low);
+            for mantissa_bits in 1..=7 {
+                assert_eq!(
+                    FloatFields::split_f32(value, mantissa_bits),
+                    split_oracle(Bf16::from_f32(value), mantissa_bits),
+                    "value {value:e} ({:#010x}), mantissa_bits {mantissa_bits}",
+                    value.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn carry_out_of_the_largest_binade_saturates_at_0xfe() {
+        // 0x7F7F is the largest finite BF16 (1.1111111b * 2^127): rounding
+        // to fewer bits carries, and the exponent stays at 127, not infinity.
+        for mantissa_bits in 1..=6 {
+            let f = FloatFields::split(Bf16::MAX, mantissa_bits);
+            assert_eq!((f.mantissa, f.exponent, f.special), (0, 127, None));
+            let f = FloatFields::split(Bf16::MIN, mantissa_bits);
+            assert_eq!((f.sign, f.mantissa, f.exponent), (true, 0, 127));
+        }
+        let f = FloatFields::split(Bf16::MAX, 7);
+        assert_eq!((f.mantissa, f.exponent), (0x7F, 127));
+        // The smallest subnormal and the largest subnormal both report -126;
+        // the largest carries into the smallest normal's mantissa 0.
+        assert_eq!(FloatFields::split(Bf16::from_bits(0x0001), 3).exponent, -126);
+        let f = FloatFields::split(Bf16::from_bits(0x007F), 3);
+        assert_eq!((f.mantissa, f.exponent), (0, -126));
     }
 
     #[test]

@@ -119,8 +119,9 @@ impl Default for VlpApproxConfig {
 pub struct NonlinearLut {
     op: NonlinearOp,
     config: VlpApproxConfig,
-    /// Row-major storage: `rows[sign][mantissa][exp_index]`.
-    rows: Vec<Vec<f32>>,
+    /// Flat row-major storage: row `sign * mantissas + mantissa`, one column
+    /// per exponent from `lut_min_exp` up.
+    entries: Vec<f32>,
     signs: usize,
 }
 
@@ -137,23 +138,20 @@ impl NonlinearLut {
         config.validate().expect("invalid VLP approximation config");
         let signs = if op.inputs_non_positive() { 1 } else { 2 };
         let mantissas = 1usize << config.mantissa_bits;
-        let exps = config.lut_exponents();
-        let mut rows = Vec::with_capacity(signs * mantissas);
+        let mut entries = Vec::with_capacity(signs * mantissas * config.lut_exponents());
         for sign_idx in 0..signs {
             // For the single-sign (non-positive) case the stored sign is negative.
             let sign = if signs == 1 { true } else { sign_idx == 1 };
             for m in 0..mantissas {
-                let mut row = Vec::with_capacity(exps);
                 for e in config.lut_min_exp..=config.lut_max_exp {
                     let frac = 1.0 + m as f32 / mantissas as f32;
                     let magnitude = frac * 2f32.powi(e);
                     let x = if sign { -magnitude } else { magnitude };
-                    row.push(op.eval(x));
+                    entries.push(op.eval(x));
                 }
-                rows.push(row);
             }
         }
-        NonlinearLut { op, config, rows, signs }
+        NonlinearLut { op, config, entries, signs }
     }
 
     /// The nonlinear op this LUT approximates.
@@ -168,12 +166,12 @@ impl NonlinearLut {
 
     /// Number of LUT rows (signs × mantissas).
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.signs << self.config.mantissa_bits
     }
 
     /// Number of stored entries (rows × exponents).
     pub fn num_entries(&self) -> usize {
-        self.rows.len() * self.config.lut_exponents()
+        self.entries.len()
     }
 
     /// Size in bits assuming BF16 entries, used by the cost model.
@@ -186,10 +184,13 @@ impl NonlinearLut {
     /// # Panics
     /// Panics if the mantissa is out of range for the configured width.
     pub fn row(&self, sign: bool, mantissa: u8) -> &[f32] {
-        let mantissas = 1usize << self.config.mantissa_bits;
-        assert!((mantissa as usize) < mantissas, "mantissa {mantissa} out of range");
-        let sign_idx = if self.signs == 1 { 0 } else { usize::from(sign) };
-        &self.rows[sign_idx * mantissas + mantissa as usize]
+        assert!(
+            (mantissa as usize) < 1 << self.config.mantissa_bits,
+            "mantissa {mantissa} out of range"
+        );
+        let exps = self.config.lut_exponents();
+        let start = self.row_index(sign, mantissa) * exps;
+        &self.entries[start..start + exps]
     }
 
     /// Looks up a single entry by (sign, mantissa, exponent); the exponent is
@@ -201,6 +202,22 @@ impl NonlinearLut {
         }
         let idx = (exponent - self.config.lut_min_exp) as usize;
         Some(self.row(sign, mantissa)[idx])
+    }
+
+    /// Index of the row of a (sign, mantissa) pair; a single-sign LUT has
+    /// only the negative rows.
+    #[inline]
+    fn row_index(&self, sign: bool, mantissa: u8) -> usize {
+        let sign_idx = usize::from(sign && self.signs == 2);
+        (sign_idx << self.config.mantissa_bits) + mantissa as usize
+    }
+
+    /// The entry of an in-range (sign, mantissa, exponent), read straight
+    /// from the flat storage.
+    #[inline]
+    fn stored(&self, sign: bool, mantissa: u8, exponent: i32) -> f32 {
+        let column = (exponent - self.config.lut_min_exp) as usize;
+        self.entries[self.row_index(sign, mantissa) * self.config.lut_exponents() + column]
     }
 }
 
@@ -234,6 +251,15 @@ impl SlidingWindow {
 /// Selects the sliding window for a set of inputs following the configured
 /// strategy, clamping so the window stays inside the full LUT range.
 pub fn select_window(config: &VlpApproxConfig, exponents: &[i32]) -> SlidingWindow {
+    select_window_iter(config, exponents.iter().copied())
+}
+
+/// [`select_window`] over exponents produced on the fly. A
+/// [`Fixed`](WindowStrategy::Fixed) strategy never draws from `exponents`.
+pub fn select_window_iter(
+    config: &VlpApproxConfig,
+    exponents: impl IntoIterator<Item = i32>,
+) -> SlidingWindow {
     let size = config.window_size as i32;
     let full_lo = config.lut_min_exp;
     let full_hi = config.lut_max_exp;
@@ -244,11 +270,11 @@ pub fn select_window(config: &VlpApproxConfig, exponents: &[i32]) -> SlidingWind
     match config.strategy {
         WindowStrategy::Fixed(lo) => clamp_lo(lo),
         WindowStrategy::AnchorMax => {
-            let max = exponents.iter().copied().max().unwrap_or(full_hi);
+            let max = exponents.into_iter().max().unwrap_or(full_hi);
             clamp_lo(max.min(full_hi) - size + 1)
         }
         WindowStrategy::AnchorMin => {
-            let min = exponents.iter().copied().min().unwrap_or(full_lo);
+            let min = exponents.into_iter().min().unwrap_or(full_lo);
             clamp_lo(min.max(full_lo))
         }
     }
@@ -287,6 +313,8 @@ pub struct VlpNonlinear {
     /// Number of array rows available for mapping inputs in parallel. Only
     /// affects the statistics, not the functional result.
     array_rows: usize,
+    /// `op(0)`: the output for zero and underflowing inputs.
+    at_zero: f32,
 }
 
 impl VlpNonlinear {
@@ -302,7 +330,7 @@ impl VlpNonlinear {
     /// Panics if `array_rows` is zero or the configuration is invalid.
     pub fn with_array_rows(op: NonlinearOp, config: VlpApproxConfig, array_rows: usize) -> Self {
         assert!(array_rows > 0, "array_rows must be non-zero");
-        VlpNonlinear { lut: NonlinearLut::build(op, config), array_rows }
+        VlpNonlinear { lut: NonlinearLut::build(op, config), array_rows, at_zero: op.eval(0.0) }
     }
 
     /// The nonlinear op this engine approximates.
@@ -325,101 +353,95 @@ impl VlpNonlinear {
     ///
     /// Inputs are processed in mappings of `array_rows` elements; each mapping
     /// selects its own sliding window (value-centric adaptation).
+    ///
+    /// # Panics
+    /// Exp / softmax engines store only the non-positive half of the LUT
+    /// (Section 4.1), so they panic on a positive, finite, non-zero input.
     pub fn apply(&self, inputs: &[f32]) -> (Vec<f32>, ApproxStats) {
-        let config = *self.lut.config();
         let mut outputs = Vec::with_capacity(inputs.len());
-        let mut stats = ApproxStats { elements: inputs.len(), ..ApproxStats::default() };
-        let mantissa_sweep = sweep_cycles(config.mantissa_bits as u32);
-        let exponent_sweep = config.window_size as u64;
-        let rows = self.array_rows.min(inputs.len());
-        let mut fields = Vec::with_capacity(rows);
-        let mut exponents = Vec::with_capacity(rows);
+        let mut stats = ApproxStats::default();
+        self.apply_into(inputs, &mut outputs, &mut stats);
+        (outputs, stats)
+    }
+
+    /// [`apply`](Self::apply) that appends the outputs to `outputs` and adds
+    /// the counts to `stats`. Each mapping splits its inputs twice, once for
+    /// the window and once for the outputs, so no field buffer is held.
+    fn apply_into(&self, inputs: &[f32], outputs: &mut Vec<f32>, stats: &mut ApproxStats) {
+        let config = self.lut.config();
+        let bits = config.mantissa_bits;
+        stats.elements += inputs.len();
         for mapping in inputs.chunks(self.array_rows) {
-            fields.clear();
-            fields.extend(mapping.iter().map(|&x| FloatFields::split_f32(x, config.mantissa_bits)));
-            exponents.clear();
-            exponents.extend(
-                fields.iter().filter(|f| !f.is_zero && f.special.is_none()).map(|f| f.exponent),
-            );
-            let window = select_window(&config, &exponents);
-            for f in &fields {
-                outputs.push(self.approximate_one(f, &window, &mut stats));
-            }
+            let exponents = mapping
+                .iter()
+                .map(|&x| FloatFields::split_f32(x, bits))
+                .filter(|f| !f.is_zero && f.special.is_none())
+                .map(|f| f.exponent);
+            let window = select_window_iter(config, exponents);
+            outputs.extend(mapping.iter().map(|&x| {
+                self.approximate_one(x, &FloatFields::split_f32(x, bits), &window, stats)
+            }));
             stats.mappings += 1;
         }
         // Latency: the mantissa spike sweep followed by the exponent spike
         // sweep (Section 3.1: "the full VLP approximation requires the total
         // duration of both mantissa and exponent temporal spike timing").
-        stats.latency_cycles = mantissa_sweep + exponent_sweep;
+        let mantissa_sweep = sweep_cycles(bits as u32);
+        stats.latency_cycles = mantissa_sweep + config.window_size as u64;
         stats.cycles_per_mapping = mantissa_sweep;
-        (outputs, stats)
     }
 
-    /// Approximates a single pre-split input against a chosen window.
+    /// Approximates the input `x`, split into `fields`, against a chosen
+    /// window.
+    #[inline]
     fn approximate_one(
         &self,
+        x: f32,
         fields: &FloatFields,
         window: &SlidingWindow,
         stats: &mut ApproxStats,
     ) -> f32 {
-        let op = self.lut.op();
         // Post-processing special paths (Section 4, PP block).
         if let Some(special) = fields.special {
             stats.specials += 1;
-            return match (special, op) {
-                (Special::Nan, _) => f32::NAN,
-                (Special::Infinity, NonlinearOp::Exp | NonlinearOp::Softmax) => {
-                    if fields.sign {
-                        0.0
-                    } else {
-                        f32::INFINITY
-                    }
-                }
-                (Special::Infinity, NonlinearOp::Silu | NonlinearOp::Gelu) => {
-                    if fields.sign {
-                        0.0
-                    } else {
-                        f32::INFINITY
-                    }
-                }
+            return match special {
+                Special::Nan => f32::NAN,
+                Special::Infinity if fields.sign => 0.0,
+                Special::Infinity => f32::INFINITY,
             };
         }
         if fields.is_zero {
-            return op.eval(0.0);
+            return self.at_zero;
         }
-        let saturate_high = matches!(op, NonlinearOp::Exp | NonlinearOp::Softmax);
-        let clamped = fields.clamp_exponent(window.lo, window.hi, saturate_high);
-        if clamped.underflowed {
+        let single_sign = self.lut.signs == 1;
+        assert!(
+            fields.sign || !single_sign,
+            "{:?} engine stores only non-positive inputs, got {x}",
+            self.op()
+        );
+        if fields.exponent < window.lo {
             stats.underflows += 1;
             // Exponent underflow: the magnitude is below everything the window
             // stores. The E-proc "underflows to 0" (Section 4 phase 1) — the
             // input is treated as zero, so exp/softmax emit 1 and SiLU/GELU
             // emit 0, which is also the numerically correct limit.
-            return op.eval(0.0);
+            return self.at_zero;
         }
-        if clamped.overflowed {
+        if fields.exponent > window.hi {
             stats.overflows += 1;
-            return match op {
+            return if single_sign {
                 // Softmax overflow saturates to the largest stored value.
-                NonlinearOp::Exp | NonlinearOp::Softmax => self
-                    .lut
-                    .entry(fields.sign, fields.mantissa, window.hi)
-                    .unwrap_or_else(|| op.eval(fields.reconstruct())),
+                self.lut.stored(fields.sign, fields.mantissa, window.hi)
+            } else if fields.sign {
                 // SiLU/GELU pass large magnitudes through: SiLU(x)→x for
                 // x ≫ 0 and →0 for x ≪ 0 (the PP block reproduces the tails).
-                NonlinearOp::Silu | NonlinearOp::Gelu => {
-                    let x = fields.reconstruct();
-                    if fields.sign {
-                        0.0
-                    } else {
-                        x
-                    }
-                }
+                0.0
+            } else {
+                fields.reconstruct()
             };
         }
-        self.lut
-            .entry(fields.sign, fields.mantissa, clamped.exponent)
-            .unwrap_or_else(|| op.eval(fields.reconstruct()))
+        // `select_window` keeps every window inside the stored exponents.
+        self.lut.stored(fields.sign, fields.mantissa, fields.exponent)
     }
 
     /// Full softmax pipeline (Section 4.1): max subtraction, VLP exp
@@ -430,23 +452,7 @@ impl VlpNonlinear {
     /// (the division adds `rows` extra vector-array cycles, reported in the
     /// architecture model, not here).
     pub fn softmax(&self, logits: &[f32]) -> (Vec<f32>, ApproxStats) {
-        assert!(
-            matches!(self.op(), NonlinearOp::Softmax | NonlinearOp::Exp),
-            "softmax pipeline requires an exp/softmax engine"
-        );
-        if logits.is_empty() {
-            return (Vec::new(), ApproxStats::default());
-        }
-        let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let shifted: Vec<f32> = logits.iter().map(|&x| x - max).collect();
-        let (exps, stats) = self.apply(&shifted);
-        let sum: f32 = exps.iter().sum();
-        if sum <= 0.0 || !sum.is_finite() {
-            let uniform = 1.0 / logits.len() as f32;
-            return (vec![uniform; logits.len()], stats);
-        }
-        let inv = 1.0 / sum;
-        (exps.iter().map(|&e| e * inv).collect(), stats)
+        self.softmax_rows_checked(logits, logits.len().max(1))
     }
 
     /// Row-wise softmax over a row-major matrix of `cols` columns.
@@ -456,20 +462,36 @@ impl VlpNonlinear {
     pub fn softmax_rows(&self, data: &[f32], cols: usize) -> (Vec<f32>, ApproxStats) {
         assert!(cols > 0, "cols must be non-zero");
         assert_eq!(data.len() % cols, 0, "data length must be a multiple of cols");
+        self.softmax_rows_checked(data, cols)
+    }
+
+    /// [`softmax`](Self::softmax) of every `cols`-wide row, through one
+    /// shifted-row buffer; each row's exps are normalised where they were
+    /// appended.
+    fn softmax_rows_checked(&self, data: &[f32], cols: usize) -> (Vec<f32>, ApproxStats) {
+        assert!(
+            matches!(self.op(), NonlinearOp::Softmax | NonlinearOp::Exp),
+            "softmax pipeline requires an exp/softmax engine"
+        );
         let mut out = Vec::with_capacity(data.len());
-        let mut total = ApproxStats::default();
+        let mut stats = ApproxStats::default();
+        let mut shifted = Vec::with_capacity(cols);
         for row in data.chunks(cols) {
-            let (probs, stats) = self.softmax(row);
-            out.extend(probs);
-            total.elements += stats.elements;
-            total.mappings += stats.mappings;
-            total.underflows += stats.underflows;
-            total.overflows += stats.overflows;
-            total.specials += stats.specials;
-            total.latency_cycles = stats.latency_cycles;
-            total.cycles_per_mapping = stats.cycles_per_mapping;
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            shifted.clear();
+            shifted.extend(row.iter().map(|&x| x - max));
+            let start = out.len();
+            self.apply_into(&shifted, &mut out, &mut stats);
+            let exps = &mut out[start..];
+            let sum: f32 = exps.iter().sum();
+            if sum <= 0.0 || !sum.is_finite() {
+                exps.fill(1.0 / row.len() as f32);
+            } else {
+                let inv = 1.0 / sum;
+                exps.iter_mut().for_each(|e| *e *= inv);
+            }
         }
-        (out, total)
+        (out, stats)
     }
 }
 
@@ -649,6 +671,329 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The engine as it was written before the buffer-free kernel: a
+    /// `Vec<Vec<f32>>` LUT, a field buffer and an exponent buffer per
+    /// mapping, `clamp_exponent` and `Option` lookups, and three `Vec`s per
+    /// softmax row. It is the oracle the kernel must match bit for bit.
+    struct FieldBufferEngine {
+        op: NonlinearOp,
+        config: VlpApproxConfig,
+        rows: Vec<Vec<f32>>,
+        signs: usize,
+        array_rows: usize,
+    }
+
+    impl FieldBufferEngine {
+        fn new(op: NonlinearOp, config: VlpApproxConfig, array_rows: usize) -> Self {
+            let signs = if op.inputs_non_positive() { 1 } else { 2 };
+            let mantissas = 1usize << config.mantissa_bits;
+            let mut rows = Vec::new();
+            for sign_idx in 0..signs {
+                let sign = if signs == 1 { true } else { sign_idx == 1 };
+                for m in 0..mantissas {
+                    let mut row = Vec::new();
+                    for e in config.lut_min_exp..=config.lut_max_exp {
+                        let frac = 1.0 + m as f32 / mantissas as f32;
+                        let magnitude = frac * 2f32.powi(e);
+                        row.push(op.eval(if sign { -magnitude } else { magnitude }));
+                    }
+                    rows.push(row);
+                }
+            }
+            FieldBufferEngine { op, config, rows, signs, array_rows }
+        }
+
+        fn entry(&self, sign: bool, mantissa: u8, exponent: i32) -> Option<f32> {
+            if exponent < self.config.lut_min_exp || exponent > self.config.lut_max_exp {
+                return None;
+            }
+            let mantissas = 1usize << self.config.mantissa_bits;
+            let sign_idx = if self.signs == 1 { 0 } else { usize::from(sign) };
+            let idx = (exponent - self.config.lut_min_exp) as usize;
+            Some(self.rows[sign_idx * mantissas + mantissa as usize][idx])
+        }
+
+        fn select_window(&self, exponents: &[i32]) -> SlidingWindow {
+            let config = &self.config;
+            let size = config.window_size as i32;
+            let (full_lo, full_hi) = (config.lut_min_exp, config.lut_max_exp);
+            let clamp_lo = |lo: i32| {
+                let lo = lo.clamp(full_lo, (full_hi - size + 1).max(full_lo));
+                SlidingWindow { lo, hi: (lo + size - 1).min(full_hi) }
+            };
+            match config.strategy {
+                WindowStrategy::Fixed(lo) => clamp_lo(lo),
+                WindowStrategy::AnchorMax => {
+                    let max = exponents.iter().copied().max().unwrap_or(full_hi);
+                    clamp_lo(max.min(full_hi) - size + 1)
+                }
+                WindowStrategy::AnchorMin => {
+                    let min = exponents.iter().copied().min().unwrap_or(full_lo);
+                    clamp_lo(min.max(full_lo))
+                }
+            }
+        }
+
+        fn apply(&self, inputs: &[f32]) -> (Vec<f32>, ApproxStats) {
+            let config = self.config;
+            let mut outputs = Vec::with_capacity(inputs.len());
+            let mut stats = ApproxStats { elements: inputs.len(), ..ApproxStats::default() };
+            let mut fields = Vec::new();
+            let mut exponents = Vec::new();
+            for mapping in inputs.chunks(self.array_rows) {
+                fields.clear();
+                fields.extend(
+                    mapping.iter().map(|&x| FloatFields::split_f32(x, config.mantissa_bits)),
+                );
+                exponents.clear();
+                exponents.extend(
+                    fields.iter().filter(|f| !f.is_zero && f.special.is_none()).map(|f| f.exponent),
+                );
+                let window = self.select_window(&exponents);
+                for f in &fields {
+                    outputs.push(self.approximate_one(f, &window, &mut stats));
+                }
+                stats.mappings += 1;
+            }
+            let mantissa_sweep = sweep_cycles(config.mantissa_bits as u32);
+            stats.latency_cycles = mantissa_sweep + config.window_size as u64;
+            stats.cycles_per_mapping = mantissa_sweep;
+            (outputs, stats)
+        }
+
+        fn approximate_one(
+            &self,
+            fields: &FloatFields,
+            window: &SlidingWindow,
+            stats: &mut ApproxStats,
+        ) -> f32 {
+            let op = self.op;
+            if let Some(special) = fields.special {
+                stats.specials += 1;
+                return match (special, op) {
+                    (Special::Nan, _) => f32::NAN,
+                    (Special::Infinity, NonlinearOp::Exp | NonlinearOp::Softmax) => {
+                        if fields.sign {
+                            0.0
+                        } else {
+                            f32::INFINITY
+                        }
+                    }
+                    (Special::Infinity, NonlinearOp::Silu | NonlinearOp::Gelu) => {
+                        if fields.sign {
+                            0.0
+                        } else {
+                            f32::INFINITY
+                        }
+                    }
+                };
+            }
+            if fields.is_zero {
+                return op.eval(0.0);
+            }
+            let saturate_high = matches!(op, NonlinearOp::Exp | NonlinearOp::Softmax);
+            let clamped = fields.clamp_exponent(window.lo, window.hi, saturate_high);
+            if clamped.underflowed {
+                stats.underflows += 1;
+                return op.eval(0.0);
+            }
+            if clamped.overflowed {
+                stats.overflows += 1;
+                return match op {
+                    NonlinearOp::Exp | NonlinearOp::Softmax => self
+                        .entry(fields.sign, fields.mantissa, window.hi)
+                        .unwrap_or_else(|| op.eval(fields.reconstruct())),
+                    NonlinearOp::Silu | NonlinearOp::Gelu => {
+                        if fields.sign {
+                            0.0
+                        } else {
+                            fields.reconstruct()
+                        }
+                    }
+                };
+            }
+            self.entry(fields.sign, fields.mantissa, clamped.exponent)
+                .unwrap_or_else(|| op.eval(fields.reconstruct()))
+        }
+
+        fn softmax(&self, logits: &[f32]) -> (Vec<f32>, ApproxStats) {
+            if logits.is_empty() {
+                return (Vec::new(), ApproxStats::default());
+            }
+            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let shifted: Vec<f32> = logits.iter().map(|&x| x - max).collect();
+            let (exps, stats) = self.apply(&shifted);
+            let sum: f32 = exps.iter().sum();
+            if sum <= 0.0 || !sum.is_finite() {
+                return (vec![1.0 / logits.len() as f32; logits.len()], stats);
+            }
+            let inv = 1.0 / sum;
+            (exps.iter().map(|&e| e * inv).collect(), stats)
+        }
+
+        fn softmax_rows(&self, data: &[f32], cols: usize) -> (Vec<f32>, ApproxStats) {
+            let mut out = Vec::with_capacity(data.len());
+            let mut total = ApproxStats::default();
+            for row in data.chunks(cols) {
+                let (probs, stats) = self.softmax(row);
+                out.extend(probs);
+                total.elements += stats.elements;
+                total.mappings += stats.mappings;
+                total.underflows += stats.underflows;
+                total.overflows += stats.overflows;
+                total.specials += stats.specials;
+                total.latency_cycles = stats.latency_cycles;
+                total.cycles_per_mapping = stats.cycles_per_mapping;
+            }
+            (out, total)
+        }
+    }
+
+    /// Deterministic inputs spanning the LUT windows and far beyond them,
+    /// with every edge the kernel special-cases mixed in: NaN, ±∞, ±0,
+    /// subnormals and the largest finite BF16 (whose rounding carries and
+    /// clamps). `non_positive` negates every positive finite value.
+    fn kernel_inputs(len: usize, seed: u64, non_positive: bool) -> Vec<f32> {
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(0x0001_0000),  // smallest BF16 subnormal
+            -f32::from_bits(0x007F_0000), // largest BF16 subnormal, negated
+            f32::from_bits(0x7F7F_0000),  // 0x7F7F, the carry-clamp edge
+            -f32::from_bits(0x7F7F_0000),
+            f32::from_bits(0x3FFF_0000), // 1.9921875 rounds up a binade
+            -f32::from_bits(0x3FFF_0000),
+        ];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let x = if i % 7 == 3 {
+                    edges[(state >> 40) as usize % edges.len()]
+                } else {
+                    let exponent = (state >> 32) as i32 % 24 - 14;
+                    let frac = 1.0 + (state & 0xFFFF) as f32 / 65536.0;
+                    let sign = if state >> 63 == 1 { -1.0 } else { 1.0 };
+                    sign * frac * 2f32.powi(exponent)
+                };
+                if non_positive && x > 0.0 && x.is_finite() {
+                    -x
+                } else {
+                    x
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn kernel_configs(op: NonlinearOp) -> Vec<VlpApproxConfig> {
+        let base = VlpApproxConfig::recommended_for(op);
+        let mut configs = vec![
+            base,
+            VlpApproxConfig { strategy: WindowStrategy::AnchorMin, ..base },
+            VlpApproxConfig { strategy: WindowStrategy::Fixed(-3), ..base },
+            VlpApproxConfig { strategy: WindowStrategy::Fixed(-40), ..base },
+        ];
+        for (mantissa_bits, strategy) in [
+            (1, WindowStrategy::AnchorMax),
+            (5, WindowStrategy::AnchorMin),
+            (7, WindowStrategy::Fixed(0)),
+        ] {
+            configs.push(VlpApproxConfig {
+                mantissa_bits,
+                lut_min_exp: -9,
+                lut_max_exp: 2,
+                window_size: 5,
+                strategy,
+            });
+        }
+        configs
+    }
+
+    #[test]
+    fn apply_matches_the_field_buffer_engine_bit_for_bit() {
+        for op in [NonlinearOp::Silu, NonlinearOp::Gelu, NonlinearOp::Exp, NonlinearOp::Softmax] {
+            for (c, config) in kernel_configs(op).into_iter().enumerate() {
+                // Array widths that cut the input part-way, hold it whole,
+                // or map one element at a time.
+                for array_rows in [1, 5, 32, 256, 1000] {
+                    let engine = VlpNonlinear::with_array_rows(op, config, array_rows);
+                    let oracle = FieldBufferEngine::new(op, config, array_rows);
+                    for len in [0, 1, 31, 300] {
+                        let inputs = kernel_inputs(
+                            len,
+                            (c * 1000 + len) as u64,
+                            op != NonlinearOp::Silu && op != NonlinearOp::Gelu,
+                        );
+                        let (out, stats) = engine.apply(&inputs);
+                        let (want, want_stats) = oracle.apply(&inputs);
+                        let case = format!("{op:?} config {c} rows {array_rows} len {len}");
+                        assert_eq!(bits(&out), bits(&want), "{case}");
+                        assert_eq!(stats, want_stats, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_match_the_field_buffer_engine_bit_for_bit() {
+        for op in [NonlinearOp::Softmax, NonlinearOp::Exp] {
+            for (c, config) in kernel_configs(op).into_iter().enumerate() {
+                for array_rows in [3, 16, 32, 256] {
+                    let engine = VlpNonlinear::with_array_rows(op, config, array_rows);
+                    let oracle = FieldBufferEngine::new(op, config, array_rows);
+                    for cols in [1, 7, 32, 40] {
+                        let mut data = kernel_inputs(cols * 9, (c * 100 + cols) as u64, false);
+                        // One row all -inf (NaN after the shift, so uniform),
+                        // one row all zero.
+                        data[..cols].fill(f32::NEG_INFINITY);
+                        data[cols..2 * cols].fill(0.0);
+                        let case = format!("{op:?} config {c} rows {array_rows} cols {cols}");
+                        let (out, stats) = engine.softmax_rows(&data, cols);
+                        let (want, want_stats) = oracle.softmax_rows(&data, cols);
+                        assert_eq!(bits(&out), bits(&want), "{case}");
+                        assert_eq!(stats, want_stats, "{case}");
+                        let (out, stats) = engine.softmax(&data[2 * cols..]);
+                        let (want, want_stats) = oracle.softmax(&data[2 * cols..]);
+                        assert_eq!(bits(&out), bits(&want), "{case} (softmax)");
+                        assert_eq!(stats, want_stats, "{case} (softmax)");
+                    }
+                    assert_eq!(engine.softmax(&[]), oracle.softmax(&[]));
+                    assert_eq!(engine.softmax_rows(&[], 4), oracle.softmax_rows(&[], 4));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Exp engine stores only non-positive inputs, got 0.5")]
+    fn single_sign_engine_rejects_positive_inputs() {
+        let engine =
+            VlpNonlinear::new(NonlinearOp::Exp, VlpApproxConfig::recommended_for(NonlinearOp::Exp));
+        engine.apply(&[-1.0, 0.5]);
+    }
+
+    #[test]
+    fn single_sign_engine_accepts_zero_and_specials_of_either_sign() {
+        let engine = VlpNonlinear::new(
+            NonlinearOp::Softmax,
+            VlpApproxConfig::recommended_for(NonlinearOp::Softmax),
+        );
+        let (out, stats) = engine.apply(&[0.0, -0.0, f32::INFINITY, f32::NAN, -2.0]);
+        assert_eq!(&out[..3], &[1.0, 1.0, f32::INFINITY]);
+        assert!(out[3].is_nan());
+        assert_eq!(stats.specials, 2);
     }
 
     #[test]

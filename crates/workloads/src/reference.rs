@@ -15,6 +15,7 @@
 
 use crate::models::ModelId;
 use mugi_numerics::error::perplexity_from_nats;
+use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::{softmax, NonlinearOp};
 use mugi_numerics::tensor::{pseudo_random_matrix, Matrix};
 use serde::{Deserialize, Serialize};
@@ -254,21 +255,22 @@ impl ReferenceModel {
 
     /// The exact next-token targets of the first `sequences` synthetic
     /// sequences: one exact forward per sequence, softmaxed per position.
-    /// Build them once and score every backend against them.
+    /// Build them once and score every backend against them. The forwards
+    /// run on every core; each depends only on its sequence, so the targets
+    /// are the same at any core count.
     pub fn proxy_targets(&self, sequences: usize) -> ProxyTargets {
         let vocab = self.config.vocab;
-        let sequences = (0..sequences)
-            .map(|s| {
-                let tokens = self.synthetic_sequence(s as u64);
-                let exact_logits = self.forward(&tokens, &ExactBackend);
-                let positions = tokens.len().saturating_sub(1);
-                let mut data = Vec::with_capacity(positions * vocab);
-                for pos in 0..positions {
-                    data.extend(softmax(exact_logits.row(pos)));
-                }
-                SequenceTargets { tokens, targets: Matrix::from_vec(positions, vocab, data) }
-            })
-            .collect();
+        let indices: Vec<u64> = (0..sequences as u64).collect();
+        let sequences = ExecutionContext::host_parallel().map(&indices, |&s| {
+            let tokens = self.synthetic_sequence(s);
+            let exact_logits = self.forward(&tokens, &ExactBackend);
+            let positions = tokens.len().saturating_sub(1);
+            let mut data = Vec::with_capacity(positions * vocab);
+            for pos in 0..positions {
+                data.extend(softmax(exact_logits.row(pos)));
+            }
+            SequenceTargets { tokens, targets: Matrix::from_vec(positions, vocab, data) }
+        });
         ProxyTargets { config: self.config, sequences }
     }
 

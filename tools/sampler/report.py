@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self and inclusive time per function from a sampler.so profile.
 
-Usage: report.py PROFILE [--top N] [--within FUNCTION]
+Usage: report.py PROFILE [--top N] [--within FUNCTION] [--callees FUNCTION]
 
 PROFILE is the file sampler.so wrote (SAMPLER_OUT). Each sample's program
 counters are attributed to the file mapped at that address, then
@@ -15,6 +15,12 @@ attributed to their library's name.
 With --within FUNCTION, only the stacks with a frame whose name contains
 FUNCTION are kept, and shares are of those stacks: the split of one
 figure's time, e.g. `--within fig04_profiling`.
+
+With --callees FUNCTION, the stacks with a frame whose name contains
+FUNCTION are shared out by the frame just inside the innermost such frame
+(its direct callee), with `(self)` for the samples where that frame is the
+innermost one: the split of one function's time across what it calls, e.g.
+`--callees ReferenceModel::layer`. Shares are of those stacks.
 """
 
 import argparse
@@ -106,6 +112,8 @@ def main():
     parser.add_argument("--top", type=int, default=30)
     parser.add_argument("--within", metavar="FUNCTION",
                         help="keep only stacks with a frame whose name contains FUNCTION")
+    parser.add_argument("--callees", metavar="FUNCTION",
+                        help="split the stacks through FUNCTION by its direct callee")
     args = parser.parse_args()
 
     header, executable, stacks, maps = read_profile(args.profile)
@@ -131,6 +139,7 @@ def main():
     chains = {path: symbolise(path, addresses) for path, addresses in wanted.items()}
 
     self_counts, inclusive_counts = collections.Counter(), collections.Counter()
+    callee_counts = collections.Counter()
     kept = 0
     for sample in frames:
         names = []
@@ -143,19 +152,31 @@ def main():
                 names.append(f"[unmapped {address:#x}]")
         if args.within and not any(args.within in name for name in names):
             continue
+        if args.callees:
+            depth = next((i for i, name in enumerate(names) if args.callees in name), None)
+            if depth is None:
+                continue
+            callee_counts[names[depth - 1] if depth else "(self)"] += 1
         kept += 1
         self_counts[names[0]] += 1
         inclusive_counts.update(set(names))
 
     total = len(frames)
     print(f"{header}; {total} stacks from {args.profile}")
-    if args.within:
+    tables = [("self", self_counts), ("inclusive", inclusive_counts)]
+    if args.within or args.callees:
+        through = " and ".join(
+            f"{word} {name}" for word, name in (("within", args.within), ("through", args.callees))
+            if name
+        )
         if not kept:
-            sys.exit(f"{args.profile}: no stacks within {args.within}")
+            sys.exit(f"{args.profile}: no stacks {through}")
         share = 100.0 * kept / total
-        print(f"{kept} stacks ({share:.2f}%) within {args.within}; shares below are of those")
+        print(f"{kept} stacks ({share:.2f}%) {through}; shares below are of those")
         total = kept
-    for title, counts in (("self", self_counts), ("inclusive", inclusive_counts)):
+    if args.callees:
+        tables = [("callee", callee_counts)]
+    for title, counts in tables:
         print(f"\n{title:>9}  samples  function")
         for name, count in counts.most_common(args.top):
             print(f"{100.0 * count / total:8.2f}%  {count:7d}  {name}")
