@@ -8,7 +8,7 @@
 //! reports area, leakage power, dynamic energy, cycle count and runtime, with
 //! module-level metrics coming from 45 nm synthesis and CACTI. This crate
 //! reproduces that methodology with a documented analytic cost table
-//! ([`cost`]) in place of synthesis (see DESIGN.md, substitution table):
+//! ([`cost`]) in place of synthesis:
 //!
 //! * [`cost`] — per-module area / energy / leakage constants and the
 //!   CACTI-like SRAM model;

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for Mugi's design choices:
 //! value-centric sliding window, mantissa rounding width, buffer organisation
 //! and the batch/GQA utilisation lever.
 

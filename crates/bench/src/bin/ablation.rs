@@ -1,6 +1,7 @@
-//! Runs the ablation and extension studies (DESIGN.md section 5 and the
-//! paper's Section 7.1 discussion items): sliding-window placement, mantissa
-//! width, buffer organisation, HBM bandwidth sensitivity and MoE workloads.
+//! Runs the ablation and extension studies (the `ablation` row of
+//! EXPERIMENTS.md's "Binary → paper artifact" table, and the paper's Section
+//! 7.1 discussion items): sliding-window placement, mantissa width, buffer
+//! organisation, HBM bandwidth sensitivity and MoE workloads.
 
 use mugi::experiments::ablations::{
     ablation_bandwidth, ablation_bandwidth_table, ablation_buffers, ablation_buffers_table,

@@ -1,9 +1,9 @@
 //! Shared helpers for the Mugi benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation section (see `DESIGN.md` for the experiment index);
-//! the Criterion benches in `benches/` measure the reproduction's own kernels
-//! and experiment drivers.
+//! paper's evaluation section (EXPERIMENTS.md, "Binary → paper artifact", is
+//! the index); the Criterion benches in `benches/` measure the reproduction's
+//! own kernels and experiment drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,8 @@
-//! Ablation experiments for the design choices DESIGN.md calls out, plus the
+//! Ablation experiments for Mugi's design choices (value-centric sliding
+//! window, mantissa rounding width, buffer organisation), plus the
 //! discussion-section extensions (Section 7.1): MoE workloads and HBM
-//! bandwidth sensitivity.
+//! bandwidth sensitivity. EXPERIMENTS.md's "Binary → paper artifact" table
+//! lists them under the `ablation` binary.
 //!
 //! These go beyond the paper's figures: they quantify *why* each Mugi design
 //! choice matters by removing it and re-measuring.

@@ -15,7 +15,7 @@ use mugi_vlp::tuning::{config_for_anchor, tune_layers, TuningTrace, WindowAnchor
 use mugi_workloads::distributions::{profiles, DistributionProfile};
 use mugi_workloads::models::{ModelFamily, ModelId};
 use mugi_workloads::reference::{
-    ExactBackend, HookedBackend, NonlinearBackend, ProxyTargets, ReferenceConfig, ReferenceModel,
+    HookedBackend, NonlinearBackend, ProxyTargets, ReferenceConfig, ReferenceModel,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -213,7 +213,9 @@ enum SweepPoint {
 
 /// Figure 6: sweeps approximation configurations per method and reports the
 /// proxy perplexity of each on a reference model mimicking `model`'s family.
-/// The points are independent, so they are scored on every core.
+/// The exact point is read off the targets, whose forwards already ran
+/// ([`ProxyTargets::exact_cross_entropy`]). The other points are
+/// independent, so they are scored on every core.
 pub fn fig06_accuracy_sweep(preset: Preset, model: ModelId) -> Vec<AccuracyRow> {
     let reference = ReferenceModel::new(ReferenceConfig::scaled_from(model, 17));
     let targets = reference.proxy_targets(preset.eval_sequences());
@@ -242,7 +244,7 @@ pub fn fig06_accuracy_sweep(preset: Preset, model: ModelId) -> Vec<AccuracyRow> 
             SweepPoint::Exact => (
                 Method::Exact,
                 "-".to_string(),
-                reference.proxy_perplexity(&ExactBackend, &targets),
+                perplexity_from_nats(targets.exact_cross_entropy()),
             ),
             SweepPoint::VlpAdaptive => (
                 Method::Vlp,
@@ -660,6 +662,7 @@ mod tests {
     use super::*;
     use mugi_numerics::fields::FloatFields;
     use mugi_workloads::distributions::ProfileHistogram;
+    use mugi_workloads::reference::ExactBackend;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -770,6 +773,21 @@ mod tests {
         let best_baseline = pwl.min(taylor);
         assert!(vlp <= best_baseline * 1.2, "vlp {vlp} baseline {best_baseline}");
         assert!(!fig06_table(&rows).is_empty());
+    }
+
+    #[test]
+    fn exact_point_from_targets_equals_the_exact_forwards() {
+        for config in
+            [ReferenceConfig::small(17), ReferenceConfig::scaled_from(ModelId::Llama2_7b, 17)]
+        {
+            let reference = ReferenceModel::new(config);
+            for sequences in [1, Preset::Full.eval_sequences()] {
+                let targets = reference.proxy_targets(sequences);
+                let forwards = reference.proxy_cross_entropy(&ExactBackend, &targets);
+                let read_off = targets.exact_cross_entropy();
+                assert_eq!(read_off.to_bits(), forwards.to_bits(), "{config:?} × {sequences}");
+            }
+        }
     }
 
     /// Figure 7's schedule once its pinned defect is fixed: every sequence

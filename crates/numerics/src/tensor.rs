@@ -264,21 +264,29 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Column width of the register micro-kernel: 16 f32 lanes per row block.
-const JR: usize = 16;
+/// Lanes (output columns) of the main register panel.
+const NR: usize = 16;
 
 /// Blocked GEMM over a contiguous band of output rows.
 ///
 /// `out` holds the rows `row0 .. row0 + out.len() / n` of the full output.
 /// The `k` loop is tiled so one `tile`-row panel of `b` stays cache-resident
-/// while it is applied to the whole band, and the band is walked by a 4×16
-/// register micro-kernel: four output rows times sixteen columns accumulate
-/// in local arrays across the k-tile, so each loaded `b` element feeds four
-/// rows and the output is touched once per k-tile instead of once per `k`
-/// step. For every output element the partial products are still added in
-/// ascending-`k` order (k-tiles ascend, `kk` ascends inside a tile, and the
-/// spill/reload of the f32 accumulators is lossless) with the naive kernel's
-/// exact-zero skip, which keeps the result bit-identical to [`matmul_naive`].
+/// while it is applied to the whole band. Inside a k-tile the band is walked
+/// two rows at a time (a leftover row alone), and each pair of rows is cut
+/// into register panels by [`panel_row`]: [`NR`] columns wide, then 4, then
+/// 1 for the tail columns.
+///
+/// The panel size is set by the register file. Baseline x86-64 has 16 SSE
+/// registers of four f32 lanes each. A 2×16 panel keeps 8 accumulators, the
+/// 4 registers of one `b` segment and 2 `a` broadcasts live, 14 in all, so
+/// nothing spills inside the `k` loop. (A 4×16 panel needs 16 accumulators
+/// alone and spills the `b` segment and the broadcasts every step.)
+///
+/// For every output element the partial products are still added in
+/// ascending-`k` order, starting from the stored value (k-tiles ascend, `kk`
+/// ascends inside a tile, and the spill/reload of the f32 accumulators is
+/// lossless), with the naive kernel's exact-zero skip on `a`. That keeps the
+/// result bit-identical to [`matmul_naive`].
 fn matmul_rows_blocked(
     a: &[f32],
     b: &[f32],
@@ -289,94 +297,77 @@ fn matmul_rows_blocked(
     tile: usize,
 ) {
     let rows = out.len() / n;
-    let n_main = n - n % JR;
-    let mut dst: Vec<&mut [f32]> = out.chunks_mut(n).collect();
     for kb in (0..k).step_by(tile) {
         let k_end = (kb + tile).min(k);
-        let mut r = 0;
-        while r + 4 <= rows {
-            if let [d0, d1, d2, d3] = &mut dst[r..r + 4] {
-                let ar = row0 + r;
-                for jb in (0..n_main).step_by(JR) {
-                    let mut acc0 = [0.0f32; JR];
-                    let mut acc1 = [0.0f32; JR];
-                    let mut acc2 = [0.0f32; JR];
-                    let mut acc3 = [0.0f32; JR];
-                    acc0.copy_from_slice(&d0[jb..jb + JR]);
-                    acc1.copy_from_slice(&d1[jb..jb + JR]);
-                    acc2.copy_from_slice(&d2[jb..jb + JR]);
-                    acc3.copy_from_slice(&d3[jb..jb + JR]);
-                    for kk in kb..k_end {
-                        let bseg: &[f32; JR] =
-                            b[kk * n + jb..kk * n + jb + JR].try_into().expect("JR segment");
-                        let base = ar * k + kk;
-                        let (a0, a1, a2, a3) =
-                            (a[base], a[base + k], a[base + 2 * k], a[base + 3 * k]);
-                        if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                            for j in 0..JR {
-                                let bv = bseg[j];
-                                acc0[j] += a0 * bv;
-                                acc1[j] += a1 * bv;
-                                acc2[j] += a2 * bv;
-                                acc3[j] += a3 * bv;
-                            }
-                        } else {
-                            for (aq, acc) in
-                                [(a0, &mut acc0), (a1, &mut acc1), (a2, &mut acc2), (a3, &mut acc3)]
-                            {
-                                if aq == 0.0 {
-                                    continue;
-                                }
-                                for j in 0..JR {
-                                    acc[j] += aq * bseg[j];
-                                }
-                            }
-                        }
-                    }
-                    d0[jb..jb + JR].copy_from_slice(&acc0);
-                    d1[jb..jb + JR].copy_from_slice(&acc1);
-                    d2[jb..jb + JR].copy_from_slice(&acc2);
-                    d3[jb..jb + JR].copy_from_slice(&acc3);
+        let b_tile = &b[kb * n..k_end * n];
+        // The `a` row of output row `r` of the band, cut to this k-tile.
+        let a_row = |r: usize| &a[(row0 + r) * k + kb..(row0 + r) * k + k_end];
+        let mut pairs = out.chunks_exact_mut(2 * n);
+        for (p, pair) in (&mut pairs).enumerate() {
+            let (d0, d1) = pair.split_at_mut(n);
+            panel_row([a_row(2 * p), a_row(2 * p + 1)], b_tile, [d0, d1]);
+        }
+        let rest = pairs.into_remainder();
+        if !rest.is_empty() {
+            panel_row([a_row(rows - 1)], b_tile, [rest]);
+        }
+    }
+}
+
+/// Applies one k-tile to `R` output rows `dst` (each `n` wide): the `a`
+/// rows `a` cut to the tile, times the tile's `b` rows `b` (`a[r].len()`
+/// rows of `n`). Columns go [`NR`] lanes at a time, then 4, then 1.
+fn panel_row<const R: usize>(a: [&[f32]; R], b: &[f32], mut dst: [&mut [f32]; R]) {
+    let n = dst[0].len();
+    let mut jb = 0;
+    while jb + NR <= n {
+        panel::<R, NR>(&a, &b[jb..], n, &mut dst, jb);
+        jb += NR;
+    }
+    while jb + 4 <= n {
+        panel::<R, 4>(&a, &b[jb..], n, &mut dst, jb);
+        jb += 4;
+    }
+    while jb < n {
+        panel::<R, 1>(&a, &b[jb..], n, &mut dst, jb);
+        jb += 1;
+    }
+}
+
+/// The register panel: `R` output rows × `W` columns starting at `jb`,
+/// accumulated in registers over one k-tile. `b` starts at column `jb` of
+/// the tile's first `b` row; its rows are `n` apart.
+fn panel<const R: usize, const W: usize>(
+    a: &[&[f32]; R],
+    b: &[f32],
+    n: usize,
+    dst: &mut [&mut [f32]; R],
+    jb: usize,
+) {
+    let mut acc: [[f32; W]; R] =
+        std::array::from_fn(|r| dst[r][jb..jb + W].try_into().expect("W lanes"));
+    for (kk, b_row) in b.chunks(n).take(a[0].len()).enumerate() {
+        let bseg: &[f32; W] = b_row[..W].try_into().expect("W lanes");
+        let av: [f32; R] = std::array::from_fn(|r| a[r][kk]);
+        if av.iter().all(|&x| x != 0.0) {
+            for j in 0..W {
+                for r in 0..R {
+                    acc[r][j] += av[r] * bseg[j];
                 }
             }
-            r += 4;
-        }
-        // Leftover rows (band length not a multiple of 4): 1×16 micro-kernel.
-        while r < rows {
-            let ar = row0 + r;
-            for jb in (0..n_main).step_by(JR) {
-                let mut acc = [0.0f32; JR];
-                acc.copy_from_slice(&dst[r][jb..jb + JR]);
-                for kk in kb..k_end {
-                    let av = a[ar * k + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let bseg: &[f32; JR] =
-                        b[kk * n + jb..kk * n + jb + JR].try_into().expect("JR segment");
-                    for j in 0..JR {
-                        acc[j] += av * bseg[j];
-                    }
+        } else {
+            for (acc, &x) in acc.iter_mut().zip(&av) {
+                if x == 0.0 {
+                    continue;
                 }
-                dst[r][jb..jb + JR].copy_from_slice(&acc);
-            }
-            r += 1;
-        }
-        // Tail columns (n not a multiple of 16): plain guarded row updates.
-        if n_main < n {
-            for (r, row) in dst.iter_mut().enumerate() {
-                let d = &mut row[n_main..];
-                for kk in kb..k_end {
-                    let av = a[(row0 + r) * k + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (x, &bv) in d.iter_mut().zip(&b[kk * n + n_main..(kk + 1) * n]) {
-                        *x += av * bv;
-                    }
+                for j in 0..W {
+                    acc[j] += x * bseg[j];
                 }
             }
         }
+    }
+    for (d, acc) in dst.iter_mut().zip(&acc) {
+        d[jb..jb + W].copy_from_slice(acc);
     }
 }
 
@@ -514,24 +505,61 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Odd, non-tile-aligned shapes, including zeros in the activations so
-        // the skip path is exercised.
-        for &(m, k, n) in &[(1, 1, 1), (4, 4, 4), (7, 13, 5), (17, 33, 29), (64, 65, 63)] {
-            let mut a = pseudo_random_matrix(m, k, (m * k) as u64 + 1, 1.0);
-            if m > 2 && k > 2 {
-                a[(1, 2)] = 0.0;
-                a[(m - 1, 0)] = 0.0;
+        // Every n in 1..=40 hits every tail width (16-lane panels, then 4,
+        // then 1); odd m takes the one-row panel; k runs below and above the
+        // default tile. Some activations are exact zeros, so each panel sees
+        // both its all-nonzero and its per-row skip path.
+        for m in 1..=9 {
+            for k in [5, 70] {
+                let mut a = pseudo_random_matrix(m, k, (m * k) as u64 + 1, 1.0);
+                for i in 0..m {
+                    for kk in (i % 7..k).step_by(7) {
+                        a[(i, kk)] = 0.0;
+                    }
+                }
+                for n in 1..=40 {
+                    let b = pseudo_random_matrix(k, n, (k * n) as u64 + 2, 1.0);
+                    let reference = matmul_naive(&a, &b);
+                    for threads in [1, 2, 3] {
+                        for tile in [1, 3, 64] {
+                            let got = a.matmul_with(&b, &ExecutionContext::new(threads, tile));
+                            assert_bit_identical(&got, &reference);
+                        }
+                    }
+                    assert_bit_identical(&a.matmul(&b), &reference);
+                }
             }
-            let b = pseudo_random_matrix(k, n, (k * n) as u64 + 2, 1.0);
-            let reference = matmul_naive(&a, &b);
-            for threads in [1, 2, 3, 8] {
-                for tile in [1, 3, 16, 64, 128] {
-                    let got = a.matmul_with(&b, &ExecutionContext::new(threads, tile));
+        }
+    }
+
+    #[test]
+    fn blocked_matmul_keeps_the_bits_of_special_values() {
+        const POOL: [f32; 8] =
+            [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5, -2.0, 0.25];
+        let check = |a: &Matrix, b: &Matrix| {
+            let reference = matmul_naive(a, b);
+            for threads in [1, 2, 3] {
+                for tile in [1, 3, 64] {
+                    let got = a.matmul_with(b, &ExecutionContext::new(threads, tile));
                     assert_bit_identical(&got, &reference);
                 }
             }
-            assert_bit_identical(&a.matmul(&b), &reference);
+        };
+        for m in 1..=5 {
+            for k in [3, 9] {
+                let a = Matrix::from_fn(m, k, |i, kk| POOL[(3 * i + 5 * kk) % POOL.len()]);
+                for n in [1, 5, 17, 33] {
+                    let b = Matrix::from_fn(k, n, |kk, j| POOL[(7 * kk + j) % POOL.len()]);
+                    check(&a, &b);
+                }
+            }
         }
+        // A row pair where, at each k, one row's activation is an exact zero
+        // (of either sign) and the other's is not: the zero row must skip the
+        // infinities and NaNs its partner multiplies.
+        let a = Matrix::from_rows(&[&[0.0, 1.0, -0.0, 2.0], &[3.0, -0.0, 0.5, 0.0]]);
+        let b = Matrix::from_fn(4, 21, |kk, j| POOL[(kk + 3 * j) % POOL.len()]);
+        check(&a, &b);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   end-to-end effect of nonlinear approximation (proxy perplexity for
 //!   Figures 6 and 7).
 //!
-//! The substitution rationale is documented in `DESIGN.md` at the repository
-//! root: every downstream experiment consumes either operator *shapes* or
-//! input *distributions*, both of which are faithfully reproduced here.
+//! These substitutions are sound because every downstream experiment
+//! consumes either operator *shapes* or input *distributions*, both of which
+//! are faithfully reproduced here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

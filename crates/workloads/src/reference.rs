@@ -8,9 +8,9 @@
 //! swapped between the exact reference and any approximation, evaluated by a
 //! cross-entropy "proxy perplexity" on synthetic sequences.
 //!
-//! What the substitution preserves (see DESIGN.md): the relative ranking of
-//! approximation methods is driven by *where* their error lands relative to
-//! the input density, which is exactly what this pipeline measures. Absolute
+//! What the substitution preserves: the relative ranking of approximation
+//! methods is driven by *where* their error lands relative to the input
+//! density, which is exactly what this pipeline measures. Absolute
 //! perplexities are not comparable to the paper's.
 
 use crate::models::ModelId;
@@ -213,26 +213,42 @@ impl ReferenceModel {
         let k = hidden.matmul(&layer.wk);
         let v = hidden.matmul(&layer.wv);
         let head_dim = self.config.head_dim();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        // Causal scores: only `c <= r` is ever written, so the masked
+        // entries keep their −∞ from head to head.
+        let mut scores = vec![f32::NEG_INFINITY; n * n];
         let mut attn_out = Matrix::zeros(n, d);
         for h in 0..self.config.heads {
-            let col0 = h * head_dim;
-            let slice_cols = |m: &Matrix| Matrix::from_fn(n, head_dim, |r, c| m[(r, col0 + c)]);
-            let qh = slice_cols(&q);
-            let kh = slice_cols(&k);
-            let vh = slice_cols(&v);
-            // Causal scores.
-            let mut scores = qh.matmul(&kh.transpose()).scale(1.0 / (head_dim as f32).sqrt());
+            let cols = h * head_dim..(h + 1) * head_dim;
+            // Each score is a dot product over the head's columns, summed in
+            // `Matrix::matmul`'s order (from 0.0, ascending, skipping
+            // `q == 0`) and then scaled, so it has a GEMM's bits.
             for r in 0..n {
-                for c in (r + 1)..n {
-                    scores[(r, c)] = f32::NEG_INFINITY;
+                let qr = &q.row(r)[cols.clone()];
+                for (c, score) in scores[r * n..=r * n + r].iter_mut().enumerate() {
+                    let mut dot = 0.0f32;
+                    for (&qv, &kv) in qr.iter().zip(&k.row(c)[cols.clone()]) {
+                        if qv != 0.0 {
+                            dot += qv * kv;
+                        }
+                    }
+                    *score = dot * scale;
                 }
             }
-            let probs_flat = backend.softmax_rows(scores.data(), n);
-            let probs = Matrix::from_vec(n, n, probs_flat);
-            let out = probs.matmul(&vh);
-            for r in 0..n {
-                for c in 0..head_dim {
-                    attn_out[(r, col0 + c)] = out[(r, c)];
+            let probs = backend.softmax_rows(&scores, n);
+            // P·V straight into this head's columns of `attn_out`, again in
+            // `matmul`'s order (ascending `c`, skipping `p == 0`). An
+            // approximate softmax may leave weight on masked positions, so
+            // every `c` is visited.
+            for (r, p_row) in probs.chunks_exact(n).enumerate() {
+                let dst = &mut attn_out.data_mut()[r * d..(r + 1) * d][cols.clone()];
+                for (c, &p) in p_row.iter().enumerate() {
+                    if p == 0.0 {
+                        continue;
+                    }
+                    for (o, &vv) in dst.iter_mut().zip(&v.row(c)[cols.clone()]) {
+                        *o += p * vv;
+                    }
                 }
             }
         }
@@ -314,20 +330,11 @@ impl ReferenceModel {
             let logits = logits_of(s, &seq.tokens);
             let logits = logits.borrow();
             for pos in 0..seq.targets.rows() {
-                let probs = softmax(logits.row(pos));
-                for (t, q) in seq.targets.row(pos).iter().zip(&probs) {
-                    if *t > 0.0 {
-                        total -= *t as f64 * (q.max(1e-9) as f64).ln();
-                    }
-                }
+                subtract_nats(&mut total, seq.targets.row(pos), &softmax(logits.row(pos)));
                 count += 1;
             }
         }
-        if count == 0 {
-            0.0
-        } else {
-            (total / count as f64) as f32
-        }
+        mean_nats(total, count)
     }
 
     /// Proxy perplexity (exp of the proxy cross-entropy).
@@ -370,6 +377,44 @@ impl ProxyTargets {
     /// The token sequences scored, in order.
     pub fn tokens(&self) -> impl ExactSizeIterator<Item = &[usize]> {
         self.sequences.iter().map(|seq| seq.tokens.as_slice())
+    }
+
+    /// The proxy cross-entropy of the exact backend, without running it:
+    /// −Σ t·ln(max(t, 1e-9)) over the stored targets, summed in
+    /// [`ReferenceModel::proxy_cross_entropy_of`]'s order. The targets are
+    /// the `softmax` of the exact forward's logits, which is what that
+    /// scorer would compute again, so the result has the same bits as
+    /// `proxy_cross_entropy(&ExactBackend, self)`.
+    pub fn exact_cross_entropy(&self) -> f32 {
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for seq in &self.sequences {
+            for pos in 0..seq.targets.rows() {
+                let targets = seq.targets.row(pos);
+                subtract_nats(&mut total, targets, targets);
+                count += 1;
+            }
+        }
+        mean_nats(total, count)
+    }
+}
+
+/// Subtracts one position's t·ln(max(q, 1e-9)) terms from `total`, in
+/// vocabulary order, skipping zero targets.
+fn subtract_nats(total: &mut f64, targets: &[f32], probs: &[f32]) {
+    for (t, q) in targets.iter().zip(probs) {
+        if *t > 0.0 {
+            *total -= *t as f64 * (q.max(1e-9) as f64).ln();
+        }
+    }
+}
+
+/// The mean cross-entropy per position (0 with no positions).
+fn mean_nats(total: f64, count: usize) -> f32 {
+    if count == 0 {
+        0.0
+    } else {
+        (total / count as f64) as f32
     }
 }
 
@@ -440,7 +485,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mugi_vlp::approx::{VlpApproxConfig, VlpNonlinear};
+    use mugi_approx::pwl::PwlConfig;
+    use mugi_approx::taylor::TaylorConfig;
+    use mugi_approx::{Approximator, PiecewiseLinear, TaylorSeries};
+    use mugi_vlp::approx::{VlpApproxConfig, VlpNonlinear, WindowStrategy};
 
     #[test]
     fn forward_produces_finite_logits() {
@@ -605,6 +653,199 @@ mod tests {
             let whole = model.proxy_cross_entropy(&noisy, &targets);
             assert_eq!(of_noisy.to_bits(), whole.to_bits(), "{sequences} sequences");
             assert!(of_noisy > of_exact, "noise must raise the cross-entropy");
+        }
+    }
+
+    /// `ReferenceModel::layer` with the per-head attention it used to run:
+    /// copy each head's columns out, score them with `matmul` against the
+    /// transposed keys, mask, softmax, `matmul` the probabilities with the
+    /// values and copy the result back.
+    fn layer_with_copied_heads<B: NonlinearBackend>(
+        model: &ReferenceModel,
+        j: usize,
+        hidden: &Matrix,
+        backend: &B,
+    ) -> Matrix {
+        let layer = &model.layers[j];
+        let d = model.config.hidden_dim;
+        let n = hidden.rows();
+        let act_op =
+            if model.config.activation_is_silu { NonlinearOp::Silu } else { NonlinearOp::Gelu };
+        let q = hidden.matmul(&layer.wq);
+        let k = hidden.matmul(&layer.wk);
+        let v = hidden.matmul(&layer.wv);
+        let head_dim = model.config.head_dim();
+        let mut attn_out = Matrix::zeros(n, d);
+        for h in 0..model.config.heads {
+            let col0 = h * head_dim;
+            let slice_cols = |m: &Matrix| Matrix::from_fn(n, head_dim, |r, c| m[(r, col0 + c)]);
+            let qh = slice_cols(&q);
+            let kh = slice_cols(&k);
+            let vh = slice_cols(&v);
+            let mut scores = qh.matmul(&kh.transpose()).scale(1.0 / (head_dim as f32).sqrt());
+            for r in 0..n {
+                for c in (r + 1)..n {
+                    scores[(r, c)] = f32::NEG_INFINITY;
+                }
+            }
+            let probs_flat = backend.softmax_rows(scores.data(), n);
+            let probs = Matrix::from_vec(n, n, probs_flat);
+            let out = probs.matmul(&vh);
+            for r in 0..n {
+                for c in 0..head_dim {
+                    attn_out[(r, col0 + c)] = out[(r, c)];
+                }
+            }
+        }
+        let attn_proj = attn_out.matmul(&layer.wo);
+        let hidden = rms_norm(&hidden.add(&attn_proj));
+        let up = hidden.matmul(&layer.w_up);
+        let gate = hidden.matmul(&layer.w_gate);
+        let activated =
+            Matrix::from_vec(up.rows(), up.cols(), backend.activation(act_op, gate.data()));
+        let ffn = activated.hadamard(&up).matmul(&layer.w_down);
+        rms_norm(&hidden.add(&ffn))
+    }
+
+    /// Runs every layer of every sequence in `tokens` under `backend` and
+    /// asserts that `layer` returns the copied-heads oracle's bits.
+    fn assert_layers_match_copied_heads<'t, B: NonlinearBackend>(
+        model: &ReferenceModel,
+        tokens: impl Iterator<Item = &'t [usize]>,
+        backend: &B,
+    ) {
+        for (s, tokens) in tokens.enumerate() {
+            let mut hidden = model.embed(tokens);
+            for j in 0..model.config.layers {
+                let got = model.layer(j, &hidden, backend);
+                let want = layer_with_copied_heads(model, j, &hidden, backend);
+                for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{} sequence {s} layer {j} element {i}: {x} vs {y}",
+                        backend.label()
+                    );
+                }
+                hidden = got;
+            }
+        }
+    }
+
+    fn vlp(strategy: WindowStrategy) -> impl NonlinearBackend {
+        let config = |op| VlpApproxConfig { strategy, ..VlpApproxConfig::recommended_for(op) };
+        let sm = VlpNonlinear::new(NonlinearOp::Softmax, config(NonlinearOp::Softmax));
+        let silu = VlpNonlinear::new(NonlinearOp::Silu, config(NonlinearOp::Silu));
+        let gelu = VlpNonlinear::new(NonlinearOp::Gelu, config(NonlinearOp::Gelu));
+        HookedBackend::new(
+            format!("VLP {strategy:?}"),
+            move |op, xs: &[f32]| match op {
+                NonlinearOp::Silu => silu.apply(xs).0,
+                NonlinearOp::Gelu => gelu.apply(xs).0,
+                _ => xs.iter().map(|&x| op.eval(x)).collect(),
+            },
+            move |data, cols| sm.softmax_rows(data, cols).0,
+        )
+    }
+
+    /// A backend built from `mugi-approx` approximators, as Figure 6 plugs
+    /// in PWL and Taylor.
+    fn approximators<A: Approximator>(
+        name: &str,
+        softmax: A,
+        silu: A,
+        gelu: A,
+    ) -> impl NonlinearBackend {
+        HookedBackend::new(
+            name,
+            move |op, xs: &[f32]| match op {
+                NonlinearOp::Silu => silu.eval_slice(xs),
+                NonlinearOp::Gelu => gelu.eval_slice(xs),
+                _ => xs.iter().map(|&x| op.eval(x)).collect(),
+            },
+            move |data, cols| data.chunks(cols).flat_map(|row| softmax.softmax(row)).collect(),
+        )
+    }
+
+    fn pwl(segment_range: f32) -> impl NonlinearBackend {
+        let pwl = |op| PiecewiseLinear::new(op, PwlConfig { segments: 22, segment_range });
+        approximators(
+            &format!("PWL range {segment_range}"),
+            pwl(NonlinearOp::Softmax),
+            pwl(NonlinearOp::Silu),
+            pwl(NonlinearOp::Gelu),
+        )
+    }
+
+    fn taylor(degree: usize, center: f32) -> impl NonlinearBackend {
+        let at = |op, center| TaylorSeries::new(op, TaylorConfig { degree, center });
+        approximators(
+            &format!("Taylor degree {degree} center {center}"),
+            at(NonlinearOp::Exp, center),
+            at(NonlinearOp::Silu, 0.0),
+            at(NonlinearOp::Gelu, 0.0),
+        )
+    }
+
+    #[test]
+    fn copy_free_attention_matches_copied_heads_bit_for_bit() {
+        // Leaves weight on the masked positions, so P·V must visit them.
+        let leaky = HookedBackend::new(
+            "leaky",
+            |op, xs: &[f32]| xs.iter().map(|&x| op.eval(x)).collect(),
+            |data, cols| {
+                mugi_numerics::nonlinear::softmax_rows(data, cols)
+                    .iter()
+                    .map(|&p| (p + 0.01) / 1.2)
+                    .collect()
+            },
+        );
+        for seed in [1, 2, 3] {
+            for config in [
+                ReferenceConfig::small(seed),
+                ReferenceConfig::scaled_from(ModelId::Llama2_7b, seed),
+            ] {
+                let mut model = ReferenceModel::new(config);
+                if seed == 3 {
+                    // A zero query column: every score skips `q == 0` there.
+                    for layer in &mut model.layers {
+                        for r in 0..config.hidden_dim {
+                            layer.wq[(r, 5)] = 0.0;
+                        }
+                    }
+                }
+                let tokens = [model.synthetic_sequence(seed)];
+                let tokens = || tokens.iter().map(Vec::as_slice);
+                assert_layers_match_copied_heads(&model, tokens(), &ExactBackend);
+                assert_layers_match_copied_heads(&model, tokens(), &vlp(WindowStrategy::AnchorMax));
+                assert_layers_match_copied_heads(&model, tokens(), &vlp(WindowStrategy::Fixed(-3)));
+                assert_layers_match_copied_heads(&model, tokens(), &pwl(8.0));
+                assert_layers_match_copied_heads(&model, tokens(), &taylor(9, -1.0));
+                assert_layers_match_copied_heads(&model, tokens(), &leaky);
+            }
+        }
+    }
+
+    /// Every Figure 6 full-preset point on Figure 6's model (Llama 2 7B
+    /// scaled, seed 17) and its full-preset sequences (4). Run it in release
+    /// mode:
+    /// `cargo test --release -p mugi-workloads --lib -- --ignored full_shape_copy_free`.
+    #[test]
+    #[ignore = "every Figure 6 full-preset point at its full shape; run in release mode"]
+    fn full_shape_copy_free_attention_matches_copied_heads() {
+        let model = ReferenceModel::new(ReferenceConfig::scaled_from(ModelId::Llama2_7b, 17));
+        let targets = model.proxy_targets(4);
+        assert_layers_match_copied_heads(&model, targets.tokens(), &ExactBackend);
+        assert_layers_match_copied_heads(&model, targets.tokens(), &vlp(WindowStrategy::AnchorMax));
+        for anchor in -6..=0 {
+            let backend = vlp(WindowStrategy::Fixed(anchor));
+            assert_layers_match_copied_heads(&model, targets.tokens(), &backend);
+        }
+        for segment_range in [4.0, 8.0, 12.0, 16.0, 20.0, 24.0] {
+            assert_layers_match_copied_heads(&model, targets.tokens(), &pwl(segment_range));
+        }
+        for (degree, center) in [(5, -1.0), (7, -1.0), (9, -1.0), (9, -3.0), (9, -5.0)] {
+            assert_layers_match_copied_heads(&model, targets.tokens(), &taylor(degree, center));
         }
     }
 
