@@ -237,9 +237,9 @@ impl Matrix {
     }
 }
 
-/// The original triple-loop GEMM, kept verbatim as the correctness and
-/// performance oracle for the blocked kernel (see the `matmul_scaling` bench
-/// and the bit-identity tests). Not part of the supported API surface.
+/// The original triple-loop GEMM, kept verbatim as the correctness oracle
+/// for the blocked kernel (see the bit-identity tests). Not part of the
+/// supported API surface.
 #[doc(hidden)]
 pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
