@@ -8,6 +8,17 @@
 //! weight fetches from HBM, and the result is scaled to the full model and,
 //! optionally, to a multi-node NoC.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use crate::cost::CostModel;
 use crate::designs::Design;
 use crate::hbm::Hbm;

@@ -797,7 +797,10 @@ struct ScaleRow {
 
 fn run_per_step(cfg: &ScaleConfig, count: usize) -> ScaleRow {
     let rss = begin_rss_window();
-    // mugi-lint: allow(ambient-nondeterminism, "wall-clock timing of the host run; measures the simulator, never feeds simulated state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing of the host run; measures the simulator, never feeds simulated state"
+    )]
     let t0 = Instant::now();
     let requests: Vec<Request> =
         WorkloadStream::new(SCALE_SEED, &[MODEL], cfg.spec).take(count).collect();
@@ -816,7 +819,10 @@ fn run_per_step(cfg: &ScaleConfig, count: usize) -> ScaleRow {
 
 fn run_event_folded(cfg: &ScaleConfig, count: usize) -> ScaleRow {
     let rss = begin_rss_window();
-    // mugi-lint: allow(ambient-nondeterminism, "wall-clock timing of the host run; measures the simulator, never feeds simulated state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing of the host run; measures the simulator, never feeds simulated state"
+    )]
     let t0 = Instant::now();
     let mut ex = cfg.scenario.executor();
     let report =

@@ -1,12 +1,11 @@
 //! Architecture-side experiments: Figures 11–14, 16 and Table 3.
 
-use crate::experiments::Preset;
+use crate::experiments::{decode_trace, Preset};
 use crate::report::{fmt_num, fmt_ratio, TextTable};
 use mugi_arch::designs::{Design, DesignConfig, NonlinearMethod};
 use mugi_arch::noc::NocConfig;
 use mugi_arch::perf::{CategoryBreakdown, NonlinearPerformance, PerfModel, WorkloadPerformance};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::ops::{OpTrace, Phase};
 use serde::{Deserialize, Serialize};
 
 /// Geometric mean helper (the paper geomeans across Llama 2 models).
@@ -16,10 +15,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     }
     let log_sum: f64 = values.iter().map(|v| v.max(1e-30).ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-fn decode_trace(model: ModelId, batch: usize, seq: usize) -> OpTrace {
-    OpTrace::generate(&model.config(), Phase::Decode, batch, seq, true, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -457,14 +452,10 @@ pub fn fig14_batch_sweep(preset: Preset) -> Vec<BatchSweepRow> {
 
 fn geo_workload(cfg: &DesignConfig, models: &[ModelId], batch: usize, seq: usize) -> (f64, f64) {
     let perf_model = PerfModel::new(Design::new(*cfg));
-    let tputs: Vec<f64> = models
-        .iter()
-        .map(|m| perf_model.evaluate(&decode_trace(*m, batch, seq)).tokens_per_second)
-        .collect();
-    let energies: Vec<f64> = models
-        .iter()
-        .map(|m| perf_model.evaluate(&decode_trace(*m, batch, seq)).energy_per_token_uj)
-        .collect();
+    let perfs: Vec<WorkloadPerformance> =
+        models.iter().map(|m| perf_model.evaluate(&decode_trace(*m, batch, seq))).collect();
+    let tputs: Vec<f64> = perfs.iter().map(|p| p.tokens_per_second).collect();
+    let energies: Vec<f64> = perfs.iter().map(|p| p.energy_per_token_uj).collect();
     (geometric_mean(&tputs), geometric_mean(&energies))
 }
 

@@ -24,6 +24,8 @@ pub mod accuracy;
 pub mod architecture;
 pub mod sustainability;
 
+use mugi_workloads::models::ModelId;
+use mugi_workloads::ops::{OpTrace, Phase};
 use serde::{Deserialize, Serialize};
 
 /// Scope of an experiment run.
@@ -67,4 +69,10 @@ impl Preset {
             Preset::Full => vec![1, 2, 4, 8, 16, 32],
         }
     }
+}
+
+/// The weight- and KV-quantised decode trace of one `model` layer at
+/// `batch` × `seq`: the workload every architecture experiment prices.
+fn decode_trace(model: ModelId, batch: usize, seq: usize) -> OpTrace {
+    OpTrace::generate(&model.config(), Phase::Decode, batch, seq, true, true)
 }

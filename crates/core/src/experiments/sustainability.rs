@@ -2,19 +2,14 @@
 //! (NoC-level comparison).
 
 use crate::experiments::architecture::{geometric_mean, standard_designs};
-use crate::experiments::Preset;
+use crate::experiments::{decode_trace, Preset};
 use crate::report::{fmt_num, fmt_ratio, TextTable};
 use mugi_arch::designs::{Design, DesignConfig, NonlinearMethod};
 use mugi_arch::noc::NocConfig;
-use mugi_arch::perf::PerfModel;
+use mugi_arch::perf::{PerfModel, WorkloadPerformance};
 use mugi_carbon::{footprint_for_tokens, CarbonModel};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::ops::{OpTrace, Phase};
 use serde::{Deserialize, Serialize};
-
-fn decode_trace(model: ModelId, batch: usize, seq: usize) -> OpTrace {
-    OpTrace::generate(&model.config(), Phase::Decode, batch, seq, true, true)
-}
 
 // ---------------------------------------------------------------------------
 // Figure 15: operational and embodied carbon
@@ -137,18 +132,13 @@ pub fn fig17_noc_scaling(preset: Preset) -> Vec<NocScalingRow> {
     };
     let metric = |cfg: &DesignConfig, noc: NocConfig| -> (f64, f64, f64) {
         let perf_model = PerfModel::new(Design::new(*cfg));
-        let tput: Vec<f64> = models
+        let perfs: Vec<WorkloadPerformance> = models
             .iter()
-            .map(|m| perf_model.evaluate_noc(&decode_trace(*m, 8, 4096), noc).tokens_per_second)
+            .map(|m| perf_model.evaluate_noc(&decode_trace(*m, 8, 4096), noc))
             .collect();
-        let e: Vec<f64> = models
-            .iter()
-            .map(|m| perf_model.evaluate_noc(&decode_trace(*m, 8, 4096), noc).tokens_per_uj)
-            .collect();
-        let p: Vec<f64> = models
-            .iter()
-            .map(|m| perf_model.evaluate_noc(&decode_trace(*m, 8, 4096), noc).tokens_per_s_per_w)
-            .collect();
+        let tput: Vec<f64> = perfs.iter().map(|p| p.tokens_per_second).collect();
+        let e: Vec<f64> = perfs.iter().map(|p| p.tokens_per_uj).collect();
+        let p: Vec<f64> = perfs.iter().map(|p| p.tokens_per_s_per_w).collect();
         (geometric_mean(&tput), geometric_mean(&e), geometric_mean(&p))
     };
     let baseline = metric(&DesignConfig::systolic(16), NocConfig::mesh_4x4());

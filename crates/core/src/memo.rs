@@ -16,6 +16,31 @@
 //!   wholesale, so the steady-state decode shapes that hit every step
 //!   survive a flood of cold one-off shapes.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one HashMap of the workspace: its keys are precomputed deterministic hashes, its \
+              lookups never depend on visit order, and every visit of its entries carries its own \
+              reasoned expect"
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::iter_over_hash_type,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -52,7 +77,10 @@ impl Hasher for ShapeHasher {
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
-            // mugi-lint: allow(hot-path-panic, "chunks(8) yields slices of at most 8 bytes, so the range is always in bounds")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "chunks(8) yields slices of at most 8 bytes, so the range is always in bounds"
+            )]
             word[..chunk.len()].copy_from_slice(chunk);
             self.round(u64::from_le_bytes(word));
         }
@@ -210,20 +238,25 @@ impl<K, V: Clone> ShapeCache<K, V> {
     /// steady-state shapes — survives, unlike the wholesale `clear()` this
     /// replaces.
     fn evict_lru_half(&mut self) {
-        let mut ticks: Vec<u64> = self
-            .buckets
-            .values() // mugi-lint: allow(unordered-iteration, "select_nth_unstable finds the median tick; any visit order yields the same threshold")
-            .flat_map(|bucket| bucket.iter().map(|s| s.last_use))
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "select_nth_unstable finds the median tick; any visit order yields the same threshold"
+        )]
+        let mut ticks: Vec<u64> =
+            self.buckets.values().flat_map(|bucket| bucket.iter().map(|s| s.last_use)).collect();
         let mid = ticks.len() / 2;
         let (_, &mut threshold, _) = ticks.select_nth_unstable(mid);
-        // mugi-lint: allow(unordered-iteration, "retain applies a pure per-entry predicate; the surviving set is order-independent")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain applies a pure per-entry predicate; the surviving set is order-independent"
+        )]
         self.buckets.retain(|_, bucket| {
             bucket.retain(|s| s.last_use >= threshold);
             !bucket.is_empty()
         });
-        // mugi-lint: allow(unordered-iteration, "commutative usize sum over bucket lengths")
-        self.len = self.buckets.values().map(Vec::len).sum();
+        #[expect(clippy::disallowed_methods, reason = "commutative usize sum over bucket lengths")]
+        let len = self.buckets.values().map(Vec::len).sum();
+        self.len = len;
     }
 }
 

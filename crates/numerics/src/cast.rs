@@ -3,8 +3,9 @@
 //! The serving simulator accumulates cycle counts, KV byte volumes and page
 //! counters across million-request runs; a silently wrapping `as` cast on
 //! any of these would corrupt the accounting long before a test noticed. The
-//! helpers here are the sanctioned replacements the workspace linter
-//! (`mugi-lint`, rule `lossy-cast`) steers bare `as` casts toward: each one
+//! helpers here are the sanctioned replacements clippy's cast lints
+//! (`cast_possible_truncation`, `cast_sign_loss`, `cast_possible_wrap`)
+//! steer bare `as` casts toward in the hot-path modules: each one
 //! is a plain conversion on the happy path — bit-identical to the `as` cast
 //! it replaces for every in-range value — and panics loudly on the
 //! out-of-range values `as` would truncate, saturate or wrap.

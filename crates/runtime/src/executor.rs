@@ -47,7 +47,11 @@
 //! the same order, so every output is bit-identical to deciding each step
 //! afresh. A run of one step is the general case.
 
-// mugi-lint: allow(hot-path-panic, "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results")
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "unwrap/expect/indexing here assert documented invariants — dense session ids validated by aidx(), placements that exist for every admitted request, stats present for live sessions; violating them means the simulation state is corrupt and continuing would silently skew results"
+)]
 
 use crate::control::{desired_prefill_nodes, ControlConfig, Drain};
 use crate::event::EventQueue;
@@ -294,7 +298,8 @@ impl Executor {
     /// Creates a single-node executor with an explicit configuration.
     ///
     /// # Panics
-    /// Panics if `kv_bucket` is zero.
+    /// Panics if `kv_bucket` is zero, or if the KV pool is bounded and its
+    /// `page_tokens` differs from `kv_bucket`.
     pub fn with_config(
         accel: MugiAccelerator,
         scheduler: Scheduler,
@@ -310,7 +315,12 @@ impl Executor {
     /// policy.
     ///
     /// # Panics
-    /// Panics if `kv_bucket` is zero.
+    /// Panics if
+    /// * `kv_bucket` is zero;
+    /// * the KV pool is bounded and its `page_tokens` differs from
+    ///   `kv_bucket`;
+    /// * the placement is disaggregated with an empty prefill or decode
+    ///   pool, or with pools that do not add up to the mesh's node count.
     pub fn with_placement(
         accel: MugiAccelerator,
         mut scheduler: Scheduler,

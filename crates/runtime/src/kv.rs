@@ -48,7 +48,11 @@
 //! * the extent allocator maps the same page *set* as [`oracle`] under
 //!   identical operation sequences.
 
-// mugi-lint: allow(hot-path-panic, "bitmap word/summary indices are derived from page ids bounded by the pool capacity, and panics enforce allocator invariants (exhausted-pool scan, double map/free); a deterministic simulator must abort on corrupt pool state rather than guess")
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "bitmap word/summary indices are derived from page ids bounded by the pool capacity, and panics enforce allocator invariants (exhausted-pool scan, double map/free); a deterministic simulator must abort on corrupt pool state rather than guess"
+)]
 
 use mugi_numerics::cast::{u32_from_usize, usize_from_u32, usize_from_u64};
 use mugi_workloads::models::ModelId;

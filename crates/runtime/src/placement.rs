@@ -33,7 +33,10 @@
 //! A 1×1 mesh degenerates to the single-node executor under either policy —
 //! bit-identical reports, zero NoC energy.
 
-// mugi-lint: allow(hot-path-panic, "NodePool indexing takes node ids the executor derives from 0..len() of the same pool, and its three per-node vectors share that length by construction; an out-of-range node is a caller bug the simulation must not paper over")
+#![expect(
+    clippy::indexing_slicing,
+    reason = "NodePool indexing takes node ids the executor derives from 0..len() of the same pool, and its three per-node vectors share that length by construction; an out-of-range node is a caller bug the simulation must not paper over"
+)]
 
 use mugi::arch::noc::NocConfig;
 use serde::{Deserialize, Serialize};

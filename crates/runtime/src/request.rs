@@ -309,15 +309,21 @@ impl std::ops::Index<usize> for SessionArena {
     type Output = Session;
 
     /// Indexes the live window (position `id - retired_count()`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Index` panics out of range by contract; the scheduler maps only live dense ids here"
+    )]
     fn index(&self, i: usize) -> &Session {
-        // mugi-lint: allow(hot-path-panic, "`Index` panics out of range by contract; the scheduler maps only live dense ids here")
         &self.slots[self.head + i]
     }
 }
 
 impl std::ops::IndexMut<usize> for SessionArena {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`IndexMut` panics out of range by contract; the scheduler maps only live dense ids here"
+    )]
     fn index_mut(&mut self, i: usize) -> &mut Session {
-        // mugi-lint: allow(hot-path-panic, "`IndexMut` panics out of range by contract; the scheduler maps only live dense ids here")
         &mut self.slots[self.head + i]
     }
 }

@@ -79,7 +79,12 @@
 //! pre-rotation behaviour kept as an explicit opt-out (and as the oracle for
 //! the bit-identity regression tests).
 
-// mugi-lint: allow(hot-path-panic, "panics here enforce documented API contracts (submit after finish, retired-session access) and scheduler invariants (dense ids via sidx(), page-table/pool consistency); a deterministic simulator must abort on corrupt state rather than guess")
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "panics here enforce documented API contracts (submit after finish, retired-session access) and scheduler invariants (dense ids via sidx(), page-table/pool consistency); a deterministic simulator must abort on corrupt state rather than guess"
+)]
 
 use crate::control::SloCalibrator;
 use crate::kv::{

@@ -159,6 +159,10 @@ impl Iterator for WorkloadStream {
     fn next(&mut self) -> Option<Request> {
         let (pmin, pmax) = self.spec.prompt_tokens;
         let (omin, omax) = self.spec.output_tokens;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`new` asserts `models` is non-empty, and the index is reduced modulo its length"
+        )]
         let model = self.models[self.index % self.models.len()];
         self.index += 1;
         // Draw order is part of the golden contract: prompt, output, then

@@ -4,8 +4,9 @@
 //! instance, so two maps built in the same process already iterate in
 //! different orders — the per-process seed does not need to change for
 //! order sensitivity to show. The scheduler therefore keeps its session
-//! bookkeeping in ordered collections (enforced by `mugi-lint`'s
-//! `unordered-iteration` rule), and this test pins the observable
+//! bookkeeping in ordered collections (enforced by clippy's
+//! `disallowed_types` ban on both, configured in the root `clippy.toml`),
+//! and this test pins the observable
 //! consequence: two independently constructed schedulers fed the identical
 //! workload must form byte-for-byte identical micro-batch sequences.
 

@@ -38,7 +38,8 @@ fn fig07_driver_improves_or_keeps_quality() {
 #[test]
 fn fig08_driver_covers_all_ops_and_methods() {
     let rows = fig08_relative_error(Preset::Quick);
-    let methods: std::collections::HashSet<&str> = rows.iter().map(|r| r.method.as_str()).collect();
+    let methods: std::collections::BTreeSet<&str> =
+        rows.iter().map(|r| r.method.as_str()).collect();
     for m in ["VLP", "PWL", "Taylor", "PA", "DirectLUT"] {
         assert!(methods.contains(m), "missing method {m}");
     }
