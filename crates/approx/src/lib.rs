@@ -12,8 +12,6 @@
 //! * [`partial`] — partial approximation (PA) of SiLU/GELU: exact behaviour in
 //!   the saturating tails plus a cheap approximation in the middle.
 //! * [`lut_direct`] — a direct (non-VLP) lookup table, the `Mugi-L` baseline.
-//! * [`precise`] — the precise iterative vector-array model (exact values with
-//!   a multi-cycle latency per element).
 //!
 //! All approximators implement the common [`Approximator`] trait so the
 //! accuracy sweeps in `mugi` can treat them uniformly.
@@ -24,15 +22,12 @@
 
 pub mod lut_direct;
 pub mod partial;
-pub mod precise;
 pub mod pwl;
 pub mod taylor;
 
 use mugi_numerics::nonlinear::NonlinearOp;
 
-/// A hardware nonlinear approximator: maps inputs to approximate outputs and
-/// reports its per-element latency so the architecture model can account for
-/// it.
+/// A hardware nonlinear approximator: maps inputs to approximate outputs.
 pub trait Approximator {
     /// The operation being approximated.
     fn op(&self) -> NonlinearOp;
@@ -44,10 +39,6 @@ pub trait Approximator {
     fn eval_slice(&self, xs: &[f32]) -> Vec<f32> {
         xs.iter().map(|&x| self.eval(x)).collect()
     }
-
-    /// Latency in cycles to produce one output element on the baseline vector
-    /// array (used by `mugi-arch`).
-    fn cycles_per_element(&self) -> u64;
 
     /// A short human-readable label for reports.
     fn label(&self) -> String;
@@ -72,6 +63,5 @@ pub trait Approximator {
 
 pub use lut_direct::DirectLut;
 pub use partial::PartialApprox;
-pub use precise::PreciseVectorArray;
 pub use pwl::PiecewiseLinear;
 pub use taylor::TaylorSeries;

@@ -99,11 +99,6 @@ impl Approximator for DirectLut {
         self.table[idx]
     }
 
-    fn cycles_per_element(&self) -> u64 {
-        // One index computation plus one (possibly contended) LUT read.
-        1
-    }
-
     fn label(&self) -> String {
         format!(
             "DirectLUT({} entries, [{}, {}])",
@@ -161,7 +156,6 @@ mod tests {
         );
         assert_eq!(small.storage_bits(), 64 * 16);
         assert!(large.storage_bits() > small.storage_bits());
-        assert_eq!(large.cycles_per_element(), 1);
         assert!(large.label().contains("DirectLUT"));
     }
 

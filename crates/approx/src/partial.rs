@@ -54,11 +54,6 @@ impl Approximator for PartialApprox {
         }
     }
 
-    fn cycles_per_element(&self) -> u64 {
-        // One add, one multiply, one clamp on the vector array.
-        2
-    }
-
     fn label(&self) -> String {
         format!("PA({})", self.op.label())
     }
@@ -96,7 +91,6 @@ mod tests {
     #[test]
     fn metadata() {
         let pa = PartialApprox::new(NonlinearOp::Gelu);
-        assert_eq!(pa.cycles_per_element(), 2);
         assert!(pa.label().contains("PA"));
         assert!(pa.eval(f32::NAN).is_nan());
     }

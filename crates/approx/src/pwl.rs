@@ -130,11 +130,6 @@ impl Approximator for PiecewiseLinear {
         a * x + b
     }
 
-    fn cycles_per_element(&self) -> u64 {
-        // Compare/select plus one multiply-add on the vector array.
-        2
-    }
-
     fn label(&self) -> String {
         format!("PWL({} segments, range {})", self.config.segments, self.config.segment_range)
     }
@@ -191,7 +186,6 @@ mod tests {
         assert_eq!(cfg.segments, 22);
         let pwl = PiecewiseLinear::new(NonlinearOp::Softmax, cfg);
         assert_eq!(pwl.num_segments(), 22);
-        assert_eq!(pwl.cycles_per_element(), 2);
         assert!(pwl.label().contains("PWL"));
         assert!(pwl.storage_bits() > 0);
     }

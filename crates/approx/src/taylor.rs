@@ -183,11 +183,6 @@ impl Approximator for TaylorSeries {
         }
     }
 
-    fn cycles_per_element(&self) -> u64 {
-        // One MAC per degree via Horner's rule.
-        self.config.degree as u64
-    }
-
     fn label(&self) -> String {
         format!("Taylor(degree {}, center {})", self.config.degree, self.config.center)
     }
@@ -253,7 +248,6 @@ mod tests {
     #[test]
     fn metadata() {
         let t = TaylorSeries::new(NonlinearOp::Exp, TaylorConfig::default());
-        assert_eq!(t.cycles_per_element(), 9);
         assert_eq!(t.coefficients().len(), 10);
         assert!(t.label().contains("Taylor"));
         assert_eq!(t.storage_bits(), 160);

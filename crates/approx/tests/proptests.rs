@@ -3,9 +3,7 @@
 use mugi_approx::lut_direct::DirectLutConfig;
 use mugi_approx::pwl::PwlConfig;
 use mugi_approx::taylor::TaylorConfig;
-use mugi_approx::{
-    Approximator, DirectLut, PartialApprox, PiecewiseLinear, PreciseVectorArray, TaylorSeries,
-};
+use mugi_approx::{Approximator, DirectLut, PartialApprox, PiecewiseLinear, TaylorSeries};
 use mugi_numerics::nonlinear::{silu, NonlinearOp};
 use proptest::prelude::*;
 
@@ -68,28 +66,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn precise_is_identity_to_reference(x in -30.0f32..30.0f32) {
-        for op in [NonlinearOp::Exp, NonlinearOp::Silu, NonlinearOp::Gelu] {
-            let p = PreciseVectorArray::new(op);
-            prop_assert_eq!(p.eval(x), op.eval(x));
-        }
-    }
-
-    #[test]
-    fn all_approximators_report_positive_latency(degree in 1usize..=9, segments in 1usize..64) {
-        let approximators: Vec<Box<dyn Approximator>> = vec![
-            Box::new(PiecewiseLinear::new(NonlinearOp::Silu, PwlConfig { segments, segment_range: 8.0 })),
-            Box::new(TaylorSeries::new(NonlinearOp::Exp, TaylorConfig { degree, center: -1.0 })),
-            Box::new(DirectLut::new(NonlinearOp::Gelu, DirectLutConfig::default())),
-            Box::new(PartialApprox::new(NonlinearOp::Silu)),
-            Box::new(PreciseVectorArray::new(NonlinearOp::Softmax)),
-        ];
-        for a in &approximators {
-            prop_assert!(a.cycles_per_element() >= 1);
-            prop_assert!(!a.label().is_empty());
-        }
-    }
 }
 
 #[test]

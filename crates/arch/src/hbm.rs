@@ -40,12 +40,6 @@ impl Hbm {
     pub fn transfer_energy_pj(&self, bytes: u64) -> f64 {
         bytes as f64 * self.energy_pj_per_byte
     }
-
-    /// Operational intensity (MACs per byte) required for compute to stay
-    /// ahead of this memory system at `macs_per_cycle` and `frequency_hz`.
-    pub fn required_intensity(&self, macs_per_cycle: f64, frequency_hz: f64) -> f64 {
-        (macs_per_cycle * frequency_hz) / self.bandwidth_bytes_per_s
-    }
 }
 
 #[cfg(test)]
@@ -67,17 +61,5 @@ mod tests {
         assert_eq!(hbm.transfer_cycles(640, 400e6), 1);
         assert_eq!(hbm.transfer_cycles(6400, 400e6), 10);
         assert!((hbm.transfer_energy_pj(1000) - 7000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn required_intensity_scales_with_compute() {
-        let hbm = Hbm { bandwidth_bytes_per_s: 256e9, energy_pj_per_byte: 7.0 };
-        let slow = hbm.required_intensity(128.0, 400e6);
-        let fast = hbm.required_intensity(256.0, 400e6);
-        assert!((fast / slow - 2.0).abs() < 1e-9);
-        // A 256-MAC/cycle node at 400 MHz needs only ~0.4 MACs/byte, easily
-        // met by weight-reused GEMMs: confirms the paper's compute-bound
-        // assumption.
-        assert!(fast < 1.0);
     }
 }

@@ -11,8 +11,6 @@ use std::fmt;
 
 /// Number of mantissa bits kept by BF16.
 pub const MANTISSA_BITS: u32 = 7;
-/// Number of exponent bits kept by BF16.
-pub const EXPONENT_BITS: u32 = 8;
 /// Exponent bias of BF16 (same as `f32`).
 pub const EXPONENT_BIAS: i32 = 127;
 
@@ -33,8 +31,6 @@ pub struct Bf16(u16);
 impl Bf16 {
     /// Positive zero.
     pub const ZERO: Bf16 = Bf16(0x0000);
-    /// One.
-    pub const ONE: Bf16 = Bf16(0x3F80);
     /// Positive infinity.
     pub const INFINITY: Bf16 = Bf16(0x7F80);
     /// Negative infinity.
@@ -78,18 +74,6 @@ impl Bf16 {
     #[inline]
     pub fn to_f32(self) -> f32 {
         f32::from_bits((self.0 as u32) << 16)
-    }
-
-    /// Converts an `f32` to BF16 by truncation (round toward zero).
-    ///
-    /// This matches the cheapest hardware conversion and is used by the
-    /// architecture model when modelling conversion-free datapaths.
-    #[inline]
-    pub fn from_f32_truncate(value: f32) -> Self {
-        if value.is_nan() {
-            return Self::NAN;
-        }
-        Bf16((value.to_bits() >> 16) as u16)
     }
 
     /// Sign bit: `true` if negative.
@@ -143,12 +127,6 @@ impl Bf16 {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 & 0x7FFF == 0
-    }
-
-    /// Whether the value is subnormal.
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        self.biased_exponent() == 0 && self.mantissa() != 0
     }
 
     /// Absolute value.
@@ -237,12 +215,6 @@ impl PartialOrd for Bf16 {
     }
 }
 
-/// Quantizes a slice of `f32` to BF16 and back, returning the representable
-/// values. Convenience used throughout the workload models.
-pub fn quantize_slice(values: &[f32]) -> Vec<f32> {
-    values.iter().map(|&v| Bf16::from_f32(v).to_f32()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,14 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_never_increases_magnitude() {
-        for v in [1.999f32, -1.999, 0.12345, -7.77] {
-            let t = Bf16::from_f32_truncate(v).to_f32();
-            assert!(t.abs() <= v.abs());
-        }
-    }
-
-    #[test]
     fn abs_and_neg() {
         let x = Bf16::from_f32(-2.5);
         assert_eq!(x.abs().to_f32(), 2.5);
@@ -322,6 +286,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot keep more than 7 mantissa bits")]
     fn round_mantissa_rejects_too_many_bits() {
-        Bf16::ONE.round_mantissa(8);
+        Bf16::from_f32(1.0).round_mantissa(8);
     }
 }

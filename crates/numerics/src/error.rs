@@ -31,21 +31,6 @@ pub fn rmse(reference: &[f32], approx: &[f32]) -> f32 {
     ((sum / reference.len() as f64).sqrt()) as f32
 }
 
-/// Relative error of a single approximation, with the paper's convention that
-/// a flushed-to-zero output counts as 100% (−1.0) error and a zero reference
-/// with a non-zero output counts as +100%.
-pub fn relative_error(reference: f32, approx: f32) -> f32 {
-    if reference == 0.0 {
-        if approx == 0.0 {
-            0.0
-        } else {
-            1.0
-        }
-    } else {
-        (approx - reference) / reference.abs()
-    }
-}
-
 /// Mean relative error magnitude across a slice (ignoring zero references).
 ///
 /// # Panics
@@ -65,39 +50,6 @@ pub fn mean_relative_error(reference: &[f32], approx: &[f32]) -> f32 {
     } else {
         (sum / count as f64) as f32
     }
-}
-
-/// Kullback–Leibler divergence `KL(p || q)` between two discrete
-/// distributions. Entries of `q` are floored at `1e-12` to avoid infinities;
-/// `p` entries of zero contribute nothing.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn kl_divergence(p: &[f32], q: &[f32]) -> f32 {
-    assert_eq!(p.len(), q.len(), "length mismatch");
-    let mut acc = 0.0f64;
-    for (&pi, &qi) in p.iter().zip(q) {
-        if pi > 0.0 {
-            acc += pi as f64 * ((pi as f64) / (qi.max(1e-12) as f64)).ln();
-        }
-    }
-    acc as f32
-}
-
-/// Cross-entropy `H(p, q) = -Σ p log q` in nats, with the same flooring as
-/// [`kl_divergence`]. Used by the proxy-perplexity evaluation.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn cross_entropy(p: &[f32], q: &[f32]) -> f32 {
-    assert_eq!(p.len(), q.len(), "length mismatch");
-    let mut acc = 0.0f64;
-    for (&pi, &qi) in p.iter().zip(q) {
-        if pi > 0.0 {
-            acc -= pi as f64 * (qi.max(1e-12) as f64).ln();
-        }
-    }
-    acc as f32
 }
 
 /// Perplexity from an average cross-entropy (nats per token).
@@ -167,28 +119,6 @@ mod tests {
         assert!((mean_abs_error(&r, &a) - 0.5).abs() < 1e-6);
         let expected_rmse = ((0.25 + 0.0 + 1.0f32) / 3.0).sqrt();
         assert!((rmse(&r, &a) - expected_rmse).abs() < 1e-6);
-    }
-
-    #[test]
-    fn relative_error_conventions() {
-        assert_eq!(relative_error(2.0, 1.0), -0.5);
-        assert_eq!(relative_error(0.0, 0.0), 0.0);
-        assert_eq!(relative_error(0.0, 0.5), 1.0);
-        assert_eq!(relative_error(2.0, 0.0), -1.0);
-        assert_eq!(relative_error(-2.0, -3.0), -0.5);
-    }
-
-    #[test]
-    fn kl_and_cross_entropy() {
-        let p = vec![0.5, 0.5];
-        let q = vec![0.5, 0.5];
-        assert!(kl_divergence(&p, &q).abs() < 1e-6);
-        // H(p, p) equals the entropy of p.
-        assert!((cross_entropy(&p, &p) - std::f32::consts::LN_2).abs() < 1e-6);
-        // KL is non-negative and grows as q diverges.
-        let q2 = vec![0.9, 0.1];
-        assert!(kl_divergence(&p, &q2) > 0.0);
-        assert!(kl_divergence(&p, &q2) > kl_divergence(&p, &q));
     }
 
     #[test]

@@ -115,13 +115,6 @@ impl FloatFields {
         }
     }
 
-    /// Number of cycles the mantissa temporal spike takes (the spike fires at
-    /// cycle `M`, so the row subscription finishes after `M + 1` cycles; the
-    /// paper counts the full sweep as `2^bits` cycles).
-    pub fn mantissa_spike_cycle(&self) -> u32 {
-        self.mantissa as u32
-    }
-
     /// Clamps the exponent into a LUT window `[lo, hi]` following the
     /// `E-proc` rules of Section 4 phase 1: values below the window underflow
     /// to `lo`; values above saturate to `hi` when `saturate_high` is set
@@ -211,12 +204,6 @@ mod tests {
         assert!(c.underflowed);
         let inside = FloatFields::split_f32(2.0, 3).clamp_exponent(-3, 4, true);
         assert!(!inside.underflowed && !inside.overflowed);
-    }
-
-    #[test]
-    fn mantissa_spike_cycle_equals_mantissa() {
-        let f = FloatFields::split_f32(1.75, 3); // 1.110b -> M = 6
-        assert_eq!(f.mantissa_spike_cycle(), 6);
     }
 
     /// The split as it was written before the integer rewrite: specials

@@ -1,9 +1,8 @@
-//! Signed 4-bit integers and packing helpers.
+//! Signed 4-bit integers.
 //!
 //! Mugi maps INT4 weights / KV-cache entries to the array rows (Section 4.2).
 //! The format here is a plain two's-complement signed 4-bit integer in
-//! `[-8, 7]`, plus helpers to pack/unpack two values per byte as a real
-//! weight-only-quantized checkpoint would store them.
+//! `[-8, 7]`.
 
 use std::fmt;
 
@@ -65,11 +64,6 @@ impl Int4 {
         self.0.unsigned_abs()
     }
 
-    /// Sign: `true` if negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// Two's-complement 4-bit encoding (0..=15).
     pub const fn to_nibble(self) -> u8 {
         (self.0 as u8) & 0x0F
@@ -110,39 +104,6 @@ impl From<Int4> for f32 {
     }
 }
 
-/// Packs a slice of `Int4` two-per-byte (low nibble first).
-///
-/// The final byte's upper nibble is zero when the input length is odd.
-pub fn pack(values: &[Int4]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len().div_ceil(2));
-    for chunk in values.chunks(2) {
-        let lo = chunk[0].to_nibble();
-        let hi = chunk.get(1).map_or(0, |v| v.to_nibble());
-        out.push(lo | (hi << 4));
-    }
-    out
-}
-
-/// Unpacks bytes produced by [`pack`]; `len` is the number of values to
-/// recover (to distinguish an odd tail from a packed zero).
-pub fn unpack(bytes: &[u8], len: usize) -> Vec<Int4> {
-    assert!(len <= bytes.len() * 2, "requested {len} values from {} bytes", bytes.len());
-    let mut out = Vec::with_capacity(len);
-    for (i, &b) in bytes.iter().enumerate() {
-        if out.len() < len {
-            out.push(Int4::from_nibble(b & 0x0F));
-        }
-        if out.len() < len {
-            out.push(Int4::from_nibble(b >> 4));
-        }
-        if out.len() >= len {
-            break;
-        }
-        let _ = i;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,22 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        let values: Vec<Int4> = (-8..=7).map(|v| Int4::new(v).unwrap()).collect();
-        let bytes = pack(&values);
-        assert_eq!(bytes.len(), 8);
-        assert_eq!(unpack(&bytes, values.len()), values);
-        // Odd length.
-        let odd = &values[..5];
-        let bytes = pack(odd);
-        assert_eq!(bytes.len(), 3);
-        assert_eq!(unpack(&bytes, 5), odd);
-    }
-
-    #[test]
     fn magnitude_and_sign() {
         assert_eq!(Int4::new(-8).unwrap().magnitude(), 8);
-        assert!(Int4::new(-1).unwrap().is_negative());
-        assert!(!Int4::new(3).unwrap().is_negative());
+        assert_eq!(Int4::new(-3).unwrap().magnitude(), Int4::new(3).unwrap().magnitude());
     }
 }

@@ -7,7 +7,7 @@
 //! algorithms:
 //!
 //! * bit-exact software implementations of the data formats the paper uses:
-//!   [`bf16::Bf16`], [`fp8::Fp8`] (E4M3/E5M2) and [`int4::Int4`];
+//!   [`bf16::Bf16`] and [`int4::Int4`];
 //! * the sign/mantissa/exponent field split ([`fields::FloatFields`]) that the
 //!   VLP nonlinear approximation is built on (Section 3.1 of the paper);
 //! * exact reference implementations of the nonlinear operations the paper
@@ -15,7 +15,7 @@
 //!   ([`nonlinear`]);
 //! * weight-only quantization (WOQ) and KV-cache quantization (KVQ) with
 //!   per-group scales ([`quant`]);
-//! * a small dense [`tensor::Matrix`] type with reference GEMM/GEMV used as the
+//! * a small dense [`tensor::Matrix`] type with reference GEMM used as the
 //!   correctness oracle for VLP GEMM;
 //! * error metrics used by the accuracy experiments ([`error`]).
 //!
@@ -40,7 +40,6 @@ pub mod cast;
 pub mod error;
 pub mod exec;
 pub mod fields;
-pub mod fp8;
 pub mod int4;
 pub mod nonlinear;
 pub mod quant;
@@ -49,6 +48,5 @@ pub mod tensor;
 pub use bf16::Bf16;
 pub use exec::ExecutionContext;
 pub use fields::FloatFields;
-pub use fp8::{Fp8, Fp8Format};
 pub use int4::Int4;
 pub use tensor::Matrix;

@@ -99,18 +99,6 @@ impl QuantizedMatrix {
         }
         Matrix::from_vec(self.rows, self.cols, data)
     }
-
-    /// Memory footprint in bits, counting 4 bits per value plus one BF16 scale
-    /// and (for asymmetric) one BF16 zero point per group. Used by the
-    /// memory-traffic model in `mugi-arch`.
-    pub fn footprint_bits(&self) -> usize {
-        let value_bits = self.rows * self.cols * 4;
-        let per_group_meta = match self.scheme {
-            QuantScheme::Symmetric => 16,
-            QuantScheme::Asymmetric => 32,
-        };
-        value_bits + self.groups.len() * per_group_meta
-    }
 }
 
 fn quantize_group(values: &[f32], scheme: QuantScheme) -> QuantGroup {
@@ -210,25 +198,6 @@ mod tests {
             quantization_rmse(&m, &asym) < quantization_rmse(&m, &sym),
             "asymmetric must beat symmetric on offset data"
         );
-    }
-
-    #[test]
-    fn footprint_accounts_for_groups() {
-        let m = pseudo_random_matrix(4, 128, 3, 1.0);
-        let q = weight_only_quantize(&m, 128);
-        // 4*128 values * 4 bits + 4 groups * 16 bits.
-        assert_eq!(q.footprint_bits(), 4 * 128 * 4 + 4 * 16);
-        let q = kv_cache_quantize(&m, 128);
-        assert_eq!(q.footprint_bits(), 4 * 128 * 4 + 4 * 32);
-    }
-
-    #[test]
-    fn kvq_compression_ratio_vs_bf16_is_near_4x() {
-        let m = pseudo_random_matrix(16, 1024, 5, 1.0);
-        let q = kv_cache_quantize(&m, 128);
-        let bf16_bits = 16 * 1024 * 16;
-        let ratio = bf16_bits as f32 / q.footprint_bits() as f32;
-        assert!(ratio > 3.5 && ratio < 4.1, "ratio {ratio}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A small dense row-major matrix type with GEMM/GEMV kernels.
+//! A small dense row-major matrix type with GEMM kernels.
 //!
 //! [`Matrix::matmul`] runs a cache- and register-blocked kernel that can be
 //! parallelized across scoped threads via [`Matrix::matmul_with`] and an
@@ -95,11 +95,6 @@ impl Matrix {
     /// Mutable borrow of the underlying row-major storage.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrow of one row.
@@ -211,20 +206,6 @@ impl Matrix {
             });
         }
         out
-    }
-
-    /// Reference GEMV: `self (m×k) × v (k) = (m)`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(v.len(), self.cols, "vector length must equal matrix cols");
-        (0..self.rows).map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum()).collect()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute element difference between two matrices.
@@ -449,17 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = pseudo_random_matrix(4, 3, 3, 1.0);
-        let v = vec![0.5, -1.0, 2.0];
-        let as_mat = a.matmul(&Matrix::from_vec(3, 1, v.clone()));
-        let as_vec = a.matvec(&v);
-        for (x, y) in as_vec.iter().zip(as_mat.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = pseudo_random_matrix(3, 7, 11, 1.0);
         assert_eq!(a.transpose().transpose(), a);
@@ -479,7 +449,6 @@ mod tests {
     #[test]
     fn norms_and_diffs() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
         let b = Matrix::from_rows(&[&[3.0, 4.5]]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-6);
     }

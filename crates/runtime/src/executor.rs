@@ -186,10 +186,10 @@ impl PerfFront {
         usize_from_u64(hash & u64_from_usize(Self::SLOTS - 1))
     }
 
-    /// The cached estimate for `(model, slices)` under `hash`.
+    /// The cached estimate for `(model, slices)` under `hash`. A probe of
+    /// the still-unsized table is a miss like any other.
     fn get(&mut self, hash: u64, model: ModelId, slices: &[BatchSlice]) -> Option<Price> {
-        let slot = self.slots.get(Self::slot_of(hash))?.as_ref();
-        match slot {
+        match self.slots.get(Self::slot_of(hash)).and_then(Option::as_ref) {
             Some(e) if e.model == model && e.slices == slices => {
                 self.hits += 1;
                 Some(e.price)
@@ -444,11 +444,6 @@ impl Executor {
         (self.perf_front.hits, self.perf_front.misses, resident)
     }
 
-    /// The accelerator driven by this executor.
-    pub fn accelerator(&self) -> &MugiAccelerator {
-        &self.accel
-    }
-
     /// The placement the executor dispatches under.
     pub fn placement(&self) -> &Placement {
         &self.placement
@@ -480,11 +475,6 @@ impl Executor {
     /// handoffs, swap-outs and swap-ins; zero under colocated placement).
     pub fn kv_transfer_bytes(&self) -> u64 {
         self.transfer_bytes
-    }
-
-    /// Stall cycles spent streaming KV transfers so far.
-    pub fn kv_transfer_stall_cycles(&self) -> u64 {
-        self.transfer_stall_cycles
     }
 
     /// Sessions whose KV pages are still waiting for room in a decode pool.
@@ -1433,6 +1423,17 @@ mod tests {
         assert_eq!(report.noc_energy_uj, 0.0);
         assert_eq!(report.node_busy_cycles.len(), 1);
         assert!(ex.scheduler().all_finished());
+    }
+
+    #[test]
+    fn first_front_probe_counts_as_a_miss() {
+        // The first probe finds the slot table still unsized; it must be
+        // counted like any later miss.
+        let mut ex =
+            Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
+        ex.submit(Request::new(ModelId::Llama2_7b, 64, 1));
+        ex.run();
+        assert_eq!(ex.perf_front_stats(), (0, 1, 1));
     }
 
     #[test]

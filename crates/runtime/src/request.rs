@@ -242,11 +242,6 @@ impl SessionArena {
         self.slots.get(self.head..).unwrap_or_default()
     }
 
-    /// Mutable view of the live window.
-    pub fn live_mut(&mut self) -> &mut [Session] {
-        self.slots.get_mut(self.head..).unwrap_or_default()
-    }
-
     /// Number of live sessions.
     pub fn len(&self) -> usize {
         self.slots.len() - self.head
@@ -475,7 +470,6 @@ mod tests {
         assert_eq!(arena.iter().count(), 4);
         arena[1].generated_tokens = 7;
         assert_eq!(arena.live()[1].generated_tokens, 7);
-        assert_eq!(arena.live_mut().len(), 4);
         arena.assert_invariants();
         assert_eq!(arena.peak_live(), 6);
     }

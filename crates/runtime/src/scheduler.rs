@@ -738,11 +738,6 @@ impl Scheduler {
         self.retired == self.sessions.retired_count() + self.sessions.len()
     }
 
-    /// Number of finished sessions.
-    pub fn finished_count(&self) -> usize {
-        self.retired
-    }
-
     /// Number of sessions currently inside an emitted-but-not-completed
     /// micro-batch.
     pub fn in_flight_count(&self) -> usize {

@@ -164,19 +164,9 @@ impl NonlinearLut {
         &self.config
     }
 
-    /// Number of LUT rows (signs × mantissas).
-    pub fn num_rows(&self) -> usize {
-        self.signs << self.config.mantissa_bits
-    }
-
     /// Number of stored entries (rows × exponents).
     pub fn num_entries(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Size in bits assuming BF16 entries, used by the cost model.
-    pub fn size_bits(&self) -> usize {
-        self.num_entries() * 16
     }
 
     /// Looks up the row for a (sign, mantissa) pair.
@@ -506,7 +496,6 @@ mod tests {
         let cfg = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);
         let lut = NonlinearLut::build(NonlinearOp::Softmax, cfg);
         // Softmax inputs are non-positive: single sign, 8 mantissas.
-        assert_eq!(lut.num_rows(), 8);
         assert_eq!(lut.num_entries(), 8 * cfg.lut_exponents());
         // Entry (m=0, e=0) is exp(-1.0).
         let e = lut.entry(true, 0, 0).unwrap();
@@ -514,7 +503,7 @@ mod tests {
         // SiLU takes both signs: double the rows.
         let cfg = VlpApproxConfig::recommended_for(NonlinearOp::Silu);
         let lut = NonlinearLut::build(NonlinearOp::Silu, cfg);
-        assert_eq!(lut.num_rows(), 16);
+        assert_eq!(lut.num_entries(), 16 * cfg.lut_exponents());
     }
 
     #[test]
@@ -1031,6 +1020,6 @@ mod tests {
                 strategy: WindowStrategy::AnchorMax,
             },
         );
-        assert!(large.size_bits() > small.size_bits());
+        assert!(large.num_entries() > small.num_entries());
     }
 }

@@ -15,7 +15,7 @@
 //! The functional output is exact with respect to the (de)quantized operands:
 //! VLP is not an approximation for GEMM, only for nonlinear operations.
 
-use crate::reuse::{outer_product, ReuseStats};
+use crate::reuse::ReuseStats;
 use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::quant::QuantizedMatrix;
 use mugi_numerics::tensor::Matrix;
@@ -162,26 +162,6 @@ impl VlpGemm {
         (output, stats)
     }
 
-    /// Symmetric GEMM over two dense matrices (`a: m×k`, `b: k×n`), used for
-    /// the attention score GEMM when the KV cache is kept in BF16 and for the
-    /// Carat baseline. Cycle accounting still follows the configured mapping.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree.
-    pub fn gemm_dense(&self, a: &Matrix, b: &Matrix) -> (Matrix, GemmStats) {
-        let output = a.matmul_with(b, &self.exec);
-        let stats = self.stats_for(a.rows(), b.cols(), a.cols());
-        (output, stats)
-    }
-
-    /// Bit-faithful single-tile outer-product path: multiplies a column of
-    /// temporally-coded signed magnitudes against a broadcast row using the
-    /// value-reuse primitive. Exposed so tests and the architecture model can
-    /// validate the exactness claim tile by tile.
-    pub fn tile_outer_product(&self, codes: &[i32], broadcast: &[f32]) -> (Vec<f32>, ReuseStats) {
-        outer_product(codes, broadcast, self.config.magnitude_bits)
-    }
-
     /// Cycle/utilization model for an `m×n×k` GEMM on this array.
     ///
     /// Output-stationary dataflow: each output tile of `height × width`
@@ -248,19 +228,6 @@ mod tests {
         assert!(out.max_abs_diff(&reference) < 1e-5);
         assert!(stats.cycles > 0);
         assert!(stats.utilization > 0.0 && stats.utilization <= 1.0);
-    }
-
-    #[test]
-    fn tile_outer_product_is_exact() {
-        let engine = VlpGemm::new(VlpGemmConfig::mugi(4));
-        let codes = [3i32, -7, 0, 5];
-        let broadcast = [1.5f32, -2.0, 0.25];
-        let (out, _) = engine.tile_outer_product(&codes, &broadcast);
-        for (r, &c) in codes.iter().enumerate() {
-            for (col, &b) in broadcast.iter().enumerate() {
-                assert_eq!(out[r * broadcast.len() + col], c as f32 * b);
-            }
-        }
     }
 
     #[test]
@@ -342,15 +309,6 @@ mod tests {
         };
         assert_eq!(bf16_rows.sweep_cycles(), 128);
         assert_eq!(VlpGemmConfig::mugi(128).sweep_cycles(), 8);
-    }
-
-    #[test]
-    fn dense_gemm_matches_reference() {
-        let a = pseudo_random_matrix(4, 16, 5, 1.0);
-        let b = pseudo_random_matrix(16, 12, 6, 1.0);
-        let engine = VlpGemm::new(VlpGemmConfig::carat(64));
-        let (out, _) = engine.gemm_dense(&a, &b);
-        assert!(out.max_abs_diff(&a.matmul(&b)) < 1e-6);
     }
 
     #[test]

@@ -24,18 +24,6 @@ pub struct ReuseStats {
     pub multiplications_avoided: u64,
 }
 
-impl ReuseStats {
-    /// Merges two accounting records (used when composing tiles).
-    pub fn merge(&self, other: &ReuseStats) -> ReuseStats {
-        ReuseStats {
-            cycles: self.cycles + other.cycles,
-            accumulations: self.accumulations + other.accumulations,
-            subscriptions: self.subscriptions + other.subscriptions,
-            multiplications_avoided: self.multiplications_avoided + other.multiplications_avoided,
-        }
-    }
-}
-
 /// Multiplies every element of `values` (small non-negative magnitudes, at
 /// most `bits` wide) by the broadcast scalar `weight` using temporal
 /// subscription. Returns the products and the cycle accounting.
@@ -167,25 +155,6 @@ mod tests {
         assert_eq!(stats.multiplications_avoided, 12);
         assert_eq!(stats.subscriptions, 3);
         assert!(stats.subscriptions < stats.multiplications_avoided);
-    }
-
-    #[test]
-    fn stats_merge_adds_fields() {
-        let a = ReuseStats {
-            cycles: 8,
-            accumulations: 8,
-            subscriptions: 4,
-            multiplications_avoided: 4,
-        };
-        let b = ReuseStats {
-            cycles: 8,
-            accumulations: 8,
-            subscriptions: 2,
-            multiplications_avoided: 2,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.cycles, 16);
-        assert_eq!(m.subscriptions, 6);
     }
 
     #[test]

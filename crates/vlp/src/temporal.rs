@@ -40,12 +40,6 @@ impl TemporalSignal {
     pub fn is_asserted_at(&self, cycle: u32) -> bool {
         cycle == self.spike_cycle
     }
-
-    /// Number of cycles until the spike fires, starting from `cycle`
-    /// (zero if it already fired).
-    pub fn cycles_remaining(&self, cycle: u32) -> u32 {
-        self.spike_cycle.saturating_sub(cycle)
-    }
 }
 
 /// A temporal converter: latches one value and emits its spike as the shared
@@ -108,11 +102,6 @@ impl TemporalConverter {
         }
     }
 
-    /// Whether the loaded value has already produced its spike.
-    pub fn has_fired(&self) -> bool {
-        self.fired
-    }
-
     /// Produces the signal for the currently loaded value without simulating
     /// cycle by cycle.
     pub fn signal(&self) -> Option<TemporalSignal> {
@@ -153,8 +142,6 @@ mod tests {
         assert_eq!(s.value(), 3);
         assert!(s.is_asserted_at(3));
         assert!(!s.is_asserted_at(2));
-        assert_eq!(s.cycles_remaining(0), 3);
-        assert_eq!(s.cycles_remaining(5), 0);
     }
 
     #[test]
@@ -169,7 +156,6 @@ mod tests {
             }
         }
         assert_eq!(fires, 1);
-        assert!(tc.has_fired());
         // A second sweep without reloading does not fire again.
         for c in 0..tc.sweep_length() {
             assert!(!tc.tick(c));
@@ -182,7 +168,6 @@ mod tests {
         tc.load(1);
         assert!(tc.tick(1));
         tc.load(2);
-        assert!(!tc.has_fired());
         assert!(tc.tick(2));
     }
 

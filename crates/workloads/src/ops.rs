@@ -266,12 +266,6 @@ impl OpTrace {
         }
     }
 
-    /// Output tokens produced by one execution of this trace: one per decode
-    /// request. Zero for a pure-prefill trace.
-    pub fn decode_tokens_per_step(&self) -> usize {
-        self.slices.iter().filter(|s| s.phase == Phase::Decode).map(|s| s.batch).sum()
-    }
-
     /// Prompt tokens processed by one execution of this trace across its
     /// prefill slices.
     pub fn prefill_tokens(&self) -> usize {
@@ -295,22 +289,6 @@ impl OpTrace {
                 WorkloadOp::Nonlinear(_) => 0,
             })
             .sum()
-    }
-
-    /// Total nonlinear elements across one layer.
-    pub fn layer_nonlinear_elements(&self) -> u64 {
-        self.layer_ops
-            .iter()
-            .map(|op| match op {
-                WorkloadOp::Gemm(_) => 0,
-                WorkloadOp::Nonlinear(n) => n.total_elements(),
-            })
-            .sum()
-    }
-
-    /// Total MACs for the whole model (all layers).
-    pub fn model_macs(&self) -> u64 {
-        self.layer_macs() * self.model.layers as u64
     }
 
     /// Total weight bytes read per layer (each weight is read once per layer
@@ -521,14 +499,6 @@ mod tests {
         assert_eq!(nl[0].total_elements(), 8 * 32 * 4096);
         // SiLU: batch rows of ffn_dim.
         assert_eq!(nl[1].total_elements(), 8 * 11008);
-        assert_eq!(trace.layer_nonlinear_elements(), 8 * 32 * 4096 + 8 * 11008);
-    }
-
-    #[test]
-    fn model_macs_multiply_by_layers() {
-        let cfg = ModelId::WhisperTiny.config();
-        let trace = OpTrace::generate(&cfg, Phase::Decode, 1, 128, false, false);
-        assert_eq!(trace.model_macs(), trace.layer_macs() * 4);
     }
 
     #[test]
@@ -556,7 +526,6 @@ mod tests {
         assert_eq!(mixed.batch, 9);
         assert_eq!(mixed.seq_len, 1024);
         assert_eq!(mixed.phase, Phase::Decode);
-        assert_eq!(mixed.decode_tokens_per_step(), 8);
         assert_eq!(mixed.prefill_tokens(), 256);
         assert_eq!(mixed.tokens_per_step(), 8);
     }
@@ -581,7 +550,6 @@ mod tests {
     fn pure_prefill_tokens_per_step_counts_prompts() {
         let cfg = ModelId::Llama2_7b.config();
         let trace = OpTrace::generate(&cfg, Phase::Prefill, 4, 512, true, true);
-        assert_eq!(trace.decode_tokens_per_step(), 0);
         assert_eq!(trace.prefill_tokens(), 4 * 512);
         assert_eq!(trace.tokens_per_step(), 4);
     }

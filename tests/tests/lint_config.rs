@@ -81,3 +81,49 @@ fn every_scope_switches_on_its_lints_outside_tests() {
     // the day the map goes away and the module-wide exemption goes stale.
     assert!(read("crates/core/src/memo.rs").contains("#![expect(\n    clippy::disallowed_types,"));
 }
+
+/// Clippy cannot see the workspace's one `HashMap` consumed by value:
+/// `disallowed-methods` cannot name a trait impl's method (`into_iter`,
+/// `extend`) and `iter_over_hash_type` sees only `for` loops. So outside its
+/// tests, memo.rs may name the map's field only where it declares and builds
+/// it and in the four visits whose results are order-free; `into_iter()`,
+/// `drain()`, `extend(..)` and `mem::take` on it all fail here.
+#[test]
+fn memo_names_its_hash_map_only_in_order_free_forms() {
+    let source = read("crates/core/src/memo.rs");
+    let end = source.find("#[cfg(test)]\nmod tests").expect("memo.rs has a test module");
+    let code: Vec<u8> = source[..end]
+        .lines()
+        .filter_map(|line| line.split("//").next())
+        .flat_map(str::bytes)
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    const FIELD: &[u8] = b"buckets";
+    let allowed: [&[u8]; 6] = [
+        b"buckets:HashMap<u64,Vec<Slot<K,V>>,Prehashed>,",
+        b"ShapeCache{buckets:HashMap::default(),",
+        b"self.buckets.get_mut(",
+        b"self.buckets.entry(",
+        b"self.buckets.values(",
+        b"self.buckets.retain(",
+    ];
+    let ident = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+    let mut uses = 0;
+    for at in 0..code.len() {
+        let word = code[at..].starts_with(FIELD)
+            && !code[..at].last().is_some_and(ident)
+            && !code.get(at + FIELD.len()).is_some_and(ident);
+        if !word {
+            continue;
+        }
+        let in_allowed_form = allowed.iter().any(|form| {
+            let offset = form.windows(FIELD.len()).position(|w| w == FIELD).unwrap_or(0);
+            at >= offset && code[at - offset..].starts_with(form)
+        });
+        let context =
+            String::from_utf8_lossy(&code[at.saturating_sub(24)..code.len().min(at + 32)]);
+        assert!(in_allowed_form, "memo.rs names `buckets` outside the allowed forms: `{context}`");
+        uses += 1;
+    }
+    assert!(uses >= 2, "memo.rs no longer declares and builds `buckets`; update this check");
+}
