@@ -52,7 +52,6 @@ use crate::memo::ShapeCache;
 use mugi_arch::designs::{Design, DesignConfig};
 use mugi_arch::noc::NocConfig;
 use mugi_arch::perf::{LayerCost, OpCost, PerfModel, WorkloadPerformance};
-use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_numerics::quant::{weight_only_quantize, QuantizedMatrix};
 use mugi_numerics::tensor::Matrix;
@@ -102,19 +101,10 @@ pub struct MugiAccelerator {
 
 impl MugiAccelerator {
     /// Creates a Mugi node with the given array height (32–256 in the paper)
-    /// and the recommended VLP approximation windows, running its software
-    /// kernels single-threaded.
+    /// and the recommended VLP approximation windows.
     pub fn new(array_height: usize) -> Self {
-        MugiAccelerator::with_context(array_height, ExecutionContext::default())
-    }
-
-    /// Creates a Mugi node whose software kernels (the functional GEMM path)
-    /// run under `exec`. The context is threaded down to the VLP GEMM engine
-    /// and from there to the blocked matrix kernel; it changes execution
-    /// speed only, never results or modelled statistics.
-    pub fn with_context(array_height: usize, exec: ExecutionContext) -> Self {
         MugiAccelerator {
-            gemm: VlpGemm::with_context(VlpGemmConfig::mugi(array_height), exec),
+            gemm: VlpGemm::new(VlpGemmConfig::mugi(array_height)),
             softmax_engine: VlpNonlinear::with_array_rows(
                 NonlinearOp::Softmax,
                 VlpApproxConfig::recommended_for(NonlinearOp::Softmax),
@@ -138,11 +128,6 @@ impl MugiAccelerator {
     /// The architectural configuration of this node.
     pub fn design_config(&self) -> &DesignConfig {
         self.perf.design().config()
-    }
-
-    /// The execution context the software kernels run under.
-    pub fn execution_context(&self) -> &ExecutionContext {
-        self.gemm.execution_context()
     }
 
     /// Clock frequency of this node's cost model in Hz (used by the serving
@@ -525,24 +510,6 @@ mod tests {
             let reversed: Vec<BatchSlice> = slices.iter().rev().copied().collect();
             check_against_trace(&accel, model, &reversed, woq, kvq)?;
             prop_assert_eq!(accel.perf_cache_entries(), memoized);
-        }
-    }
-
-    #[test]
-    fn execution_context_is_threaded_through_the_gemm_path() {
-        use mugi_numerics::exec::ExecutionContext;
-        let single = MugiAccelerator::new(128);
-        let parallel = MugiAccelerator::with_context(128, ExecutionContext::with_threads(4));
-        assert_eq!(parallel.execution_context().threads(), 4);
-        assert_eq!(single.execution_context().threads(), 1);
-        assert!(parallel.frequency_hz() > 0.0);
-        let activations = pseudo_random_matrix(8, 64, 1, 1.0);
-        let weights = pseudo_random_matrix(32, 64, 2, 0.5);
-        let q = parallel.quantize_weights(&weights);
-        let (a, _) = single.gemm(&activations, &q);
-        let (b, _) = parallel.gemm(&activations, &q);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

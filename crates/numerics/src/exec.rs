@@ -1,67 +1,44 @@
-//! Execution context for the software kernels: how many worker threads a
-//! kernel may spawn and which cache-tile size it blocks loops with.
+//! The one worker pool: [`ExecutionContext::map`] evaluates independent
+//! work items, such as the points of an accuracy sweep, on up to `threads`
+//! workers and returns the results in item order. It is the only place in
+//! the workspace that spawns threads; the kernels themselves (the blocked
+//! GEMM in [`Matrix::matmul`](crate::tensor::Matrix::matmul) included) run
+//! on the calling thread.
 //!
-//! The context is *threaded through* the execution path rather than read from
-//! a global: the serving runtime builds one per deployment, hands it to
-//! [`MugiAccelerator`](../../mugi/struct.MugiAccelerator.html), which passes it
-//! down to the VLP GEMM engines and finally to
-//! [`Matrix::matmul_with`](crate::tensor::Matrix::matmul_with). Every kernel
-//! driven by a context produces output that is bit-identical to the
-//! single-threaded reference, so the context only changes *how fast* an
-//! answer is computed, never *which* answer.
-//!
-//! [`ExecutionContext::map`] applies the same contract to independent work
-//! items, such as the points of an accuracy sweep: it evaluates them on up
-//! to `threads` workers and returns the results in item order. The calling
-//! thread is one of the workers, so `threads` workers spawn `threads - 1`
-//! extra threads, and a one-worker context (or an input of at most one
-//! item) spawns none and runs every item on the caller in order. Workers
-//! claim the next unclaimed item from a shared counter, so items of uneven
-//! cost balance. Each result depends only on its item, so the output is
-//! bit-identical at every thread count.
+//! The calling thread is one of the workers, so `threads` workers spawn
+//! `threads - 1` extra threads, and a one-worker context (or an input of at
+//! most one item) spawns none and runs every item on the caller in order.
+//! Workers claim the next unclaimed item from a shared counter, so items of
+//! uneven cost balance. Each result depends only on its item, so the output
+//! is bit-identical at every thread count.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Thread count and cache-tile size used by the blocked GEMM kernel.
+/// The worker count behind [`ExecutionContext::map`].
 ///
 /// ```
 /// use mugi_numerics::exec::ExecutionContext;
 /// let ctx = ExecutionContext::with_threads(4);
 /// assert_eq!(ctx.threads(), 4);
-/// assert_eq!(ctx.tile(), ExecutionContext::DEFAULT_TILE);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExecutionContext {
     threads: usize,
-    tile: usize,
 }
 
 impl ExecutionContext {
-    /// Default cache-tile edge (elements per blocked dimension). 64×64 f32
-    /// tiles (16 KiB for one operand tile) fit comfortably in an L1 data
-    /// cache alongside the accumulator rows.
-    pub const DEFAULT_TILE: usize = 64;
+    /// A context with one worker: the calling thread.
+    pub fn single_threaded() -> Self {
+        ExecutionContext::with_threads(1)
+    }
 
-    /// Creates a context with an explicit thread count and tile size.
+    /// A context with `threads` workers.
     ///
     /// # Panics
-    /// Panics if `threads` or `tile` is zero.
-    pub fn new(threads: usize, tile: usize) -> Self {
-        assert!(threads > 0, "threads must be non-zero");
-        assert!(tile > 0, "tile must be non-zero");
-        ExecutionContext { threads, tile }
-    }
-
-    /// A single-threaded context with the default tile size. This is what
-    /// [`Matrix::matmul`](crate::tensor::Matrix::matmul) uses implicitly.
-    pub fn single_threaded() -> Self {
-        ExecutionContext::new(1, Self::DEFAULT_TILE)
-    }
-
-    /// A context with `threads` workers and the default tile size.
+    /// Panics if `threads` is zero.
     pub fn with_threads(threads: usize) -> Self {
-        ExecutionContext::new(threads, Self::DEFAULT_TILE)
+        assert!(threads > 0, "threads must be non-zero");
+        ExecutionContext { threads }
     }
 
     /// A context sized to the host: one worker per available hardware thread
@@ -71,14 +48,9 @@ impl ExecutionContext {
         ExecutionContext::with_threads(threads)
     }
 
-    /// Number of worker threads a kernel may use.
+    /// Number of workers [`map`](Self::map) may use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Cache-tile edge length used by blocked loops.
-    pub fn tile(&self) -> usize {
-        self.tile
     }
 
     /// Applies `f` to every item on up to [`threads`](Self::threads)
@@ -110,6 +82,10 @@ impl ExecutionContext {
             }
         };
         let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workspace's one worker pool: results return in item order, each computed from its item alone"
+        )]
         std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..workers)
                 .map(|_| {
@@ -135,12 +111,6 @@ impl ExecutionContext {
     }
 }
 
-impl Default for ExecutionContext {
-    fn default() -> Self {
-        ExecutionContext::single_threaded()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,11 +123,8 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        let ctx = ExecutionContext::new(3, 32);
-        assert_eq!(ctx.threads(), 3);
-        assert_eq!(ctx.tile(), 32);
-        assert_eq!(ExecutionContext::default(), ExecutionContext::single_threaded());
-        assert_eq!(ExecutionContext::with_threads(2).tile(), ExecutionContext::DEFAULT_TILE);
+        assert_eq!(ExecutionContext::with_threads(3).threads(), 3);
+        assert_eq!(ExecutionContext::single_threaded().threads(), 1);
         assert!(ExecutionContext::host_parallel().threads() >= 1);
     }
 
@@ -241,12 +208,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "threads must be non-zero")]
     fn zero_threads_rejected() {
-        ExecutionContext::new(0, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile must be non-zero")]
-    fn zero_tile_rejected() {
-        ExecutionContext::new(1, 0);
+        ExecutionContext::with_threads(0);
     }
 }

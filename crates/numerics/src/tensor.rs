@@ -1,14 +1,14 @@
-//! A small dense row-major matrix type with GEMM kernels.
+//! A small dense row-major matrix type with a GEMM kernel.
 //!
-//! [`Matrix::matmul`] runs a cache- and register-blocked kernel that can be
-//! parallelized across scoped threads via [`Matrix::matmul_with`] and an
-//! [`ExecutionContext`]; its output is bit-identical to the original
-//! triple-loop kernel, which is kept as the hidden [`matmul_naive`] oracle.
-//! These kernels serve as the correctness oracle for the VLP GEMM in
-//! `mugi-vlp` and as the "software implementation" baseline used by the
-//! accuracy experiments.
+//! [`Matrix::matmul`] is the one GEMM entry point: a cache- and
+//! register-blocked kernel that runs on the calling thread (parallel work
+//! goes one level up, through
+//! [`ExecutionContext::map`](crate::exec::ExecutionContext::map)). Its
+//! output is bit-identical to the original triple-loop kernel, which is kept
+//! as the hidden [`matmul_naive`] oracle. The GEMM serves as the correctness
+//! oracle for the VLP GEMM in `mugi-vlp` and as the "software
+//! implementation" baseline used by the accuracy experiments.
 
-use crate::exec::ExecutionContext;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -148,63 +148,28 @@ impl Matrix {
         self.map(|x| x * s)
     }
 
-    /// GEMM: `self (m×k) × other (k×n) = (m×n)`, computed by the blocked
-    /// kernel with the default (single-threaded) [`ExecutionContext`].
+    /// GEMM: `self (m×k) × other (k×n) = (m×n)`, computed by a
+    /// cache-blocked, register-blocked kernel on the calling thread.
+    ///
+    /// The result is **bit-identical** to [`matmul_naive`]: each output
+    /// element accumulates its `k` partial products in the same
+    /// ascending-`k` order, with the same skip of exact zeros in `self`.
+    /// Tests assert exact `f32::to_bits` equality.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(other, &ExecutionContext::default())
-    }
-
-    /// GEMM under an explicit [`ExecutionContext`]: a cache-blocked,
-    /// register-blocked kernel that splits the output rows across
-    /// `ctx.threads()` scoped threads.
-    ///
-    /// The result is **bit-identical** to [`matmul_naive`] for every thread
-    /// count and tile size: each output element accumulates its `k` partial
-    /// products in the same ascending-`k` order (with the same skip of exact
-    /// zeros in `self`), and rows are distributed without changing any
-    /// per-element order. Tests assert exact `f32::to_bits` equality.
-    ///
-    /// The worker count is capped at the host's available parallelism (and
-    /// at the row count): oversubscribing cores gains nothing and only adds
-    /// scheduling noise.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_with(&self, other: &Matrix, ctx: &ExecutionContext) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "inner dimensions must agree: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if m == 0 || n == 0 || k == 0 {
+        let (k, n) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        if out.data.is_empty() || k == 0 {
             return out;
         }
-        let threads = if ctx.threads() <= 1 {
-            1
-        } else {
-            // Only pay the parallelism query when multi-threading was asked
-            // for; the default single-threaded context skips the syscall.
-            let host = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-            ctx.threads().min(m).min(host)
-        };
-        if threads <= 1 {
-            matmul_rows_blocked(&self.data, &other.data, &mut out.data, 0, k, n, ctx.tile());
-        } else {
-            let rows_per_chunk = m.div_ceil(threads);
-            let (a, b, tile) = (&self.data, &other.data, ctx.tile());
-            std::thread::scope(|scope| {
-                for (chunk, out_chunk) in out.data.chunks_mut(rows_per_chunk * n).enumerate() {
-                    scope.spawn(move || {
-                        matmul_rows_blocked(a, b, out_chunk, chunk * rows_per_chunk, k, n, tile);
-                    });
-                }
-            });
-        }
+        matmul_rows_blocked(&self.data, &other.data, &mut out.data, k, n);
         out
     }
 
@@ -248,14 +213,17 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 /// Lanes (output columns) of the main register panel.
 const NR: usize = 16;
 
-/// Blocked GEMM over a contiguous band of output rows.
+/// Rows of `b` per k-tile: a 64×64 f32 tile (16 KiB) fits an L1 data cache
+/// alongside the accumulator rows.
+const TILE: usize = 64;
+
+/// Blocked GEMM: `out` (`out.len() / n` rows of `n`) += `a` × `b`.
 ///
-/// `out` holds the rows `row0 .. row0 + out.len() / n` of the full output.
-/// The `k` loop is tiled so one `tile`-row panel of `b` stays cache-resident
-/// while it is applied to the whole band. Inside a k-tile the band is walked
-/// two rows at a time (a leftover row alone), and each pair of rows is cut
-/// into register panels by [`panel_row`]: [`NR`] columns wide, then 4, then
-/// 1 for the tail columns.
+/// The `k` loop is tiled so one [`TILE`]-row panel of `b` stays
+/// cache-resident while it is applied to every output row. Inside a k-tile
+/// the rows are walked two at a time (a leftover row alone), and each pair
+/// of rows is cut into register panels by [`panel_row`]: [`NR`] columns
+/// wide, then 4, then 1 for the tail columns.
 ///
 /// The panel size is set by the register file. Baseline x86-64 has 16 SSE
 /// registers of four f32 lanes each. A 2×16 panel keeps 8 accumulators, the
@@ -268,21 +236,13 @@ const NR: usize = 16;
 /// ascends inside a tile, and the spill/reload of the f32 accumulators is
 /// lossless), with the naive kernel's exact-zero skip on `a`. That keeps the
 /// result bit-identical to [`matmul_naive`].
-fn matmul_rows_blocked(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-    tile: usize,
-) {
+fn matmul_rows_blocked(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let rows = out.len() / n;
-    for kb in (0..k).step_by(tile) {
-        let k_end = (kb + tile).min(k);
+    for kb in (0..k).step_by(TILE) {
+        let k_end = (kb + TILE).min(k);
         let b_tile = &b[kb * n..k_end * n];
-        // The `a` row of output row `r` of the band, cut to this k-tile.
-        let a_row = |r: usize| &a[(row0 + r) * k + kb..(row0 + r) * k + k_end];
+        // The `a` row of output row `r`, cut to this k-tile.
+        let a_row = |r: usize| &a[r * k + kb..r * k + k_end];
         let mut pairs = out.chunks_exact_mut(2 * n);
         for (p, pair) in (&mut pairs).enumerate() {
             let (d0, d1) = pair.split_at_mut(n);
@@ -475,11 +435,12 @@ mod tests {
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
         // Every n in 1..=40 hits every tail width (16-lane panels, then 4,
-        // then 1); odd m takes the one-row panel; k runs below and above the
-        // default tile. Some activations are exact zeros, so each panel sees
-        // both its all-nonzero and its per-row skip path.
+        // then 1); odd m takes the one-row panel; k runs below the 64-row
+        // k-tile, across one tile boundary and across two. Some activations
+        // are exact zeros, so each panel sees both its all-nonzero and its
+        // per-row skip path.
         for m in 1..=9 {
-            for k in [5, 70] {
+            for k in [5, 70, 130] {
                 let mut a = pseudo_random_matrix(m, k, (m * k) as u64 + 1, 1.0);
                 for i in 0..m {
                     for kk in (i % 7..k).step_by(7) {
@@ -488,14 +449,7 @@ mod tests {
                 }
                 for n in 1..=40 {
                     let b = pseudo_random_matrix(k, n, (k * n) as u64 + 2, 1.0);
-                    let reference = matmul_naive(&a, &b);
-                    for threads in [1, 2, 3] {
-                        for tile in [1, 3, 64] {
-                            let got = a.matmul_with(&b, &ExecutionContext::new(threads, tile));
-                            assert_bit_identical(&got, &reference);
-                        }
-                    }
-                    assert_bit_identical(&a.matmul(&b), &reference);
+                    assert_bit_identical(&a.matmul(&b), &matmul_naive(&a, &b));
                 }
             }
         }
@@ -505,17 +459,11 @@ mod tests {
     fn blocked_matmul_keeps_the_bits_of_special_values() {
         const POOL: [f32; 8] =
             [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5, -2.0, 0.25];
-        let check = |a: &Matrix, b: &Matrix| {
-            let reference = matmul_naive(a, b);
-            for threads in [1, 2, 3] {
-                for tile in [1, 3, 64] {
-                    let got = a.matmul_with(b, &ExecutionContext::new(threads, tile));
-                    assert_bit_identical(&got, &reference);
-                }
-            }
-        };
+        let check =
+            |a: &Matrix, b: &Matrix| assert_bit_identical(&a.matmul(b), &matmul_naive(a, b));
+        // k = 67 crosses the 64-row k-tile boundary.
         for m in 1..=5 {
-            for k in [3, 9] {
+            for k in [3, 9, 67] {
                 let a = Matrix::from_fn(m, k, |i, kk| POOL[(3 * i + 5 * kk) % POOL.len()]);
                 for n in [1, 5, 17, 33] {
                     let b = Matrix::from_fn(k, n, |kk, j| POOL[(7 * kk + j) % POOL.len()]);
@@ -529,14 +477,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, 1.0, -0.0, 2.0], &[3.0, -0.0, 0.5, 0.0]]);
         let b = Matrix::from_fn(4, 21, |kk, j| POOL[(kk + 3 * j) % POOL.len()]);
         check(&a, &b);
-    }
-
-    #[test]
-    fn matmul_with_more_threads_than_rows() {
-        let a = pseudo_random_matrix(3, 8, 1, 1.0);
-        let b = pseudo_random_matrix(8, 5, 2, 1.0);
-        let got = a.matmul_with(&b, &ExecutionContext::with_threads(16));
-        assert_bit_identical(&got, &matmul_naive(&a, &b));
     }
 
     #[test]

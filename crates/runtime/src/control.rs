@@ -13,7 +13,7 @@
 //!
 //! 1. **Dynamic role reassignment** ([`ControlConfig::reassign_roles`]).
 //!    At every completion the executor compares the outstanding prefill
-//!    demand (the scheduler's incremental backlog ledger) against the
+//!    demand (the scheduler's running `pending_prefill_total`) against the
 //!    outstanding decode demand (tokens promised but not yet emitted) and
 //!    re-rolls one node's [`PoolRole`] toward the demand split — via a
 //!    *quiescent handoff*: the node first drains (it forms no new batches,

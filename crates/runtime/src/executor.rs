@@ -18,7 +18,7 @@
 //!   of its single-node cycles while the NoC transfer model charges the
 //!   activation and partial-sum movement between nodes.
 //! * **disaggregated** — the mesh splits into prefill and decode pools:
-//!   every batch is pure (phase-filtered per node), and when a prefill
+//!   every batch is pure (one phase per node role), and when a prefill
 //!   completes the executor *migrates* the session's KV pages to a decode
 //!   node — charging `NocConfig::transfer_energy_pj` for the cache bytes
 //!   and stalling the receiving node for `NocConfig::transfer_cycles` —
@@ -58,7 +58,7 @@ use crate::event::EventQueue;
 use crate::kv::{pages_for, AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState};
-use crate::scheduler::{BatchItem, MicroBatch, PhaseFilter, Scheduler};
+use crate::scheduler::{BatchItem, MicroBatch, Scheduler};
 use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 use mugi::arch::cost::CostModel;
 use mugi::MugiAccelerator;
@@ -247,8 +247,8 @@ pub struct Executor {
     /// session may only run where its pages live.
     multi_pool: bool,
     /// Whether the placement disaggregates prefill from decode: dispatch
-    /// phase-filters every node and completed prefills migrate their KV
-    /// pages to a decode node.
+    /// restricts every node to its role's phase and completed prefills
+    /// migrate their KV pages to a decode node.
     disagg: bool,
     /// Sessions whose KV pages are waiting to move into a decode pool —
     /// completed prefills plus swapped-out victims. Retried after every
@@ -501,19 +501,15 @@ impl Executor {
         }
     }
 
-    /// The phases node `i` may execute: both on every colocated policy,
-    /// split by the node's *live* role under disaggregation — and `None`
-    /// while the control plane drains the node for a role flip, during
-    /// which it forms no new batches at all.
-    fn phase_for(&self, i: usize) -> Option<PhaseFilter> {
+    /// The live role node `i` forms batches for: colocated on every
+    /// colocated policy, split under disaggregation — and `None` while the
+    /// control plane drains the node for a role flip, during which it forms
+    /// no new batches at all.
+    fn role_for(&self, i: usize) -> Option<PoolRole> {
         if self.draining.is_some_and(|d| d.node == i) {
             return None;
         }
-        Some(match self.node_roles[i] {
-            PoolRole::Colocated => PhaseFilter::Both,
-            PoolRole::Prefill => PhaseFilter::PrefillOnly,
-            PoolRole::Decode => PhaseFilter::DecodeOnly,
-        })
+        Some(self.node_roles[i])
     }
 
     /// The live scheduling role of each node: the static placement roles
@@ -872,11 +868,11 @@ impl Executor {
                 if self.land_due(node_now, stream, fold) {
                     continue 'outer;
                 }
-                // A draining node has no phase: it forms no new batches
+                // A draining node has no role: it forms no new batches
                 // until its role flip completes.
-                let Some(phase) = self.phase_for(node) else { continue };
+                let Some(role) = self.role_for(node) else { continue };
                 if let Some(batch) =
-                    self.scheduler.next_micro_batch(node_now, self.slot_of(node), phase)
+                    self.scheduler.next_micro_batch(node_now, self.slot_of(node), role)
                 {
                     self.dispatch(node, batch, node_now);
                     break 'outer true;

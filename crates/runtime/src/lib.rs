@@ -106,8 +106,8 @@ pub use kv::{
 pub use placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 pub use request::{Request, RequestId, Session, SessionArena, SessionState};
 pub use scheduler::{
-    BatchItem, DecodeOrder, MicroBatch, Migration, PhaseFilter, Scheduler, SchedulerConfig,
-    SchedulingPolicy, SwapOut,
+    BatchItem, DecodeOrder, MicroBatch, Migration, Scheduler, SchedulerConfig, SchedulingPolicy,
+    SwapOut,
 };
 pub use stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 pub use workload::{

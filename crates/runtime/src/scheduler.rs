@@ -57,16 +57,16 @@
 //!
 //! A disaggregated executor partitions the mesh into prefill and decode
 //! pools ([`PoolRole`]) and forms *pure* micro-batches through
-//! [`Scheduler::next_micro_batch`]: a [`PhaseFilter::PrefillOnly`]
-//! batch admits and advances prompts on a prefill pool, a
-//! [`PhaseFilter::DecodeOnly`] batch runs decode slots on a decode pool.
+//! [`Scheduler::next_micro_batch`], which reads the node's role: a
+//! [`PoolRole::Prefill`] batch admits and advances prompts on a prefill
+//! pool, a [`PoolRole::Decode`] batch runs decode slots on a decode pool.
 //! Completed prefills hand their KV pages over via
 //! [`Scheduler::migrate_session`] (driven by the executor, which charges the
 //! NoC transfer) instead of recomputing them on the decode side; under
 //! [`PreemptionMode::Swap`] a decode-pool eviction pages the victim *out* to
 //! a prefill pool the same way ([`MicroBatch::swapped_out`]) rather than
-//! dropping its cache. Colocated policies use [`PhaseFilter::Both`] and take
-//! exactly the pre-disaggregation code path.
+//! dropping its cache. Colocated nodes ([`PoolRole::Colocated`]) run both
+//! phases and take exactly the pre-disaggregation code path.
 //!
 //! # Decode fairness
 //!
@@ -96,7 +96,7 @@ use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Order in which waiting prompts are admitted to the prefill share of a
 /// micro-batch.
@@ -165,31 +165,6 @@ impl Default for SchedulerConfig {
             policy: SchedulingPolicy::Fcfs,
             decode_order: DecodeOrder::RoundRobin,
         }
-    }
-}
-
-/// Which phases a micro-batch formation may schedule: colocated nodes run
-/// both, a disaggregated mesh routes each phase to its own pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PhaseFilter {
-    /// Decode slots first, then prefill chunks (every colocated policy).
-    #[default]
-    Both,
-    /// Prefill chunks only (a disaggregated prefill node).
-    PrefillOnly,
-    /// Decode slots only (a disaggregated decode node).
-    DecodeOnly,
-}
-
-impl PhaseFilter {
-    /// Whether decode slots may be scheduled.
-    fn decode(self) -> bool {
-        !matches!(self, PhaseFilter::PrefillOnly)
-    }
-
-    /// Whether prefill chunks may be scheduled.
-    fn prefill(self) -> bool {
-        !matches!(self, PhaseFilter::DecodeOnly)
     }
 }
 
@@ -388,22 +363,8 @@ pub struct Scheduler {
     /// themselves ([`Session::in_flight`] in the arena); this counter only
     /// answers [`Scheduler::in_flight_count`] in O(1).
     in_flight_count: usize,
-    /// Incremental prefill-backlog ledger: `(arrival_cycle, id) →
-    /// remaining_prefill` for every session that still owes prefill tokens.
-    /// Maintained *only when an [`SloConfig`] is set* — it exists to answer
-    /// the SLO admission check's "how much prefill was queued at this
-    /// arrival?" from a suffix range instead of a live-session scan (see
-    /// [`Scheduler::prefill_backlog_at`]), and without an SLO nothing reads
-    /// it, so the hot loop skips the per-chunk tree maintenance entirely.
-    /// The three mutation sites — admission inserts the prompt, a completed
-    /// prefill chunk debits it (removing the entry at zero), an eviction
-    /// re-credits the recompute target — all gate on
-    /// [`Scheduler::ledger_enabled`].
-    pending_prefill: BTreeMap<(u64, RequestId), u64>,
-    /// Prefill tokens still owed across every live session. Maintained
-    /// unconditionally (two integer ops per event) whatever the ledger gate,
-    /// so the control plane's demand split and the common in-order-arrival
-    /// query (empty suffix) stay O(1).
+    /// Prefill tokens still owed across every live session (two integer ops
+    /// per event), so the control plane's demand split stays O(1).
     pending_prefill_total: u64,
     /// Output tokens promised but not yet emitted across every live session
     /// — the decode-side demand counter the control plane weighs against
@@ -501,7 +462,6 @@ impl Scheduler {
             queues: Vec::new(),
             future: VecDeque::new(),
             in_flight_count: 0,
-            pending_prefill: BTreeMap::new(),
             pending_prefill_total: 0,
             pending_decode_tokens: 0,
             calibrator: None,
@@ -522,14 +482,6 @@ impl Scheduler {
             scratch_victims: Vec::new(),
             spare_items: Vec::new(),
         }
-    }
-
-    /// Whether the per-arrival prefill ledger is maintained: only an
-    /// [`SloConfig`] admission check ever reads it, so without one the hot
-    /// loop skips the tree maintenance and
-    /// [`Scheduler::prefill_backlog_at`] answers from a live-session scan.
-    fn ledger_enabled(&self) -> bool {
-        self.kv.slo.is_some()
     }
 
     /// Index of session `id` in the unretired window.
@@ -638,17 +590,6 @@ impl Scheduler {
             // interference and drainage between now and the arrival — it is
             // a bound on *queued work*, not a simulation.
             let backlog = self.prefill_backlog_at(request.arrival_cycle);
-            debug_assert_eq!(
-                backlog,
-                self.sessions
-                    .iter()
-                    .filter(|s| {
-                        !s.is_finished() && s.request.arrival_cycle <= request.arrival_cycle
-                    })
-                    .map(|s| u64_from_usize(s.remaining_prefill()))
-                    .sum::<u64>(),
-                "incremental prefill ledger diverged from the live-session scan"
-            );
             // The calibrated service rate replaces the configured guess
             // once the calibrator (if the control plane enabled one) has
             // warmed up. Calibrated rates are conservative by construction
@@ -671,13 +612,7 @@ impl Scheduler {
         let id = RequestId(u64_from_usize(self.sessions.retired_count() + self.sessions.len()));
         self.sessions.push(Session::new(id, request));
         let arrival = request.arrival_cycle;
-        let owed = u64_from_usize(request.prompt_tokens);
-        if owed > 0 {
-            if self.ledger_enabled() {
-                self.pending_prefill.insert((arrival, id), owed);
-            }
-            self.pending_prefill_total += owed;
-        }
+        self.pending_prefill_total += u64_from_usize(request.prompt_tokens);
         self.pending_decode_tokens += u64_from_usize(request.output_tokens);
         if self.future.back().is_none_or(|&(a, _)| a <= arrival) {
             self.future.push_back((arrival, id));
@@ -746,38 +681,19 @@ impl Scheduler {
 
     /// Prefill tokens still owed by sessions that arrived at or before
     /// `arrival_cycle` — the backlog the SLO admission check charges a new
-    /// arrival with. Under an [`SloConfig`] this is answered from the
-    /// incremental ledger by subtracting the later-arrival suffix from the
-    /// running total: O(log n + k) for k sessions arriving strictly later,
-    /// and k = 0 — a pure O(log n) probe — for an arrival-ordered stream,
-    /// the normal case. Bit-identical to the live-session scan it replaced
-    /// (a `debug_assert` in [`Scheduler::try_submit`] pins the equivalence
-    /// on every admission). Without an SLO the ledger is not maintained —
-    /// nothing on the hot path reads it — so the query falls back to the
-    /// live-session scan, same answer, O(live sessions).
+    /// arrival with. A scan of the live sessions, O(live sessions).
     pub fn prefill_backlog_at(&self, arrival_cycle: u64) -> u64 {
-        if !self.ledger_enabled() {
-            return self
-                .sessions
-                .iter()
-                .filter(|s| !s.is_finished() && s.request.arrival_cycle <= arrival_cycle)
-                .map(|s| u64_from_usize(s.remaining_prefill()))
-                .sum();
-        }
-        use std::ops::Bound;
-        let later: u64 = self
-            .pending_prefill
-            .range((Bound::Excluded((arrival_cycle, RequestId(u64::MAX))), Bound::Unbounded))
-            .map(|(_, &owed)| owed)
-            .sum();
-        self.pending_prefill_total - later
+        self.sessions
+            .iter()
+            .filter(|s| !s.is_finished() && s.request.arrival_cycle <= arrival_cycle)
+            .map(|s| u64_from_usize(s.remaining_prefill()))
+            .sum()
     }
 
     /// Total prefill tokens still owed across every live session, whatever
-    /// their arrival cycle — the O(1) running sum of the incremental
-    /// backlog ledger. The control plane reads this (together with
-    /// [`Scheduler::pending_decode_tokens`]) to split nodes between roles by
-    /// outstanding demand.
+    /// their arrival cycle — an O(1) running sum. The control plane reads
+    /// this (together with [`Scheduler::pending_decode_tokens`]) to split
+    /// nodes between roles by outstanding demand.
     pub fn pending_prefill_total(&self) -> u64 {
         self.pending_prefill_total
     }
@@ -887,12 +803,11 @@ impl Scheduler {
     }
 
     /// Recompute-evicts `victim` from pool `pool`: releases its pages,
-    /// resets it to prefill its whole cache again, re-credits the prefill
-    /// ledger with that debt and moves it back to its model's waiting
+    /// resets it to prefill its whole cache again, re-credits the owed
+    /// prefill total with that debt and moves it back to its model's waiting
     /// queue. Charges the preemption, re-prefill and evicted-page counters
     /// and returns the pages released.
     fn evict_for_recompute(&mut self, victim: RequestId, pool: usize) -> usize {
-        let ledger = self.ledger_enabled();
         let vi = self.sidx(victim);
         let s = &mut self.sessions[vi];
         let lost_tokens = u64_from_usize(s.kv_len());
@@ -901,13 +816,8 @@ impl Scheduler {
         let prev_owed = u64_from_usize(s.remaining_prefill());
         s.preempt();
         // Re-credit the recompute debt: the eviction reset the session's
-        // prefill target to prompt + generated, so the ledger entry (absent
-        // when the victim had fully prefilled) is replaced wholesale rather
-        // than adjusted.
+        // prefill target to prompt + generated.
         let owed = u64_from_usize(s.remaining_prefill());
-        if ledger {
-            self.pending_prefill.insert((s.request.arrival_cycle, victim), owed);
-        }
         self.pending_prefill_total = self.pending_prefill_total - prev_owed + owed;
         let model = s.request.model;
         let queue = self
@@ -1090,16 +1000,16 @@ impl Scheduler {
     }
 
     /// Assembles the next micro-batch at simulated cycle `now` for the node
-    /// whose KV lives in pool `pool`, restricted to `phase`: a disaggregated
-    /// executor forms [`PhaseFilter::PrefillOnly`] batches on prefill nodes
-    /// and [`PhaseFilter::DecodeOnly`] batches on decode nodes;
-    /// [`PhaseFilter::Both`] is the colocated behaviour (pool 0 with both
-    /// phases is the single-node and sharded view). Scheduled sessions are
-    /// marked in flight until [`Scheduler::complete`] is called for the
-    /// batch, so overlapping micro-batches on different nodes never share a
-    /// session. Returns `None` when no session has runnable work (all
-    /// finished, everything runnable already in flight, blocked on KV
-    /// pages, or only future arrivals remain).
+    /// whose KV lives in pool `pool`, restricted to the phases of the node's
+    /// `role`: a disaggregated executor forms prefill-only batches on
+    /// [`PoolRole::Prefill`] nodes and decode-only batches on
+    /// [`PoolRole::Decode`] nodes; [`PoolRole::Colocated`] runs both phases
+    /// (pool 0 with both phases is the single-node and sharded view).
+    /// Scheduled sessions are marked in flight until [`Scheduler::complete`]
+    /// is called for the batch, so overlapping micro-batches on different
+    /// nodes never share a session. Returns `None` when no session has
+    /// runnable work (all finished, everything runnable already in flight,
+    /// blocked on KV pages, or only future arrivals remain).
     ///
     /// Under a bounded [`KvConfig`] the formation is a paging transaction:
     /// decode growth and prefill chunks allocate pages from `pool`,
@@ -1110,7 +1020,7 @@ impl Scheduler {
         &mut self,
         now: u64,
         pool: usize,
-        phase: PhaseFilter,
+        role: PoolRole,
     ) -> Option<MicroBatch> {
         self.release_arrivals(now);
         // Single-model fast path: with one queue there is nothing to rank,
@@ -1118,7 +1028,7 @@ impl Scheduler {
         // eligible session forms nothing and changes nothing observable),
         // so the candidate pass below would only duplicate its scans.
         if self.queues.len() == 1 {
-            return self.form_from(now, pool, 0, phase);
+            return self.form_from(now, pool, 0, role);
         }
         // Rank models by least-recently-served; ties (e.g. never-served
         // models) go to the oldest eligible session. Tracking actual service
@@ -1136,12 +1046,12 @@ impl Scheduler {
             // decode/waiting population like the old chained `min` did. In
             // steady state (front of each queue runnable) this is O(1) per
             // queue.
-            let dec = if phase.decode() {
+            let dec = if role != PoolRole::Prefill {
                 q.decoding.iter().copied().find(|&id| self.eligible_on(id, now, pool))
             } else {
                 None
             };
-            let wait = if phase.prefill() {
+            let wait = if role != PoolRole::Decode {
                 q.waiting.iter().copied().find(|&id| self.eligible_on(id, now, pool))
             } else {
                 None
@@ -1155,7 +1065,7 @@ impl Scheduler {
         candidates.sort();
         let mut formed = None;
         for &(_, _, qi) in &candidates {
-            formed = self.form_from(now, pool, qi, phase);
+            formed = self.form_from(now, pool, qi, role);
             if formed.is_some() {
                 break;
             }
@@ -1171,9 +1081,9 @@ impl Scheduler {
         now: u64,
         pool: usize,
         qi: usize,
-        phase: PhaseFilter,
+        role: PoolRole,
     ) -> Option<MicroBatch> {
-        let (items, evicted_pages, swapped_out) = self.try_form(now, pool, qi, phase);
+        let (items, evicted_pages, swapped_out) = self.try_form(now, pool, qi, role);
         if items.is_empty() {
             return None;
         }
@@ -1188,7 +1098,7 @@ impl Scheduler {
     }
 
     /// Tries to form a micro-batch for the model of queue `qi` out of KV
-    /// pool `pool`, restricted to `phase`, returning the items, the pages
+    /// pool `pool`, restricted to the phases of `role`, returning the items, the pages
     /// evicted to make room and the sessions swapped out over the NoC
     /// (empty items = everything eligible is blocked on pages).
     fn try_form(
@@ -1196,7 +1106,7 @@ impl Scheduler {
         now: u64,
         pool: usize,
         qi: usize,
-        phase: PhaseFilter,
+        role: PoolRole,
     ) -> (Vec<BatchItem>, usize, Vec<SwapOut>) {
         let SchedulerConfig { max_batch, token_budget, prefill_chunk, policy, decode_order } =
             self.config;
@@ -1217,7 +1127,7 @@ impl Scheduler {
         // short the session preempts strictly-younger page holders, and a
         // session that cannot reclaim enough simply skips this step (the
         // oldest session can always reclaim, so no one starves).
-        if phase.decode() {
+        if role != PoolRole::Prefill {
             let mut decoding = std::mem::take(&mut self.scratch_ids);
             decoding.clear();
             decoding.extend(
@@ -1284,7 +1194,7 @@ impl Scheduler {
         // preempt like a decode slot; a fresh admission defers instead when
         // free pages fall short of its projected need — and defers the rest
         // of the queue with it, so admission keeps strict policy order.
-        if phase.prefill() {
+        if role != PoolRole::Decode {
             let mut waiting = std::mem::take(&mut self.scratch_ids);
             waiting.clear();
             waiting.extend(
@@ -1626,27 +1536,7 @@ impl Scheduler {
             let s = &mut self.sessions[i];
             match item.phase {
                 Phase::Prefill => {
-                    // Debit the chunk from the backlog ledger (maintained
-                    // only under an SLO), dropping the entry once the
-                    // session owes nothing; the running total is maintained
-                    // unconditionally.
-                    let paid = u64_from_usize(item.tokens);
-                    if self.kv.slo.is_some() {
-                        let key = (s.request.arrival_cycle, item.id);
-                        let owed = {
-                            let owed = self
-                                .pending_prefill
-                                .get_mut(&key)
-                                .expect("a prefill chunk debits a ledgered session");
-                            debug_assert!(*owed >= paid, "chunk exceeds ledgered prefill debt");
-                            *owed -= paid;
-                            *owed
-                        };
-                        if owed == 0 {
-                            self.pending_prefill.remove(&key);
-                        }
-                    }
-                    self.pending_prefill_total -= paid;
+                    self.pending_prefill_total -= u64_from_usize(item.tokens);
                     s.prefilled_tokens += item.tokens;
                     debug_assert!(s.prefilled_tokens <= s.prefill_target);
                     if s.remaining_prefill() == 0 {
@@ -1729,7 +1619,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 100, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 40, 4));
         // First batch: no decodes yet, two prefill chunks (32 + 32 = 64).
-        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(batch.items.len(), 2);
         assert_eq!(batch.total_tokens(), 64);
         assert!(batch.items.iter().all(|i| i.phase == Phase::Prefill));
@@ -1740,13 +1630,13 @@ mod tests {
         sched.complete(&batch, 10);
         // b finished its prompt? 40 > 32, so both still prefilling. Second
         // batch continues the chunks.
-        let batch2 = sched.next_micro_batch(10, 0, PhaseFilter::Both).unwrap();
+        let batch2 = sched.next_micro_batch(10, 0, PoolRole::Colocated).unwrap();
         assert_eq!(batch2.items[0].tokens, 32); // a: 100 - 32 = 68 left, next 32
         assert_eq!(batch2.items[1].tokens, 8); // b: 40 - 32 = 8 left
         sched.complete(&batch2, 20);
         // b's prefill completed: it now holds a decode slot ahead of a's
         // remaining prefill.
-        let batch3 = sched.next_micro_batch(20, 0, PhaseFilter::Both).unwrap();
+        let batch3 = sched.next_micro_batch(20, 0, PoolRole::Colocated).unwrap();
         assert_eq!(batch3.items[0].id, b);
         assert_eq!(batch3.items[0].phase, Phase::Decode);
         assert_eq!(batch3.items[1].id, a);
@@ -1771,7 +1661,7 @@ mod tests {
         let mut since_served = vec![0usize; models.len()];
         let mut now = 0;
         for _ in 0..60 {
-            let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) else { break };
+            let Some(batch) = sched.next_micro_batch(now, 0, PoolRole::Colocated) else { break };
             for (mi, m) in models.iter().enumerate() {
                 if *m == batch.model {
                     since_served[mi] = 0;
@@ -1795,16 +1685,16 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let a = sched.submit(request(ModelId::Llama2_7b, 64, 8));
         let b = sched.submit(request(ModelId::Llama2_7b, 64, 8));
-        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let first = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(first.items.len(), 2, "both prompts fit one batch");
         assert_eq!(sched.in_flight_count(), 2);
         assert!(
-            sched.next_micro_batch(0, 0, PhaseFilter::Both).is_none(),
+            sched.next_micro_batch(0, 0, PoolRole::Colocated).is_none(),
             "everything runnable is in flight"
         );
         sched.complete(&first, 10);
         assert_eq!(sched.in_flight_count(), 0);
-        let second = sched.next_micro_batch(10, 0, PhaseFilter::Both).unwrap();
+        let second = sched.next_micro_batch(10, 0, PoolRole::Colocated).unwrap();
         let ids: Vec<RequestId> = second.items.iter().map(|i| i.id).collect();
         assert!(ids.contains(&a) && ids.contains(&b), "completion frees the sessions");
     }
@@ -1816,14 +1706,14 @@ mod tests {
         // its input token.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 4));
-        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&prefill, 500);
         assert!(
-            sched.next_micro_batch(100, 0, PhaseFilter::Both).is_none(),
+            sched.next_micro_batch(100, 0, PoolRole::Colocated).is_none(),
             "token only exists at cycle 500"
         );
         assert_eq!(sched.next_arrival_after(100), Some(500));
-        assert!(sched.next_micro_batch(500, 0, PhaseFilter::Both).is_some());
+        assert!(sched.next_micro_batch(500, 0, PoolRole::Colocated).is_some());
     }
 
     #[test]
@@ -1837,7 +1727,7 @@ mod tests {
         });
         sched.submit(request(ModelId::Llama2_7b, 400, 2));
         let short = sched.submit(request(ModelId::Llama2_7b, 50, 2));
-        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(batch.items[0].id, short, "shortest prompt admitted first");
     }
 
@@ -1846,8 +1736,8 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 8));
         sched.submit(request(ModelId::Llama2_70b, 64, 8));
-        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
-        let second = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let first = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
+        let second = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_ne!(first.model, second.model);
     }
 
@@ -1855,7 +1745,7 @@ mod tests {
     fn prefill_completion_emits_first_token_and_transitions_to_decode() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         let id = sched.submit(request(ModelId::Llama2_7b, 64, 3));
-        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&batch, 100);
         let s = sched.session(id);
         assert_eq!(s.state, SessionState::Decoding);
@@ -1863,7 +1753,7 @@ mod tests {
         assert_eq!(s.first_token_cycle, Some(100));
         // Two decode steps finish the request.
         for t in [200, 300] {
-            let b = sched.next_micro_batch(t - 100, 0, PhaseFilter::Both).unwrap();
+            let b = sched.next_micro_batch(t - 100, 0, PoolRole::Colocated).unwrap();
             assert_eq!(b.items[0].phase, Phase::Decode);
             sched.complete(&b, t);
         }
@@ -1872,16 +1762,16 @@ mod tests {
         assert_eq!(s.generated_tokens, 3);
         assert_eq!(s.finish_cycle, Some(300));
         assert!(sched.all_finished());
-        assert!(sched.next_micro_batch(400, 0, PhaseFilter::Both).is_none());
+        assert!(sched.next_micro_batch(400, 0, PoolRole::Colocated).is_none());
     }
 
     #[test]
     fn future_arrivals_wait_and_are_reported() {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 16, 1).arriving_at(1000));
-        assert!(sched.next_micro_batch(0, 0, PhaseFilter::Both).is_none());
+        assert!(sched.next_micro_batch(0, 0, PoolRole::Colocated).is_none());
         assert_eq!(sched.next_arrival_after(0), Some(1000));
-        assert!(sched.next_micro_batch(1000, 0, PhaseFilter::Both).is_some());
+        assert!(sched.next_micro_batch(1000, 0, PoolRole::Colocated).is_some());
     }
 
     #[test]
@@ -1973,7 +1863,7 @@ mod tests {
         while !sched.all_finished() {
             steps += 1;
             assert!(steps < 10_000, "scheduler failed to drain (livelock)");
-            if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
+            if let Some(batch) = sched.next_micro_batch(now, 0, PoolRole::Colocated) {
                 now += 1;
                 sched.complete(&batch, now);
             } else {
@@ -2071,7 +1961,7 @@ mod tests {
         );
         sched.submit(request(ModelId::Llama2_7b, 8, 5)); // peak: pages_for(13) = 4 pages
         let late = sched.submit(request(ModelId::Llama2_7b, 8, 2));
-        let first = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let first = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         // Only the first prompt fits: 8 + 1 emitted token = 3 pages, leaving
         // one free page — short of the second prompt's 3-page need.
         assert_eq!(first.items.len(), 1, "the second prefill must be deferred");
@@ -2162,16 +2052,16 @@ mod tests {
         sched.configure_kv_pools(&[PoolRole::Colocated; 2], 1);
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 4));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 4));
-        let on_zero = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let on_zero = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(on_zero.items.len(), 2, "both prompts fit pool 0");
         sched.complete(&on_zero, 1);
         assert_eq!(sched.session(a).page_table.home(), Some(0));
         assert_eq!(sched.session(b).page_table.home(), Some(0));
         assert!(
-            sched.next_micro_batch(1, 1, PhaseFilter::Both).is_none(),
+            sched.next_micro_batch(1, 1, PoolRole::Colocated).is_none(),
             "homed sessions are not eligible on another node's pool"
         );
-        let again = sched.next_micro_batch(1, 0, PhaseFilter::Both).unwrap();
+        let again = sched.next_micro_batch(1, 0, PoolRole::Colocated).unwrap();
         assert_eq!(again.decode_slots(), 2);
     }
 
@@ -2199,9 +2089,9 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let p1 = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(ids(&p1), vec![a, b]);
-        let p2 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let p2 = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         assert_eq!(ids(&p2), vec![c], "overlapping batch picks up the third prompt");
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
@@ -2209,7 +2099,7 @@ mod tests {
         let expected = [vec![a, b], vec![c, a], vec![b, c], vec![a, b], vec![c, a]];
         let mut now = 1;
         for want in expected {
-            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PoolRole::Colocated).unwrap();
             assert_eq!(ids(&batch), want, "rotation diverged at cycle {now}");
             assert!(batch.items.iter().all(|i| i.phase == Phase::Decode));
             now += 1;
@@ -2232,14 +2122,14 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let b = sched.submit(request(ModelId::Llama2_7b, 4, 6));
         let c = sched.submit(request(ModelId::Llama2_7b, 4, 6));
-        let p1 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
-        let p2 = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let p1 = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
+        let p2 = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&p1, 1);
         sched.complete(&p2, 1);
         let mut now = 1;
         // a and b need five decode slots each; every batch is [a, b].
         for _ in 0..5 {
-            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PoolRole::Colocated).unwrap();
             assert_eq!(ids(&batch), vec![a, b]);
             now += 1;
             sched.complete(&batch, now);
@@ -2253,17 +2143,17 @@ mod tests {
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 64, 3));
         assert!(
-            sched.next_micro_batch(0, 0, PhaseFilter::DecodeOnly).is_none(),
+            sched.next_micro_batch(0, 0, PoolRole::Decode).is_none(),
             "a waiting prompt is not decode work"
         );
-        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::PrefillOnly).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Prefill).unwrap();
         assert!(prefill.items.iter().all(|i| i.phase == Phase::Prefill));
         sched.complete(&prefill, 1);
         assert!(
-            sched.next_micro_batch(1, 0, PhaseFilter::PrefillOnly).is_none(),
+            sched.next_micro_batch(1, 0, PoolRole::Prefill).is_none(),
             "a decoding session is not prefill work"
         );
-        let decode = sched.next_micro_batch(1, 0, PhaseFilter::DecodeOnly).unwrap();
+        let decode = sched.next_micro_batch(1, 0, PoolRole::Decode).unwrap();
         assert!(decode.items.iter().all(|i| i.phase == Phase::Decode));
     }
 
@@ -2287,7 +2177,7 @@ mod tests {
         assert_eq!(sched.rejected_count(), 1);
         // Once the prompt prefills, the backlog drains and admission opens
         // again (decoding sessions carry no prefill backlog).
-        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.try_submit(request(ModelId::Llama2_7b, 100, 2)).is_ok());
         // A 101-token prompt alone projects to 1010: rejected on arrival.
@@ -2327,7 +2217,7 @@ mod tests {
         let a = sched.submit(request(ModelId::Llama2_7b, 8, 1));
         let b = sched.submit(request(ModelId::Llama2_7b, 600, 1));
         // a finishes in one chunk; b still has prefill left.
-        let batch = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&batch, 1);
         assert!(sched.session(a).is_finished());
         assert!(!sched.session(b).is_finished());
@@ -2340,7 +2230,7 @@ mod tests {
         // The rest of the run drains normally.
         let mut now = 1;
         while !sched.all_finished() {
-            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PoolRole::Colocated).unwrap();
             now += 1;
             sched.complete(&batch, now);
         }
@@ -2370,18 +2260,18 @@ mod tests {
             let mut sched =
                 Scheduler::new(SchedulerConfig { decode_order, ..SchedulerConfig::default() });
             let [a, b, c] = [0, 1, 2].map(|_| sched.submit(request(ModelId::Llama2_7b, 64, 10)));
-            let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+            let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
             sched.complete(&prefill, 100);
             // Serve a and b while c waits, then keep b busy elsewhere, so
             // under round-robin the next batch rotates past the cursor at
             // b: [c, a].
             sched.stall_session_until(c, 250);
-            let first = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+            let first = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
             assert_eq!(first.items.iter().map(|i| i.id).collect::<Vec<_>>(), [a, b]);
             sched.complete(&first, 200);
             sched.stall_session_until(b, u64::MAX);
             let now = 300;
-            let batch = sched.next_micro_batch(now, 0, PhaseFilter::Both).unwrap();
+            let batch = sched.next_micro_batch(now, 0, PoolRole::Colocated).unwrap();
             let expected = match decode_order {
                 DecodeOrder::Fcfs => [a, c],
                 DecodeOrder::RoundRobin => [c, a],
@@ -2390,7 +2280,7 @@ mod tests {
             let end = now + 100;
             let mut generic = sched.clone();
             generic.complete(&batch, end);
-            let formed = generic.next_micro_batch(end, 0, PhaseFilter::Both).unwrap();
+            let formed = generic.next_micro_batch(end, 0, PoolRole::Colocated).unwrap();
             let mut reformed = batch.clone();
             assert!(sched.complete_and_reform(&mut reformed, end));
             assert_eq!(reformed, formed, "{decode_order:?}: items, context lengths included");
@@ -2406,9 +2296,9 @@ mod tests {
         // it needs a second page.
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(16, 8));
         let id = sched.submit(request(ModelId::Llama2_7b, 14, 10));
-        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&prefill, 100);
-        let mut batch = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+        let mut batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
         assert_eq!(sched.session(id).page_table.mapped_pages(), 1);
         let (before, formed) = (reform_state(&sched), batch.clone());
         assert!(!sched.complete_and_reform(&mut batch, 200), "page boundary");
@@ -2416,9 +2306,9 @@ mod tests {
         // A session about to emit its last token leaves the batch instead.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 14, 2));
-        let prefill = sched.next_micro_batch(0, 0, PhaseFilter::Both).unwrap();
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&prefill, 100);
-        let mut batch = sched.next_micro_batch(100, 0, PhaseFilter::Both).unwrap();
+        let mut batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
         let (before, formed) = (reform_state(&sched), batch.clone());
         assert!(!sched.complete_and_reform(&mut batch, 200), "last output token");
         assert_eq!((reform_state(&sched), &batch), (before, &formed));

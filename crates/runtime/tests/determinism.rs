@@ -10,7 +10,7 @@
 //! consequence: two independently constructed schedulers fed the identical
 //! workload must form byte-for-byte identical micro-batch sequences.
 
-use mugi_runtime::{synthetic_requests, PhaseFilter, Scheduler, SchedulerConfig, WorkloadSpec};
+use mugi_runtime::{synthetic_requests, PoolRole, Scheduler, SchedulerConfig, WorkloadSpec};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::Phase;
 
@@ -28,7 +28,7 @@ fn batch_trace(mut sched: Scheduler) -> BatchTrace {
     let mut trace = Vec::new();
     let mut now = 0;
     while !sched.all_finished() {
-        if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
+        if let Some(batch) = sched.next_micro_batch(now, 0, PoolRole::Colocated) {
             trace.push((
                 now,
                 batch.model,

@@ -51,8 +51,8 @@ fn colocated_placements_match_pre_refactor_goldens_bit_for_bit() {
     // (commit d77bc82) running the exact same scenarios. With the FCFS
     // decode order pinned, the refactored runtime must reproduce every
     // float bit for bit on every colocated placement — proof that the
-    // phase-filter / pool-role / migration plumbing is inert unless a
-    // disaggregated placement switches it on. The ttft/tpot percentile
+    // pool-role / migration plumbing is inert unless a disaggregated
+    // placement switches it on. The ttft/tpot percentile
     // entries were re-captured when `Percentiles::of` moved to true
     // nearest-rank (the p50 — and at n = 16 the p95 — rank legitimately
     // shifts one element); every simulation entry is the original capture.

@@ -16,8 +16,8 @@ use mugi::MugiAccelerator;
 use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
     pages_for, ControlConfig, Executor, ExecutorConfig, KvConfig, KvPool, PageId, PageTable,
-    PhaseFilter, Placement, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
-    SloConfig, KV_BITS,
+    Placement, PoolRole, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
+    KV_BITS,
 };
 use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
@@ -141,7 +141,7 @@ proptest! {
         while !sched.all_finished() {
             steps += 1;
             prop_assert!(steps <= cap, "scheduler made no progress (starvation)");
-            if let Some(batch) = sched.next_micro_batch(now, 0, PhaseFilter::Both) {
+            if let Some(batch) = sched.next_micro_batch(now, 0, PoolRole::Colocated) {
                 // The hard caps hold for every micro-batch.
                 prop_assert!(batch.items.len() <= config.max_batch);
                 prop_assert!(batch.total_tokens() <= config.token_budget);
@@ -438,18 +438,16 @@ proptest! {
     }
 
     #[test]
-    fn prefill_backlog_ledger_matches_the_scan_it_replaced(
+    fn pending_prefill_total_matches_the_backlog_scan(
         requests in prop::collection::vec(small_request_strategy(), 1..10),
         headroom in 0usize..3,
         disagg in any::<bool>(),
     ) {
-        // The incremental pending-prefill ledger must agree with the
-        // live-session scan it replaced at *every* step and *every* arrival
-        // cutoff — including mid-run, with evictions re-crediting recompute
-        // debt and chunked prefills debiting it, which is exactly where an
-        // incremental counter would drift if any mutation site were missed.
-        // The ledger is maintained only under an SLO, so the config sets one
-        // that admits everything. The disaggregated case re-rolls node
+        // The running pending-prefill total must equal the live-session
+        // backlog scan at *every* step — including mid-run, with evictions
+        // re-crediting recompute debt and chunked prefills debiting it,
+        // which is exactly where an incremental counter would drift if any
+        // mutation site were missed. The disaggregated case re-rolls node
         // roles, so drain sweeps recompute-evict too.
         let page_tokens = 32;
         let max_need = requests
@@ -457,8 +455,7 @@ proptest! {
             .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
             .max()
             .unwrap();
-        let slo = SloConfig { target_ttft_cycles: u64::MAX, cycles_per_prefill_token: 1 };
-        let kv = KvConfig { slo: Some(slo), ..KvConfig::bounded(page_tokens, max_need + headroom) };
+        let kv = KvConfig::bounded(page_tokens, max_need + headroom);
         let noc = NocConfig { rows: 2, cols: 2 };
         let (placement, control, prefill_chunk) = if disagg {
             // Short chunks leave prompts part-prefilled on a prefill node
@@ -483,20 +480,7 @@ proptest! {
         for r in &requests {
             ex.submit(*r);
         }
-        let mut probes: Vec<u64> =
-            requests.iter().map(|r| r.arrival_cycle).collect();
-        probes.extend([0, 1, 250, u64::MAX]);
         loop {
-            for &probe in &probes {
-                let scanned: u64 = ex
-                    .scheduler()
-                    .sessions()
-                    .iter()
-                    .filter(|s| !s.is_finished() && s.request.arrival_cycle <= probe)
-                    .map(|s| s.remaining_prefill() as u64)
-                    .sum();
-                prop_assert_eq!(ex.scheduler().prefill_backlog_at(probe), scanned);
-            }
             prop_assert_eq!(
                 ex.scheduler().prefill_backlog_at(u64::MAX),
                 ex.scheduler().pending_prefill_total()
@@ -691,7 +675,7 @@ proptest! {
             if sched.all_finished() {
                 break;
             }
-            match sched.next_micro_batch(now, 0, PhaseFilter::Both) {
+            match sched.next_micro_batch(now, 0, PoolRole::Colocated) {
                 Some(batch) => {
                     prop_assert!(batch.decode_slots() <= requests.len());
                     // A session appears at most once per micro-batch.

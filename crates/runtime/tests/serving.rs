@@ -3,7 +3,6 @@
 
 use mugi::arch::noc::NocConfig;
 use mugi::MugiAccelerator;
-use mugi_numerics::exec::ExecutionContext;
 use mugi_runtime::{
     synthetic_requests, Executor, ExecutorConfig, Placement, Scheduler, SchedulerConfig,
     SchedulingPolicy, WorkloadSpec,
@@ -12,10 +11,10 @@ use mugi_workloads::models::ModelId;
 
 const MODELS: [ModelId; 2] = [ModelId::Llama2_7b, ModelId::Llama2_70b];
 
-fn run_with(policy: SchedulingPolicy, ctx: ExecutionContext) -> mugi_runtime::RuntimeReport {
+fn run_with(policy: SchedulingPolicy) -> mugi_runtime::RuntimeReport {
     let requests = synthetic_requests(7, 64, &MODELS, WorkloadSpec::default());
     let mut engine = Executor::new(
-        MugiAccelerator::with_context(256, ctx),
+        MugiAccelerator::new(256),
         Scheduler::new(SchedulerConfig { policy, ..SchedulerConfig::default() }),
     );
     for r in &requests {
@@ -27,7 +26,7 @@ fn run_with(policy: SchedulingPolicy, ctx: ExecutionContext) -> mugi_runtime::Ru
 #[test]
 fn serves_64_concurrent_requests_across_two_models() {
     let requests = synthetic_requests(7, 64, &MODELS, WorkloadSpec::default());
-    let report = run_with(SchedulingPolicy::Fcfs, ExecutionContext::default());
+    let report = run_with(SchedulingPolicy::Fcfs);
     assert_eq!(report.requests.len(), 64, "every request must finish");
     for (stats, request) in report.requests.iter().zip(&requests) {
         assert_eq!(stats.output_tokens, request.output_tokens);
@@ -48,8 +47,8 @@ fn serves_64_concurrent_requests_across_two_models() {
 
 #[test]
 fn both_policies_generate_the_same_tokens() {
-    let fcfs = run_with(SchedulingPolicy::Fcfs, ExecutionContext::default());
-    let spf = run_with(SchedulingPolicy::ShortestPrefillFirst, ExecutionContext::default());
+    let fcfs = run_with(SchedulingPolicy::Fcfs);
+    let spf = run_with(SchedulingPolicy::ShortestPrefillFirst);
     assert_eq!(fcfs.total_output_tokens, spf.total_output_tokens);
     assert_eq!(fcfs.requests.len(), spf.requests.len());
     assert!(spf.ttft.p50 > 0.0);
@@ -88,13 +87,4 @@ fn sharded_mesh_serves_the_same_workload_much_faster() {
     // Every node of the gang was busy for the same cycles.
     assert_eq!(mesh.node_busy_cycles.len(), 16);
     assert!(mesh.node_busy_cycles.windows(2).all(|w| w[0] == w[1]));
-}
-
-#[test]
-fn simulated_statistics_are_independent_of_the_execution_context() {
-    // The execution context parallelizes the software kernels; the simulated
-    // serving clock, latencies and energies must not change at all.
-    let single = run_with(SchedulingPolicy::Fcfs, ExecutionContext::default());
-    let parallel = run_with(SchedulingPolicy::Fcfs, ExecutionContext::with_threads(4));
-    assert_eq!(single, parallel);
 }

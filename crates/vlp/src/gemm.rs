@@ -16,7 +16,6 @@
 //! VLP is not an approximation for GEMM, only for nonlinear operations.
 
 use crate::reuse::ReuseStats;
-use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::quant::QuantizedMatrix;
 use mugi_numerics::tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -90,42 +89,23 @@ pub struct GemmStats {
 #[derive(Clone, Debug)]
 pub struct VlpGemm {
     config: VlpGemmConfig,
-    exec: ExecutionContext,
 }
 
 impl VlpGemm {
-    /// Creates an engine with the given configuration and the default
-    /// (single-threaded) execution context for its software kernels.
+    /// Creates an engine with the given configuration.
     ///
     /// # Panics
     /// Panics if the array dimensions are zero or the magnitude width is not
     /// in `1..=7`.
     pub fn new(config: VlpGemmConfig) -> Self {
-        VlpGemm::with_context(config, ExecutionContext::default())
-    }
-
-    /// Creates an engine whose functional GEMMs run under `exec` (thread
-    /// count and cache-tile size). The execution context changes only how
-    /// fast the software model computes the output, never the output itself
-    /// or the modelled cycle statistics.
-    ///
-    /// # Panics
-    /// Panics if the array dimensions are zero or the magnitude width is not
-    /// in `1..=7`.
-    pub fn with_context(config: VlpGemmConfig, exec: ExecutionContext) -> Self {
         assert!(config.height > 0 && config.width > 0, "array dimensions must be non-zero");
         assert!((1..=7).contains(&config.magnitude_bits), "magnitude_bits must be in 1..=7");
-        VlpGemm { config, exec }
+        VlpGemm { config }
     }
 
     /// The configuration this engine was built with.
     pub fn config(&self) -> &VlpGemmConfig {
         &self.config
-    }
-
-    /// The execution context the functional kernels run under.
-    pub fn execution_context(&self) -> &ExecutionContext {
-        &self.exec
     }
 
     /// Asymmetric BF16–INT4 GEMM: `activations (m×k) × weightsᵀ` where
@@ -157,7 +137,7 @@ impl VlpGemm {
         // per-group rescale — identical maths to dequantize-then-GEMM because
         // dequantization is affine per group.
         let dequant = weights.dequantize();
-        let output = activations.matmul_with(&dequant.transpose(), &self.exec);
+        let output = activations.matmul(&dequant.transpose());
         let stats = self.stats_for(m, n, k);
         (output, stats)
     }
@@ -267,25 +247,6 @@ mod tests {
         assert_eq!(c_stats.subscriptions, 3 * 64 * 32);
         assert_ne!(m_stats.subscriptions, c_stats.subscriptions);
         assert_eq!(m_stats.multiplications_avoided, c_stats.multiplications_avoided);
-    }
-
-    #[test]
-    fn execution_context_changes_speed_not_output() {
-        let activations = pseudo_random_matrix(8, 64, 1, 1.0);
-        let weights = pseudo_random_matrix(16, 64, 2, 0.5);
-        let q = weight_only_quantize(&weights, 32);
-        let single = VlpGemm::new(VlpGemmConfig::mugi(128));
-        let parallel = VlpGemm::with_context(
-            VlpGemmConfig::mugi(128),
-            mugi_numerics::exec::ExecutionContext::with_threads(4),
-        );
-        assert_eq!(parallel.execution_context().threads(), 4);
-        let (out_single, stats_single) = single.gemm_bf16_int4(&activations, &q);
-        let (out_parallel, stats_parallel) = parallel.gemm_bf16_int4(&activations, &q);
-        for (x, y) in out_single.data().iter().zip(out_parallel.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(stats_single, stats_parallel);
     }
 
     #[test]

@@ -5,15 +5,11 @@
 //! and prints per-request TTFT/TPOT statistics plus aggregate percentiles.
 //! Then serves a decode-heavy workload against a *bounded* paged KV pool
 //! (2 GiB budget) to show recompute-style preemption: sessions are evicted
-//! under pressure, re-prefill, and still all finish. Also demonstrates that
-//! the parallel blocked GEMM behind the functional path is bit-identical to
-//! the naive reference kernel.
+//! under pressure, re-prefill, and still all finish.
 //!
 //! Run with: `cargo run --release --example serving`
 
 use mugi::MugiAccelerator;
-use mugi_numerics::exec::ExecutionContext;
-use mugi_numerics::tensor::{matmul_naive, pseudo_random_matrix};
 use mugi_runtime::{
     synthetic_requests, Executor, KvConfig, Scheduler, SchedulerConfig, SchedulingPolicy,
     WorkloadSpec,
@@ -21,20 +17,6 @@ use mugi_runtime::{
 use mugi_workloads::models::ModelId;
 
 fn main() {
-    // The execution context is threaded from the serving engine down to the
-    // blocked matrix kernel. Same bits, different speed.
-    let ctx = ExecutionContext::host_parallel();
-    println!("execution context: {} thread(s), tile {}", ctx.threads(), ctx.tile());
-    let a = pseudo_random_matrix(64, 256, 1, 1.0);
-    let b = pseudo_random_matrix(256, 96, 2, 1.0);
-    let blocked = a.matmul_with(&b, &ctx);
-    let naive = matmul_naive(&a, &b);
-    assert!(
-        blocked.data().iter().zip(naive.data()).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "parallel blocked GEMM must be bit-identical to the naive kernel"
-    );
-    println!("blocked parallel GEMM: bit-identical to the naive reference\n");
-
     // 72 concurrent requests (single burst) across three models.
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
     let requests = synthetic_requests(2026, 72, &models, WorkloadSpec::default());
@@ -46,7 +28,7 @@ fn main() {
 
     for policy in [SchedulingPolicy::Fcfs, SchedulingPolicy::ShortestPrefillFirst] {
         let mut engine = Executor::new(
-            MugiAccelerator::with_context(256, ctx),
+            MugiAccelerator::new(256),
             Scheduler::new(SchedulerConfig { policy, ..SchedulerConfig::default() }),
         );
         for request in &requests {
@@ -88,7 +70,7 @@ fn main() {
     let kv = KvConfig::for_budget(ModelId::Llama2_7b, 2 << 30, 128);
     println!("\n=== paged KV: {} pages of 128 tokens (2 GiB budget) ===", kv.node_pages.unwrap());
     let mut engine = Executor::new(
-        MugiAccelerator::with_context(256, ctx),
+        MugiAccelerator::new(256),
         Scheduler::with_kv(SchedulerConfig::default(), kv),
     );
     let pressured =

@@ -51,11 +51,16 @@ fn clippy_toml_bans_every_nondeterministic_type_and_method() {
         .into_iter()
         .chain(["drain", "retain", "extract_if"])
         .map(|m| format!("std::collections::HashMap::{m}"));
-    let methods: Vec<String> = ["std::time::Instant::now", "std::time::SystemTime::now"]
-        .map(String::from)
-        .into_iter()
-        .chain(visits)
-        .collect();
+    let methods: Vec<String> = [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::scope",
+        "std::thread::spawn",
+    ]
+    .map(String::from)
+    .into_iter()
+    .chain(visits)
+    .collect();
     assert_all(&paths("disallowed-methods"), &methods, "disallowed-methods");
 }
 
