@@ -565,6 +565,19 @@ mod tests {
     }
 
     #[test]
+    fn mugi_batches_up_to_8_fill_the_columns_for_free() {
+        // The transposed mapping puts the batch on the 8 broadcast columns,
+        // so any batch up to 8 costs the cycles of batch 1; batch 16 needs
+        // a second pass.
+        let mugi = Design::new(DesignConfig::mugi(128));
+        let batch_1 = mugi.gemm_cycles(&decode_proj_gemm(1));
+        for m in 2..=8 {
+            assert_eq!(mugi.gemm_cycles(&decode_proj_gemm(m)), batch_1, "batch {m}");
+        }
+        assert!(mugi.gemm_cycles(&decode_proj_gemm(16)) > batch_1);
+    }
+
+    #[test]
     fn mugi_roughly_doubles_sa_throughput_on_small_batch_gemm() {
         let mugi = Design::new(DesignConfig::mugi(256));
         let sa = Design::new(DesignConfig::systolic(16));

@@ -5,8 +5,9 @@
 //!
 //! It ties together the workspace crates into a user-facing API:
 //!
-//! * [`MugiAccelerator`] — a single-node Mugi instance that can execute
-//!   BF16–INT4 GEMMs, approximate nonlinear operations via VLP, and estimate
+//! * [`MugiAccelerator`] — a single-node Mugi instance that runs BF16–INT4
+//!   GEMMs (dequantize-then-GEMM, priced by the `mugi-arch` model every
+//!   figure reads), approximates nonlinear operations via VLP, and estimates
 //!   latency / energy / area for full LLM workloads;
 //! * [`experiments`] — one driver per table and figure of the paper's
 //!   evaluation section, each with a `quick()` preset (seconds, used by tests)
@@ -18,18 +19,23 @@
 //!
 //! ```
 //! use mugi::MugiAccelerator;
-//! use mugi_numerics::nonlinear::NonlinearOp;
+//! use mugi_numerics::tensor::pseudo_random_matrix;
 //!
 //! let accel = MugiAccelerator::new(256);
+//! // A BF16–INT4 GEMM: the output and its cost on this node.
+//! let activations = pseudo_random_matrix(8, 256, 1, 1.0);
+//! let weights = accel.quantize_weights(&pseudo_random_matrix(512, 256, 2, 0.2));
+//! let (output, cost) = accel.gemm(&activations, &weights);
+//! assert_eq!((output.rows(), output.cols()), (8, 512));
+//! assert!(cost.cycles > 0);
 //! // Approximate a softmax on the VLP array.
 //! let (probs, stats) = accel.softmax(&[0.3, -1.0, 2.0]);
 //! assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-3);
-//! assert!(stats.latency_cycles > 0);
+//! assert_eq!(stats.elements, 3);
 //! // Estimate decode throughput for Llama 2 70B with GQA, WOQ and KVQ.
 //! let perf = accel.estimate_llm_throughput(
 //!     mugi_workloads::models::ModelId::Llama2_70b, 8, 4096);
 //! assert!(perf.tokens_per_second > 0.0);
-//! let _ = NonlinearOp::Softmax;
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,9 +62,10 @@ use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_numerics::quant::{weight_only_quantize, QuantizedMatrix};
 use mugi_numerics::tensor::Matrix;
 use mugi_vlp::approx::{ApproxStats, VlpApproxConfig, VlpNonlinear};
-use mugi_vlp::gemm::{GemmStats, VlpGemm, VlpGemmConfig};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::ops::{slice_ops, step_tokens, BatchSlice, SLICE_OPS};
+use mugi_workloads::ops::{
+    slice_ops, step_tokens, BatchSlice, GemmKind, GemmOp, WorkloadOp, SLICE_OPS,
+};
 use std::sync::{Arc, Mutex};
 
 /// Key of the per-accelerator slice memo: one micro-batch slice on a model
@@ -90,7 +97,6 @@ const SLICE_MEMO_CAP: usize = 16384;
 /// without re-pricing them.
 #[derive(Clone, Debug)]
 pub struct MugiAccelerator {
-    gemm: VlpGemm,
     softmax_engine: VlpNonlinear,
     silu_engine: VlpNonlinear,
     gelu_engine: VlpNonlinear,
@@ -104,7 +110,6 @@ impl MugiAccelerator {
     /// and the recommended VLP approximation windows.
     pub fn new(array_height: usize) -> Self {
         MugiAccelerator {
-            gemm: VlpGemm::new(VlpGemmConfig::mugi(array_height)),
             softmax_engine: VlpNonlinear::with_array_rows(
                 NonlinearOp::Softmax,
                 VlpApproxConfig::recommended_for(NonlinearOp::Softmax),
@@ -147,10 +152,29 @@ impl MugiAccelerator {
         weight_only_quantize(weights, 128)
     }
 
-    /// Executes an asymmetric BF16–INT4 GEMM (`activations × weightsᵀ`) on the
-    /// VLP array, returning the output and cycle statistics.
-    pub fn gemm(&self, activations: &Matrix, weights: &QuantizedMatrix) -> (Matrix, GemmStats) {
-        self.gemm.gemm_bf16_int4(activations, weights)
+    /// Executes an asymmetric BF16–INT4 GEMM (`activations × weightsᵀ`, with
+    /// `weights` a quantized `n×k` matrix) and returns the output with its
+    /// cost on this node.
+    ///
+    /// VLP is exact for GEMM, so the output is dequantize-then-GEMM. The cost
+    /// is the [`PerfModel::op_cost`] of the equivalent projection
+    /// [`GemmOp`] (BF16 activations, INT4 weights, one repeat): the same
+    /// model that prices every figure and serving step.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
+    pub fn gemm(&self, activations: &Matrix, weights: &QuantizedMatrix) -> (Matrix, OpCost) {
+        let output = activations.matmul(&weights.dequantize().transpose());
+        let op = GemmOp {
+            kind: GemmKind::Projection,
+            m: activations.rows(),
+            k: activations.cols(),
+            n: weights.rows(),
+            activation_bits: 16,
+            weight_bits: 4,
+            repeats: 1,
+        };
+        (output, self.perf.op_cost(&WorkloadOp::Gemm(op)))
     }
 
     /// Approximates a softmax over `logits` using the VLP array.
@@ -313,10 +337,26 @@ mod tests {
         let activations = pseudo_random_matrix(8, 64, 1, 1.0);
         let weights = pseudo_random_matrix(32, 64, 2, 0.5);
         let q = accel.quantize_weights(&weights);
-        let (out, stats) = accel.gemm(&activations, &q);
+        let (out, cost) = accel.gemm(&activations, &q);
         assert_eq!(out.rows(), 8);
         assert_eq!(out.cols(), 32);
-        assert!(stats.cycles > 0);
+        // The output is dequantize-then-GEMM, bit for bit.
+        let reference = activations.matmul(&q.dequantize().transpose());
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&reference));
+        // The cost is the arch model's price of the same projection GEMM.
+        let op = GemmOp {
+            kind: GemmKind::Projection,
+            m: 8,
+            k: 64,
+            n: 32,
+            activation_bits: 16,
+            weight_bits: 4,
+            repeats: 1,
+        };
+        let model = PerfModel::new(Design::new(*accel.design_config()));
+        assert_eq!(cost, model.op_cost(&WorkloadOp::Gemm(op)));
+        assert!(cost.cycles > 0);
         let (probs, _) = accel.softmax(&[0.5, -0.5, 1.5]);
         assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-3);
         let (act, _) = accel.activation(NonlinearOp::Silu, &[1.0, -1.0]);

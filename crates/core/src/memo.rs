@@ -41,7 +41,6 @@
     )
 )]
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Deterministic multiply–rotate hasher (Fx-style) for shape keys: one
@@ -158,15 +157,99 @@ struct Slot<K, V> {
     last_use: u64,
 }
 
+/// The hash-indexed buckets behind [`ShapeCache`], in a module of their
+/// own so the map stays private to it. Clippy cannot see a `HashMap`
+/// consumed by value (`into_iter`, `extend`), so the map offers no
+/// iteration at all beyond this module: `ShapeCache` can only look up, push
+/// and evict, and a by-value visit of the map there does not compile.
+mod bucket_map {
+    use super::{Prehashed, Slot};
+    use std::collections::HashMap;
+
+    /// Entries chained per precomputed hash, with their total count.
+    #[derive(Clone, Debug)]
+    pub(super) struct BucketMap<K, V> {
+        /// Hash-indexed buckets; collisions chain in the bucket's `Vec`.
+        /// The map's keys are already hashes, so the state passes them
+        /// through.
+        buckets: HashMap<u64, Vec<Slot<K, V>>, Prehashed>,
+        /// Total entries across buckets.
+        len: usize,
+    }
+
+    impl<K, V> BucketMap<K, V> {
+        pub(super) fn new() -> Self {
+            BucketMap { buckets: HashMap::default(), len: 0 }
+        }
+
+        /// Number of entries across buckets.
+        pub(super) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// The entry with `hash` whose key satisfies `matches`.
+        pub(super) fn get_mut(
+            &mut self,
+            hash: u64,
+            matches: impl Fn(&K) -> bool,
+        ) -> Option<&mut Slot<K, V>> {
+            self.buckets.get_mut(&hash)?.iter_mut().find(|s| matches(&s.key))
+        }
+
+        /// Appends `slot` to the bucket of `hash`, creating the bucket if
+        /// it is new.
+        pub(super) fn push(&mut self, hash: u64, slot: Slot<K, V>) {
+            // Almost every bucket holds a single entry, so size new buckets
+            // for one instead of `Vec`'s default first growth to four.
+            self.buckets.entry(hash).or_insert_with(|| Vec::with_capacity(1)).push(slot);
+            self.len += 1;
+        }
+
+        /// Evicts the least-recently-used half of the entries (ties
+        /// impossible: the tick is strictly monotone). The recently-hit
+        /// half — the hot steady-state shapes — survives.
+        pub(super) fn evict_lru_half(&mut self) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "select_nth_unstable finds the median tick; any visit order yields the same threshold"
+            )]
+            let mut ticks: Vec<u64> = self
+                .buckets
+                .values()
+                .flat_map(|bucket| bucket.iter().map(|s| s.last_use))
+                .collect();
+            let mid = ticks.len() / 2;
+            let (_, &mut threshold, _) = ticks.select_nth_unstable(mid);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "retain applies a pure per-entry predicate; the surviving set is order-independent"
+            )]
+            self.buckets.retain(|_, bucket| {
+                bucket.retain(|s| s.last_use >= threshold);
+                !bucket.is_empty()
+            });
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "commutative usize sum over bucket lengths"
+            )]
+            let len = self.buckets.values().map(Vec::len).sum();
+            self.len = len;
+        }
+
+        /// The length and capacity of the bucket of `hash`.
+        #[cfg(test)]
+        pub(super) fn bucket_shape(&mut self, hash: u64) -> Option<(usize, usize)> {
+            self.buckets.get_mut(&hash).map(|bucket| (bucket.len(), bucket.capacity()))
+        }
+    }
+}
+
 /// A capacity-capped cache keyed by a precomputed hash plus a caller-side
 /// equality predicate, so lookups never materialize an owned key.
 #[derive(Clone, Debug)]
 pub(crate) struct ShapeCache<K, V> {
-    /// Hash-indexed buckets; collisions chain in the bucket's `Vec`. The
-    /// map's keys are already hashes, so the state passes them through.
-    buckets: HashMap<u64, Vec<Slot<K, V>>, Prehashed>,
-    /// Total entries across buckets.
-    len: usize,
+    /// The entries, reachable only through lookup, push and eviction.
+    slots: bucket_map::BucketMap<K, V>,
     /// Entry cap: an insert at the cap evicts the LRU half first.
     cap: usize,
     /// Monotone access clock; every hit and insert stamps the entry.
@@ -177,12 +260,12 @@ impl<K, V: Clone> ShapeCache<K, V> {
     /// An empty cache holding at most `cap` entries.
     pub(crate) fn with_cap(cap: usize) -> Self {
         assert!(cap >= 2, "a capped cache needs room for at least two entries");
-        ShapeCache { buckets: HashMap::default(), len: 0, cap, tick: 0 }
+        ShapeCache { slots: bucket_map::BucketMap::new(), cap, tick: 0 }
     }
 
     /// Number of cached entries.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// Shrinks the cap so tests can exercise eviction without flooding
@@ -197,7 +280,7 @@ impl<K, V: Clone> ShapeCache<K, V> {
     /// bumping its last-use tick. The caller hashes the borrowed shape via
     /// [`shape_hash`]-style helpers, so hits allocate nothing.
     pub(crate) fn get(&mut self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
-        let slot = self.buckets.get_mut(&hash)?.iter_mut().find(|s| matches(&s.key))?;
+        let slot = self.slots.get_mut(hash, matches)?;
         self.tick += 1;
         slot.last_use = self.tick;
         Some(slot.value.clone())
@@ -211,52 +294,15 @@ impl<K, V: Clone> ShapeCache<K, V> {
     pub(crate) fn insert(&mut self, hash: u64, key: K, value: V, matches: impl Fn(&K) -> bool) {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(slot) = self
-            .buckets
-            .get_mut(&hash)
-            .and_then(|bucket| bucket.iter_mut().find(|s| matches(&s.key)))
-        {
+        if let Some(slot) = self.slots.get_mut(hash, matches) {
             slot.value = value;
             slot.last_use = tick;
             return;
         }
-        if self.len >= self.cap {
-            self.evict_lru_half();
+        if self.slots.len() >= self.cap {
+            self.slots.evict_lru_half();
         }
-        // Almost every bucket holds a single entry, so size new buckets
-        // for one instead of `Vec`'s default first growth to four.
-        self.buckets.entry(hash).or_insert_with(|| Vec::with_capacity(1)).push(Slot {
-            key,
-            value,
-            last_use: tick,
-        });
-        self.len += 1;
-    }
-
-    /// Evicts the least-recently-used half of the entries (ties impossible:
-    /// the tick is strictly monotone). The recently-hit half — the hot
-    /// steady-state shapes — survives, unlike the wholesale `clear()` this
-    /// replaces.
-    fn evict_lru_half(&mut self) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "select_nth_unstable finds the median tick; any visit order yields the same threshold"
-        )]
-        let mut ticks: Vec<u64> =
-            self.buckets.values().flat_map(|bucket| bucket.iter().map(|s| s.last_use)).collect();
-        let mid = ticks.len() / 2;
-        let (_, &mut threshold, _) = ticks.select_nth_unstable(mid);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain applies a pure per-entry predicate; the surviving set is order-independent"
-        )]
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(|s| s.last_use >= threshold);
-            !bucket.is_empty()
-        });
-        #[expect(clippy::disallowed_methods, reason = "commutative usize sum over bucket lengths")]
-        let len = self.buckets.values().map(Vec::len).sum();
-        self.len = len;
+        self.slots.push(hash, Slot { key, value, last_use: tick });
     }
 }
 
@@ -340,8 +386,7 @@ mod tests {
     fn a_single_insert_sizes_its_bucket_for_one_entry() {
         let mut cache = ShapeCache::with_cap(8);
         insert(&mut cache, 1);
-        let bucket = &cache.buckets[&shape_hash(&1u64)];
-        assert_eq!((bucket.len(), bucket.capacity()), (1, 1));
+        assert_eq!(cache.slots.bucket_shape(shape_hash(&1u64)), Some((1, 1)));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! exponents where inputs actually cluster (Figure 4); a sliding window picks
 //! the most useful sub-range per mapping.
 
-use crate::temporal::sweep_cycles;
 use mugi_numerics::fields::{FloatFields, Special};
 use mugi_numerics::nonlinear::NonlinearOp;
 use serde::{Deserialize, Serialize};
@@ -270,17 +269,12 @@ pub fn select_window_iter(
     }
 }
 
-/// Per-call statistics of a VLP approximation.
+/// Per-call counts of a VLP approximation. Its cycles are priced by
+/// `mugi-arch` (`Design::nonlinear_cycles`), not here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ApproxStats {
     /// Number of elements approximated.
     pub elements: usize,
-    /// Total latency in cycles for one mapping (mantissa sweep + exponent
-    /// subscription), i.e. the pipeline fill latency.
-    pub latency_cycles: u64,
-    /// Steady-state cycles per mapping of `rows` elements (the mantissa sweep
-    /// length, since mappings are pipelined back to back — Figure 10).
-    pub cycles_per_mapping: u64,
     /// Number of mappings (groups of up to `array_rows` elements).
     pub mappings: u64,
     /// Elements whose exponent underflowed the sliding window.
@@ -296,12 +290,13 @@ pub struct ApproxStats {
 ///
 /// One engine owns the pre-computed LUT for a single nonlinear op and applies
 /// it to arbitrary input slices, reporting both the approximated values and
-/// the cycle statistics of the mapping.
+/// the counts of the mapping.
 #[derive(Clone, Debug)]
 pub struct VlpNonlinear {
     lut: NonlinearLut,
-    /// Number of array rows available for mapping inputs in parallel. Only
-    /// affects the statistics, not the functional result.
+    /// Number of array rows available for mapping inputs in parallel. Each
+    /// mapping selects its own window, so this decides the outputs as well
+    /// as the mapping count.
     array_rows: usize,
     /// `op(0)`: the output for zero and underflowing inputs.
     at_zero: f32,
@@ -339,7 +334,7 @@ impl VlpNonlinear {
     }
 
     /// Approximates `op(x)` element-wise for every input, returning the
-    /// outputs and the mapping statistics.
+    /// outputs and the mapping counts.
     ///
     /// Inputs are processed in mappings of `array_rows` elements; each mapping
     /// selects its own sliding window (value-centric adaptation).
@@ -373,12 +368,6 @@ impl VlpNonlinear {
             }));
             stats.mappings += 1;
         }
-        // Latency: the mantissa spike sweep followed by the exponent spike
-        // sweep (Section 3.1: "the full VLP approximation requires the total
-        // duration of both mantissa and exponent temporal spike timing").
-        let mantissa_sweep = sweep_cycles(bits as u32);
-        stats.latency_cycles = mantissa_sweep + config.window_size as u64;
-        stats.cycles_per_mapping = mantissa_sweep;
     }
 
     /// Approximates the input `x`, split into `fields`, against a chosen
@@ -438,9 +427,7 @@ impl VlpNonlinear {
     /// approximation, accumulation of the exponentials in the output
     /// accumulator and a final reciprocal multiply in the vector array.
     ///
-    /// Returns the probabilities and the statistics of the exp approximation
-    /// (the division adds `rows` extra vector-array cycles, reported in the
-    /// architecture model, not here).
+    /// Returns the probabilities and the counts of the exp approximation.
     pub fn softmax(&self, logits: &[f32]) -> (Vec<f32>, ApproxStats) {
         self.softmax_rows_checked(logits, logits.len().max(1))
     }
@@ -543,7 +530,6 @@ mod tests {
         // |x| so allow a generous but still tight bound on mean relative error.
         assert!(mean_relative_error(&exact, &approx) < 0.20);
         assert_eq!(stats.elements, 200);
-        assert!(stats.latency_cycles >= 16);
     }
 
     #[test]
@@ -746,9 +732,6 @@ mod tests {
                 }
                 stats.mappings += 1;
             }
-            let mantissa_sweep = sweep_cycles(config.mantissa_bits as u32);
-            stats.latency_cycles = mantissa_sweep + config.window_size as u64;
-            stats.cycles_per_mapping = mantissa_sweep;
             (outputs, stats)
         }
 
@@ -833,8 +816,6 @@ mod tests {
                 total.underflows += stats.underflows;
                 total.overflows += stats.overflows;
                 total.specials += stats.specials;
-                total.latency_cycles = stats.latency_cycles;
-                total.cycles_per_mapping = stats.cycles_per_mapping;
             }
             (out, total)
         }

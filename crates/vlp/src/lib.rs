@@ -10,19 +10,17 @@
 //! accumulation is shared by every lane in a row, values are *reused* across
 //! lanes — hence value-level parallelism.
 //!
-//! This crate implements:
+//! This crate implements the functional side of VLP; the cycle, energy and
+//! area of every operator come from `mugi-arch`:
 //!
-//! * [`temporal`] — temporal converters, spikes and counters;
-//! * [`reuse`] — value-reuse primitives: scalar×vector and outer-product
-//!   multiplication without multipliers, with cycle accounting;
-//! * [`gemm`] — functional VLP GEMM for both the original Carat mapping
-//!   (activations on rows) and the Mugi transposed mapping (INT4 weights on
-//!   rows, BF16 activations on columns), including the asymmetric
-//!   BF16–INT4 path used with WOQ / KVQ / GQA;
+//! * [`temporal`] — the temporal sweep length of an `n`-bit magnitude;
 //! * [`approx`] — the VLP nonlinear approximation of Section 3: LUT
 //!   construction, value-centric sliding windows, the four-phase subscription
 //!   engine and the full softmax pipeline;
 //! * [`tuning`] — per-layer LUT window tuning (Figure 7).
+//!
+//! GEMM has no engine here: VLP is exact for GEMM, so the functional
+//! BF16–INT4 GEMM is dequantize-then-`matmul` (`mugi::MugiAccelerator::gemm`).
 //!
 //! # Example
 //!
@@ -41,11 +39,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod approx;
-pub mod gemm;
-pub mod reuse;
 pub mod temporal;
 pub mod tuning;
 
 pub use approx::{VlpApproxConfig, VlpNonlinear};
-pub use gemm::{MappingKind, VlpGemm, VlpGemmConfig};
-pub use temporal::{TemporalConverter, TemporalSignal};

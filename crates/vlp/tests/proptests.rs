@@ -1,86 +1,10 @@
-//! Property-based tests for the VLP primitives and approximation engine.
+//! Property-based tests for the VLP approximation engine.
 
 use mugi_numerics::nonlinear::{softmax, NonlinearOp};
-use mugi_numerics::quant::weight_only_quantize;
-use mugi_numerics::tensor::pseudo_random_matrix;
 use mugi_vlp::approx::{select_window, VlpApproxConfig, VlpNonlinear, WindowStrategy};
-use mugi_vlp::gemm::{VlpGemm, VlpGemmConfig};
-use mugi_vlp::reuse::{outer_product, scalar_vector_multiply};
-use mugi_vlp::temporal::{TemporalConverter, TemporalSignal};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn temporal_signal_value_is_spike_cycle(value in 0u32..128, extra in 1u32..128) {
-        let sweep = value + extra;
-        let s = TemporalSignal::new(value, sweep);
-        prop_assert_eq!(s.value(), value);
-        // Exactly one assertion cycle in the sweep.
-        let count = (0..sweep).filter(|&c| s.is_asserted_at(c)).count();
-        prop_assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn temporal_converter_fires_at_loaded_value(value in 0u32..8) {
-        let mut tc = TemporalConverter::new(3);
-        tc.load(value);
-        let mut fired_at = None;
-        for c in 0..8 {
-            if tc.tick(c) {
-                fired_at = Some(c);
-            }
-        }
-        prop_assert_eq!(fired_at, Some(value));
-    }
-
-    #[test]
-    fn scalar_vector_multiply_is_exact(
-        values in prop::collection::vec(0u32..8, 1..32),
-        weight in -10.0f32..10.0f32,
-    ) {
-        let (products, stats) = scalar_vector_multiply(&values, weight, 3);
-        for (&v, &p) in values.iter().zip(&products) {
-            prop_assert!((p - v as f32 * weight).abs() < 1e-4);
-        }
-        prop_assert_eq!(stats.cycles, 8);
-    }
-
-    #[test]
-    fn outer_product_matches_reference(
-        column in prop::collection::vec(-7i32..=7, 1..16),
-        row in prop::collection::vec(-4.0f32..4.0, 1..16),
-    ) {
-        let (out, stats) = outer_product(&column, &row, 3);
-        for (r, &cv) in column.iter().enumerate() {
-            for (c, &rv) in row.iter().enumerate() {
-                prop_assert!((out[r * row.len() + c] - cv as f32 * rv).abs() < 1e-4);
-            }
-        }
-        prop_assert_eq!(stats.cycles, 8);
-        prop_assert_eq!(stats.multiplications_avoided, (column.len() * row.len()) as u64);
-    }
-
-    #[test]
-    fn vlp_gemm_matches_dequantized_reference(seed in 0u64..200, m in 1usize..12, n in 1usize..24, k in 1usize..48) {
-        let activations = pseudo_random_matrix(m, k, seed, 1.0);
-        let weights = pseudo_random_matrix(n, k, seed + 1, 0.5);
-        let q = weight_only_quantize(&weights, k.min(32));
-        let engine = VlpGemm::new(VlpGemmConfig::mugi(64));
-        let (out, stats) = engine.gemm_bf16_int4(&activations, &q);
-        let reference = activations.matmul(&q.dequantize().transpose());
-        prop_assert!(out.max_abs_diff(&reference) < 1e-4);
-        prop_assert!(stats.cycles >= 8);
-        prop_assert!(stats.utilization > 0.0 && stats.utilization <= 1.0);
-    }
-
-    #[test]
-    fn gemm_cycles_scale_linearly_in_k(k in 1usize..64) {
-        let engine = VlpGemm::new(VlpGemmConfig::mugi(128));
-        let one = engine.stats_for(8, 128, 1).cycles;
-        let many = engine.stats_for(8, 128, k).cycles;
-        prop_assert_eq!(many, one * k as u64);
-    }
-
     #[test]
     fn sliding_window_always_inside_lut(exps in prop::collection::vec(-30i32..30, 0..64)) {
         let cfg = VlpApproxConfig::recommended_for(NonlinearOp::Softmax);

@@ -18,12 +18,12 @@ fn main() {
     let activations = pseudo_random_matrix(8, 256, 1, 1.0); // batch 8, K=256
     let weights = pseudo_random_matrix(512, 256, 2, 0.2); // 512 output features
     let quantized = accel.quantize_weights(&weights);
-    let (output, stats) = accel.gemm(&activations, &quantized);
+    let (output, cost) = accel.gemm(&activations, &quantized);
     println!(
-        "GEMM 8x256x512: {} cycles, utilization {:.1}%, {} multiplications avoided",
-        stats.cycles,
-        stats.utilization * 100.0,
-        stats.reuse.multiplications_avoided
+        "GEMM 8x256x512 (dequantize-then-GEMM): {} compute cycles, {} HBM cycles, {:.1} nJ",
+        cost.cycles,
+        cost.hbm_cycles,
+        (cost.energy_pj + cost.hbm_energy_pj) / 1e3
     );
     let reference = activations.matmul(&quantized.dequantize().transpose());
     println!("  max |output - reference| = {:.2e}", output.max_abs_diff(&reference));
@@ -34,9 +34,9 @@ fn main() {
     let exact = softmax(&logits);
     let max_err = probs.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     println!(
-        "Softmax over {} logits: latency {} cycles, max error vs exact {:.4}",
+        "Softmax over {} logits in {} mapping(s): max error vs exact {:.4}",
         logits.len(),
-        approx_stats.latency_cycles,
+        approx_stats.mappings,
         max_err
     );
 

@@ -14,7 +14,7 @@ fn quickstart_softmax_is_a_distribution() {
     assert_eq!(probs.len(), 3);
     assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-3, "softmax must sum to 1: {probs:?}");
     assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "probabilities in [0, 1]: {probs:?}");
-    assert!(stats.latency_cycles > 0);
+    assert_eq!(stats.elements, 3);
 }
 
 #[test]
@@ -30,9 +30,9 @@ fn quickstart_gemm_matches_dense_reference() {
     let activations = pseudo_random_matrix(8, 256, 1, 1.0);
     let weights = pseudo_random_matrix(512, 256, 2, 0.2);
     let quantized = accel.quantize_weights(&weights);
-    let (output, stats) = accel.gemm(&activations, &quantized);
+    let (output, cost) = accel.gemm(&activations, &quantized);
     let reference = activations.matmul(&quantized.dequantize().transpose());
     assert!(output.max_abs_diff(&reference) < 1e-3, "VLP GEMM must match the dense reference");
-    assert!(stats.cycles > 0);
+    assert!(cost.cycles > 0);
     assert!(accel.area_mm2() > 0.0);
 }
