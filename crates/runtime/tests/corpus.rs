@@ -8,7 +8,8 @@
 //! completion, what admission control sees) fails a row.
 //!
 //! A second, hand-built table ([`EDGES`]) pins small workloads that each put
-//! one stopping rule of the executor's decode runs in the middle of a run.
+//! one stopping rule of the executor's decode runs in the middle of a run,
+//! or on the exact cycle where it starts to bind.
 //!
 //! Every eighth case bounds the live-session population and every eighth
 //! (offset) sets an SLO admission bound: those are the configurations where
@@ -157,7 +158,7 @@ fn serving_loop_matches_the_fingerprint_corpus() {
 
 /// One horizon-edge case: explicit `(model, prompt tokens, output tokens,
 /// arrival cycle)` requests on one engine, with 16-token KV pages (128 for
-/// the `serve_mixed_dp`-shaped case).
+/// the two `serve_mixed_dp`-shaped cases).
 struct Edge {
     name: &'static str,
     placement: Placement,
@@ -166,8 +167,10 @@ struct Edge {
     requests: &'static [(ModelId, usize, usize, u64)],
 }
 
-/// The horizon-edge cases. Each was picked because dropping or weakening
-/// the stopping rule it names changes its row.
+/// The horizon-edge cases. The first six were picked because dropping or
+/// weakening the stopping rule each names changes its row. The last five
+/// put a run boundary (a bucket, the horizon, a lagging clock, a page) on
+/// an exact step, or make every step of a run price its items differently.
 fn edges() -> Vec<Edge> {
     use ModelId::{Llama2_13b as M13, Llama2_70b as M70, Llama2_7b as M7};
     let unbounded = KvConfig { page_tokens: 16, ..KvConfig::unbounded() };
@@ -259,6 +262,63 @@ fn edges() -> Vec<Edge> {
                 (M7, 777, 42, 95_000_660),
             ],
         },
+        // One session decodes alone from context 100 to 139: its contexts
+        // cross the 112 and 128 KV buckets mid-run, so the run re-prices
+        // and its step length changes there.
+        Edge {
+            name: "re-bucket mid-run",
+            placement: Placement::single_node(),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[(M7, 100, 40, 0)],
+        },
+        // The second request arrives exactly at the end of the first
+        // session's seventh decode step: the run must stop on that step,
+        // not one later.
+        Edge {
+            name: "step end exactly on the horizon",
+            placement: Placement::single_node(),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[(M7, 100, 40, 0), (M7, 200, 8, 15_049_975_552)],
+        },
+        // The "two idle nodes lag" case with the 70B request at index 1
+        // arriving 1,477,271,862 cycles later: nodes 2 and 3 go idle at
+        // exactly the end of the 13B run's second step, so the run takes
+        // that step and stops at the next one. The 70B request's whole
+        // timeline shifts rigidly, so the row equals that case's row.
+        Edge {
+            name: "lagging node clock equal to a step end",
+            placement: dp(2, 2),
+            kv: KvConfig { page_tokens: 128, ..KvConfig::unbounded() },
+            control: ControlConfig::default(),
+            requests: &[
+                (M70, 1827, 58, 0),
+                (M70, 1636, 12, 2_344_606_464_947),
+                (M13, 671, 12, 2_797_148_374_938),
+                (M70, 555, 19, 3_229_169_472_307),
+                (M13, 1189, 31, 3_944_854_050_552),
+                (M70, 1340, 50, 4_221_424_208_304),
+            ],
+        },
+        // One bounded node with room to spare: nothing is ever evicted,
+        // but each run stops where the next step needs a new page.
+        Edge {
+            name: "bounded single-pool run stops at a page boundary",
+            placement: Placement::single_node(),
+            kv: KvConfig::bounded(16, 64),
+            control: ControlConfig::default(),
+            requests: &[(M7, 100, 40, 0)],
+        },
+        // Three sessions prefill in one batch and then decode together:
+        // every step changes each item's share of the attention energy.
+        Edge {
+            name: "multi-item run",
+            placement: Placement::single_node(),
+            kv: unbounded,
+            control: ControlConfig::default(),
+            requests: &[(M7, 100, 40, 0), (M7, 37, 30, 0), (M7, 250, 45, 0)],
+        },
     ]
 }
 
@@ -333,6 +393,11 @@ const EDGES: &[EdgeRow] = &[
     (64, 0xf1133a8f9d3891f7, 64, 0xf1133a8f9d3891f7),
     (194, 0x4585fbfe72699d62, 194, 0x4585fbfe72699d62),
     (128, 0xd71dcbe9d268b7bf, 128, 0xd71dcbe9d268b7bf),
+    (40, 0xd24da1d158c5bba9, 40, 0xd24da1d158c5bba9),
+    (40, 0x56debb36ba4f125b, 40, 0x56debb36ba4f125b),
+    (194, 0x4585fbfe72699d62, 194, 0x4585fbfe72699d62),
+    (40, 0xc80ccdb7cc521629, 40, 0xc80ccdb7cc521629),
+    (45, 0xf222abb0dbca3c58, 45, 0xf222abb0dbca3c58),
 ];
 
 #[rustfmt::skip]
