@@ -40,12 +40,11 @@
 //! replay bit for bit, pre-submitted or streamed.
 
 use crate::placement::PoolRole;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the adaptive control plane. The default disables every
 /// feature: a default-constructed controller is bit-inert (the pre-refactor
 /// goldens and the 1M-request soak checksum pin this).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ControlConfig {
     /// Re-roll node roles toward the live prefill:decode demand split
     /// (disaggregated placements only; a no-op elsewhere).

@@ -49,9 +49,11 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// The next sequence number, the tie-break between events at one cycle.
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        self.next_seq += 1;
+    /// Draws the next `n ≥ 1` sequence numbers, the tie-break between
+    /// events at one cycle, and returns the last. A decode-run segment
+    /// draws one per step; only its last step's completion is queued.
+    pub(crate) fn next_seqs(&mut self, n: u64) -> u64 {
+        self.next_seq += n;
         self.next_seq - 1
     }
 
@@ -68,6 +70,16 @@ impl EventQueue {
         }
         *last = time;
         self.pops += 1;
+    }
+
+    /// Counts the `steps ≥ 1` completions of a decode-run segment, landing
+    /// at strictly increasing times from `first` to `last`: only the first
+    /// can land before the previous completion.
+    pub(crate) fn count_segment_pops(&mut self, first: u64, last: u64, steps: u64) {
+        debug_assert!(steps >= 1 && first <= last, "a segment has at least one step");
+        self.count_pop(first, false);
+        self.last_completion_pop = last;
+        self.pops += steps - 1;
     }
 
     /// Events landed so far.

@@ -42,10 +42,13 @@
 //! micro-batch.
 //!
 //! When the dispatched batch is decode-only, the round keeps advancing it
-//! in place for as long as its next step is forced — a *decode run* — doing
-//! for each step exactly the work the skipped rounds would have done, in
-//! the same order, so every output is bit-identical to deciding each step
-//! afresh. A run of one step is the general case.
+//! in place for as long as its next step is forced — a *decode run* — with
+//! every output bit-identical to deciding each step afresh. A run advances
+//! in *segments*, stretches of steps at one price: per segment it computes
+//! in closed form how many steps come before the first stopping rule and
+//! applies their bookkeeping at once. Only each item's energy adds stay
+//! per step, in step order, since floating-point sums depend on it. A run
+//! of no further step is the general case.
 
 #![expect(
     clippy::expect_used,
@@ -65,10 +68,9 @@ use mugi::MugiAccelerator;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Executor configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExecutorConfig {
     /// Decode contexts are rounded up to this many KV entries when building
     /// workload slices (the paged-KV view of the cache). Coarser buckets
@@ -88,7 +90,6 @@ pub struct ExecutorConfig {
     /// reassignment, online SLO calibration and load-aware migration
     /// placement. Fully disabled by default, in which case the executor is
     /// bit-identical to one predating the controller.
-    #[serde(default)]
     pub control: ControlConfig,
 }
 
@@ -129,16 +130,15 @@ struct InFlight {
     seq: u64,
 }
 
-/// What [`Executor::occupy`] consumes from the accelerator's estimate of one
-/// micro-batch, copied verbatim: step cycles, node compute energy, the
-/// estimate's NoC energy (sharded placement only; the data-parallel arm
-/// derives its own from the batch) and the attention share of the dynamic
-/// energy.
+/// What [`Executor::occupy`] charges per step of one micro-batch: the
+/// accelerator estimate's step cycles, node compute energy and attention
+/// share of the dynamic energy, and the step's NoC energy (the estimate's
+/// under sharded placement; the batch's activation transfer otherwise).
 #[derive(Clone, Copy, Debug)]
 struct Price {
     step_cycles: u64,
     compute_energy_pj: f64,
-    perf_noc_energy_pj: f64,
+    noc_energy_pj: f64,
     attention_energy_pj: f64,
 }
 
@@ -156,8 +156,8 @@ struct FrontEntry {
 /// this skips a memo lock and probe per slice, the in-order fold of every
 /// op cost and the NoC scaling — a hit is one hash of the shape and one
 /// indexed slot comparison returning exactly the [`Price`] `occupy` uses.
-/// (Inside a decode run, steps whose slices equal the previous step's reuse
-/// that step's price without probing at all.) It pays for itself: fresh
+/// (A decode run probes once per segment: its steps share their slices.)
+/// It pays for itself: fresh
 /// pricing from the slice memo costs ~450 ns, and dropping this front
 /// doubled the host time of a decode-heavy 2×2 data-parallel stream. The
 /// placement policy and NoC are fixed for an executor's lifetime, so
@@ -278,8 +278,6 @@ pub struct Executor {
     /// Reusable workload-slice buffer for [`Executor::dispatch`], so the
     /// per-step estimate does not allocate in steady state.
     slice_scratch: Vec<BatchSlice>,
-    /// Reusable per-item energy-share buffer for the same hot path.
-    share_scratch: Vec<f64>,
     /// Reusable idle-node buffer, re-derived every decision round, so the
     /// round allocates nothing.
     idle_scratch: Vec<usize>,
@@ -287,6 +285,9 @@ pub struct Executor {
     /// a steady-state dispatch hashes its shape once and probes one slot,
     /// skipping the shared slice memo's mutex and per-slice probes.
     perf_front: PerfFront,
+    /// Decode runs that took at least one forced step, their forced steps
+    /// and their segments (see [`Executor::run_counters`]).
+    run_counters: (u64, u64, u64),
 }
 
 impl Executor {
@@ -401,9 +402,9 @@ impl Executor {
             transfer_energy_pj: 0.0,
             transfer_stall_cycles: 0,
             slice_scratch: Vec::new(),
-            share_scratch: Vec::new(),
             idle_scratch: Vec::new(),
             perf_front: PerfFront::default(),
+            run_counters: (0, 0, 0),
         }
     }
 
@@ -442,6 +443,15 @@ impl Executor {
     pub fn perf_front_stats(&self) -> (u64, u64, usize) {
         let resident = self.perf_front.slots.iter().filter(|s| s.is_some()).count();
         (self.perf_front.hits, self.perf_front.misses, resident)
+    }
+
+    /// Work counters of the decode runs: `(runs, run steps, segments)`. A
+    /// run is counted when it takes at least one forced step past its
+    /// dispatch; run steps are those forced steps; a segment is one bulk
+    /// advance of a run at one price, so `segments ≤ run steps`, and the
+    /// dispatched steps are [`Executor::steps`] minus the run steps.
+    pub fn run_counters(&self) -> (u64, u64, u64) {
+        self.run_counters
     }
 
     /// The placement the executor dispatches under.
@@ -942,7 +952,7 @@ impl Executor {
     /// Stages the stream's next request as the pending arrival.
     fn stage_next(&mut self, stream: &mut impl Iterator<Item = Request>) {
         if let Some(request) = stream.next() {
-            let seq = self.queue.next_seq();
+            let seq = self.queue.next_seqs(1);
             self.queue.staged = Some((seq, request));
             self.count_queued();
         }
@@ -962,7 +972,7 @@ impl Executor {
     /// [`Executor::advance_run`]).
     fn dispatch(&mut self, node: usize, batch: MicroBatch, start: u64) {
         let price = self.price(&batch);
-        self.occupy(node, batch, start, price);
+        self.occupy(node, batch, start, price, 1);
         self.advance_run(node, price);
     }
 
@@ -978,12 +988,21 @@ impl Executor {
                 let price = match self.placement.policy {
                     PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
                         let perf = self.accel.estimate_micro_batch(batch.model, &slices);
+                        // The front end ships the batch's BF16 token
+                        // activations to the executing node and the
+                        // produced activations ride the same links back
+                        // (the slices fix the token count).
+                        let hidden_dim = batch.model.config().hidden_dim;
+                        let bytes = 2 * (batch.total_tokens() * hidden_dim * 2);
                         Price {
                             step_cycles: perf.node.total_cycles.max(1),
                             compute_energy_pj: perf.node.dynamic_energy_pj
                                 + perf.node.hbm_energy_pj
                                 + perf.node.leakage_energy_pj,
-                            perf_noc_energy_pj: 0.0,
+                            noc_energy_pj: self
+                                .placement
+                                .noc
+                                .transfer_energy_pj(u64_from_usize(bytes), &self.cost),
                             attention_energy_pj: perf.node.energy_breakdown.attention,
                         }
                     }
@@ -993,7 +1012,7 @@ impl Executor {
                         Price {
                             step_cycles: perf.effective_cycles.max(1),
                             compute_energy_pj: perf.total_energy_pj - perf.noc_energy_pj,
-                            perf_noc_energy_pj: perf.noc_energy_pj,
+                            noc_energy_pj: perf.noc_energy_pj,
                             attention_energy_pj: perf.node.energy_breakdown.attention,
                         }
                     }
@@ -1007,20 +1026,13 @@ impl Executor {
         price
     }
 
-    /// Occupies `node` (every node, when sharded) with `batch` from `start`
-    /// at `price`: charges stalls and energy and queues the completion.
-    fn occupy(&mut self, node: usize, batch: MicroBatch, start: u64, price: Price) {
+    /// Occupies `node` (every node, when sharded) with `steps` back-to-back
+    /// steps of `batch` from `start` at `price`: charges stalls and energy
+    /// and queues the last step's completion. A decode-run segment passes
+    /// its batch as re-formed for its last step; its earlier steps attend
+    /// one KV entry less per step back, and never stall.
+    fn occupy(&mut self, node: usize, batch: MicroBatch, start: u64, price: Price, steps: u64) {
         let noc = self.placement.noc;
-        let noc_energy_pj = match self.placement.policy {
-            PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
-                // The front end ships the batch's BF16 token activations to
-                // the executing node and the produced activations ride the
-                // same links back.
-                let bytes = 2 * (batch.total_tokens() * batch.model.config().hidden_dim * 2);
-                noc.transfer_energy_pj(u64_from_usize(bytes), &self.cost)
-            }
-            PlacementPolicy::Sharded => price.perf_noc_energy_pj,
-        };
         // Preemptions stall the step while the pool is reshuffled: a fixed
         // fault cost per evicted page, on top of the victims' much larger
         // recompute cost (paid when their prefills re-execute). Unbounded
@@ -1051,32 +1063,33 @@ impl Executor {
         }
         self.transfer_stall_cycles += swap_stall_cycles;
         let step_cycles = price.step_cycles + stall_cycles + swap_stall_cycles;
-        let end = start + step_cycles;
+        debug_assert!(steps == 1 || step_cycles == price.step_cycles, "a run step stalled");
+        let end = steps_end(start, step_cycles, steps);
         match self.placement.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
-                self.pool.dispatch_one(node, start, step_cycles)
+                self.pool.dispatch_steps(node, start, end, steps)
             }
             PlacementPolicy::Sharded => self.pool.dispatch_all(start, step_cycles),
         }
-        self.steps += 1;
-        let mut shares = std::mem::take(&mut self.share_scratch);
-        attribute_step_energy_into(
-            &batch.items,
-            price.compute_energy_pj,
-            price.attention_energy_pj,
-            &mut shares,
-        );
+        self.steps += steps;
+        // Each item's energy is added once per step, in step order.
+        let split =
+            EnergySplit::new(&batch.items, price.compute_energy_pj, price.attention_energy_pj);
         let total_tokens = batch.total_tokens().max(1) as f64;
-        for (item, &share) in batch.items.iter().zip(shares.iter()) {
+        for item in &batch.items {
+            let rest_share = split.rest_share(item);
+            let noc_share = price.noc_energy_pj * item.tokens as f64 / total_tokens;
             let slot = self.aidx(item.id);
             let acct = &mut self.accounting[slot];
-            acct.energy_pj += share;
-            acct.noc_energy_pj += noc_energy_pj * item.tokens as f64 / total_tokens;
-            acct.micro_batches += 1;
+            for back in (0..usize_from_u64(steps)).rev() {
+                acct.energy_pj += split.share(item, rest_share, back);
+                acct.noc_energy_pj += noc_share;
+            }
+            acct.micro_batches += steps;
         }
-        self.share_scratch = shares;
         let slot = self.slot_of(node);
-        let seq = self.queue.next_seq();
+        let seq = self.queue.next_seqs(steps);
+        let start = end - step_cycles;
         self.in_flight[slot] = Some(InFlight { batch, start, end, seq });
         let key = (end, seq, slot);
         self.next_completion = Some(self.next_completion.map_or(key, |next| next.min(key)));
@@ -1086,19 +1099,19 @@ impl Executor {
     /// Advances the decode batch just dispatched on `node` through every
     /// further step that is *forced* — where the rounds in between could
     /// only land its completion and re-form the same batch on the same node
-    /// — doing for each step exactly the work those rounds would have done,
-    /// in the same order. This is a *decode run*; a run of one step (no
-    /// extension) is the general case.
+    /// — with exactly the effects those rounds would have had. This is a
+    /// *decode run*; a run of no further step is the general case.
     ///
-    /// Let `t` be the end of the batch in flight. The next step is forced
-    /// when all of these hold:
+    /// Let `t` be a step's start (the end of the batch in flight). The step
+    /// is forced when all of these hold:
     ///
     /// * the placement is data-parallel (single node included) with an
     ///   unbounded or a single KV pool — disaggregated, sharded and bounded
     ///   multi-pool runs never extend;
     /// * the batch is decode-only, no item emits its last output token at
     ///   `t`, and under a bounded pool no item needs a new page for the next
-    ///   step (formation could evict) — [`Scheduler::reform_is_forced`];
+    ///   step (formation could evict). [`Scheduler::forced_steps`] counts
+    ///   these steps once per run;
     /// * `t` lies before the horizon: every other in-flight batch's end, the
     ///   staged arrival, the scheduler's earliest unreleased arrival or
     ///   not-in-flight session ready time, and the clock of every idle node
@@ -1106,76 +1119,105 @@ impl Executor {
     ///   happens during a run, so the horizon is computed once;
     /// * when another node is busy, at most one idle node other than `node`
     ///   lags behind `t`: with two lagging, the round's "nothing runnable"
-    ///   branch would land that later completion early. Raising a lagging
-    ///   node to `t` leaves it lagging at the next step, so this is checked
-    ///   on every step.
+    ///   branch would land that later completion early. Idle clocks do not
+    ///   move during a run, so `t` may not pass the second-smallest one.
+    ///
+    /// The run advances in *segments*. A segment's steps share one price,
+    /// since no item's context crosses a `kv_bucket` boundary inside it, so
+    /// they start at `t, t + c, …` for the price's step cycles `c`, and
+    /// [`segment_steps`] gives their number in closed form. One bulk
+    /// [`Scheduler::complete_and_reform`] and one [`Executor::occupy`] then
+    /// apply them. A step whose slices cross a bucket opens the next
+    /// segment, re-priced through the [`PerfFront`].
     ///
     /// The rounds a run replaces raise each lagging idle node to every
     /// step's start; the run raises them once, to its last step's start.
-    /// While a step's slices equal the previous step's (no item's context
-    /// crosses a `kv_bucket` boundary), its price is reused without probing
-    /// the [`PerfFront`].
     fn advance_run(&mut self, node: usize, mut price: Price) {
         if self.placement.policy != PlacementPolicy::DataParallel || self.multi_pool {
             return;
         }
-        let forced = |f: &InFlight| self.scheduler.reform_is_forced(&f.batch);
-        if !self.in_flight[node].as_ref().is_some_and(forced) {
+        let forced = |f: &InFlight| self.scheduler.forced_steps(&f.batch);
+        let mut forced = u64_from_usize(self.in_flight[node].as_ref().map_or(0, forced));
+        if forced == 0 {
             return;
         }
-        let others = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| slot != node)
-            .filter_map(|(slot, f)| f.as_ref().map(|f| (f.end, f.seq, slot)))
-            .min();
-        let end =
-            |ex: &Self| ex.in_flight[node].as_ref().expect("the run's batch is in flight").end;
-        let staged = self.queue.staged.as_ref().map(|(_, r)| r.arrival_cycle);
-        let lower_idle = (0..node).filter(|&i| !self.occupied(i)).map(|i| self.pool.free_at(i));
-        let mut horizon =
-            lower_idle.chain(others.map(|o| o.0)).chain(staged).min().unwrap_or(u64::MAX);
+        // One pass over the other nodes (data-parallel: node `i` is slot
+        // `i`): the earliest other completion, the clocks of lower-index
+        // idle nodes, and the two smallest idle clocks.
+        let mut others = None;
+        let mut horizon = self.queue.staged.as_ref().map_or(u64::MAX, |(_, r)| r.arrival_cycle);
+        let mut idle_clocks: (Option<u64>, Option<u64>) = (None, None);
+        for (i, f) in self.in_flight.iter().enumerate().filter(|&(i, _)| i != node) {
+            if let Some(f) = f {
+                let key = (f.end, f.seq, i);
+                others = Some(others.map_or(key, |o: (u64, u64, usize)| o.min(key)));
+                horizon = horizon.min(f.end);
+                continue;
+            }
+            let clock = self.pool.free_at(i);
+            if i < node {
+                horizon = horizon.min(clock);
+            }
+            idle_clocks = match idle_clocks {
+                (Some(first), second) if clock >= first => {
+                    (Some(first), Some(second.map_or(clock, |s| s.min(clock))))
+                }
+                (first, _) => (Some(clock), first),
+            };
+        }
+        let t = self.in_flight[node].as_ref().expect("the run's batch is in flight").end;
         // The session scan is the one costly part of the horizon: skip it
         // when the cheap part already ends the run.
-        let t = end(self);
         if t < horizon {
             let ready = self.scheduler.earliest_ready_not_in_flight(t);
             horizon = ready.map_or(horizon, |r| horizon.min(r));
         }
+        let lag_limit = others.and(idle_clocks.1);
         let kv_bucket = self.config.kv_bucket;
-        let bucket = move |len: usize| pages_for(len, kv_bucket);
+        let bucket = |len: usize| pages_for(len, kv_bucket);
         let mut last_start = None;
         loop {
-            let t = end(self);
-            if t >= horizon {
+            let t = self.in_flight[node].as_ref().expect("the run's batch is in flight").end;
+            // The step at `t` is taken under `segment_steps`' rules for a
+            // first step, which depend neither on its price nor on buckets.
+            if forced == 0 || t >= horizon || lag_limit.is_some_and(|l| l < t) {
                 break;
             }
-            if others.is_some() {
-                let lagging = (0..self.pool.len())
-                    .filter(|&i| i != node && !self.occupied(i) && self.pool.free_at(i) < t)
-                    .count();
-                if lagging > 1 {
-                    break;
-                }
-            }
-            let f = self.in_flight[node].as_mut().expect("the run's batch is in flight");
-            let rebucket =
-                f.batch.items.iter().any(|i| bucket(i.context_len) != bucket(i.context_len + 1));
-            if !self.scheduler.complete_and_reform(&mut f.batch, t) {
-                break;
-            }
-            let f = self.in_flight[node].take().expect("the run's batch is in flight");
-            self.next_completion = others;
-            self.queue.count_pop(t, false);
-            self.clock_cycles = self.clock_cycles.max(t);
+            let mut f = self.in_flight[node].take().expect("the run's batch is in flight");
+            // Step j (from 0) re-forms each item at `context_len + j + 1`
+            // entries; its slices differ from step j - 1's exactly where an
+            // item's bucket changes, the first time at j = `same_bucket`.
+            let items = &f.batch.items;
+            let rebucket = items.iter().any(|i| bucket(i.context_len) != bucket(i.context_len + 1));
+            let same_bucket = items
+                .iter()
+                .map(|i| bucket(i.context_len + 1) * kv_bucket - i.context_len)
+                .min()
+                .map_or(0, u64_from_usize);
             if rebucket {
+                // Price the batch as re-formed for step 0; the bulk re-form
+                // below sets every context from its session anyway.
+                for item in &mut f.batch.items {
+                    item.context_len += 1;
+                }
                 price = self.price(&f.batch);
             }
-            last_start = Some(t);
-            self.occupy(node, f.batch, t, price);
+            let c = price.step_cycles;
+            let k = segment_steps(t, c, horizon, lag_limit, forced.min(same_bucket));
+            debug_assert!(k > 0, "the step at t is taken");
+            let last = t + (k - 1) * c;
+            self.scheduler.complete_and_reform(&mut f.batch, usize_from_u64(k), last);
+            self.next_completion = others;
+            self.queue.count_segment_pops(t, last, k);
+            self.clock_cycles = self.clock_cycles.max(last);
+            self.occupy(node, f.batch, t, price, k);
+            forced -= k;
+            last_start = Some(last);
+            self.run_counters.1 += k;
+            self.run_counters.2 += 1;
         }
         if let Some(start) = last_start {
+            self.run_counters.0 += 1;
             for i in 0..self.pool.len() {
                 if i != node && !self.occupied(i) {
                     self.pool.wait_until(i, start);
@@ -1349,44 +1391,103 @@ impl Executor {
     }
 }
 
-/// Splits one step's compute energy across the batch items: the attention
-/// share of the dynamic energy is weighted by `tokens × attended KV` (long
-/// contexts read and score more cache), everything else (projections, FFN,
-/// nonlinear, HBM, leakage) by token share alone.
-fn attribute_step_energy_into(
-    items: &[BatchItem],
-    compute_energy_pj: f64,
-    attention_energy_pj: f64,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    let attention_pj = attention_energy_pj.min(compute_energy_pj);
-    let rest_pj = compute_energy_pj - attention_pj;
-    let total_tokens: f64 = items.iter().map(|i| i.tokens as f64).sum();
-    let total_kv_weight: f64 =
-        items.iter().map(|i| i.tokens as f64 * i.context_len.max(1) as f64).sum();
-    out.extend(items.iter().map(|i| {
-        let token_share = if total_tokens > 0.0 { i.tokens as f64 / total_tokens } else { 0.0 };
+/// How one step's compute energy splits across the batch items: the
+/// attention share of the dynamic energy is weighted by `tokens × attended
+/// KV` (long contexts read and score more cache), everything else
+/// (projections, FFN, nonlinear, HBM, leakage) by token share alone.
+///
+/// The weights are integers far below 2^53, so their f64 sums are exact:
+/// a decode-run segment's earlier steps, each item attending one KV entry
+/// less per step back, weigh exactly `tokens` less per step back.
+#[derive(Clone, Copy, Debug)]
+struct EnergySplit {
+    attention_pj: f64,
+    rest_pj: f64,
+    tokens: usize,
+    kv_weight: usize,
+}
+
+impl EnergySplit {
+    fn new(items: &[BatchItem], compute_energy_pj: f64, attention_energy_pj: f64) -> Self {
+        let attention_pj = attention_energy_pj.min(compute_energy_pj);
+        let kv_weight = items.iter().map(|i| i.tokens * i.context_len.max(1)).sum();
+        debug_assert!(kv_weight < 1 << 53, "KV weights must stay exact in f64");
+        EnergySplit {
+            attention_pj,
+            rest_pj: compute_energy_pj - attention_pj,
+            tokens: items.iter().map(|i| i.tokens).sum(),
+            kv_weight,
+        }
+    }
+
+    /// The non-attention energy `item` is charged per step.
+    fn rest_share(&self, item: &BatchItem) -> f64 {
+        let share = if self.tokens > 0 { item.tokens as f64 / self.tokens as f64 } else { 0.0 };
+        self.rest_pj * share
+    }
+
+    /// The energy `item` is charged for the step `back` steps before the
+    /// one its batch describes: its `rest_share` plus its share of the
+    /// attention energy.
+    fn share(&self, item: &BatchItem, rest_share: f64, back: usize) -> f64 {
+        let total_kv_weight = (self.kv_weight - self.tokens * back) as f64;
         let kv_share = if total_kv_weight > 0.0 {
-            i.tokens as f64 * i.context_len.max(1) as f64 / total_kv_weight
+            item.tokens as f64 * (item.context_len - back).max(1) as f64 / total_kv_weight
         } else {
             0.0
         };
-        rest_pj * token_share + attention_pj * kv_share
-    }));
+        rest_share + self.attention_pj * kv_share
+    }
 }
 
-/// [`attribute_step_energy_into`] returning a fresh vector (test
-/// convenience; the dispatch hot path reuses a scratch buffer instead).
+/// The number of back-to-back steps of `cycles ≥ 1` each, the first
+/// starting at `t`, that one decode-run segment takes: at most `max_steps`,
+/// every step starting before `horizon` and, with a `lag_limit`, at or
+/// before it. One division at most, none when `max_steps` fit.
+///
+/// # Panics
+/// Panics if the last step's end, `t + k · cycles`, does not fit in a
+/// `u64` (see [`steps_end`]).
+fn segment_steps(t: u64, cycles: u64, horizon: u64, lag_limit: Option<u64>, max_steps: u64) -> u64 {
+    // The latest cycle a step may start at.
+    let Some(latest) = horizon.checked_sub(1) else { return 0 };
+    let latest = lag_limit.map_or(latest, |l| latest.min(l));
+    if max_steps == 0 || t > latest {
+        return 0;
+    }
+    let span = latest - t;
+    let k = match (max_steps - 1).checked_mul(cycles) {
+        Some(needed) if needed <= span => max_steps,
+        _ => span / cycles + 1,
+    };
+    steps_end(t, cycles, k);
+    k
+}
+
+/// The end of `steps` back-to-back steps of `cycles` each from `start`.
+///
+/// # Panics
+/// Panics when `start + steps · cycles` overflows a `u64` cycle count,
+/// rather than wrapping (release builds do not check overflow).
+#[expect(
+    clippy::panic,
+    reason = "a wrapped simulated clock would silently corrupt every later event"
+)]
+fn steps_end(start: u64, cycles: u64, steps: u64) -> u64 {
+    cycles.checked_mul(steps).and_then(|span| start.checked_add(span)).unwrap_or_else(|| {
+        panic!("cycle overflow: {steps} steps of {cycles} cycles from cycle {start} pass u64::MAX")
+    })
+}
+
+/// Each item's share of one step's compute energy (test convenience).
 #[cfg(test)]
 fn attribute_step_energy(
     items: &[BatchItem],
     compute_energy_pj: f64,
     attention_energy_pj: f64,
 ) -> Vec<f64> {
-    let mut out = Vec::new();
-    attribute_step_energy_into(items, compute_energy_pj, attention_energy_pj, &mut out);
-    out
+    let split = EnergySplit::new(items, compute_energy_pj, attention_energy_pj);
+    items.iter().map(|i| split.share(i, split.rest_share(i), 0)).collect()
 }
 
 #[cfg(test)]
@@ -1468,6 +1569,33 @@ mod tests {
         assert_eq!(report.micro_batches, 40);
         let slices = ex.accel.perf_cache_entries();
         assert!(slices < 8, "expected few memoized slices, got {slices}");
+    }
+
+    #[test]
+    fn segment_steps_stop_at_the_first_rule_that_binds() {
+        // Steps start at 100, 110, 120, …: a horizon on a step start ends
+        // the segment before that step, a lag limit on one takes it.
+        assert_eq!(segment_steps(100, 10, 130, None, 50), 3);
+        assert_eq!(segment_steps(100, 10, 131, None, 50), 4);
+        assert_eq!(segment_steps(100, 10, 100, None, 50), 0, "t == horizon");
+        assert_eq!(segment_steps(100, 10, u64::MAX, Some(130), 50), 4);
+        assert_eq!(segment_steps(100, 10, u64::MAX, Some(129), 50), 3);
+        assert_eq!(segment_steps(100, 10, u64::MAX, Some(99), 50), 0, "already lagging");
+        assert_eq!(segment_steps(100, 10, u64::MAX, None, 7), 7, "max_steps");
+        assert_eq!(segment_steps(100, 10, u64::MAX, Some(u64::MAX), 7), 7);
+        // One-cycle steps: every cycle before the horizon starts a step.
+        assert_eq!(segment_steps(0, 1, 5, None, u64::MAX), 5);
+        assert_eq!(segment_steps(0, 1, u64::MAX, Some(u64::MAX), u64::MAX), u64::MAX);
+        // The last step may end exactly at the largest cycle.
+        assert_eq!(segment_steps(u64::MAX - 20, 10, u64::MAX, None, 2), 2);
+        assert_eq!(steps_end(u64::MAX - 20, 10, 2), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle overflow: 1 steps of 10 cycles from cycle")]
+    fn segment_steps_panic_instead_of_wrapping_the_clock() {
+        // The step starts before the horizon but would end past u64::MAX.
+        segment_steps(u64::MAX - 5, 10, u64::MAX, None, 3);
     }
 
     #[test]

@@ -56,7 +56,6 @@
 
 use mugi_numerics::cast::{u32_from_usize, usize_from_u32, usize_from_u64};
 use mugi_workloads::models::ModelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// KV-cache precision in bits per value (BF16), used to convert a session's
@@ -64,7 +63,7 @@ use std::fmt;
 pub const KV_BITS: usize = 16;
 
 /// Handle of one physical KV page inside a [`KvPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
 
 impl fmt::Display for PageId {
@@ -86,7 +85,7 @@ pub fn pages_for(tokens: usize, page_tokens: usize) -> usize {
 }
 
 /// What happens to a session evicted from a full KV pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PreemptionMode {
     /// Drop the victim's pages; the victim re-enters the waiting queue and
     /// recomputes its whole KV by prefilling again (the pre-disaggregation
@@ -110,7 +109,7 @@ pub enum PreemptionMode {
 /// that arrive no later than the new request — but unlike the blunt
 /// queue-depth bound it scales with *work*, so a few long prompts and many
 /// short ones are treated alike.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SloConfig {
     /// Maximum acceptable projected TTFT in cycles.
     pub target_ttft_cycles: u64,
@@ -119,7 +118,7 @@ pub struct SloConfig {
 }
 
 /// Static configuration of the paged KV cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KvConfig {
     /// KV entries per page. Must match the executor's decode-context
     /// bucketing granularity (`ExecutorConfig::kv_bucket`) for the paged
@@ -219,7 +218,7 @@ impl KvConfig {
 }
 
 /// Why a submission was rejected by admission control.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AdmissionError {
     /// The live-session queue is at its configured depth bound; retry after
     /// some sessions finish.
@@ -317,7 +316,7 @@ impl KvFreePages {
 /// the unit the extent allocator hands out and reclaims. A session's whole
 /// context is typically one or two extents, so releasing, migrating or
 /// hashing a table is O(extents), not O(pages).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// First page of the run.
     pub start: u32,
@@ -536,7 +535,7 @@ impl KvPool {
 /// under data-parallel placement a session's KV physically lives on one
 /// node, so only micro-batches formed for that node may schedule it. The
 /// table forgets its home when it releases all pages (eviction or finish).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageTable {
     extents: Vec<Extent>,
     pages: usize,

@@ -39,11 +39,10 @@
 )]
 
 use mugi::arch::noc::NocConfig;
-use serde::{Deserialize, Serialize};
 
 /// The scheduling role of one node (and its KV pool, when the pool is
 /// bounded) under a given placement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PoolRole {
     /// Prefill chunks and decode slots both run here (every colocated
     /// policy).
@@ -59,7 +58,7 @@ pub enum PoolRole {
 }
 
 /// How micro-batches are placed onto the nodes of the mesh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// Whole micro-batches on the least-loaded node (inter-batch
     /// parallelism).
@@ -95,7 +94,7 @@ impl PlacementPolicy {
 }
 
 /// A mesh plus the policy placing micro-batches onto it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Placement {
     /// The 2-D mesh the nodes form.
     pub noc: NocConfig,
@@ -234,10 +233,16 @@ impl NodePool {
 
     /// Occupies node `i` with a batch running `[start, start + cycles)`.
     pub fn dispatch_one(&mut self, i: usize, start: u64, cycles: u64) {
+        self.dispatch_steps(i, start, start + cycles, 1);
+    }
+
+    /// Occupies node `i` with `steps` back-to-back batches filling
+    /// `[start, end)` (the steps of one decode-run segment).
+    pub fn dispatch_steps(&mut self, i: usize, start: u64, end: u64, steps: u64) {
         debug_assert!(self.free_at[i] <= start, "node dispatched before it is free");
-        self.free_at[i] = start + cycles;
-        self.busy_cycles[i] += cycles;
-        self.steps[i] += 1;
+        self.free_at[i] = end;
+        self.busy_cycles[i] += end - start;
+        self.steps[i] += steps;
     }
 
     /// Occupies every node with a gang-scheduled (sharded) batch running
@@ -320,6 +325,8 @@ mod tests {
         assert_eq!(pool.steps(0), 2);
         assert_eq!(pool.steps(2), 1);
         assert_eq!(pool.busy(), &[110, 35, 10]);
+        pool.dispatch_steps(2, 110, 140, 3);
+        assert_eq!((pool.free_at(2), pool.steps(2), pool.busy_cycles(2)), (140, 4, 40));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use crate::kv::PageTable;
 use mugi_numerics::cast::usize_from_u64;
 use mugi_workloads::models::ModelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one request, assigned by the scheduler at submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -24,7 +23,7 @@ impl fmt::Display for RequestId {
 
 /// One inference request: generate `output_tokens` tokens for a
 /// `prompt_tokens`-token prompt on `model`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Request {
     /// The model the request targets.
     pub model: ModelId,
@@ -57,7 +56,7 @@ impl Request {
 }
 
 /// Lifecycle phase of a session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SessionState {
     /// Admitted, prompt not yet (fully) prefilled.
     Prefilling,
@@ -68,7 +67,7 @@ pub enum SessionState {
 }
 
 /// A scheduled request plus its per-session KV-cache and progress state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Session {
     /// Identifier assigned at submission (submission order defines FCFS).
     pub id: RequestId,
@@ -120,9 +119,8 @@ pub struct Session {
     /// micro-batch. Set by the scheduler at batch formation, cleared at
     /// completion: a per-session flag in the arena replaces the old
     /// `BTreeSet` membership probe, so the scheduler's hottest check is one
-    /// load from a session already in cache. Transient scheduling state, not
-    /// part of the serialized session (always `false` between runs).
-    #[serde(skip)]
+    /// load from a session already in cache. Transient scheduling state
+    /// (always `false` between runs).
     pub in_flight: bool,
 }
 

@@ -95,12 +95,11 @@ use crate::request::{Request, RequestId, Session, SessionArena, SessionState};
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Order in which waiting prompts are admitted to the prefill share of a
 /// micro-batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// First come, first served (submission order).
     Fcfs,
@@ -111,7 +110,7 @@ pub enum SchedulingPolicy {
 }
 
 /// Order in which decoding sessions of one model receive their decode slots.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DecodeOrder {
     /// Oldest generation first (submission order) — the pre-rotation
     /// behaviour. Under `max_batch` pressure the newest generations wait
@@ -127,7 +126,7 @@ pub enum DecodeOrder {
 }
 
 /// Static scheduler configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SchedulerConfig {
     /// Maximum requests per micro-batch (decode slots plus prefill chunks).
     pub max_batch: usize,
@@ -169,7 +168,7 @@ impl Default for SchedulerConfig {
 }
 
 /// One request's share of a micro-batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchItem {
     /// The session the work belongs to.
     pub id: RequestId,
@@ -186,7 +185,7 @@ pub struct BatchItem {
 /// was being formed (swap-style preemption). The executor charges the
 /// transfer energy for `bytes` and stalls the batch while the pages stream
 /// out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwapOut {
     /// The paged-out session.
     pub id: RequestId,
@@ -200,7 +199,7 @@ pub struct SwapOut {
 }
 
 /// A scheduled micro-batch: work for one model, one step.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MicroBatch {
     /// The model every item runs on.
     pub model: ModelId,
@@ -421,7 +420,7 @@ pub struct Scheduler {
 
 /// Outcome of one KV-page migration ([`Scheduler::migrate_session`]): what
 /// moved, so the executor can charge the NoC transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Migration {
     /// Pages that changed pools (under an unbounded pool: the page
     /// equivalent of the session's KV length).
@@ -1447,47 +1446,66 @@ impl Scheduler {
         s.ready_cycle = s.ready_cycle.max(cycle);
     }
 
-    /// Whether [`Scheduler::complete_and_reform`] would re-form `batch`:
-    /// it is decode-only, no item emits its last output token when it
-    /// completes (that item would finish and leave the batch), and — under
-    /// a bounded pool — no item's next step needs a new page (formation
-    /// could then allocate or evict).
-    pub(crate) fn reform_is_forced(&self, batch: &MicroBatch) -> bool {
+    /// How many times in a row [`Scheduler::complete_and_reform`] may
+    /// re-form `batch`: zero unless it is decode-only, else the fewest
+    /// steps before an item emits its last output token (that item would
+    /// finish and leave the batch) or — under a bounded pool — before an
+    /// item's next step needs a new page (formation could then allocate or
+    /// evict). Step `j` (from 0) completes the batch with `kv_len + j + 1`
+    /// entries per item, so it is forced while `generated + j + 1 <
+    /// output` and `kv_len + j + 2` entries fit the mapped pages.
+    pub(crate) fn forced_steps(&self, batch: &MicroBatch) -> usize {
         let paged = !self.pools.is_empty();
         let page_tokens = self.kv.page_tokens;
-        batch.items.iter().all(|item| {
-            let s = &self.sessions[self.sidx(item.id)];
-            item.phase == Phase::Decode
-                && s.generated_tokens + 1 < s.request.output_tokens
-                && (!paged || pages_for(s.kv_len() + 2, page_tokens) <= s.page_table.mapped_pages())
-        })
+        if batch.items.iter().any(|item| item.phase != Phase::Decode) {
+            return 0;
+        }
+        batch
+            .items
+            .iter()
+            .map(|item| {
+                let s = &self.sessions[self.sidx(item.id)];
+                let tokens = s.request.output_tokens.saturating_sub(s.generated_tokens + 1);
+                if paged {
+                    let entries = s.page_table.mapped_pages() * page_tokens;
+                    tokens.min(entries.saturating_sub(s.kv_len() + 1))
+                } else {
+                    tokens
+                }
+            })
+            .min()
+            .unwrap_or(0)
     }
 
-    /// Completes the decode-only `batch` at `end_cycle` and re-forms it in
-    /// place for its next step: the same items in the same order, each
-    /// attending one more KV entry. When nothing outside the batch is
-    /// schedulable at `end_cycle` (which the executor guarantees), this is
-    /// exactly [`Scheduler::complete`] followed by a
-    /// [`Scheduler::next_micro_batch`] that re-forms the batch on its pool:
-    /// every item emits one token and becomes ready at `end_cycle`, the
-    /// batch's model is served again, and the in-flight marks and the
-    /// decode rotation cursor end where they were.
+    /// Completes the decode-only `batch` `steps` times in a row, the last
+    /// time at `end_cycle`, re-forming it in place after each completion:
+    /// the same items in the same order, each attending `steps` more KV
+    /// entries. When nothing outside the batch is schedulable in between
+    /// (which the executor guarantees), this is exactly `steps` rounds of
+    /// [`Scheduler::complete`] followed by a [`Scheduler::next_micro_batch`]
+    /// that re-forms the batch on its pool: every item emits `steps` tokens
+    /// and becomes ready at `end_cycle` at the latest, the batch's model is
+    /// served `steps` more times, and the in-flight marks and the decode
+    /// rotation cursor end where they were.
     ///
-    /// Returns `false`, changing nothing, when the next step is not forced
-    /// (see [`Scheduler::reform_is_forced`]).
-    pub(crate) fn complete_and_reform(&mut self, batch: &mut MicroBatch, end_cycle: u64) -> bool {
-        if !self.reform_is_forced(batch) {
-            return false;
-        }
+    /// `steps` must not exceed [`Scheduler::forced_steps`] (checked in debug
+    /// builds).
+    pub(crate) fn complete_and_reform(
+        &mut self,
+        batch: &mut MicroBatch,
+        steps: usize,
+        end_cycle: u64,
+    ) {
+        debug_assert!(steps <= self.forced_steps(batch), "re-formed past a forced step");
         for item in &mut batch.items {
             let i = self.sidx(item.id);
             let s = &mut self.sessions[i];
-            s.generated_tokens += 1;
+            s.generated_tokens += steps;
             s.ready_cycle = s.ready_cycle.max(end_cycle);
             item.context_len = s.kv_len();
         }
-        self.pending_decode_tokens -= u64_from_usize(batch.items.len());
-        self.serve_counter += 1;
+        self.pending_decode_tokens -= u64_from_usize(batch.items.len() * steps);
+        self.serve_counter += u64_from_usize(steps);
         let queue = self
             .queues
             .iter_mut()
@@ -1496,7 +1514,6 @@ impl Scheduler {
         queue.last_served = self.serve_counter;
         batch.evicted_pages = 0;
         batch.swapped_out.clear();
-        true
     }
 
     /// Hands a completed micro-batch's allocations back for reuse: the next
@@ -2254,35 +2271,41 @@ mod tests {
         )
     }
 
+    /// Sessions `[a, c]` (or `[c, a]` under round-robin) in one decode
+    /// batch formed at cycle 300, with `b` kept busy elsewhere, so that
+    /// under round-robin the batch rotates past the cursor at `b`.
+    fn rotated_decode_batch(decode_order: DecodeOrder) -> (Scheduler, MicroBatch) {
+        let mut sched =
+            Scheduler::new(SchedulerConfig { decode_order, ..SchedulerConfig::default() });
+        let [a, b, c] = [0, 1, 2].map(|_| sched.submit(request(ModelId::Llama2_7b, 64, 10)));
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
+        sched.complete(&prefill, 100);
+        // Serve a and b while c waits, then keep b busy elsewhere.
+        sched.stall_session_until(c, 250);
+        let first = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
+        assert_eq!(first.items.iter().map(|i| i.id).collect::<Vec<_>>(), [a, b]);
+        sched.complete(&first, 200);
+        sched.stall_session_until(b, u64::MAX);
+        let batch = sched.next_micro_batch(300, 0, PoolRole::Colocated).unwrap();
+        let expected = match decode_order {
+            DecodeOrder::Fcfs => [a, c],
+            DecodeOrder::RoundRobin => [c, a],
+        };
+        assert_eq!(batch.items.iter().map(|i| i.id).collect::<Vec<_>>(), expected);
+        (sched, batch)
+    }
+
     #[test]
     fn complete_and_reform_equals_complete_then_form() {
         for decode_order in [DecodeOrder::Fcfs, DecodeOrder::RoundRobin] {
-            let mut sched =
-                Scheduler::new(SchedulerConfig { decode_order, ..SchedulerConfig::default() });
-            let [a, b, c] = [0, 1, 2].map(|_| sched.submit(request(ModelId::Llama2_7b, 64, 10)));
-            let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
-            sched.complete(&prefill, 100);
-            // Serve a and b while c waits, then keep b busy elsewhere, so
-            // under round-robin the next batch rotates past the cursor at
-            // b: [c, a].
-            sched.stall_session_until(c, 250);
-            let first = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
-            assert_eq!(first.items.iter().map(|i| i.id).collect::<Vec<_>>(), [a, b]);
-            sched.complete(&first, 200);
-            sched.stall_session_until(b, u64::MAX);
-            let now = 300;
-            let batch = sched.next_micro_batch(now, 0, PoolRole::Colocated).unwrap();
-            let expected = match decode_order {
-                DecodeOrder::Fcfs => [a, c],
-                DecodeOrder::RoundRobin => [c, a],
-            };
-            assert_eq!(batch.items.iter().map(|i| i.id).collect::<Vec<_>>(), expected);
-            let end = now + 100;
+            let (mut sched, batch) = rotated_decode_batch(decode_order);
+            let end = 400;
             let mut generic = sched.clone();
             generic.complete(&batch, end);
             let formed = generic.next_micro_batch(end, 0, PoolRole::Colocated).unwrap();
             let mut reformed = batch.clone();
-            assert!(sched.complete_and_reform(&mut reformed, end));
+            assert!(sched.forced_steps(&batch) >= 1);
+            sched.complete_and_reform(&mut reformed, 1, end);
             assert_eq!(reformed, formed, "{decode_order:?}: items, context lengths included");
             assert_eq!(reform_state(&sched), reform_state(&generic), "{decode_order:?}");
             assert_eq!(sched.in_flight_count(), 2);
@@ -2290,27 +2313,59 @@ mod tests {
     }
 
     #[test]
+    fn complete_and_reform_of_k_steps_equals_k_rounds_of_complete_then_form() {
+        for decode_order in [DecodeOrder::Fcfs, DecodeOrder::RoundRobin] {
+            let (mut sched, batch) = rotated_decode_batch(decode_order);
+            // a has emitted 2 of its 10 tokens and c 1: a's last token
+            // comes 7 steps after this one, and that step is not forced.
+            let steps = sched.forced_steps(&batch);
+            assert_eq!(steps, 7, "{decode_order:?}");
+            let mut generic = sched.clone();
+            let mut formed = batch.clone();
+            for j in 0..steps {
+                let end = 400 + 100 * u64_from_usize(j);
+                generic.complete(&formed, end);
+                formed = generic.next_micro_batch(end, 0, PoolRole::Colocated).unwrap();
+            }
+            let mut reformed = batch.clone();
+            sched.complete_and_reform(&mut reformed, steps, 400 + 100 * u64_from_usize(steps - 1));
+            assert_eq!(reformed, formed, "{decode_order:?}: items, context lengths included");
+            assert_eq!(reform_state(&sched), reform_state(&generic), "{decode_order:?}");
+            assert_eq!(sched.forced_steps(&reformed), 0, "{decode_order:?}");
+        }
+    }
+
+    #[test]
     fn complete_and_reform_changes_nothing_when_the_next_step_is_not_forced() {
         // A 14-token prompt emits its first token into a one-page table
         // (15 entries); the first decode fills the page, so the step after
-        // it needs a second page.
+        // it needs a second page: no step is forced.
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(16, 8));
         let id = sched.submit(request(ModelId::Llama2_7b, 14, 10));
         let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&prefill, 100);
-        let mut batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
+        let batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
         assert_eq!(sched.session(id).page_table.mapped_pages(), 1);
-        let (before, formed) = (reform_state(&sched), batch.clone());
-        assert!(!sched.complete_and_reform(&mut batch, 200), "page boundary");
-        assert_eq!((reform_state(&sched), &batch), (before, &formed));
+        assert_eq!(sched.forced_steps(&batch), 0, "page boundary");
+        // A 4-token prompt's page has room for ten more forced steps, but
+        // six steps in, the next one emits its 8th and last output token.
+        let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(16, 8));
+        sched.submit(request(ModelId::Llama2_7b, 4, 8));
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
+        sched.complete(&prefill, 100);
+        let batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
+        assert_eq!(sched.forced_steps(&batch), 6, "output tokens, not pages, bound the run");
         // A session about to emit its last token leaves the batch instead.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(request(ModelId::Llama2_7b, 14, 2));
         let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
         sched.complete(&prefill, 100);
-        let mut batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
-        let (before, formed) = (reform_state(&sched), batch.clone());
-        assert!(!sched.complete_and_reform(&mut batch, 200), "last output token");
-        assert_eq!((reform_state(&sched), &batch), (before, &formed));
+        let batch = sched.next_micro_batch(100, 0, PoolRole::Colocated).unwrap();
+        assert_eq!(sched.forced_steps(&batch), 0, "last output token");
+        // A prefill chunk is never re-formed.
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        sched.submit(request(ModelId::Llama2_7b, 14, 8));
+        let prefill = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
+        assert_eq!(sched.forced_steps(&prefill), 0, "prefill");
     }
 }

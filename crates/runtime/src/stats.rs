@@ -4,11 +4,10 @@
 use crate::request::RequestId;
 use mugi_numerics::cast::{u64_from_usize, usize_from_f64};
 use mugi_workloads::models::ModelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Latency and efficiency statistics of one finished request.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequestStats {
     /// Request identifier.
     pub id: RequestId,
@@ -45,7 +44,7 @@ pub struct RequestStats {
 }
 
 /// p50/p95/p99 of a latency population.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Percentiles {
     /// Median.
     pub p50: f64,
@@ -84,7 +83,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Paged-KV statistics of one serving run: how full the pool ran and what
 /// the pressure cost. All zeros (and `capacity_pages == None`) under an
 /// unbounded pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KvStats {
     /// KV entries per page.
     pub page_tokens: usize,
@@ -124,15 +123,12 @@ pub struct KvStats {
     pub transfer_stall_cycles: u64,
     /// Node role re-rolls completed by the adaptive control plane (zero
     /// with the controller off — the default — or colocated placement).
-    #[serde(default)]
     pub role_rerolls: u64,
     /// Prefill slices observed by the online SLO calibrator (zero with
     /// calibration off).
-    #[serde(default)]
     pub calibration_samples: u64,
     /// The calibrated cycles-per-prefill-token admission rate, once warmed
     /// up (`None` with calibration off or still warming).
-    #[serde(default)]
     pub calibrated_cycles_per_prefill_token: Option<u64>,
 }
 
@@ -150,7 +146,7 @@ impl KvStats {
 }
 
 /// The aggregate outcome of one serving run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeReport {
     /// Per-request statistics in submission order.
     pub requests: Vec<RequestStats>,
@@ -266,7 +262,7 @@ impl fmt::Display for RuntimeReport {
 /// Floating-point sums accumulate in retirement (= id) order — the same
 /// order a full report would sum them in — so a folded total and a
 /// report-derived total agree bit for bit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StatsFold {
     /// Requests folded so far.
     pub requests: u64,
@@ -376,7 +372,7 @@ impl StatsFold {
 /// The aggregate outcome of a million-request-scale serving run: everything
 /// [`RuntimeReport`] carries except the per-request population (and with it
 /// the percentiles), so the report itself is O(1) however long the stream.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScaleReport {
     /// Folded per-request statistics.
     pub fold: StatsFold,

@@ -88,3 +88,29 @@ fn sharded_mesh_serves_the_same_workload_much_faster() {
     assert_eq!(mesh.node_busy_cycles.len(), 16);
     assert!(mesh.node_busy_cycles.windows(2).all(|w| w[0] == w[1]));
 }
+
+/// The decode-run work counters of a small seeded `serve_mixed_dp`-shaped
+/// stream: 64 requests of Llama 2 7B/13B/70B on a 2×2 data-parallel mesh.
+/// The runs and their forced steps are those of the step-at-a-time runs
+/// that segments replaced; the segments are the bulk advances.
+#[test]
+fn decode_runs_advance_in_fewer_segments_than_steps() {
+    use mugi_runtime::WorkloadStream;
+    let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
+    let spec = WorkloadSpec {
+        prompt_tokens: (32, 2048),
+        output_tokens: (4, 64),
+        ..WorkloadSpec::default()
+    }
+    .with_poisson_arrivals(400_000_000_000);
+    let mut ex = Executor::with_placement(
+        MugiAccelerator::new(64),
+        Scheduler::new(SchedulerConfig::default()),
+        ExecutorConfig::default(),
+        Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+    );
+    let report = ex.run_stream_folded(WorkloadStream::new(7, &models, spec).take(64));
+    let (runs, run_steps, segments) = ex.run_counters();
+    assert_eq!((runs, run_steps, segments, report.micro_batches), (93, 1683, 108, 2088));
+    assert!(segments < run_steps);
+}
