@@ -53,8 +53,8 @@ pub use mugi_numerics as numerics;
 pub use mugi_vlp as vlp;
 pub use mugi_workloads as workloads;
 
-pub use crate::memo::shape_hash;
 use crate::memo::ShapeCache;
+pub use crate::memo::{shape_hash, CacheStats};
 use mugi_arch::designs::{Design, DesignConfig};
 use mugi_arch::noc::NocConfig;
 use mugi_arch::perf::{LayerCost, OpCost, PerfModel, WorkloadPerformance};
@@ -247,6 +247,12 @@ impl MugiAccelerator {
     /// across clones).
     pub fn perf_cache_entries(&self) -> usize {
         self.slice_memo.lock().expect("slice memo poisoned").len()
+    }
+
+    /// The slice memo's hits, misses, evictions and entries so far, summed
+    /// over every clone sharing it. Diagnostic only: no estimate reads it.
+    pub fn slice_memo_stats(&self) -> CacheStats {
+        self.slice_memo.lock().expect("slice memo poisoned").stats()
     }
 
     /// Estimates decode throughput and efficiency for one of the paper's LLMs

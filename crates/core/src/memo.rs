@@ -41,6 +41,7 @@
     )
 )]
 
+use mugi_numerics::cast::u64_from_usize;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Deterministic multiply–rotate hasher (Fx-style) for shape keys: one
@@ -244,6 +245,23 @@ mod bucket_map {
     }
 }
 
+/// Work counters of a [`ShapeCache`], read beside its entry count.
+///
+/// Every lookup is a hit or a miss; a miss is normally followed by one
+/// insert, so `misses == entries + evictions` unless two racing misses
+/// inserted the same key.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found their entry.
+    pub hits: u64,
+    /// Lookups that found no entry.
+    pub misses: u64,
+    /// Entries dropped by LRU-half sweeps.
+    pub evictions: u64,
+    /// Entries resident now.
+    pub entries: usize,
+}
+
 /// A capacity-capped cache keyed by a precomputed hash plus a caller-side
 /// equality predicate, so lookups never materialize an owned key.
 #[derive(Clone, Debug)]
@@ -254,18 +272,30 @@ pub(crate) struct ShapeCache<K, V> {
     cap: usize,
     /// Monotone access clock; every hit and insert stamps the entry.
     tick: u64,
+    /// Hits, misses and evictions so far (`entries` is filled on read).
+    stats: CacheStats,
 }
 
 impl<K, V: Clone> ShapeCache<K, V> {
     /// An empty cache holding at most `cap` entries.
     pub(crate) fn with_cap(cap: usize) -> Self {
         assert!(cap >= 2, "a capped cache needs room for at least two entries");
-        ShapeCache { slots: bucket_map::BucketMap::new(), cap, tick: 0 }
+        ShapeCache {
+            slots: bucket_map::BucketMap::new(),
+            cap,
+            tick: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// Number of cached entries.
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The work counters so far, with the current entry count.
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats { entries: self.slots.len(), ..self.stats }
     }
 
     /// Shrinks the cap so tests can exercise eviction without flooding
@@ -280,7 +310,11 @@ impl<K, V: Clone> ShapeCache<K, V> {
     /// bumping its last-use tick. The caller hashes the borrowed shape via
     /// [`shape_hash`]-style helpers, so hits allocate nothing.
     pub(crate) fn get(&mut self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
-        let slot = self.slots.get_mut(hash, matches)?;
+        let Some(slot) = self.slots.get_mut(hash, matches) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
         self.tick += 1;
         slot.last_use = self.tick;
         Some(slot.value.clone())
@@ -300,7 +334,9 @@ impl<K, V: Clone> ShapeCache<K, V> {
             return;
         }
         if self.slots.len() >= self.cap {
+            let before = self.slots.len();
             self.slots.evict_lru_half();
+            self.stats.evictions += u64_from_usize(before - self.slots.len());
         }
         self.slots.push(hash, Slot { key, value, last_use: tick });
     }

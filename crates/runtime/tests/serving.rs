@@ -89,12 +89,9 @@ fn sharded_mesh_serves_the_same_workload_much_faster() {
     assert!(mesh.node_busy_cycles.windows(2).all(|w| w[0] == w[1]));
 }
 
-/// The decode-run work counters of a small seeded `serve_mixed_dp`-shaped
-/// stream: 64 requests of Llama 2 7B/13B/70B on a 2×2 data-parallel mesh.
-/// The runs and their forced steps are those of the step-at-a-time runs
-/// that segments replaced; the segments are the bulk advances.
-#[test]
-fn decode_runs_advance_in_fewer_segments_than_steps() {
+/// Runs a small seeded `serve_mixed_dp`-shaped stream on `accel`: 64
+/// requests of Llama 2 7B/13B/70B on a 2×2 data-parallel mesh.
+fn run_mixed_dp(accel: MugiAccelerator) -> (Executor, mugi_runtime::ScaleReport) {
     use mugi_runtime::WorkloadStream;
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
     let spec = WorkloadSpec {
@@ -104,13 +101,34 @@ fn decode_runs_advance_in_fewer_segments_than_steps() {
     }
     .with_poisson_arrivals(400_000_000_000);
     let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
+        accel,
         Scheduler::new(SchedulerConfig::default()),
         ExecutorConfig::default(),
         Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
     );
     let report = ex.run_stream_folded(WorkloadStream::new(7, &models, spec).take(64));
+    (ex, report)
+}
+
+/// The decode-run work counters of [`run_mixed_dp`]'s stream. The runs and
+/// their forced steps are those of the step-at-a-time runs that segments
+/// replaced; the segments are the bulk advances.
+#[test]
+fn decode_runs_advance_in_fewer_segments_than_steps() {
+    let (ex, report) = run_mixed_dp(MugiAccelerator::new(64));
     let (runs, run_steps, segments) = ex.run_counters();
     assert_eq!((runs, run_steps, segments, report.micro_batches), (93, 1683, 108, 2088));
     assert!(segments < run_steps);
+}
+
+/// The slice-memo work counters of [`run_mixed_dp`]'s stream, read through
+/// a clone of the executor's accelerator (clones share the memo). Every
+/// miss inserts one entry and the cap is far off, so nothing is evicted.
+#[test]
+fn slice_memo_counts_its_hits_misses_and_evictions() {
+    let accel = MugiAccelerator::new(64);
+    run_mixed_dp(accel.clone());
+    let stats = accel.slice_memo_stats();
+    assert_eq!((stats.hits, stats.misses, stats.evictions, stats.entries), (7, 112, 0, 112));
+    assert_eq!(stats.misses, stats.evictions + stats.entries as u64);
 }
