@@ -18,10 +18,8 @@
 //! for reproducing the paper's trends; the absolute values are calibrated to
 //! land in the same order of magnitude as the paper's Figure 13 breakdowns.
 
-use serde::{Deserialize, Serialize};
-
 /// Technology / circuit constants used by every design model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Clock frequency in Hz (400 MHz in the paper).
     pub frequency_hz: f64,
@@ -164,7 +162,7 @@ impl Default for CostModel {
 /// Nonlinear-method cycle costs on a baseline vector array (per element, per
 /// lane). This table is the one place that knows the baselines' latencies:
 /// the performance model reads it, and `mugi-approx` models only their values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NonlinearCycleCosts {
     /// Precise iterative implementation (Section 5.2.2: 44 cycles).
     pub precise: u64,

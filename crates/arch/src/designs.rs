@@ -11,10 +11,9 @@ use crate::modules::{
     VectorUnit,
 };
 use mugi_workloads::ops::GemmOp;
-use serde::{Deserialize, Serialize};
 
 /// Which nonlinear implementation a design uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NonlinearMethod {
     /// VLP approximation on the shared compute array (Mugi).
     VlpShared,
@@ -53,7 +52,7 @@ impl NonlinearMethod {
 }
 
 /// The design families of Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DesignKind {
     /// Mugi: VLP array shared between GEMM and nonlinear approximation.
     Mugi,
@@ -114,7 +113,7 @@ impl DesignKind {
 }
 
 /// Configuration of one single-node design instance.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DesignConfig {
     /// Which design family.
     pub kind: DesignKind,
@@ -220,7 +219,7 @@ impl DesignConfig {
 }
 
 /// Area breakdown of a single node, matching Figure 13's categories.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AreaBreakdown {
     /// Compute PE array.
     pub pe_mm2: f64,

@@ -6,10 +6,9 @@
 //! accounts for access energy.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// An HBM channel model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hbm {
     /// Peak bandwidth in bytes per second.
     pub bandwidth_bytes_per_s: f64,

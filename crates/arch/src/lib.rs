@@ -38,4 +38,4 @@ pub mod perf;
 pub use cost::CostModel;
 pub use designs::{Design, DesignConfig, DesignKind, NonlinearMethod};
 pub use noc::NocConfig;
-pub use perf::{LayerCost, NodePerformance, OpCost, PerfModel, WorkloadPerformance};
+pub use perf::{LayerCost, NodePerformance, OpCost, PerfModel, SliceCost, WorkloadPerformance};

@@ -5,10 +5,9 @@
 //! accumulators, nonlinear hardware, vector array, SRAM).
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Kind of processing element used by an array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PeKind {
     /// VLP subscription PE (no multiplier).
     Vlp,
@@ -43,7 +42,7 @@ impl PeKind {
 }
 
 /// A rectangular array of processing elements.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeArray {
     /// PE flavour.
     pub kind: PeKind,
@@ -71,7 +70,7 @@ impl PeArray {
 }
 
 /// A bank of temporal converters (one per array row in Mugi/Carat).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TemporalConverterBank {
     /// Number of converters.
     pub count: usize,
@@ -90,7 +89,7 @@ impl TemporalConverterBank {
 }
 
 /// A bank of output accumulators.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccumulatorBank {
     /// Number of accumulators.
     pub count: usize,
@@ -109,7 +108,7 @@ impl AccumulatorBank {
 }
 
 /// FIFO storage (input staggering, output double buffering).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FifoBank {
     /// Total storage in bits across all FIFOs of the design.
     pub total_bits: u64,
@@ -148,7 +147,7 @@ impl FifoBank {
 }
 
 /// A vector array of BF16 lanes (dequantization, softmax division, scaling).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VectorUnit {
     /// Number of lanes.
     pub lanes: usize,
@@ -168,7 +167,7 @@ impl VectorUnit {
 
 /// Dedicated nonlinear hardware attached to a vector array (PWL comparator
 /// banks, Taylor coefficient registers, or a directly-indexed LUT).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NonlinearUnit {
     /// Extra logic area in mm² (beyond the vector lanes themselves).
     pub area_mm2: f64,
@@ -223,7 +222,7 @@ impl NonlinearUnit {
 }
 
 /// An on-chip SRAM instance.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sram {
     /// Capacity in KiB.
     pub kib: f64,

@@ -7,10 +7,9 @@
 //! per-hop transfer energy.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// A 2-D mesh NoC configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NocConfig {
     /// Mesh rows.
     pub rows: usize,

@@ -24,11 +24,10 @@ use crate::designs::Design;
 use crate::hbm::Hbm;
 use crate::noc::NocConfig;
 use mugi_numerics::cast::{u64_from_f64, u64_from_usize};
-use mugi_workloads::ops::{GemmKind, OpTrace, WorkloadOp};
-use serde::{Deserialize, Serialize};
+use mugi_workloads::ops::{GemmKind, OpTrace, WorkloadOp, SLICE_OPS};
 
 /// Per-category cycle and energy breakdown, following Figures 15/16.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CategoryBreakdown {
     /// Projection GEMMs.
     pub projection: f64,
@@ -87,13 +86,97 @@ pub struct OpCost {
     pub noc_bytes: u64,
 }
 
+/// The breakdown category of each op of a batch slice, in the order
+/// [`slice_ops`](mugi_workloads::ops::slice_ops) emits them: the Q/O and
+/// K/V projections, the score and value GEMMs, the softmax, the up
+/// (+ gate) and down FFN GEMMs, then the FFN activation.
+const SLICE_KINDS: [Option<GemmKind>; SLICE_OPS] = [
+    Some(GemmKind::Projection),
+    Some(GemmKind::Projection),
+    Some(GemmKind::Attention),
+    Some(GemmKind::Attention),
+    None,
+    Some(GemmKind::Ffn),
+    Some(GemmKind::Ffn),
+    None,
+];
+
+/// Positions of the GEMMs in [`SLICE_KINDS`]: the ops that fetch from HBM.
+const SLICE_GEMMS: [usize; 6] = [0, 1, 2, 3, 5, 6];
+
+/// Compute cycles a layer may reach before the record fold panics: below
+/// 2^53 every integer-valued `f64` sum of cycles is exact, so adding a
+/// category's cycles at once or op by op gives the same bits.
+const EXACT_CYCLES: u64 = 1 << 53;
+
+/// One batch slice's eight [`OpCost`]s in the form [`LayerCost::add_slice`]
+/// folds, built once per slice.
+///
+/// Integer parts are summed here, since their order cannot matter: compute
+/// cycles per category, HBM cycles and NoC bytes. The floats stay per op in
+/// op order: the eight dynamic energies and the six GEMMs' HBM energies
+/// (the nonlinear ops fetch nothing, and adding their `0.0` changes no
+/// total). Folding a record thus makes the same float adds, in the same
+/// order, as [`LayerCost::add`] on each op.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SliceCost {
+    /// Compute cycles of the projection, attention, FFN and nonlinear ops.
+    cycles: [u64; 4],
+    /// HBM cycles of the slice's weight / KV fetches.
+    hbm_cycles: u64,
+    /// Activation bytes the slice moves on a NoC.
+    noc_bytes: u64,
+    /// Dynamic energy of each op in pJ, in op order.
+    energy_pj: [f64; SLICE_OPS],
+    /// HBM energy of each GEMM in pJ, in op order.
+    gemm_hbm_energy_pj: [f64; SLICE_GEMMS.len()],
+}
+
+impl SliceCost {
+    /// The record of a slice whose op costs are `ops`, in
+    /// [`slice_ops`](mugi_workloads::ops::slice_ops) order.
+    ///
+    /// # Panics
+    /// Panics if an op's category is not the one `slice_ops` puts at its
+    /// position, if a nonlinear op carries HBM energy, or if a sum
+    /// overflows `u64`.
+    pub fn new(ops: &[OpCost; SLICE_OPS]) -> Self {
+        let mut cycles = [0u64; 4];
+        for (op, kind) in ops.iter().zip(SLICE_KINDS) {
+            assert_eq!(op.gemm_kind, kind, "op costs are not in slice order");
+            assert!(kind.is_some() || op.hbm_energy_pj == 0.0, "a nonlinear op carries HBM energy");
+            let category = match kind {
+                Some(GemmKind::Projection) => 0,
+                Some(GemmKind::Attention) => 1,
+                Some(GemmKind::Ffn) => 2,
+                None => 3,
+            };
+            cycles[category] = checked_sum(cycles[category], op.cycles);
+        }
+        SliceCost {
+            cycles,
+            hbm_cycles: ops.iter().fold(0, |sum, op| checked_sum(sum, op.hbm_cycles)),
+            noc_bytes: ops.iter().fold(0, |sum, op| checked_sum(sum, op.noc_bytes)),
+            energy_pj: ops.map(|op| op.energy_pj),
+            gemm_hbm_energy_pj: SLICE_GEMMS.map(|i| ops[i].hbm_energy_pj),
+        }
+    }
+}
+
+/// `a + b`, panicking instead of wrapping.
+fn checked_sum(a: u64, b: u64) -> u64 {
+    a.checked_add(b).expect("cost sum overflows u64")
+}
+
 /// Running totals of one layer's [`OpCost`]s.
 ///
-/// [`add`](Self::add) accumulates every float one op at a time, so the
-/// totals depend on op order only: folding cached per-op costs in trace
-/// order is bit-identical to pricing the trace afresh. Pre-summing a group
-/// of ops would not be — `(a + b) + (c + d)` rounds differently from
-/// `((a + b) + c) + d`.
+/// Both folds accumulate every float one op at a time, so the totals depend
+/// on op order only: folding cached per-op costs in trace order is
+/// bit-identical to pricing the trace afresh. Pre-summing a group of float
+/// costs would not be — `(a + b) + (c + d)` rounds differently from
+/// `((a + b) + c) + d`. Cycles are integers, so [`add_slice`](Self::add_slice)
+/// adds a slice's cycles per category at once, which is exact while the
+/// layer stays below 2^53 compute cycles.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LayerCost {
     cycle_breakdown: CategoryBreakdown,
@@ -116,10 +199,38 @@ impl LayerCost {
         self.hbm_energy_pj += op.hbm_energy_pj;
         self.noc_bytes += op.noc_bytes;
     }
+
+    /// Folds in the next slice of the layer: the same bits as
+    /// [`add`](Self::add) on each of its ops in order.
+    ///
+    /// # Panics
+    /// Panics if the layer's compute cycles reach 2^53, where summing a
+    /// category's cycles at once could round differently from op by op.
+    pub fn add_slice(&mut self, slice: &SliceCost) {
+        let compute = slice.cycles.into_iter().fold(0, checked_sum);
+        self.compute_cycles = checked_sum(self.compute_cycles, compute);
+        assert!(
+            self.compute_cycles < EXACT_CYCLES,
+            "a layer's compute cycles reached 2^53; its f64 cycle breakdown would round"
+        );
+        let [projection, attention, ffn, nonlinear] = slice.cycles;
+        self.cycle_breakdown.projection += projection as f64;
+        self.cycle_breakdown.attention += attention as f64;
+        self.cycle_breakdown.ffn += ffn as f64;
+        self.cycle_breakdown.nonlinear += nonlinear as f64;
+        for (kind, energy) in SLICE_KINDS.into_iter().zip(slice.energy_pj) {
+            self.energy_breakdown.add(kind, energy);
+        }
+        self.memory_cycles += slice.hbm_cycles;
+        for energy in slice.gemm_hbm_energy_pj {
+            self.hbm_energy_pj += energy;
+        }
+        self.noc_bytes += slice.noc_bytes;
+    }
 }
 
 /// Performance of one node running one full model forward pass (all layers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NodePerformance {
     /// Total cycles for the whole model (decode: one token step).
     pub total_cycles: u64,
@@ -141,7 +252,7 @@ pub struct NodePerformance {
 
 /// Workload-level performance (tokens per second, efficiency metrics), the
 /// quantities reported in Table 3.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkloadPerformance {
     /// Tokens generated per second (decode) or prompts per second (prefill).
     pub tokens_per_second: f64,
@@ -381,7 +492,7 @@ impl PerfModel {
 }
 
 /// Nonlinear-only performance metrics (Figure 11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NonlinearPerformance {
     /// Total cycles.
     pub cycles: u64,
@@ -604,6 +715,74 @@ mod tests {
         let empty = model.node_performance(&LayerCost::default(), 1);
         assert_eq!((empty.total_cycles, empty.memory_bound), (0, false));
         assert_eq!(empty.compute_utilization, 0.0);
+    }
+
+    #[test]
+    fn slice_record_folds_to_the_bits_of_its_ops() {
+        // Two layers of the three Llama models on two designs, each folded
+        // once op by op and once record by record.
+        use mugi_workloads::ops::{slice_ops, BatchSlice};
+        let slices = [
+            BatchSlice::decode(3, 700),
+            BatchSlice::prefill(1, 129).with_kv_len(1000),
+            BatchSlice::decode(1, 1),
+        ];
+        for design in [DesignConfig::mugi(128), DesignConfig::systolic(16)] {
+            let model = PerfModel::new(Design::new(design));
+            for id in [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b] {
+                let (mut by_op, mut by_slice) = (LayerCost::default(), LayerCost::default());
+                for slice in slices {
+                    let costs =
+                        slice_ops(&id.config(), slice, true, true).map(|op| model.op_cost(&op));
+                    costs.iter().for_each(|op| by_op.add(op));
+                    by_slice.add_slice(&SliceCost::new(&costs));
+                }
+                // Debug prints each float's shortest round-trip form, so
+                // equal text is equal bits, signed zeros included.
+                assert_eq!(format!("{by_op:?}"), format!("{by_slice:?}"));
+            }
+        }
+    }
+
+    /// A slice of eight ops in slice order, each of `cycles` compute cycles.
+    fn uniform_slice(cycles: u64) -> SliceCost {
+        SliceCost::new(&SLICE_KINDS.map(|gemm_kind| OpCost {
+            gemm_kind,
+            cycles,
+            energy_pj: 1.0,
+            hbm_cycles: 1,
+            hbm_energy_pj: if gemm_kind.is_some() { 0.5 } else { 0.0 },
+            noc_bytes: 8,
+        }))
+    }
+
+    #[test]
+    fn slice_record_fold_accepts_a_layer_just_below_2_pow_53_cycles() {
+        let mut layer = LayerCost::default();
+        layer.add_slice(&uniform_slice((EXACT_CYCLES - 1) / 8));
+        layer.add_slice(&uniform_slice(0));
+        assert_eq!(layer.compute_cycles, EXACT_CYCLES - 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "compute cycles reached 2^53")]
+    fn slice_record_fold_panics_when_a_layer_reaches_2_pow_53_cycles() {
+        let mut layer = LayerCost::default();
+        layer.add_slice(&uniform_slice(EXACT_CYCLES / 16));
+        layer.add_slice(&uniform_slice(EXACT_CYCLES / 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in slice order")]
+    fn slice_record_rejects_ops_out_of_slice_order() {
+        // Eight FFN GEMMs: the first op of a slice is a projection.
+        SliceCost::new(&[gemm_cost(1, 1); SLICE_OPS]);
+    }
+
+    #[test]
+    fn slice_record_is_under_half_the_bytes_of_its_ops() {
+        assert_eq!(std::mem::size_of::<[OpCost; SLICE_OPS]>(), 384);
+        assert_eq!(std::mem::size_of::<SliceCost>(), 160);
     }
 
     #[test]

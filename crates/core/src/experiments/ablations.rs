@@ -22,10 +22,9 @@ use mugi_workloads::distributions::DistributionProfile;
 use mugi_workloads::models::ModelId;
 use mugi_workloads::moe::{generate_moe_trace, MoeConfig};
 use mugi_workloads::ops::{OpTrace, Phase};
-use serde::{Deserialize, Serialize};
 
 /// One row of the sliding-window ablation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WindowAblationRow {
     /// Window placement description.
     pub window: String,
@@ -94,7 +93,7 @@ pub fn ablation_window_table(rows: &[WindowAblationRow]) -> TextTable {
 }
 
 /// One row of the mantissa-width ablation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MantissaAblationRow {
     /// Mantissa bits kept by input approximation.
     pub bits: u8,
@@ -140,7 +139,7 @@ pub fn ablation_mantissa_table(rows: &[MantissaAblationRow]) -> TextTable {
 }
 
 /// One row of the buffer-organisation ablation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BufferAblationRow {
     /// Array height.
     pub height: usize,
@@ -193,7 +192,7 @@ pub fn ablation_buffers_table(rows: &[BufferAblationRow]) -> TextTable {
 }
 
 /// One row of the HBM-bandwidth sensitivity study.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BandwidthRow {
     /// Off-chip bandwidth in GB/s.
     pub bandwidth_gb_s: f64,
@@ -247,7 +246,7 @@ pub fn ablation_bandwidth_table(rows: &[BandwidthRow]) -> TextTable {
 }
 
 /// One row of the MoE extension study.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MoeRow {
     /// Design label.
     pub design: String,

@@ -17,7 +17,6 @@ use mugi_workloads::models::{ModelFamily, ModelId};
 use mugi_workloads::reference::{
     HookedBackend, NonlinearBackend, ProxyTargets, ReferenceConfig, ReferenceModel,
 };
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 // ---------------------------------------------------------------------------
@@ -25,7 +24,7 @@ use std::borrow::Cow;
 // ---------------------------------------------------------------------------
 
 /// One profiled (model, op, layer-depth) combination.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProfilingRow {
     /// Which model.
     pub model: ModelId,
@@ -121,7 +120,7 @@ pub fn fig04_table(rows: &[ProfilingRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// Which approximation method a sweep point uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Exact software reference.
     Exact,
@@ -146,7 +145,7 @@ impl Method {
 }
 
 /// One point of the Figure 6 sweep.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AccuracyRow {
     /// Which model family the reference model mimics.
     pub model: ModelId,

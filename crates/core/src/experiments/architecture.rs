@@ -6,7 +6,6 @@ use mugi_arch::designs::{Design, DesignConfig, NonlinearMethod};
 use mugi_arch::noc::NocConfig;
 use mugi_arch::perf::{CategoryBreakdown, NonlinearPerformance, PerfModel, WorkloadPerformance};
 use mugi_workloads::models::ModelId;
-use serde::{Deserialize, Serialize};
 
 /// Geometric mean helper (the paper geomeans across Llama 2 models).
 pub fn geometric_mean(values: &[f64]) -> f64 {
@@ -22,7 +21,7 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One design's nonlinear performance at a given sequence length.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NonlinearComparisonRow {
     /// Design label.
     pub design: String,
@@ -135,7 +134,7 @@ pub fn fig11_table(rows: &[NonlinearComparisonRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One design's GEMM performance for one model and GEMM category.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GemmComparisonRow {
     /// Design label.
     pub design: String,
@@ -248,7 +247,7 @@ pub fn fig12_table(rows: &[GemmComparisonRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EndToEndRow {
     /// Grouping ("SN", "SN-S" or "NoC").
     pub group: String,
@@ -343,7 +342,7 @@ pub fn table3_table(rows: &[EndToEndRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One design's area / power breakdown row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BreakdownRow {
     /// Design label.
     pub design: String,
@@ -398,7 +397,7 @@ pub fn fig13_table(rows: &[BreakdownRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One (design, batch, seq) point of the Figure 14 sweep.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchSweepRow {
     /// Design label.
     pub design: String,
@@ -482,7 +481,7 @@ pub fn fig14_table(rows: &[BatchSweepRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One design's normalised latency breakdown for one model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LatencyBreakdownRow {
     /// Design label.
     pub design: String,

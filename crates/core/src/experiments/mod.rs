@@ -26,10 +26,9 @@ pub mod sustainability;
 
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{OpTrace, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Scope of an experiment run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// Reduced sweeps (seconds): used in CI / integration tests.
     Quick,

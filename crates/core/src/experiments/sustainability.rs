@@ -9,14 +9,13 @@ use mugi_arch::noc::NocConfig;
 use mugi_arch::perf::{PerfModel, WorkloadPerformance};
 use mugi_carbon::{footprint_for_tokens, CarbonModel};
 use mugi_workloads::models::ModelId;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Figure 15: operational and embodied carbon
 // ---------------------------------------------------------------------------
 
 /// One design's carbon footprint for one model, normalised to Mugi (256).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CarbonRow {
     /// Design label.
     pub design: String,
@@ -104,7 +103,7 @@ pub fn fig15_table(rows: &[CarbonRow]) -> TextTable {
 // ---------------------------------------------------------------------------
 
 /// One design's NoC-level metrics, normalised to the 4×4 SA (16) baseline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NocScalingRow {
     /// Design label (includes NoC shape).
     pub design: String,

@@ -57,15 +57,13 @@ use crate::memo::ShapeCache;
 pub use crate::memo::{shape_hash, CacheStats};
 use mugi_arch::designs::{Design, DesignConfig};
 use mugi_arch::noc::NocConfig;
-use mugi_arch::perf::{LayerCost, OpCost, PerfModel, WorkloadPerformance};
+use mugi_arch::perf::{LayerCost, OpCost, PerfModel, SliceCost, WorkloadPerformance};
 use mugi_numerics::nonlinear::NonlinearOp;
 use mugi_numerics::quant::{weight_only_quantize, QuantizedMatrix};
 use mugi_numerics::tensor::Matrix;
 use mugi_vlp::approx::{ApproxStats, VlpApproxConfig, VlpNonlinear};
 use mugi_workloads::models::ModelId;
-use mugi_workloads::ops::{
-    slice_ops, step_tokens, BatchSlice, GemmKind, GemmOp, WorkloadOp, SLICE_OPS,
-};
+use mugi_workloads::ops::{slice_ops, step_tokens, BatchSlice, GemmKind, GemmOp, WorkloadOp};
 use std::sync::{Arc, Mutex};
 
 /// Key of the per-accelerator slice memo: one micro-batch slice on a model
@@ -79,13 +77,11 @@ struct SliceKey {
     kvq: bool,
 }
 
-/// The costs of one slice's layer operations, in op order.
-type SliceCosts = [OpCost; SLICE_OPS];
-
 /// Slices memoized per accelerator before the LRU half is evicted.
 /// Long-stream continuous batching touches several thousand distinct slices
 /// (decode widths × context buckets, prefill chunks), and an evicted slice
-/// costs a fresh pricing of its eight ops to re-learn.
+/// costs a fresh pricing of its eight ops to re-learn. Each entry holds a
+/// 160-byte [`SliceCost`], not the slice's eight 48-byte [`OpCost`]s.
 const SLICE_MEMO_CAP: usize = 16384;
 
 /// A single-node Mugi accelerator: the paper's contribution wrapped in one
@@ -102,7 +98,8 @@ pub struct MugiAccelerator {
     gelu_engine: VlpNonlinear,
     /// The performance model of this node's design.
     perf: PerfModel,
-    slice_memo: Arc<Mutex<ShapeCache<SliceKey, SliceCosts>>>,
+    /// Each slice's op costs, in the form the layer fold reads.
+    slice_memo: Arc<Mutex<ShapeCache<SliceKey, SliceCost>>>,
 }
 
 impl MugiAccelerator {
@@ -196,26 +193,23 @@ impl MugiAccelerator {
     }
 
     /// The op costs of one slice, priced and memoized on first use.
-    fn slice_costs(&self, key: SliceKey) -> SliceCosts {
+    fn slice_cost(&self, key: SliceKey) -> SliceCost {
         let hash = shape_hash(&key);
         let hit = self.slice_memo.lock().expect("slice memo poisoned").get(hash, |k| *k == key);
-        if let Some(costs) = hit {
-            return costs;
+        if let Some(cost) = hit {
+            return cost;
         }
         // Price outside the lock, so a slice with a zero dimension panics
         // without poisoning the memo; a racing miss on the same slice
         // inserts the same pure-function result twice, harmlessly.
         let ops = slice_ops(&key.model.config(), key.slice, key.woq, key.kvq);
-        let costs = ops.map(|op| self.perf.op_cost(&op));
-        self.slice_memo
-            .lock()
-            .expect("slice memo poisoned")
-            .insert(hash, key, costs, |k| *k == key);
-        costs
+        let cost = SliceCost::new(&ops.map(|op| self.perf.op_cost(&op)));
+        self.slice_memo.lock().expect("slice memo poisoned").insert(hash, key, cost, |k| *k == key);
+        cost
     }
 
-    /// Evaluates a micro-batch on `noc` by folding its slices' memoized op
-    /// costs in op order — bit-identical to
+    /// Evaluates a micro-batch on `noc` by folding its slices' memoized
+    /// [`SliceCost`]s in order — bit-identical to
     /// [`PerfModel::evaluate_noc`] on the composed
     /// [`OpTrace`](mugi_workloads::ops::OpTrace), without building one.
     fn estimate(
@@ -229,9 +223,7 @@ impl MugiAccelerator {
         assert!(!slices.is_empty(), "slices must be non-empty");
         let mut layer = LayerCost::default();
         for &slice in slices {
-            for cost in &self.slice_costs(SliceKey { model, slice, woq, kvq }) {
-                layer.add(cost);
-            }
+            layer.add_slice(&self.slice_cost(SliceKey { model, slice, woq, kvq }));
         }
         self.perf.evaluate_layer(&layer, model.config().layers, step_tokens(slices), noc)
     }
@@ -556,6 +548,37 @@ mod tests {
             let reversed: Vec<BatchSlice> = slices.iter().rev().copied().collect();
             check_against_trace(&accel, model, &reversed, woq, kvq)?;
             prop_assert_eq!(accel.perf_cache_entries(), memoized);
+        }
+
+        #[test]
+        fn public_estimates_match_trace_evaluation(
+            model in prop::sample::select(vec![
+                ModelId::Llama2_7b,
+                ModelId::Llama2_13b,
+                ModelId::Llama2_70b,
+            ]),
+            slices in prop::collection::vec(slice_strategy(), 1..=12),
+            rows in 1usize..=4,
+            cols in 1usize..=4,
+        ) {
+            // The serving entry points (WOQ + KVQ), cold then warm, on one
+            // node and on a `rows × cols` mesh.
+            let accel = MugiAccelerator::new(256);
+            let trace = OpTrace::generate_mixed(&model.config(), &slices, true, true);
+            let direct = PerfModel::new(Design::new(*accel.design_config()));
+            let mesh = NocConfig { rows, cols };
+            // Debug text is equal exactly when every float's bits are.
+            let bits = |perf: WorkloadPerformance| format!("{perf:?}");
+            for _ in 0..2 {
+                prop_assert_eq!(
+                    bits(accel.estimate_micro_batch(model, &slices)),
+                    bits(direct.evaluate_noc(&trace, NocConfig::single()))
+                );
+                prop_assert_eq!(
+                    bits(accel.estimate_micro_batch_noc(model, &slices, mesh)),
+                    bits(direct.evaluate_noc(&trace, mesh))
+                );
+            }
         }
     }
 }

@@ -207,9 +207,10 @@ mod bucket_map {
         }
 
         /// Evicts the least-recently-used half of the entries (ties
-        /// impossible: the tick is strictly monotone). The recently-hit
-        /// half — the hot steady-state shapes — survives.
-        pub(super) fn evict_lru_half(&mut self) {
+        /// impossible: the tick is strictly monotone) and returns how many
+        /// went. The recently-hit half — the hot steady-state shapes —
+        /// survives.
+        pub(super) fn evict_lru_half(&mut self) -> usize {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "select_nth_unstable finds the median tick; any visit order yields the same threshold"
@@ -234,7 +235,9 @@ mod bucket_map {
                 reason = "commutative usize sum over bucket lengths"
             )]
             let len = self.buckets.values().map(Vec::len).sum();
+            let evicted = self.len - len;
             self.len = len;
+            evicted
         }
 
         /// The length and capacity of the bucket of `hash`.
@@ -245,7 +248,8 @@ mod bucket_map {
     }
 }
 
-/// Work counters of a [`ShapeCache`], read beside its entry count.
+/// Work counters of a shape cache (the accelerator's slice memo), read
+/// beside its entry count.
 ///
 /// Every lookup is a hit or a miss; a miss is normally followed by one
 /// insert, so `misses == entries + evictions` unless two racing misses
@@ -334,9 +338,7 @@ impl<K, V: Clone> ShapeCache<K, V> {
             return;
         }
         if self.slots.len() >= self.cap {
-            let before = self.slots.len();
-            self.slots.evict_lru_half();
-            self.stats.evictions += u64_from_usize(before - self.slots.len());
+            self.stats.evictions += u64_from_usize(self.slots.evict_lru_half());
         }
         self.slots.push(hash, Slot { key, value, last_use: tick });
     }
@@ -416,6 +418,22 @@ mod tests {
         }
         assert!(get(&mut cache, 7777).is_some());
         assert!(cache.len() <= 16);
+    }
+
+    #[test]
+    fn stats_count_hits_misses_and_evicted_entries() {
+        let mut cache = ShapeCache::with_cap(4);
+        for key in 0..4 {
+            assert_eq!(get(&mut cache, key), None);
+            insert(&mut cache, key);
+        }
+        assert!(get(&mut cache, 3).is_some());
+        // The fifth key finds the cache full: the two oldest entries go.
+        assert_eq!(get(&mut cache, 4), None);
+        insert(&mut cache, 4);
+        let stats = cache.stats();
+        assert_eq!(stats, CacheStats { hits: 1, misses: 5, evictions: 2, entries: 3 });
+        assert_eq!(stats.misses, stats.evictions + stats.entries as u64);
     }
 
     #[test]

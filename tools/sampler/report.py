@@ -183,4 +183,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed early (`report.py ... | head`): what it read is
+        # what it asked for. Point stdout at /dev/null so the flush at exit
+        # cannot raise again, and exit cleanly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
