@@ -19,10 +19,9 @@
 #![warn(rust_2018_idioms)]
 
 use mugi_arch::perf::WorkloadPerformance;
-use serde::{Deserialize, Serialize};
 
 /// Carbon-accounting parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CarbonModel {
     /// Grid carbon intensity in gCO₂eq per kWh (world average, as in ACT).
     pub carbon_intensity_g_per_kwh: f64,
@@ -70,7 +69,7 @@ impl Default for CarbonModel {
 }
 
 /// Carbon footprint of running a workload for a given duration on a design.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CarbonFootprint {
     /// Operational CO₂eq in grams.
     pub operational_g: f64,

@@ -142,77 +142,150 @@ struct Price {
     attention_energy_pj: f64,
 }
 
-/// One memoized estimate in the executor's [`PerfFront`].
-#[derive(Clone, Debug)]
-struct FrontEntry {
+/// Slices a [`FrontKey`] stores inline. A micro-batch of more slices is
+/// not cached by the [`PerfFront`]; it is priced from the slice memo on
+/// every dispatch, which gives the same bits.
+const FRONT_SLICES: usize = 4;
+
+/// The exact `(model, slices)` shape of one [`PerfFront`] entry, stored
+/// inline. Each slice packs losslessly into one `u64`: its phase in the top
+/// bit, then `batch`, `seq_len` and `kv_len` in [`FrontKey::FIELD_BITS`]
+/// bits each. A shape with a field that does not fit, or with more than
+/// [`FRONT_SLICES`] slices, has no key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FrontKey {
     model: ModelId,
-    slices: Vec<BatchSlice>,
+    len: u8,
+    slices: [u64; FRONT_SLICES],
+}
+
+impl FrontKey {
+    /// Bits per packed count: three of them and the phase bit fill a `u64`.
+    const FIELD_BITS: u32 = 21;
+
+    /// The key of `(model, slices)`, or `None` when the shape does not pack.
+    fn pack(model: ModelId, slices: &[BatchSlice]) -> Option<FrontKey> {
+        let len = u8::try_from(slices.len()).ok().filter(|&n| usize::from(n) <= FRONT_SLICES)?;
+        let mut packed = [0; FRONT_SLICES];
+        for (word, s) in packed.iter_mut().zip(slices) {
+            *word = match s.phase {
+                Phase::Prefill => 0,
+                Phase::Decode => 1,
+            };
+            for field in [s.batch, s.seq_len, s.kv_len] {
+                let v = u64::try_from(field).ok().filter(|&v| v < 1 << Self::FIELD_BITS)?;
+                *word = *word << Self::FIELD_BITS | v;
+            }
+        }
+        Some(FrontKey { model, len, slices: packed })
+    }
+}
+
+/// One memoized estimate in the executor's [`PerfFront`].
+#[derive(Clone, Copy, Debug)]
+struct FrontEntry {
+    key: FrontKey,
     price: Price,
 }
 
-/// A direct-mapped memo of whole micro-batch estimates, sitting in front of
-/// the accelerator's shared per-slice cost memo. Steady-state serving
+/// One set of the [`PerfFront`]: the full shape hash of each way, in an
+/// array of its own so a probe compares the tags before touching an entry,
+/// and the entries, most recently used first. Empty ways sit after every resident
+/// one, so the last way is always the one to evict.
+#[derive(Clone, Debug, Default)]
+struct FrontSet {
+    tags: [u64; PerfFront::WAYS],
+    entries: [Option<FrontEntry>; PerfFront::WAYS],
+}
+
+impl FrontSet {
+    /// The price of `key` under `hash`, moving its entry to the front.
+    fn promote(&mut self, hash: u64, key: &FrontKey) -> Option<Price> {
+        let way = self.tags.iter().zip(&self.entries).position(|(&tag, entry)| {
+            tag == hash && entry.as_ref().is_some_and(|e| e.key == *key)
+        })?;
+        self.tags[..=way].rotate_right(1);
+        self.entries[..=way].rotate_right(1);
+        self.entries[0].map(|e| e.price)
+    }
+
+    /// Puts `entry` at the front, evicting the least-recently-used way.
+    fn push(&mut self, hash: u64, entry: FrontEntry) {
+        self.tags.rotate_right(1);
+        self.entries.rotate_right(1);
+        self.tags[0] = hash;
+        self.entries[0] = Some(entry);
+    }
+}
+
+/// A set-associative memo of whole micro-batch estimates, sitting in front
+/// of the accelerator's shared per-slice cost memo. Steady-state serving
 /// re-dispatches the same micro-batch shapes over and over, and for those
 /// this skips a memo lock and probe per slice, the in-order fold of every
-/// op cost and the NoC scaling — a hit is one hash of the shape and one
-/// indexed slot comparison returning exactly the [`Price`] `occupy` uses.
-/// (A decode run probes once per segment: its steps share their slices.)
-/// It pays for itself: fresh
-/// pricing from the slice memo costs ~450 ns, and dropping this front
-/// doubled the host time of a decode-heavy 2×2 data-parallel stream. The
-/// placement policy and NoC are fixed for an executor's lifetime, so
-/// `(model, slices)` fully determines the estimate; cached values are
-/// bit-copies of the pure-function result and the hash only picks the slot,
-/// so a hit is bit-identical to fresh pricing.
+/// op cost and the NoC scaling — a hit is one hash of the shape, a scan of
+/// one set's tags and one inline key comparison, returning exactly the
+/// [`Price`] `occupy` uses. (A decode run probes once per segment: its
+/// steps share their slices.) It pays for itself: fresh pricing from the
+/// slice memo costs ~450 ns, and dropping this front doubled the host time
+/// of a decode-heavy 2×2 data-parallel stream. The placement policy and
+/// NoC are fixed for an executor's lifetime, so `(model, slices)` fully
+/// determines the estimate; cached values are bit-copies of the
+/// pure-function result, the hash only picks the set and a hit needs the
+/// exact key, so a hit is bit-identical to fresh pricing.
+///
+/// Entries hold no heap allocation: a shape without a [`FrontKey`] is not
+/// cached. The whole table is one allocation of [`PerfFront::SLOTS`]
+/// entries (80 bytes each with its tag), made on the first insert.
 #[derive(Clone, Debug, Default)]
 struct PerfFront {
-    /// Lazily sized to [`PerfFront::SLOTS`] on first insert; a colliding
-    /// shape simply replaces the resident (last-touched wins).
-    slots: Vec<Option<FrontEntry>>,
+    /// `SLOTS / WAYS` sets, allocated on the first insert; the shape
+    /// hash's low bits pick the set, which evicts its least-recently-used
+    /// way.
+    sets: Vec<FrontSet>,
     hits: u64,
     misses: u64,
 }
 
 impl PerfFront {
-    /// Slot count (power of two — the shape hash's low bits index it).
-    /// Long-stream workloads touch several thousand distinct shapes, so
-    /// this keeps the hot ones mostly conflict-free while staying small
-    /// enough that the touched slots sit in cache.
-    const SLOTS: usize = 8192;
+    /// Entries in the table. Long-stream workloads touch several thousand
+    /// distinct shapes; the size and associativity were picked by replaying
+    /// the full-size serving passes' probes (EXPERIMENTS.md, "Front memo").
+    const SLOTS: usize = 4096;
+    /// Ways per set.
+    const WAYS: usize = 4;
+    /// Sets in the table (a power of two — the hash's low bits index it).
+    const SETS: usize = Self::SLOTS / Self::WAYS;
 
-    /// The direct-mapped slot for `hash`: exactly the low bits that index
-    /// `SLOTS`, so the mask keeps the value in `usize` range by construction.
-    fn slot_of(hash: u64) -> usize {
-        usize_from_u64(hash & u64_from_usize(Self::SLOTS - 1))
+    /// The set for `hash`: exactly the low bits that index `SETS`, so the
+    /// mask keeps the value in `usize` range by construction.
+    fn set_of(hash: u64) -> usize {
+        usize_from_u64(hash & u64_from_usize(Self::SETS - 1))
     }
 
-    /// The cached estimate for `(model, slices)` under `hash`. A probe of
-    /// the still-unsized table is a miss like any other.
-    fn get(&mut self, hash: u64, model: ModelId, slices: &[BatchSlice]) -> Option<Price> {
-        match self.slots.get(Self::slot_of(hash)).and_then(Option::as_ref) {
-            Some(e) if e.model == model && e.slices == slices => {
-                self.hits += 1;
-                Some(e.price)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+    /// The cached estimate for `key` under `hash`. A shape without a key,
+    /// and a probe of the still-unallocated table, is a miss like any
+    /// other.
+    fn get(&mut self, hash: u64, key: Option<&FrontKey>) -> Option<Price> {
+        let hit = key.and_then(|key| self.sets.get_mut(Self::set_of(hash))?.promote(hash, key));
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        hit
     }
 
-    /// Caches a freshly computed estimate, evicting whatever shape shared
-    /// its slot (and reusing that entry's slice allocation).
-    fn insert(&mut self, hash: u64, model: ModelId, slices: &[BatchSlice], price: Price) {
-        if self.slots.is_empty() {
-            self.slots.resize_with(Self::SLOTS, || None);
+    /// Caches a freshly computed estimate for a shape that just missed.
+    fn insert(&mut self, hash: u64, key: FrontKey, price: Price) {
+        if self.sets.is_empty() {
+            self.sets = vec![FrontSet::default(); Self::SETS];
         }
-        let slot = &mut self.slots[Self::slot_of(hash)];
-        let e = slot.get_or_insert_with(|| FrontEntry { model, slices: Vec::new(), price });
-        e.model = model;
-        e.slices.clear();
-        e.slices.extend_from_slice(slices);
-        e.price = price;
+        self.sets[Self::set_of(hash)].push(hash, FrontEntry { key, price });
+    }
+
+    /// Shapes resident in the table.
+    fn resident(&self) -> usize {
+        self.sets.iter().map(|s| s.entries.iter().flatten().count()).sum()
     }
 }
 
@@ -281,9 +354,10 @@ pub struct Executor {
     /// Reusable idle-node buffer, re-derived every decision round, so the
     /// round allocates nothing.
     idle_scratch: Vec<usize>,
-    /// Executor-local direct-mapped memo over the accelerator's estimates:
-    /// a steady-state dispatch hashes its shape once and probes one slot,
-    /// skipping the shared slice memo's mutex and per-slice probes.
+    /// Executor-local set-associative memo over the accelerator's
+    /// estimates: a steady-state dispatch hashes its shape once and probes
+    /// one four-way set, skipping the shared slice memo's mutex and
+    /// per-slice probes.
     perf_front: PerfFront,
     /// Decode runs that took at least one forced step, their forced steps
     /// and their segments (see [`Executor::run_counters`]).
@@ -436,13 +510,15 @@ impl Executor {
     }
 
     /// Diagnostic counters of the dispatch-side estimate memo: `(hits,
-    /// misses, resident shapes)`. A healthy steady state hits well over 90%
-    /// — a low rate means the workload's shape population outgrew the
-    /// front memo's slot table and dispatch is paying the shared-cache
-    /// path (mutex + probe + estimate copy) per batch.
+    /// misses, resident shapes)`. Every priced micro-batch is one hit or one
+    /// miss; a shape without an inline key (more than four slices, or a
+    /// count of 2^21 or more), which the memo never caches, is always a
+    /// miss. A healthy steady state hits well over 90% — a low
+    /// rate means the workload's shape population outgrew the front memo's
+    /// 4,096 entries and dispatch is paying the shared-cache path (mutex +
+    /// probe + fold) per batch.
     pub fn perf_front_stats(&self) -> (u64, u64, usize) {
-        let resident = self.perf_front.slots.iter().filter(|s| s.is_some()).count();
-        (self.perf_front.hits, self.perf_front.misses, resident)
+        (self.perf_front.hits, self.perf_front.misses, self.perf_front.resident())
     }
 
     /// Work counters of the decode runs: `(runs, run steps, segments)`. A
@@ -981,8 +1057,9 @@ impl Executor {
     fn price(&mut self, batch: &MicroBatch) -> Price {
         let mut slices = std::mem::take(&mut self.slice_scratch);
         batch.slices_into(self.config.kv_bucket, &mut slices);
+        let front_key = FrontKey::pack(batch.model, &slices);
         let front_hash = mugi::shape_hash(&(batch.model, slices.as_slice()));
-        let price = match self.perf_front.get(front_hash, batch.model, &slices) {
+        let price = match self.perf_front.get(front_hash, front_key.as_ref()) {
             Some(hit) => hit,
             None => {
                 let price = match self.placement.policy {
@@ -1017,7 +1094,9 @@ impl Executor {
                         }
                     }
                 };
-                self.perf_front.insert(front_hash, batch.model, &slices, price);
+                if let Some(key) = front_key {
+                    self.perf_front.insert(front_hash, key, price);
+                }
                 price
             }
         };
@@ -1531,6 +1610,147 @@ mod tests {
         ex.submit(Request::new(ModelId::Llama2_7b, 64, 1));
         ex.run();
         assert_eq!(ex.perf_front_stats(), (0, 1, 1));
+    }
+
+    fn front_key(model: ModelId, slices: &[BatchSlice]) -> FrontKey {
+        FrontKey::pack(model, slices).expect("the shape packs")
+    }
+
+    fn priced(step_cycles: u64) -> Price {
+        Price { step_cycles, compute_energy_pj: 1.0, noc_energy_pj: 0.0, attention_energy_pj: 0.5 }
+    }
+
+    /// A price's fields as bits, so `-0.0` and `0.0` differ.
+    fn price_bits(p: Price) -> (u64, u64, u64, u64) {
+        (
+            p.step_cycles,
+            p.compute_energy_pj.to_bits(),
+            p.noc_energy_pj.to_bits(),
+            p.attention_energy_pj.to_bits(),
+        )
+    }
+
+    #[test]
+    fn front_entries_are_eighty_bytes_with_their_tags() {
+        assert_eq!(std::mem::size_of::<FrontSet>(), PerfFront::WAYS * 80);
+    }
+
+    #[test]
+    fn front_keys_pack_every_field_that_fits_and_nothing_else() {
+        let max = (1 << FrontKey::FIELD_BITS) - 1;
+        let m = ModelId::Llama2_7b;
+        let base = BatchSlice::prefill(max, max).with_kv_len(max);
+        let bumped = [
+            BatchSlice { batch: max + 1, ..base },
+            BatchSlice { seq_len: max + 1, ..base },
+            BatchSlice { kv_len: max + 1, ..base },
+        ];
+        for s in bumped {
+            assert_eq!(FrontKey::pack(m, &[s]), None, "{s:?}");
+        }
+        assert_eq!(FrontKey::pack(m, &[base; FRONT_SLICES + 1]), None);
+        // Lossless: changing any one field at its extreme changes the key.
+        let key = front_key(m, &[base; FRONT_SLICES]);
+        let changed = [
+            front_key(ModelId::Llama2_13b, &[base; FRONT_SLICES]),
+            front_key(m, &[base; FRONT_SLICES - 1]),
+            front_key(m, &[BatchSlice { phase: Phase::Decode, ..base }; FRONT_SLICES]),
+            front_key(m, &[BatchSlice { batch: max - 1, ..base }; FRONT_SLICES]),
+            front_key(m, &[BatchSlice { seq_len: max - 1, ..base }; FRONT_SLICES]),
+            front_key(m, &[BatchSlice { kv_len: max - 1, ..base }; FRONT_SLICES]),
+        ];
+        for other in changed {
+            assert_ne!(other, key);
+        }
+    }
+
+    #[test]
+    fn front_shapes_with_one_hash_miss_each_other() {
+        let slices = [BatchSlice::decode(1, 64)];
+        let a = front_key(ModelId::Llama2_7b, &slices);
+        let b = front_key(ModelId::Llama2_13b, &slices);
+        let c = front_key(ModelId::Llama2_7b, &[BatchSlice::decode(2, 64)]);
+        let hash = 0x5eed;
+        let mut front = PerfFront::default();
+        front.insert(hash, a, priced(1));
+        assert!(front.get(hash, Some(&b)).is_none());
+        assert!(front.get(hash, Some(&c)).is_none());
+        front.insert(hash, b, priced(2));
+        assert_eq!(front.get(hash, Some(&a)).map(|p| p.step_cycles), Some(1));
+        assert_eq!(front.get(hash, Some(&b)).map(|p| p.step_cycles), Some(2));
+        // The tag is the whole hash: another hash of the same set misses.
+        let same_set = hash + u64_from_usize(PerfFront::SETS);
+        assert_eq!(PerfFront::set_of(same_set), PerfFront::set_of(hash));
+        assert!(front.get(same_set, Some(&a)).is_none());
+        assert_eq!((front.hits, front.misses, front.resident()), (2, 3, 2));
+    }
+
+    #[test]
+    fn a_full_front_set_evicts_its_least_recently_used_way() {
+        let keys: Vec<FrontKey> = (1..=PerfFront::WAYS + 1)
+            .map(|b| front_key(ModelId::Llama2_7b, &[BatchSlice::decode(b, 64)]))
+            .collect();
+        // Every hash below picks set 3.
+        let hash = |i: usize| u64_from_usize(3 + i * PerfFront::SETS);
+        let mut front = PerfFront::default();
+        for (i, key) in keys.iter().take(PerfFront::WAYS).enumerate() {
+            front.insert(hash(i), *key, priced(u64_from_usize(i)));
+        }
+        // Touch the oldest way: the second-inserted is now the LRU one.
+        assert!(front.get(hash(0), Some(&keys[0])).is_some());
+        let last = PerfFront::WAYS;
+        front.insert(hash(last), keys[last], priced(u64_from_usize(last)));
+        assert!(front.get(hash(1), Some(&keys[1])).is_none());
+        for i in [0, 2, 3, last] {
+            assert_eq!(
+                front.get(hash(i), Some(&keys[i])).map(|p| p.step_cycles),
+                Some(u64_from_usize(i))
+            );
+        }
+        assert_eq!(front.resident(), PerfFront::WAYS);
+    }
+
+    #[test]
+    fn shapes_without_a_front_key_are_priced_through_the_slice_memo_every_time() {
+        let decode = |id, context_len| BatchItem {
+            id: RequestId(id),
+            phase: Phase::Decode,
+            tokens: 1,
+            context_len,
+        };
+        let batch = |items| MicroBatch {
+            model: ModelId::Llama2_7b,
+            items,
+            evicted_pages: 0,
+            swapped_out: Vec::new(),
+        };
+        // Five contexts in five KV buckets make one slice more than a key
+        // holds; a 2^21-entry context overflows its packed field.
+        let long = batch((0..5).map(|i| decode(i, 100 + 200 * usize_from_u64(i))).collect());
+        let wide = batch(vec![decode(0, 1 << FrontKey::FIELD_BITS)]);
+        let executor = |accel| {
+            Executor::with_placement(
+                accel,
+                Scheduler::new(SchedulerConfig::default()),
+                ExecutorConfig::default(),
+                Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+            )
+        };
+        let accel = MugiAccelerator::new(128);
+        let mut ex = executor(accel.clone());
+        for b in [&long, &wide] {
+            let mut slices = Vec::new();
+            b.slices_into(ex.config.kv_bucket, &mut slices);
+            assert_eq!(FrontKey::pack(b.model, &slices), None);
+            let fresh = executor(MugiAccelerator::new(128)).price(b);
+            let misses = accel.slice_memo_stats().misses;
+            assert_eq!(price_bits(ex.price(b)), price_bits(fresh));
+            assert_eq!(accel.slice_memo_stats().misses - misses, u64_from_usize(slices.len()));
+            let memo_hits = accel.slice_memo_stats().hits;
+            assert_eq!(price_bits(ex.price(b)), price_bits(fresh));
+            assert_eq!(accel.slice_memo_stats().hits - memo_hits, u64_from_usize(slices.len()));
+        }
+        assert_eq!(ex.perf_front_stats(), (0, 4, 0));
     }
 
     #[test]

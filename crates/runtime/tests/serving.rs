@@ -132,3 +132,18 @@ fn slice_memo_counts_its_hits_misses_and_evictions() {
     assert_eq!((stats.hits, stats.misses, stats.evictions, stats.entries), (7, 112, 0, 112));
     assert_eq!(stats.misses, stats.evictions + stats.entries as u64);
 }
+
+/// The front-memo counters of [`run_mixed_dp`]'s stream. Every dispatch
+/// prices its batch through the front memo, as one hit or one miss, and so
+/// does every decode-run segment whose step re-buckets a context. Each
+/// miss caches its shape and none is evicted, so every miss stays
+/// resident.
+#[test]
+fn front_memo_counts_its_hits_misses_and_resident_shapes() {
+    let (ex, report) = run_mixed_dp(MugiAccelerator::new(64));
+    let (hits, misses, resident) = ex.perf_front_stats();
+    assert_eq!((hits, misses, resident), (305, 115, 115));
+    let (_, run_steps, segments) = ex.run_counters();
+    let dispatches = report.micro_batches - run_steps;
+    assert!((dispatches..=dispatches + segments).contains(&(hits + misses)));
+}

@@ -22,10 +22,9 @@ use mugi_numerics::nonlinear::NonlinearOp;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic input distribution for one (model, op, layer).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DistributionProfile {
     /// The nonlinear op whose inputs are modelled.
     pub op: NonlinearOp,
@@ -143,7 +142,7 @@ const EXPONENT_BINS: usize = 254;
 
 /// A histogram over BF16 exponents, the panel behind the paper's Figure 4
 /// exponent-concentration observation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProfileHistogram {
     /// Exponent histogram: (exponent, fraction of samples), ascending.
     pub exponent_density: Vec<(i32, f32)>,

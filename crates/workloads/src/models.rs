@@ -6,11 +6,9 @@
 //! (Whisper, SwinV2, ViViT) use GELU in their FFN; Llama uses SiLU (the gated
 //! SwiGLU form, which doubles the first FFN projection).
 
-use serde::{Deserialize, Serialize};
-
 /// Model family, which determines which activation the FFN uses and how the
 /// per-layer activation distributions drift (see [`crate::distributions`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Llama 2 decoder-only LLM (SiLU / SwiGLU FFN).
     Llama2,
@@ -23,7 +21,7 @@ pub enum ModelFamily {
 }
 
 /// Identifier for every concrete model studied in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelId {
     /// Llama 2 7B.
     Llama2_7b,
@@ -187,7 +185,7 @@ impl std::fmt::Display for ModelId {
 }
 
 /// Static configuration of one transformer model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Which model this is.
     pub id: ModelId,

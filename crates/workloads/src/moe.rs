@@ -10,10 +10,9 @@
 
 use crate::models::ModelConfig;
 use crate::ops::{GemmKind, GemmOp, NonlinearTrace, OpTrace, Phase, WorkloadOp};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an MoE extension applied on top of a dense model config.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MoeConfig {
     /// Total number of experts per layer.
     pub num_experts: usize,

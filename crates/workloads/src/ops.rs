@@ -6,10 +6,9 @@
 //! (Figures 11–17, Table 3).
 
 use crate::models::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Inference phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Prefill: all prompt tokens processed at once (large GEMMs).
     Prefill,
@@ -19,7 +18,7 @@ pub enum Phase {
 
 /// Which logical part of the layer a GEMM belongs to, matching the latency
 /// breakdown categories of Figures 15 and 16.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GemmKind {
     /// Q/K/V/O projections.
     Projection,
@@ -46,7 +45,7 @@ impl GemmKind {
 /// A classic trace is a single slice; a continuous-batching scheduler
 /// composes several (decode slots plus chunked-prefill slices) and hands
 /// them to [`OpTrace::generate_mixed`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BatchSlice {
     /// Inference phase of every request in the slice.
     pub phase: Phase,
@@ -106,7 +105,7 @@ impl BatchSlice {
 }
 
 /// A single GEMM operation `A (m×k) × B (k×n)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GemmOp {
     /// Which part of the layer this GEMM implements.
     pub kind: GemmKind,
@@ -150,7 +149,7 @@ impl GemmOp {
 }
 
 /// A nonlinear operation applied element-wise (or row-wise for softmax).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NonlinearTrace {
     /// The operation.
     pub op: mugi_numerics::nonlinear::NonlinearOp,
@@ -171,7 +170,7 @@ impl NonlinearTrace {
 }
 
 /// One operation of a workload trace.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WorkloadOp {
     /// A GEMM.
     Gemm(GemmOp),
@@ -180,7 +179,7 @@ pub enum WorkloadOp {
 }
 
 /// A full per-layer operator trace plus workload metadata.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OpTrace {
     /// The model configuration the trace was generated from.
     pub model: ModelConfig,

@@ -18,7 +18,6 @@ use mugi_numerics::error::perplexity_from_nats;
 use mugi_numerics::exec::ExecutionContext;
 use mugi_numerics::nonlinear::{softmax, NonlinearOp};
 use mugi_numerics::tensor::{pseudo_random_matrix, Matrix};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// How a nonlinear op is evaluated inside the reference model.
@@ -50,7 +49,7 @@ impl NonlinearBackend for ExactBackend {
 }
 
 /// Configuration of the reference mini-transformer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ReferenceConfig {
     /// Number of transformer layers.
     pub layers: usize,
