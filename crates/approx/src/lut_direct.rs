@@ -8,10 +8,9 @@
 
 use crate::Approximator;
 use mugi_numerics::nonlinear::NonlinearOp;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a direct LUT approximator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DirectLutConfig {
     /// Number of LUT entries.
     pub entries: usize,

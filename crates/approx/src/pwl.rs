@@ -9,10 +9,9 @@
 
 use crate::Approximator;
 use mugi_numerics::nonlinear::NonlinearOp;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a piecewise-linear approximator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PwlConfig {
     /// Number of linear segments (the paper's baseline uses 22).
     pub segments: usize,

@@ -7,10 +7,9 @@
 
 use crate::Approximator;
 use mugi_numerics::nonlinear::NonlinearOp;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a Taylor-series approximator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TaylorConfig {
     /// Polynomial degree (number of expansion terms minus one). The paper's
     /// baseline uses up to 9 degrees.

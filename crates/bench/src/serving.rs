@@ -72,11 +72,7 @@ impl Scenario {
         Executor::with_placement(
             MugiAccelerator::new(self.lanes),
             Scheduler::with_kv(self.scheduler, self.kv),
-            ExecutorConfig {
-                kv_bucket: self.kv.page_tokens,
-                control: self.control,
-                ..ExecutorConfig::default()
-            },
+            ExecutorConfig { kv_bucket: self.kv.page_tokens, control: self.control },
             self.placement,
         )
     }
@@ -809,7 +805,7 @@ fn run_per_step(cfg: &ScaleConfig, count: usize) -> ScaleRow {
         engine: "per-step",
         wall_s: t0.elapsed().as_secs_f64(),
         fold: StatsFold::of_report(&report),
-        peak_live: count, // everything is materialized and live at once
+        peak_live: count, // every session is submitted before the first retires
         peak_queue: 0,
         rss_mib: end_rss_window(rss),
         role_rerolls: report.kv.role_rerolls,
@@ -878,13 +874,18 @@ fn json_row(cfg: &ScaleConfig, count: usize, row: &ScaleRow, mode: &str) -> Stri
 /// Two runs of the `Executor` serve the same seeded open-loop Poisson
 /// workload at each request count, and must agree bit for bit (asserted):
 ///
-/// * `per-step` — the whole trace materialized and pre-submitted (skipped
-///   past 10⁴ requests at the quick preset and 10⁵ at the full one, where
-///   holding a million sessions plus a million stat records is exactly the
+/// * `per-step` — the whole trace materialized and pre-submitted
+///   (`Executor::run`): every session is live before the first one
+///   finishes, and the run keeps one `RequestStats` record per request for
+///   its report, so memory is O(trace) (skipped past 10⁴ requests at the
+///   quick preset and 10⁵ at the full one; that growth is exactly the
 ///   curve this sweep exists to show);
 /// * `event-folded` — fed lazily from a `WorkloadStream`
 ///   (`Executor::run_stream_folded`), folding every retired session into a
-///   `StatsFold`, so memory is O(live sessions) regardless of the horizon.
+///   `StatsFold` instead of keeping its record, so memory is O(live
+///   sessions) regardless of the horizon.
+///
+/// Both runs retire each session as it finishes, through the same code.
 ///
 /// Reported per row: simulator wall-clock, requests simulated per second of
 /// wall-clock, peak live sessions, peak event-queue length and the

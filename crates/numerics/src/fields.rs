@@ -9,10 +9,9 @@
 //! lowest stored entry, exponents above it saturate in an op-dependent way.
 
 use crate::bf16::{Bf16, EXPONENT_BIAS, MANTISSA_BITS};
-use serde::{Deserialize, Serialize};
 
 /// The decomposed representation of a BF16 value used by the VLP datapath.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FloatFields {
     /// Sign bit (`true` = negative).
     pub sign: bool,
@@ -29,7 +28,7 @@ pub struct FloatFields {
 }
 
 /// IEEE special values that the post-processing (PP) block must emit directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Not-a-number.
     Nan,

@@ -94,7 +94,7 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 /// The nonlinear operations studied in the paper (Figures 4, 6, 8, 11).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NonlinearOp {
     /// `exp(x)` as used inside softmax (inputs are ≤ 0 after max-subtraction).
     Exp,

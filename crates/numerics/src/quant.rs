@@ -9,10 +9,9 @@
 use crate::bf16::Bf16;
 use crate::int4::Int4;
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// How the zero point is chosen when quantizing a group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QuantScheme {
     /// Symmetric quantization: zero maps to zero, scale = max|x| / 7.
     Symmetric,

@@ -62,18 +62,11 @@ pub struct ControlConfig {
     /// prefill + decode demand is at least this many tokens (an idle or
     /// nearly drained system has nothing worth rebalancing).
     pub min_demand_tokens: u64,
-    /// Prefill tokens the calibrator must observe before its estimate
-    /// replaces the configured one (early slices are noisy).
-    pub calibration_warmup_tokens: u64,
-    /// EWMA weight as a right-shift: each new slice moves the estimate by
-    /// `1 / 2^shift` of the gap. Smaller shifts track faster, larger ones
-    /// smooth harder.
-    pub calibration_ewma_shift: u32,
 }
 
 impl Default for ControlConfig {
-    /// Everything off; the tuning knobs hold the values
-    /// [`ControlConfig::adaptive`] enables them with.
+    /// Everything off, with a 2,000,000-cycle re-roll cooldown and a
+    /// 512-token demand dead-band.
     fn default() -> Self {
         ControlConfig {
             reassign_roles: false,
@@ -81,28 +74,17 @@ impl Default for ControlConfig {
             load_aware_migration: false,
             min_flip_interval_cycles: 2_000_000,
             min_demand_tokens: 512,
-            calibration_warmup_tokens: 1_024,
-            calibration_ewma_shift: 3,
         }
     }
 }
 
-impl ControlConfig {
-    /// Every feature on, with the default tuning knobs.
-    pub fn adaptive() -> Self {
-        ControlConfig {
-            reassign_roles: true,
-            calibrate_slo: true,
-            load_aware_migration: true,
-            ..ControlConfig::default()
-        }
-    }
+/// Prefill tokens the executor's calibrator observes before its estimate
+/// replaces the configured one (early slices are noisy).
+pub const CALIBRATION_WARMUP_TOKENS: u64 = 1_024;
 
-    /// Whether any feature is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.reassign_roles || self.calibrate_slo || self.load_aware_migration
-    }
-}
+/// The executor's calibrator EWMA weight as a right-shift: each new slice
+/// moves the estimate by `1 / 2^3` of the gap.
+pub const CALIBRATION_EWMA_SHIFT: u32 = 3;
 
 /// Fixed-point scale of the calibrator's internal rate: Q48.16
 /// cycles-per-token.
@@ -134,8 +116,9 @@ pub struct SloCalibrator {
     samples: u64,
     /// Tokens to observe before [`SloCalibrator::rate`] publishes.
     warmup_tokens: u64,
-    /// EWMA weight as a right-shift (see
-    /// [`ControlConfig::calibration_ewma_shift`]).
+    /// EWMA weight as a right-shift: each new slice moves the estimate by
+    /// `1 / 2^shift` of the gap. Smaller shifts track faster, larger ones
+    /// smooth harder.
     ewma_shift: u32,
 }
 
@@ -223,11 +206,7 @@ mod tests {
     #[test]
     fn default_config_is_fully_disabled() {
         let c = ControlConfig::default();
-        assert!(!c.any_enabled());
-        assert!(ControlConfig::adaptive().any_enabled());
-        assert!(ControlConfig::adaptive().reassign_roles);
-        assert!(ControlConfig::adaptive().calibrate_slo);
-        assert!(ControlConfig::adaptive().load_aware_migration);
+        assert!(!c.reassign_roles && !c.calibrate_slo && !c.load_aware_migration);
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! in-flight batches (one slot per node; a sharded batch sits in slot 0 and
 //! occupies every node) and, when [`Executor::run_stream`] streams requests
 //! in, the one staged arrival — in `(time, seq)` order, then dispatches one
-//! micro-batch.
+//! micro-batch. Each completion retires the finished prefix of the session
+//! window into the run's sink: the report's records, or a `StatsFold`.
 //!
 //! When the dispatched batch is decode-only, the round keeps advancing it
 //! in place for as long as its next step is forced — a *decode run* — with
@@ -60,7 +61,7 @@ use crate::control::{desired_prefill_nodes, ControlConfig, Drain};
 use crate::event::EventQueue;
 use crate::kv::{pages_for, AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
-use crate::request::{Request, RequestId, Session, SessionState};
+use crate::request::{Request, RequestId, Session, SessionState, ARENA_COMPACT_FLOOR};
 use crate::scheduler::{BatchItem, MicroBatch, Scheduler};
 use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 use mugi::arch::cost::CostModel;
@@ -79,13 +80,6 @@ pub struct ExecutorConfig {
     /// `page_tokens`, so the estimate view and the page-table view of a
     /// context agree.
     pub kv_bucket: usize,
-    /// Stall cycles charged per KV page evicted to form a micro-batch: the
-    /// pool-manipulation overhead of a preemption (tearing down the victim's
-    /// table and faulting the requester's growth in). The victim's much
-    /// larger recompute cost is paid separately, by actually re-executing
-    /// its prefill. Zero evictions — in particular any unbounded pool —
-    /// charge nothing.
-    pub fault_stall_cycles: u64,
     /// The adaptive control plane (see [`crate::control`]): dynamic role
     /// reassignment, online SLO calibration and load-aware migration
     /// placement. Fully disabled by default, in which case the executor is
@@ -94,13 +88,9 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 128-entry KV pages, 256-cycle page faults, controller off.
+    /// 128-entry KV pages, controller off.
     fn default() -> Self {
-        ExecutorConfig {
-            kv_bucket: 128,
-            fault_stall_cycles: 256,
-            control: ControlConfig::default(),
-        }
+        ExecutorConfig { kv_bucket: 128, control: ControlConfig::default() }
     }
 }
 
@@ -311,10 +301,15 @@ pub struct Executor {
     queue: EventQueue,
     clock_cycles: u64,
     steps: u64,
+    /// Per-session accounting in id order, retired in lockstep with the
+    /// scheduler's sessions: live session `i` (from the oldest unretired
+    /// one) sits at `acct_head + i`; the slots before it await compaction.
     accounting: Vec<Accounting>,
-    /// Ids below this have been retired (their statistics streamed into a
-    /// [`StatsFold`]); session `id`'s slot lives at `id - acct_base`.
-    acct_base: usize,
+    acct_head: usize,
+    /// NoC energy of the retired accounting slots, summed in id order.
+    retired_noc_pj: f64,
+    /// Statistics of the sessions retired outside a folded run, in id order.
+    retired: Vec<RequestStats>,
     /// Whether each node has its own KV pool (bounded data-parallel
     /// placement): dispatch must then consider every idle node, since a
     /// session may only run where its pages live.
@@ -365,22 +360,17 @@ pub struct Executor {
 }
 
 impl Executor {
+    /// Stall cycles charged per KV page evicted to form a micro-batch: the
+    /// pool-manipulation overhead of a preemption (tearing down the victim's
+    /// table and faulting the requester's growth in). The victim's much
+    /// larger recompute cost is paid separately, by actually re-executing
+    /// its prefill. Zero evictions — in particular any unbounded pool —
+    /// charge nothing.
+    pub const FAULT_STALL_CYCLES: u64 = 256;
+
     /// Creates a single-node executor with the default KV bucketing.
     pub fn new(accel: MugiAccelerator, scheduler: Scheduler) -> Self {
-        Executor::with_config(accel, scheduler, ExecutorConfig::default())
-    }
-
-    /// Creates a single-node executor with an explicit configuration.
-    ///
-    /// # Panics
-    /// Panics if `kv_bucket` is zero, or if the KV pool is bounded and its
-    /// `page_tokens` differs from `kv_bucket`.
-    pub fn with_config(
-        accel: MugiAccelerator,
-        scheduler: Scheduler,
-        config: ExecutorConfig,
-    ) -> Self {
-        Executor::with_placement(accel, scheduler, config, Placement::single_node())
+        Self::with_placement(accel, scheduler, ExecutorConfig::default(), Placement::single_node())
     }
 
     /// Creates an executor dispatching onto a NoC mesh under `placement`.
@@ -439,15 +429,11 @@ impl Executor {
         let multi_pool =
             bounded && placement.policy == PlacementPolicy::DataParallel && placement.nodes() > 1;
         if config.control.calibrate_slo {
-            scheduler.enable_slo_calibration(
-                config.control.calibration_warmup_tokens,
-                config.control.calibration_ewma_shift,
-            );
+            scheduler.enable_slo_calibration();
         }
         // The scheduler may already hold sessions submitted before the
         // executor was constructed; give each one an accounting slot.
         let accounting = vec![Accounting::default(); scheduler.sessions().len()];
-        let acct_base = scheduler.retired_session_count();
         let cost = accel.cost_model();
         let pool = NodePool::new(placement.nodes());
         Executor {
@@ -463,7 +449,9 @@ impl Executor {
             clock_cycles: 0,
             steps: 0,
             accounting,
-            acct_base,
+            acct_head: 0,
+            retired_noc_pj: 0.0,
+            retired: Vec::new(),
             multi_pool,
             disagg,
             pending_migrations: Vec::new(),
@@ -490,7 +478,7 @@ impl Executor {
     /// [`Executor::try_submit`] to treat rejection as backpressure.
     pub fn submit(&mut self, request: Request) -> RequestId {
         let id = self.scheduler.submit(request);
-        self.accounting.push(Accounting::default());
+        self.open_account();
         id
     }
 
@@ -500,8 +488,17 @@ impl Executor {
     /// counted in the report's KV statistics.
     pub fn try_submit(&mut self, request: Request) -> Result<RequestId, AdmissionError> {
         let id = self.scheduler.try_submit(request)?;
-        self.accounting.push(Accounting::default());
+        self.open_account();
         Ok(id)
+    }
+
+    /// Opens a new session's accounting slot, first compacting retired ones.
+    fn open_account(&mut self) {
+        if self.acct_head > ARENA_COMPACT_FLOOR.max(self.scheduler.sessions().len()) {
+            self.accounting.drain(..self.acct_head);
+            self.acct_head = 0;
+        }
+        self.accounting.push(Accounting::default());
     }
 
     /// The scheduler (sessions, progress, configuration).
@@ -549,18 +546,6 @@ impl Executor {
     /// Micro-batches dispatched so far.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Page-fault stall cycles charged so far (zero under an unbounded KV
-    /// pool).
-    pub fn fault_stall_cycles(&self) -> u64 {
-        self.fault_stall_cycles
-    }
-
-    /// KV bytes migrated between pools over the NoC so far (prefill→decode
-    /// handoffs, swap-outs and swap-ins; zero under colocated placement).
-    pub fn kv_transfer_bytes(&self) -> u64 {
-        self.transfer_bytes
     }
 
     /// Sessions whose KV pages are still waiting for room in a decode pool.
@@ -621,16 +606,17 @@ impl Executor {
 
     /// Accounting slot of session `id`.
     fn aidx(&self, id: RequestId) -> usize {
-        usize_from_u64(id.0).checked_sub(self.acct_base).expect("accounting slot was retired")
+        let live = usize_from_u64(id.0).checked_sub(self.scheduler.retired_session_count());
+        self.acct_head + live.expect("accounting slot was retired")
     }
 
     /// Applies the completion effects of the batch in `slot`, then retires
-    /// what finished into `fold`, when folding. Under disaggregated
+    /// what finished into `retire`. Under disaggregated
     /// placement this is also where KV handoffs happen: freshly completed
     /// prefills queue for migration, and every pending migration is retried
     /// (a completion is exactly what frees decode-pool pages or produces new
     /// movable KV).
-    fn finish(&mut self, slot: usize, fold: &mut Option<StatsFold>) {
+    fn finish(&mut self, slot: usize, retire: &mut impl FnMut(RequestStats)) {
         let Some(pending) = self.in_flight[slot].take() else { return };
         let slots = self.in_flight.iter().enumerate();
         self.next_completion =
@@ -669,9 +655,7 @@ impl Executor {
         // The batch is fully applied: hand its allocations back so the next
         // formation reuses them.
         self.scheduler.recycle(pending.batch);
-        if let Some(fold) = fold {
-            self.retire_finished_with(|stats| fold.add(&stats));
-        }
+        self.retire_finished_with(retire);
     }
 
     /// Retries every queued KV migration at simulated cycle `now`, oldest
@@ -720,8 +704,9 @@ impl Executor {
             // the receiving node cannot start new work, until they land.
             let cycles = self.placement.noc.transfer_cycles(migration.bytes);
             let energy = self.placement.noc.transfer_energy_pj(migration.bytes, &self.cost);
-            self.scheduler.stall_session_until(id, now + cycles);
-            self.pool.wait_until(node, now + cycles);
+            let landed = steps_end(now, cycles, 1);
+            self.scheduler.stall_session_until(id, landed);
+            self.pool.wait_until(node, landed);
             let slot = self.aidx(id);
             let acct = &mut self.accounting[slot];
             acct.kv_transfer_bytes += migration.bytes;
@@ -836,9 +821,9 @@ impl Executor {
             if released > 0 {
                 // Teardown is charged like any other eviction: fault stalls
                 // per released page, paid by the draining node.
-                let stall = released * self.config.fault_stall_cycles;
+                let stall = steps_end(0, Self::FAULT_STALL_CYCLES, released);
                 self.fault_stall_cycles += stall;
-                self.pool.wait_until(drain.node, now + stall);
+                self.pool.wait_until(drain.node, steps_end(now, stall, 1));
             }
             for s in self.scheduler.sessions() {
                 if s.state == SessionState::Decoding
@@ -852,24 +837,18 @@ impl Executor {
         self.service_migrations(now);
     }
 
-    /// Retires every finished session at the front of the session window —
-    /// dropping it from the scheduler and freeing its accounting slot —
-    /// streaming each session's statistics into `sink` in id order, so
-    /// nothing grows (or allocates) with the request count.
-    fn retire_finished_with(&mut self, mut sink: impl FnMut(RequestStats)) {
-        let prefix = self.scheduler.sessions().iter().take_while(|s| s.is_finished()).count();
-        if prefix == 0 {
-            return;
+    /// Retires every finished session at the front of the session window:
+    /// streams its statistics into `retire` in id order, adds its NoC energy
+    /// to the retired sum and drops it; the next submission compacts it away.
+    fn retire_finished_with(&mut self, retire: &mut impl FnMut(RequestStats)) {
+        let live = self.scheduler.sessions().iter().zip(&self.accounting[self.acct_head..]);
+        for (s, acct) in live.take_while(|(s, _)| s.is_finished()) {
+            retire(self.session_stats(s, acct));
+            self.retired_noc_pj += acct.noc_energy_pj;
         }
-        for s in &self.scheduler.sessions()[..prefix] {
-            if let Some(stats) = self.session_stats(s) {
-                sink(stats);
-            }
+        if self.scheduler.sessions().first().is_some_and(Session::is_finished) {
+            self.acct_head += self.scheduler.retire_finished_prefix();
         }
-        let retired = self.scheduler.retire_finished_prefix();
-        debug_assert_eq!(retired, prefix);
-        self.accounting.drain(..retired);
-        self.acct_base += retired;
     }
 
     /// Makes one scheduling decision: dispatches one micro-batch and, when
@@ -882,17 +861,26 @@ impl Executor {
     /// node), the idle node's clock jumps forward and execution continues.
     ///
     /// This is one decision round without a request stream;
-    /// [`Executor::run_stream`] runs the same round with one.
+    /// [`Executor::run_stream`] runs the same round with one. Sessions retire
+    /// as they finish, their statistics kept for [`Executor::report`].
     pub fn step(&mut self) -> bool {
-        self.round(&mut std::iter::empty(), &mut None)
+        self.kept_round(&mut std::iter::empty())
+    }
+
+    /// One decision round that keeps each retired session's statistics.
+    fn kept_round(&mut self, stream: &mut impl Iterator<Item = Request>) -> bool {
+        let mut retired = std::mem::take(&mut self.retired);
+        let stepped = self.round(stream, &mut |s| retired.push(s));
+        self.retired = retired;
+        stepped
     }
 
     /// One decision round, the only serving loop: lands due events, then
     /// dispatches one micro-batch (and any decode run it starts). Events land in `(time, seq)` order —
     /// completions of in-flight batches, and the staged arrival, which is
     /// submitted when simulated time reaches it while the next request is
-    /// staged from `stream`. When `fold` is set, sessions are retired into
-    /// it as they finish.
+    /// staged from `stream`. Each completion retires the finished prefix of
+    /// the session window into `retire`.
     ///
     /// With per-node KV pools (bounded data-parallel placement) dispatch
     /// considers every idle node, earliest clock first and — on equal
@@ -914,7 +902,7 @@ impl Executor {
     fn round(
         &mut self,
         stream: &mut impl Iterator<Item = Request>,
-        fold: &mut Option<StatsFold>,
+        retire: &mut impl FnMut(RequestStats),
     ) -> bool {
         let mut idle = std::mem::take(&mut self.idle_scratch);
         let stepped = 'outer: loop {
@@ -930,7 +918,7 @@ impl Executor {
                 // Every node is busy: land events up to the earliest
                 // completion (an earlier staged arrival is passive, so
                 // submitting it first changes nothing).
-                self.land_due(u64::MAX, stream, fold);
+                self.land_due(u64::MAX, stream, retire);
                 continue;
             }
             idle.sort_by_key(|&i| {
@@ -941,7 +929,7 @@ impl Executor {
             let now = self.pool.free_at(primary);
             // Events at or before this node's clock must land first so the
             // batch formed at `now` sees their effects.
-            if self.land_due(now, stream, fold) {
+            if self.land_due(now, stream, retire) {
                 continue;
             }
             // Disaggregated nodes differ by phase even with a shared or
@@ -951,7 +939,7 @@ impl Executor {
                 let node_now = self.pool.free_at(node);
                 // Later idle nodes have later clocks; events in between
                 // must land before a batch forms at that clock.
-                if self.land_due(node_now, stream, fold) {
+                if self.land_due(node_now, stream, retire) {
                     continue 'outer;
                 }
                 // A draining node has no role: it forms no new batches
@@ -969,7 +957,7 @@ impl Executor {
             // even one later than the staged arrival — or jump to the next
             // arrival.
             if let Some((end, _, slot)) = self.next_completion {
-                self.finish(slot, fold);
+                self.finish(slot, retire);
                 self.pool.wait_until(primary, end);
                 continue;
             }
@@ -1004,7 +992,7 @@ impl Executor {
         &mut self,
         t: u64,
         stream: &mut impl Iterator<Item = Request>,
-        fold: &mut Option<StatsFold>,
+        retire: &mut impl FnMut(RequestStats),
     ) -> bool {
         loop {
             let arrival = self.queue.staged.as_ref().map(|(seq, r)| (r.arrival_cycle, *seq));
@@ -1017,7 +1005,7 @@ impl Executor {
                     }
                 }
                 (Some((end, _, slot)), _) if end <= t => {
-                    self.finish(slot, fold);
+                    self.finish(slot, retire);
                     return true;
                 }
                 _ => return false,
@@ -1116,7 +1104,8 @@ impl Executor {
         // fault cost per evicted page, on top of the victims' much larger
         // recompute cost (paid when their prefills re-execute). Unbounded
         // pools never evict, so this is exactly zero there.
-        let stall_cycles = u64_from_usize(batch.evicted_pages) * self.config.fault_stall_cycles;
+        let stall_cycles =
+            steps_end(0, Self::FAULT_STALL_CYCLES, u64_from_usize(batch.evicted_pages));
         self.fault_stall_cycles += stall_cycles;
         // Swap-outs stall the step while the victims' KV streams out over
         // the NoC; each victim is charged the transfer energy and queued to
@@ -1127,6 +1116,7 @@ impl Executor {
         // new work.
         let swap_bytes: u64 = batch.swapped_out.iter().map(|s| s.bytes).sum();
         let swap_stall_cycles = noc.transfer_cycles(swap_bytes);
+        let swapped_out = steps_end(start, swap_stall_cycles, 1);
         for swap in &batch.swapped_out {
             let energy = noc.transfer_energy_pj(swap.bytes, &self.cost);
             let slot = self.aidx(swap.id);
@@ -1135,13 +1125,14 @@ impl Executor {
             acct.kv_transfer_energy_pj += energy;
             self.transfer_bytes += swap.bytes;
             self.transfer_energy_pj += energy;
-            self.scheduler.stall_session_until(swap.id, start + swap_stall_cycles);
-            self.pool.wait_until(swap.to_pool, start + swap_stall_cycles);
+            self.scheduler.stall_session_until(swap.id, swapped_out);
+            self.pool.wait_until(swap.to_pool, swapped_out);
             debug_assert!(!self.pending_migrations.contains(&swap.id));
             self.pending_migrations.push(swap.id);
         }
         self.transfer_stall_cycles += swap_stall_cycles;
-        let step_cycles = price.step_cycles + stall_cycles + swap_stall_cycles;
+        let step_cycles =
+            steps_end(steps_end(price.step_cycles, stall_cycles, 1), swap_stall_cycles, 1);
         debug_assert!(steps == 1 || step_cycles == price.step_cycles, "a run step stalled");
         let end = steps_end(start, step_cycles, steps);
         match self.placement.policy {
@@ -1305,7 +1296,8 @@ impl Executor {
         }
     }
 
-    /// Runs until every submitted request has finished, then reports.
+    /// Runs until every submitted request has finished, retiring each
+    /// session as it finishes, then reports.
     pub fn run(&mut self) -> RuntimeReport {
         self.run_stream(std::iter::empty())
     }
@@ -1333,29 +1325,25 @@ impl Executor {
     {
         let mut stream = stream.into_iter();
         self.stage_next(&mut stream);
-        while self.round(&mut stream, &mut None) {}
-        self.report()
+        self.retired.reserve(self.scheduler.sessions().len());
+        while self.kept_round(&mut stream) {}
+        let requests = std::mem::take(&mut self.retired);
+        self.report_of(requests)
     }
 
-    /// Serves `stream` lazily like [`Executor::run_stream`], but retires
-    /// every finished session into a [`StatsFold`] instead of keeping its
+    /// Serves `stream` lazily like [`Executor::run_stream`], but folds each
+    /// retiring session into a [`StatsFold`] instead of keeping its
     /// statistics, so memory stays O(live sessions) for arbitrarily long
-    /// streams and the report is the O(1) [`ScaleReport`].
+    /// streams and the report is the O(1) [`ScaleReport`]. Sessions retired
+    /// by earlier calls are not in the fold.
     pub fn run_stream_folded<I>(&mut self, stream: I) -> ScaleReport
     where
         I: IntoIterator<Item = Request>,
     {
         let mut stream = stream.into_iter();
         self.stage_next(&mut stream);
-        let mut fold = Some(StatsFold::default());
-        while self.round(&mut stream, &mut fold) {}
-        let mut fold = fold.unwrap_or_default();
-        self.retire_finished_with(|stats| fold.add(&stats));
-        self.scale_report(fold)
-    }
-
-    /// Builds the folded report for the completed run.
-    fn scale_report(&self, fold: StatsFold) -> ScaleReport {
+        let mut fold = StatsFold::default();
+        while self.round(&mut stream, &mut |s| fold.add(&s)) {}
         let makespan_s = self.clock_cycles as f64 / self.cost.frequency_hz;
         let throughput_tokens_per_s =
             if makespan_s > 0.0 { fold.output_tokens as f64 / makespan_s } else { 0.0 };
@@ -1377,23 +1365,20 @@ impl Executor {
         &self.queue
     }
 
-    /// The statistics of one finished session (`None` while it is still
-    /// running).
-    fn session_stats(&self, s: &Session) -> Option<RequestStats> {
+    /// The statistics of one finished session with accounting `acct`.
+    fn session_stats(&self, s: &Session, acct: &Accounting) -> RequestStats {
         // The cached cost model's frequency is the exact value
         // `accel.frequency_hz()` would rebuild a `Design` to compute — this
         // runs once per retired session, so it must not.
         let freq = self.cost.frequency_hz;
         let to_s = |cycles: u64| cycles as f64 / freq;
-        let (Some(first), Some(finish)) = (s.first_token_cycle, s.finish_cycle) else {
-            return None;
-        };
+        let first = s.first_token_cycle.expect("a finished session emitted its first token");
+        let finish = s.finish_cycle.expect("a finished session has a finish cycle");
         let arrival = s.request.arrival_cycle;
         let outputs = s.generated_tokens;
-        let acct = &self.accounting[self.aidx(s.id)];
         let tpot_s = if outputs > 1 { to_s(finish - first) / (outputs - 1) as f64 } else { 0.0 };
         let e2e_s = to_s(finish - arrival);
-        Some(RequestStats {
+        RequestStats {
             id: s.id,
             model: s.request.model,
             prompt_tokens: s.request.prompt_tokens,
@@ -1407,16 +1392,28 @@ impl Executor {
             kv_transfer_bytes: acct.kv_transfer_bytes,
             kv_transfer_energy_uj: acct.kv_transfer_energy_pj * 1e-6,
             micro_batches: acct.micro_batches,
-        })
+            preemptions: s.preemptions,
+            migrations: s.migrations,
+            swap_outs: s.swap_outs,
+        }
     }
 
-    /// Builds the report for the work completed so far. Unfinished sessions
-    /// (if any) are excluded from the per-request statistics.
+    /// Builds the report for the work completed so far. `requests`, and the
+    /// figures built from it, list the retired sessions in id order: a
+    /// session that finished behind an older unfinished one joins once every
+    /// older session has finished. A completed [`Executor::run`] or
+    /// [`Executor::run_stream`] hands these records to the report it returns,
+    /// so a later `report()` lists only sessions retired after that.
+    /// `noc_energy_uj` covers every session, retired or live, in id order.
     pub fn report(&self) -> RuntimeReport {
+        self.report_of(self.retired.clone())
+    }
+
+    /// The report listing `requests`.
+    fn report_of(&self, requests: Vec<RequestStats>) -> RuntimeReport {
         let freq = self.cost.frequency_hz;
         let to_s = |cycles: u64| cycles as f64 / freq;
-        let requests: Vec<RequestStats> =
-            self.scheduler.sessions().iter().filter_map(|s| self.session_stats(s)).collect();
+        let live = &self.accounting[self.acct_head..];
         let total_output_tokens: u64 =
             requests.iter().map(|r| u64_from_usize(r.output_tokens)).sum();
         let makespan_s = to_s(self.clock_cycles);
@@ -1438,7 +1435,8 @@ impl Executor {
             tpot,
             nodes: self.pool.len(),
             noc: self.placement.noc.label(),
-            noc_energy_uj: self.accounting.iter().fold(0.0, |pj, a| pj + a.noc_energy_pj) * 1e-6,
+            noc_energy_uj: live.iter().fold(self.retired_noc_pj, |pj, a| pj + a.noc_energy_pj)
+                * 1e-6,
             node_busy_cycles: self.pool.busy().to_vec(),
             kv: self.kv_stats(),
         }
@@ -1543,7 +1541,10 @@ fn segment_steps(t: u64, cycles: u64, horizon: u64, lag_limit: Option<u64>, max_
     k
 }
 
-/// The end of `steps` back-to-back steps of `cycles` each from `start`.
+/// The end of `steps` back-to-back steps of `cycles` each from `start`. The
+/// executor's one checked cycle sum: a stall or transfer landing after
+/// `start` is one step of its length, and `n` page faults are `n` steps of
+/// [`Executor::FAULT_STALL_CYCLES`] from cycle 0.
 ///
 /// # Panics
 /// Panics when `start + steps · cycles` overflows a `u64` cycle count,
@@ -1768,6 +1769,43 @@ mod tests {
     }
 
     #[test]
+    fn report_between_steps_lists_only_the_retired_prefix() {
+        // r1 decodes 16 tokens while r2 stops at 3: r2 finishes behind the
+        // unfinished r1 and is not listed until r1 finishes too. The NoC
+        // energy covers every session, retired or live, with the bits the
+        // report had when it summed every session's accounting in id order.
+        let mut ex = Executor::with_placement(
+            MugiAccelerator::new(64),
+            Scheduler::new(SchedulerConfig::default()),
+            ExecutorConfig::default(),
+            Placement::data_parallel(NocConfig { rows: 2, cols: 1 }),
+        );
+        for (prompt, output) in [(32, 2), (64, 16), (48, 3)] {
+            ex.submit(Request::new(ModelId::Llama2_7b, prompt, output));
+        }
+        let observe = |ex: &Executor| {
+            let report = ex.report();
+            let ids: Vec<u64> = report.requests.iter().map(|r| r.id.0).collect();
+            let live: Vec<(u64, bool)> =
+                ex.scheduler().sessions().iter().map(|s| (s.id.0, s.is_finished())).collect();
+            (ex.steps(), ids, live, report.noc_energy_uj.to_bits())
+        };
+        let mut seen = Vec::new();
+        while ex.step() {
+            seen.push(observe(&ex));
+        }
+        seen.push(observe(&ex));
+        let expected = [
+            (1, vec![], vec![(0, false), (1, false), (2, false)], 0x4000fca785eb66eb),
+            (2, vec![], vec![(0, false), (1, false), (2, false)], 0x4001574058b5a3bb),
+            (3, vec![0], vec![(1, false), (2, false)], 0x400193a63a91cc45),
+            (16, vec![0], vec![(1, false), (2, true)], 0x40031c3c76a8d3c9),
+            (16, vec![0, 1, 2], vec![], 0x40031c3c76a8d3c9),
+        ];
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
     fn staggered_arrival_jumps_the_clock() {
         let mut ex =
             Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
@@ -1809,6 +1847,24 @@ mod tests {
         // The last step may end exactly at the largest cycle.
         assert_eq!(segment_steps(u64::MAX - 20, 10, u64::MAX, None, 2), 2);
         assert_eq!(steps_end(u64::MAX - 20, 10, 2), u64::MAX);
+        // Stalls and transfers are single steps; page faults are steps of
+        // the fault cost from cycle 0.
+        assert_eq!(steps_end(u64::MAX - 1, 1, 1), u64::MAX);
+        assert_eq!(steps_end(0, Executor::FAULT_STALL_CYCLES, u64::MAX / 256), u64::MAX - 255);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cycle overflow: 1 steps of 1 cycles from cycle 18446744073709551615"
+    )]
+    fn cycle_sums_panic_one_past_u64_max() {
+        steps_end(u64::MAX, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle overflow: 72057594037927936 steps of 256 cycles from cycle 0")]
+    fn fault_stalls_panic_instead_of_wrapping() {
+        steps_end(0, Executor::FAULT_STALL_CYCLES, u64::MAX / 256 + 1);
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //!   being recomputed;
 //! * [`executor`] — the [`Executor`] drives one or many
 //!   [`MugiAccelerator`](mugi::MugiAccelerator) nodes over the scheduled
-//!   micro-batches (mixed prefill/decode slices priced from per-slice op
-//!   costs), charges NoC transfer energy for inter-node movement
-//!   and keeps per-request cycle/energy accounting. Its one decision loop
-//!   serves pre-submitted traces and lazily streamed workloads alike
-//!   ([`Executor::run_stream`]), one staged arrival at a time, landing
-//!   completions and arrivals in `(time, seq)` order; the folded mode
-//!   ([`Executor::run_stream_folded`]) serves millions of requests in
-//!   O(live sessions) memory;
+//!   micro-batches (priced from per-slice op costs), charges NoC energy
+//!   and keeps per-request accounting. Its one decision loop serves
+//!   pre-submitted traces and lazily streamed workloads alike
+//!   ([`Executor::run_stream`]), landing completions and arrivals in
+//!   `(time, seq)` order, and every run retires each session once it and
+//!   all older ones have finished: the report keeps its statistics, and
+//!   the folded mode ([`Executor::run_stream_folded`]) folds them instead,
+//!   serving millions of requests in O(live sessions) memory;
 //! * [`event`] — the [`EventQueue`] counters of that loop (plus a thin
 //!   benchmark-facing wrapper);
 //! * [`control`] — the adaptive control plane: a feedback controller

@@ -193,9 +193,10 @@ impl Session {
 /// Flat session storage keyed by dense [`RequestId`]s: every session ever
 /// admitted occupies the slot `id - retired_count()` of the live window, in
 /// submission order. Retirement advances a head index instead of shifting
-/// the vector, and the retired prefix is compacted away only once it
-/// outgrows the live tail — so `retire_prefix` is amortized O(1), the
-/// backing vector never holds more than ~2× the live sessions, and
+/// the vector, and the next push compacts the retired prefix away once it
+/// outgrows the live tail — so retirement is amortized O(1), a run with no
+/// further submissions moves nothing, the backing vector holds ~2× the
+/// live sessions at a push, and
 /// [`SessionArena::live`] stays a plain contiguous `&[Session]` for the
 /// scheduler's index arithmetic.
 #[derive(Clone, Debug, Default)]
@@ -214,7 +215,7 @@ pub struct SessionArena {
 /// Retired slots are compacted once the dead prefix exceeds both this floor
 /// and the live tail, bounding both the compaction frequency and the memory
 /// overhead.
-const ARENA_COMPACT_FLOOR: usize = 64;
+pub(crate) const ARENA_COMPACT_FLOOR: usize = 64;
 
 impl SessionArena {
     /// An empty arena.
@@ -222,8 +223,9 @@ impl SessionArena {
         SessionArena::default()
     }
 
-    /// Appends a session to the live window. The caller assigns ids densely
-    /// in submission order, so `session.id` must equal
+    /// Appends a session to the live window, first compacting the retired
+    /// prefix away if it outgrew the live tail. The caller assigns ids
+    /// densely in submission order, so `session.id` must equal
     /// `retired_count() + live().len()`.
     pub fn push(&mut self, session: Session) {
         debug_assert_eq!(
@@ -231,6 +233,10 @@ impl SessionArena {
             self.retired + self.live().len(),
             "arena ids must stay dense and in submission order"
         );
+        if self.head > ARENA_COMPACT_FLOOR && self.head >= self.len() {
+            self.slots.drain(..self.head);
+            self.head = 0;
+        }
         self.slots.push(session);
         self.peak_live = self.peak_live.max(self.live().len());
     }
@@ -265,9 +271,8 @@ impl SessionArena {
         self.live().iter()
     }
 
-    /// Retires the first `n` live sessions (they must all be finished) and
-    /// compacts the backing vector if the dead prefix got large. Amortized
-    /// O(1) per retired session.
+    /// Retires the first `n` live sessions (they must all be finished); the
+    /// next [`SessionArena::push`] compacts them away.
     ///
     /// # Panics
     /// Debug-asserts that every retired session is finished.
@@ -275,10 +280,6 @@ impl SessionArena {
         debug_assert!(self.live().iter().take(n).all(Session::is_finished));
         self.head += n;
         self.retired += n;
-        if self.head > ARENA_COMPACT_FLOOR && self.head >= self.slots.len() - self.head {
-            self.slots.drain(..self.head);
-            self.head = 0;
-        }
     }
 
     /// Checks the arena's structural invariants: live ids are dense,

@@ -86,7 +86,7 @@
     reason = "panics here enforce documented API contracts (submit after finish, retired-session access) and scheduler invariants (dense ids via sidx(), page-table/pool consistency); a deterministic simulator must abort on corrupt state rather than guess"
 )]
 
-use crate::control::SloCalibrator;
+use crate::control::{SloCalibrator, CALIBRATION_EWMA_SHIFT, CALIBRATION_WARMUP_TOKENS};
 use crate::kv::{
     pages_for, AdmissionError, KvConfig, KvFreePages, KvPool, PreemptionMode, SloConfig, KV_BITS,
 };
@@ -346,8 +346,8 @@ pub struct Scheduler {
     pool_roles: Vec<PoolRole>,
     /// Sessions not yet retired, in a flat arena keyed by dense ids: session
     /// `id` lives at live index `id - sessions.retired_count()`. Retirement
-    /// (always zero retired unless the executor opts in) advances the
-    /// arena's head in amortized O(1) instead of shifting a vector.
+    /// advances the arena's head in amortized O(1) instead of shifting a
+    /// vector.
     sessions: SessionArena,
     /// Per-model queues of released unfinished sessions, in first-submission
     /// order of their models.
@@ -622,14 +622,13 @@ impl Scheduler {
         Ok(id)
     }
 
-    /// All unretired sessions in submission order (every session ever
-    /// submitted, unless the executor opted into incremental retirement).
+    /// All unretired sessions in submission order: from the oldest
+    /// unfinished one on (none after a completed run).
     pub fn sessions(&self) -> &[Session] {
         self.sessions.live()
     }
 
-    /// Number of ids retired from the front of the session window (zero
-    /// without incremental retirement).
+    /// Number of ids retired from the front of the session window.
     pub fn retired_session_count(&self) -> usize {
         self.sessions.retired_count()
     }
@@ -639,9 +638,8 @@ impl Scheduler {
         self.sessions.retired_count() + self.sessions.len()
     }
 
-    /// High-water mark of the live (unretired) session population. Under
-    /// incremental retirement this is what the scheduler's memory scales
-    /// with, however long the request stream.
+    /// High-water mark of the live (unretired) session population: what the
+    /// scheduler's memory scales with, however long the request stream.
     pub fn peak_live_sessions(&self) -> usize {
         self.sessions.peak_live()
     }
@@ -655,12 +653,21 @@ impl Scheduler {
     }
 
     /// Drops every *finished* session at the front of the session window,
-    /// returning how many were dropped. The executor calls this after
-    /// folding their statistics into a `StatsFold`, so `sessions` stops growing
-    /// without bound on long request streams; ids keep working because only
-    /// a contiguous finished prefix ever retires.
+    /// returning how many were dropped. The executor calls this after every
+    /// completion, once it has streamed their statistics into its sink; ids
+    /// keep working because only a contiguous finished prefix ever retires.
+    ///
+    /// # Panics
+    /// Debug-asserts that each is whole: every output token generated, its
+    /// prefill target prefilled, no page mapped, first token after arrival.
     pub fn retire_finished_prefix(&mut self) -> usize {
         let n = self.sessions.iter().take_while(|s| s.is_finished()).count();
+        for s in self.sessions.iter().take(n) {
+            debug_assert_eq!(s.generated_tokens, s.request.output_tokens, "{} output", s.id);
+            debug_assert_eq!(s.prefilled_tokens, s.prefill_target, "{} prefill", s.id);
+            debug_assert_eq!(s.page_table.mapped_pages(), 0, "{} holds pages", s.id);
+            debug_assert!(s.first_token_cycle >= Some(s.request.arrival_cycle), "{} ttft", s.id);
+        }
         if n > 0 {
             self.sessions.retire_prefix(n);
         }
@@ -704,15 +711,15 @@ impl Scheduler {
         self.pending_decode_tokens
     }
 
-    /// Installs an online SLO calibrator (see
-    /// [`SloCalibrator`]): once it has
-    /// observed `warmup_tokens` prefill tokens, its measured rate replaces
-    /// the configured [`SloConfig::cycles_per_prefill_token`] in the
-    /// admission check. Called by the executor when the control plane's
-    /// calibration is enabled; idempotent state-wise (re-enabling resets
-    /// the calibrator).
-    pub fn enable_slo_calibration(&mut self, warmup_tokens: u64, ewma_shift: u32) {
-        self.calibrator = Some(SloCalibrator::new(warmup_tokens, ewma_shift));
+    /// Installs an online SLO calibrator (see [`SloCalibrator`]): once it
+    /// has observed [`CALIBRATION_WARMUP_TOKENS`] prefill tokens, its
+    /// measured rate (smoothed by [`CALIBRATION_EWMA_SHIFT`]) replaces the
+    /// configured [`SloConfig::cycles_per_prefill_token`] in the admission
+    /// check. Called by the executor when the control plane's calibration
+    /// is enabled; re-enabling resets the calibrator.
+    pub fn enable_slo_calibration(&mut self) {
+        self.calibrator =
+            Some(SloCalibrator::new(CALIBRATION_WARMUP_TOKENS, CALIBRATION_EWMA_SHIFT));
     }
 
     /// Feeds the calibrator one completed micro-batch that served `tokens`

@@ -41,6 +41,12 @@ pub struct RequestStats {
     pub kv_transfer_energy_uj: f64,
     /// Micro-batches the request participated in.
     pub micro_batches: u64,
+    /// Times the request was recompute-evicted from a full KV pool.
+    pub preemptions: u32,
+    /// Times its KV pages migrated into a decode pool.
+    pub migrations: u32,
+    /// Times its KV pages were swapped out of a decode pool.
+    pub swap_outs: u32,
 }
 
 /// p50/p95/p99 of a latency population.
@@ -254,14 +260,13 @@ impl fmt::Display for RuntimeReport {
 }
 
 /// Incrementally folded per-request statistics: the O(1)-memory counterpart
-/// of [`RuntimeReport::requests`]. A folded run
+/// of [`RuntimeReport::requests`]. Every run retires each session once it
+/// and all older ones have finished; a folded run
 /// ([`Executor::run_stream_folded`](crate::Executor::run_stream_folded))
-/// folds each session's [`RequestStats`] in here the moment it retires, so serving a million
-/// requests costs the memory of the fold, not of a million stat records.
+/// folds its [`RequestStats`] in here instead of keeping the record.
 ///
-/// Floating-point sums accumulate in retirement (= id) order — the same
-/// order a full report would sum them in — so a folded total and a
-/// report-derived total agree bit for bit.
+/// Floating-point sums accumulate in retirement (= id) order, the order a
+/// full report lists its requests in, so the two totals agree bit for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StatsFold {
     /// Requests folded so far.
@@ -538,6 +543,9 @@ mod tests {
             kv_transfer_bytes: 64,
             kv_transfer_energy_uj: 0.125,
             micro_batches: 3,
+            preemptions: 0,
+            migrations: 0,
+            swap_outs: 0,
         }
     }
 

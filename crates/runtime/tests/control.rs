@@ -85,7 +85,6 @@ fn adaptive() -> ControlConfig {
         calibrate_slo: true,
         min_flip_interval_cycles: 1_000_000,
         min_demand_tokens: 64,
-        ..ControlConfig::default()
     }
 }
 
@@ -98,7 +97,7 @@ fn run_executor(
     let mut engine = Executor::with_placement(
         MugiAccelerator::new(128),
         Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig { kv_bucket: kv.page_tokens, control, ..ExecutorConfig::default() },
+        ExecutorConfig { kv_bucket: kv.page_tokens, control },
         Placement::disaggregated(NocConfig::mesh_4x4(), prefill_nodes),
     );
     for r in requests {
@@ -110,19 +109,17 @@ fn run_executor(
 }
 
 /// Controller knobs without any enabled feature must be bit-inert: tuning
-/// cooldowns, dead-bands or calibration windows while every feature flag is
-/// off cannot perturb a single output bit relative to the default config.
+/// cooldowns or dead-bands while every feature flag is off cannot perturb a
+/// single output bit relative to the default config.
 #[test]
 fn disabled_controller_knobs_are_bit_inert() {
     let requests = shifting_mix(8, 24);
     let knobbed = ControlConfig {
         min_flip_interval_cycles: 1,
         min_demand_tokens: 1,
-        calibration_warmup_tokens: 1,
-        calibration_ewma_shift: 7,
         ..ControlConfig::default()
     };
-    assert!(!knobbed.any_enabled());
+    assert!(!knobbed.reassign_roles && !knobbed.calibrate_slo && !knobbed.load_aware_migration);
     let (baseline, base_rerolls) =
         run_executor(&requests, KvConfig::unbounded(), ControlConfig::default(), 8);
     let (tuned, tuned_rerolls) = run_executor(&requests, KvConfig::unbounded(), knobbed, 8);
@@ -145,11 +142,7 @@ fn adaptive_engines_agree_bit_for_bit() {
     let mut ex = Executor::with_placement(
         MugiAccelerator::new(128),
         Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig {
-            kv_bucket: kv.page_tokens,
-            control: adaptive(),
-            ..ExecutorConfig::default()
-        },
+        ExecutorConfig { kv_bucket: kv.page_tokens, control: adaptive() },
         Placement::disaggregated(NocConfig::mesh_4x4(), 8),
     );
     for r in &requests {
@@ -172,11 +165,7 @@ fn bounded_rerolls_stay_quiescent_and_conserve_tokens() {
     let mut engine = Executor::with_placement(
         MugiAccelerator::new(128),
         Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig {
-            kv_bucket: kv.page_tokens,
-            control: adaptive(),
-            ..ExecutorConfig::default()
-        },
+        ExecutorConfig { kv_bucket: kv.page_tokens, control: adaptive() },
         Placement::disaggregated(NocConfig::mesh_4x4(), 8),
     );
     for r in &requests {

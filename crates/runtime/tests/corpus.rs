@@ -99,12 +99,11 @@ fn case(i: usize) -> Case {
             calibrate_slo: true,
             min_flip_interval_cycles: 1_000_000,
             min_demand_tokens: 64,
-            ..ControlConfig::default()
         }
     } else {
         ControlConfig::default()
     };
-    let executor = ExecutorConfig { kv_bucket: PAGE_TOKENS, control, ..ExecutorConfig::default() };
+    let executor = ExecutorConfig { kv_bucket: PAGE_TOKENS, control };
     Case { seed, models, spec, kv, executor, placement }
 }
 
@@ -219,7 +218,6 @@ fn edges() -> Vec<Edge> {
                 calibrate_slo: true,
                 min_flip_interval_cycles: 1_000_000,
                 min_demand_tokens: 16,
-                ..ControlConfig::default()
             },
             requests: &[
                 (M7, 357, 13, 487_012_939),
@@ -336,11 +334,7 @@ fn run_edge(e: &Edge) -> EdgeRow {
             Request::new(model, prompt, output).arriving_at(arrival)
         })
         .collect();
-    let executor = ExecutorConfig {
-        kv_bucket: e.kv.page_tokens,
-        control: e.control,
-        ..ExecutorConfig::default()
-    };
+    let executor = ExecutorConfig { kv_bucket: e.kv.page_tokens, control: e.control };
     let engine = || {
         let scheduler = Scheduler::with_kv(SchedulerConfig::default(), e.kv);
         Executor::with_placement(MugiAccelerator::new(64), scheduler, executor, e.placement)

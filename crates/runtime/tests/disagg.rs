@@ -204,14 +204,14 @@ fn prefill_completion_migrates_kv_with_hand_computed_transfer_costs() {
     assert!((ra.kv_transfer_energy_uj - expected_uj).abs() < 1e-12);
     assert_eq!(rb.kv_transfer_bytes, 0);
     assert_eq!(rb.kv_transfer_energy_uj, 0.0);
-    assert_eq!(ex.scheduler().session(a).migrations, 1);
-    assert_eq!(ex.scheduler().session(b).migrations, 0);
+    assert_eq!(ra.migrations, 1);
+    assert_eq!(rb.migrations, 0);
     assert_eq!(ex.pending_migration_count(), 0, "no migration may be left behind");
 }
 
 /// Runs the hand-traceable two-request overload on a 1-prefill/1-decode
 /// mesh with 4-token pages and 4-page pools.
-fn run_two_request_disagg(kv: KvConfig) -> (Executor, RuntimeReport) {
+fn run_two_request_disagg(kv: KvConfig) -> RuntimeReport {
     let mut ex = Executor::with_placement(
         MugiAccelerator::new(64),
         Scheduler::with_kv(
@@ -228,8 +228,7 @@ fn run_two_request_disagg(kv: KvConfig) -> (Executor, RuntimeReport) {
     );
     ex.submit(Request::new(MODEL, 4, 8));
     ex.submit(Request::new(MODEL, 4, 8));
-    let report = ex.run();
-    (ex, report)
+    ex.run()
 }
 
 #[test]
@@ -247,7 +246,7 @@ fn swap_preemption_trades_recompute_for_hand_computed_transfers() {
     let bytes5 = MODEL.config().kv_cache_bytes(5, KV_BITS);
     let bytes8 = MODEL.config().kv_cache_bytes(8, KV_BITS);
 
-    let (ex, recompute) = run_two_request_disagg(KvConfig::bounded(4, 4));
+    let recompute = run_two_request_disagg(KvConfig::bounded(4, 4));
     assert_eq!(recompute.total_output_tokens, 16);
     assert_eq!(recompute.kv.preemptions, 1);
     assert_eq!(recompute.kv.evicted_pages, 2);
@@ -257,12 +256,12 @@ fn swap_preemption_trades_recompute_for_hand_computed_transfers() {
     assert_eq!(recompute.kv.migrations, 3);
     assert_eq!(recompute.kv.migrated_pages, 6);
     assert_eq!(recompute.kv.transfer_bytes, 2 * bytes5 + bytes8);
-    let sessions = ex.scheduler().sessions();
-    assert_eq!(sessions[0].preemptions, 0, "the oldest session is never evicted");
-    assert_eq!(sessions[1].preemptions, 1);
-    assert_eq!((sessions[0].migrations, sessions[1].migrations), (1, 2));
+    let r = &recompute.requests;
+    assert_eq!(r[0].preemptions, 0, "the oldest session is never evicted");
+    assert_eq!(r[1].preemptions, 1);
+    assert_eq!((r[0].migrations, r[1].migrations), (1, 2));
 
-    let (ex, swap) = run_two_request_disagg(KvConfig::bounded(4, 4).with_swap_preemption());
+    let swap = run_two_request_disagg(KvConfig::bounded(4, 4).with_swap_preemption());
     assert_eq!(swap.total_output_tokens, 16);
     assert_eq!(swap.kv.preemptions, 0, "swap replaces every recompute eviction here");
     assert_eq!(swap.kv.evicted_pages, 0);
@@ -279,10 +278,10 @@ fn swap_preemption_trades_recompute_for_hand_computed_transfers() {
         + noc.transfer_cycles(bytes8)                     // swap-out
         + noc.transfer_cycles(bytes8); // swap-in
     assert_eq!(swap.kv.transfer_stall_cycles, expected_stalls);
-    let sessions = ex.scheduler().sessions();
-    assert_eq!(sessions[1].swap_outs, 1);
-    assert_eq!(sessions[1].preemptions, 0);
-    assert_eq!((sessions[0].migrations, sessions[1].migrations), (1, 2));
+    let r = &swap.requests;
+    assert_eq!(r[1].swap_outs, 1);
+    assert_eq!(r[1].preemptions, 0);
+    assert_eq!((r[0].migrations, r[1].migrations), (1, 2));
 
     // The whole point: swapping pays bytes instead of recomputed tokens.
     assert!(swap.kv.reprefill_tokens < recompute.kv.reprefill_tokens);
@@ -326,11 +325,11 @@ fn disaggregation_beats_colocated_decode_tpot_under_long_prefills() {
 
 #[test]
 fn incremental_retirement_matches_the_unretired_report() {
-    // Folding each finished session into a `StatsFold` as it retires only
-    // changes *when* its statistics are folded, never their values: the
+    // Both paths retire each session as it finishes; folding its statistics
+    // into a `StatsFold` instead of keeping them changes no value: the
     // folded run of a disaggregated workload equals the fold of the full
-    // report of the same run, while the scheduler's session window is
-    // emptied instead of growing with every submission.
+    // report of the same run, and both empty the scheduler's session window
+    // instead of growing it with every submission.
     let requests = synthetic_requests(9, 32, &[MODEL], WorkloadSpec::default());
     let build = || {
         Executor::with_placement(
@@ -349,12 +348,13 @@ fn incremental_retirement_matches_the_unretired_report() {
     assert_eq!(folded.makespan_s.to_bits(), full.makespan_s.to_bits());
     assert_eq!(folded.kv, full.kv);
     assert!(full.kv.migrations > 0, "the workload must exercise the handoff");
-    assert_eq!(keep.scheduler().sessions().len(), requests.len());
-    let sched = retire.scheduler();
-    assert_eq!(sched.sessions().len(), 0, "every finished session must have been retired");
-    assert_eq!(sched.retired_session_count(), requests.len());
-    assert_eq!(sched.submitted_count(), requests.len());
-    assert!(sched.all_finished());
+    assert_eq!(full.requests.len(), requests.len());
+    for sched in [keep.scheduler(), retire.scheduler()] {
+        assert_eq!(sched.sessions().len(), 0, "both paths retire every finished session");
+        assert_eq!(sched.retired_session_count(), requests.len());
+        assert_eq!(sched.submitted_count(), requests.len());
+        assert!(sched.all_finished());
+    }
 }
 
 #[test]

@@ -43,7 +43,17 @@ fn deterministic_overload_preempts_and_every_request_completes() {
     for r in &requests {
         engine.submit(*r);
     }
-    let report = engine.run();
+    // Each session's final prefill target, read while the session is live:
+    // only a preemption sets it, and a preempted session stays live at
+    // least until its recompute prefill runs.
+    let mut prefill_targets = vec![0; requests.len()];
+    while engine.step() {
+        for s in engine.scheduler().sessions() {
+            prefill_targets[s.id.0 as usize] = s.prefill_target;
+        }
+    }
+    let report = engine.report();
+    assert!(engine.scheduler().sessions().is_empty(), "every session retired");
 
     // Pressure really happened…
     assert!(report.kv.preemptions > 0, "a pool this tight must preempt");
@@ -51,7 +61,7 @@ fn deterministic_overload_preempts_and_every_request_completes() {
     assert!(report.kv.evicted_pages > 0);
     assert_eq!(
         report.kv.fault_stall_cycles,
-        report.kv.evicted_pages * ExecutorConfig::default().fault_stall_cycles,
+        report.kv.evicted_pages * Executor::FAULT_STALL_CYCLES,
         "stall cycles are charged per evicted page, nothing else"
     );
     assert_eq!(report.kv.capacity_pages, Some(max_need as u64 + 1));
@@ -70,14 +80,13 @@ fn deterministic_overload_preempts_and_every_request_completes() {
     // All pages came home.
     assert_eq!(engine.scheduler().kv_used_pages(), 0);
     assert_eq!(engine.kv_free_pages(0).pages(), Some(max_need + 1));
-    // Per-session preemption counters sum to the report's, and preempted
+    // Per-request preemption counters sum to the report's, and preempted
     // sessions really did extra prefill work (their final prefill target
     // grew past the plain prompt by the generated entries they rebuilt).
-    let sessions = engine.scheduler().sessions();
-    let preemptions: u64 = sessions.iter().map(|s| u64::from(s.preemptions)).sum();
+    let preemptions: u64 = report.requests.iter().map(|r| u64::from(r.preemptions)).sum();
     assert_eq!(preemptions, report.kv.preemptions);
     let prompt_total: u64 = requests.iter().map(|r| r.prompt_tokens as u64).sum();
-    let prefilled_total: u64 = sessions.iter().map(|s| s.prefill_target as u64).sum();
+    let prefilled_total: u64 = prefill_targets.iter().map(|&t| t as u64).sum();
     assert!(
         prefilled_total > prompt_total,
         "decode-phase evictions must leave visible re-prefill work"
@@ -136,7 +145,7 @@ fn hand_computed_preemption_counters() {
     //   8-entry KV (prompt 4 + 4 generated) becomes re-prefill debt;
     // * r1 re-prefills in 4-token chunks as pages free up and still
     //   finishes all 8 tokens.
-    let fault = 100;
+    let fault = Executor::FAULT_STALL_CYCLES;
     let mut engine = Executor::with_placement(
         MugiAccelerator::new(64),
         Scheduler::with_kv(
@@ -149,7 +158,7 @@ fn hand_computed_preemption_counters() {
             },
             KvConfig::bounded(4, 4),
         ),
-        ExecutorConfig { kv_bucket: 4, fault_stall_cycles: fault, ..ExecutorConfig::default() },
+        ExecutorConfig { kv_bucket: 4, ..ExecutorConfig::default() },
         Placement::single_node(),
     );
     engine.submit(Request::new(ModelId::Llama2_7b, 4, 8));
@@ -161,9 +170,9 @@ fn hand_computed_preemption_counters() {
     assert_eq!(report.kv.rejected_requests, 0);
     assert_eq!(report.kv.fault_stall_cycles, 2 * fault);
     assert_eq!(report.total_output_tokens, 16, "token accounting is exact");
-    let sessions = engine.scheduler().sessions();
-    assert_eq!(sessions[0].preemptions, 0, "the oldest session is never evicted");
-    assert_eq!(sessions[1].preemptions, 1);
+    let requests = &report.requests;
+    assert_eq!(requests[0].preemptions, 0, "the oldest session is never evicted");
+    assert_eq!(requests[1].preemptions, 1);
 }
 
 #[test]

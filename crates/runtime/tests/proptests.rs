@@ -16,12 +16,34 @@ use mugi::MugiAccelerator;
 use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
     pages_for, ControlConfig, Executor, ExecutorConfig, KvConfig, KvPool, PageId, PageTable,
-    Placement, PoolRole, Request, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
-    KV_BITS,
+    Placement, PoolRole, Request, RuntimeReport, Scheduler, SchedulerConfig, SchedulingPolicy,
+    SessionArena, KV_BITS,
 };
 use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
 use proptest::prelude::*;
+
+/// Every request of a completed pre-submitted run retired whole: the
+/// scheduler holds no session, and the report lists each request once, in
+/// submission order, with its prompt and exactly its output tokens.
+/// Retirement itself debug-asserts the rest of a finished session's
+/// invariants (prefill target fully prefilled, no KV page mapped, first
+/// token no earlier than arrival).
+fn every_request_retired_whole(
+    ex: &Executor,
+    report: &RuntimeReport,
+    requests: &[Request],
+) -> Result<(), TestCaseError> {
+    prop_assert!(ex.scheduler().sessions().is_empty(), "a session never retired");
+    prop_assert_eq!(ex.scheduler().retired_session_count(), requests.len());
+    prop_assert_eq!(report.requests.len(), requests.len());
+    for (i, (r, request)) in report.requests.iter().zip(requests).enumerate() {
+        prop_assert_eq!(r.id.0, i as u64);
+        prop_assert_eq!(r.prompt_tokens, request.prompt_tokens);
+        prop_assert_eq!(r.output_tokens, request.output_tokens);
+    }
+    Ok(())
+}
 
 prop_compose! {
     fn request_strategy()(
@@ -197,11 +219,9 @@ proptest! {
         // Sharded / data-parallel execution conserves the workload exactly.
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
-        prop_assert_eq!(report.requests.len(), requests.len());
-        for s in ex.scheduler().sessions() {
-            prop_assert_eq!(s.generated_tokens, s.request.output_tokens);
-            prop_assert_eq!(s.prefilled_tokens, s.request.prompt_tokens);
-        }
+        every_request_retired_whole(&ex, &report, &requests)?;
+        // Nothing is preempted, so each prefill target is the prompt.
+        prop_assert!(report.requests.iter().all(|r| r.preemptions == 0));
         // No node's clock or busy time ever exceeds the makespan.
         let makespan = ex.clock_cycles();
         prop_assert_eq!(report.node_busy_cycles.len(), noc.nodes());
@@ -417,21 +437,16 @@ proptest! {
             ex.submit(*r);
         }
         let report = ex.run();
-        prop_assert_eq!(report.requests.len(), requests.len());
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
-        for s in ex.scheduler().sessions() {
-            prop_assert!(s.is_finished(), "a preempted session starved");
-            prop_assert_eq!(s.generated_tokens, s.request.output_tokens);
-            prop_assert_eq!(s.page_table.mapped_pages(), 0, "finished sessions hold pages");
-        }
+        every_request_retired_whole(&ex, &report, &requests)?;
         prop_assert_eq!(ex.scheduler().kv_used_pages(), 0, "pages leaked");
         let capacity = report.kv.capacity_pages.unwrap();
         prop_assert!(report.kv.peak_used_pages <= capacity);
         // Stall accounting is exact: a fixed fault cost per evicted page.
         prop_assert_eq!(
             report.kv.fault_stall_cycles,
-            report.kv.evicted_pages * ExecutorConfig::default().fault_stall_cycles
+            report.kv.evicted_pages * Executor::FAULT_STALL_CYCLES
         );
         // Preemption implies recompute debt and vice versa.
         prop_assert_eq!(report.kv.preemptions > 0, report.kv.reprefill_tokens > 0);
@@ -474,7 +489,7 @@ proptest! {
         let mut ex = Executor::with_placement(
             MugiAccelerator::new(64),
             Scheduler::with_kv(config, kv),
-            ExecutorConfig { kv_bucket: page_tokens, control, ..ExecutorConfig::default() },
+            ExecutorConfig { kv_bucket: page_tokens, control },
             placement,
         );
         for r in &requests {
@@ -558,14 +573,9 @@ proptest! {
             ex.submit(*r);
         }
         let report = ex.run();
-        prop_assert_eq!(report.requests.len(), requests.len());
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
-        for s in ex.scheduler().sessions() {
-            prop_assert!(s.is_finished(), "a session starved across the handoff");
-            prop_assert_eq!(s.generated_tokens, s.request.output_tokens);
-            prop_assert_eq!(s.page_table.mapped_pages(), 0, "finished sessions hold pages");
-        }
+        every_request_retired_whole(&ex, &report, &requests)?;
         prop_assert_eq!(ex.scheduler().kv_used_pages(), 0, "pages leaked");
         prop_assert_eq!(ex.pending_migration_count(), 0, "a migration was stranded");
         // Transfers flow exactly when KV moves; swaps never appear without
@@ -615,11 +625,9 @@ proptest! {
             .map(|r| r.model.config().kv_cache_bytes(r.prompt_tokens + 1, KV_BITS))
             .sum();
         prop_assert_eq!(report.kv.transfer_bytes, expected_bytes);
-        for s in ex.scheduler().sessions() {
-            prop_assert_eq!(
-                u64::from(s.migrations),
-                u64::from(s.request.output_tokens >= 2)
-            );
+        every_request_retired_whole(&ex, &report, &requests)?;
+        for (r, request) in report.requests.iter().zip(&requests) {
+            prop_assert_eq!(u64::from(r.migrations), u64::from(request.output_tokens >= 2));
         }
     }
 
@@ -731,15 +739,9 @@ proptest! {
             ex.submit(*r);
         }
         let report = ex.run();
-        prop_assert_eq!(report.requests.len(), requests.len());
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
-        for s in ex.scheduler().sessions() {
-            prop_assert!(s.is_finished());
-            prop_assert_eq!(s.generated_tokens, s.request.output_tokens);
-            prop_assert_eq!(s.page_table.mapped_pages(), 0, "finished sessions hold pages");
-            prop_assert!(s.first_token_cycle.unwrap() >= s.request.arrival_cycle);
-        }
+        every_request_retired_whole(&ex, &report, &requests)?;
         prop_assert_eq!(ex.scheduler().kv_used_pages(), 0, "pages leaked");
         prop_assert_eq!(ex.pending_migration_count(), 0, "a migration was stranded");
         let makespan = ex.clock_cycles();

@@ -20,11 +20,10 @@
 
 use mugi_numerics::fields::{FloatFields, Special};
 use mugi_numerics::nonlinear::NonlinearOp;
-use serde::{Deserialize, Serialize};
 
 /// How the sliding window places itself inside the full LUT window for each
 /// mapping (a batch of inputs processed together).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WindowStrategy {
     /// Anchor the top of the window at the maximum observed exponent
     /// (the E-proc "Max" mode; natural for softmax where what matters most is
@@ -38,7 +37,7 @@ pub enum WindowStrategy {
 }
 
 /// Configuration of the VLP nonlinear approximation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VlpApproxConfig {
     /// Mantissa bits kept by input approximation (Section 3.2). 3 in the paper.
     pub mantissa_bits: u8,
@@ -212,7 +211,7 @@ impl NonlinearLut {
 
 /// The sliding window chosen for one mapping: a contiguous range of exponents
 /// of length `window_size` within the full LUT window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlidingWindow {
     /// Lowest exponent covered by the window.
     pub lo: i32,
@@ -271,7 +270,7 @@ pub fn select_window_iter(
 
 /// Per-call counts of a VLP approximation. Its cycles are priced by
 /// `mugi-arch` (`Design::nonlinear_cycles`), not here.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ApproxStats {
     /// Number of elements approximated.
     pub elements: usize,

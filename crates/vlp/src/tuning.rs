@@ -8,13 +8,12 @@
 //! search against an arbitrary layer-quality oracle.
 
 use crate::approx::{VlpApproxConfig, WindowStrategy};
-use serde::{Deserialize, Serialize};
 
 /// One candidate window anchor (the `Fixed` strategy's low exponent).
 pub type WindowAnchor = i32;
 
 /// The result of tuning one layer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LayerTuning {
     /// Layer index.
     pub layer: usize,
@@ -27,7 +26,7 @@ pub struct LayerTuning {
 
 /// The full per-layer tuning trace, mirroring the progressive curve the paper
 /// plots in Figure 7.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuningTrace {
     /// Per-layer decisions in tuning order.
     pub layers: Vec<LayerTuning>,
