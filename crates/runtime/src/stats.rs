@@ -304,12 +304,31 @@ pub struct StatsFold {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_fold(mut hash: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^k` (mod 2^64) for `k` in `0..=8`.
+#[expect(clippy::indexing_slicing, reason = "`k` runs over the array's own indices")]
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    hash
+    powers
+};
+
+/// FNV-1a over the eight little-endian bytes of `word`. A zero byte's step
+/// `(h ^ 0)·P` is `h·P`, so the zero bytes above the highest non-zero one
+/// fold as one multiply by `P^k`.
+fn fnv_fold(mut hash: u64, word: u64) -> u64 {
+    let mut rest = word;
+    let mut zero_bytes = 8;
+    while rest != 0 {
+        hash = (hash ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+        zero_bytes -= 1;
+    }
+    #[expect(clippy::indexing_slicing, reason = "a u64 has at most 8 bytes, so `zero_bytes <= 8`")]
+    hash.wrapping_mul(FNV_PRIME_POWERS[zero_bytes])
 }
 
 impl StatsFold {
@@ -436,6 +455,47 @@ impl fmt::Display for ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// FNV-1a one byte at a time over all eight bytes: the reference the
+    /// significant-byte fold must equal.
+    fn fnv_fold_bytewise(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes()
+            .iter()
+            .fold(hash, |h, &byte| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn fnv_fold_matches_the_bytewise_reference_on_edge_words() {
+        let mut words = vec![0, u64::MAX];
+        words.extend((0..64).map(|b| 1u64 << b));
+        words.extend((0..8).map(|k| 0xffu64 << (8 * k)));
+        // Interior zero bytes below the highest non-zero one.
+        words.extend([0x0100, 0x01_0000_0001, 0x8000_0000_0000_0001, 0x00ff_0000_0000_00ff]);
+        for hash in [FNV_OFFSET, 0, 1, u64::MAX] {
+            for &word in &words {
+                assert_eq!(
+                    fnv_fold(hash, word),
+                    fnv_fold_bytewise(hash, word),
+                    "{hash:#x} {word:#x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fnv_fold_matches_the_bytewise_reference(
+            hash in any::<u64>(),
+            word in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // Shifting right spreads the sweep over every significant-byte
+            // count, not just full eight-byte words.
+            let word = word >> shift;
+            prop_assert_eq!(fnv_fold(hash, word), fnv_fold_bytewise(hash, word));
+        }
+    }
 
     #[test]
     fn percentiles_of_uniform_population() {

@@ -191,7 +191,18 @@ impl Iterator for WorkloadStream {
 /// rounded to whole cycles. `1 - u` never hits zero, so the gap is finite.
 fn exponential_gap(rng: &mut SmallRng, mean_gap_cycles: u64) -> u64 {
     let u: f64 = rng.gen();
-    u64_from_f64((-(1.0 - u).ln() * mean_gap_cycles as f64).round())
+    round_gap(-(1.0 - u).ln() * mean_gap_cycles as f64)
+}
+
+/// `x.round()` (half away from zero) as a `u64`, for `0 ≤ x ≤ 2^53`. The
+/// fraction `x - trunc(x)` is exact, so comparing it with one half rounds
+/// exactly without calling the soft-float `round`.
+///
+/// # Panics
+/// Panics if `x` is NaN, negative (`-0.0` is zero), or above 2^53.
+fn round_gap(x: f64) -> u64 {
+    let whole = u64_from_f64(x);
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 /// Generates `count` deterministic requests round-robined across `models`
@@ -257,6 +268,42 @@ mod tests {
         }
         let c = synthetic_requests(43, 64, &models, spec);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn gap_rounding_equals_f64_round() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut xs = vec![0.0, -0.0, 1.0, two_52, 2.0 * two_52];
+        // Ties `k + 0.5` (exact below 2^52) and their neighbours.
+        for k in [0u64, 1, 2, 3, 7, 1_000, 1 << 31, 1 << 51, (1 << 52) - 1] {
+            let tie = k as f64 + 0.5;
+            xs.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        // Across [2^52, 2^53] every value is whole.
+        for k in 0..1_000u64 {
+            xs.extend([two_52 + k as f64, 2.0 * two_52 - k as f64]);
+        }
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..100_000 {
+            let u: f64 = rng.gen();
+            let k = rng.gen_range(0..1u64 << 52) as f64;
+            xs.extend([
+                u * (1u64 << rng.gen_range(0..=53)) as f64,
+                k + 0.5,
+                -(1.0 - u).ln() * rng.gen_range(1..=400_000_000_000u64) as f64,
+            ]);
+        }
+        for x in xs {
+            assert_eq!(round_gap(x), u64_from_f64(x.round()), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn gap_rounding_fails_loud_out_of_range() {
+        let above = ((1u64 << 53) as f64).next_up();
+        for x in [f64::NAN, -1.0, -0.25, f64::NEG_INFINITY, above, f64::INFINITY] {
+            assert!(std::panic::catch_unwind(|| round_gap(x)).is_err(), "{x:?} did not panic");
+        }
     }
 
     #[test]

@@ -482,6 +482,22 @@ fn streamed_run_ending_on_a_rejected_tail_arrival_terminates() {
     }
 }
 
+/// The identity checksum the soak and the benchmark check against is plain
+/// FNV-1a, byte at a time, over each request's `(id, prompt, output)`
+/// words: an oracle independent of `StatsFold::fold_identity`.
+#[test]
+fn identity_checksum_is_fnv_over_the_identity_words() {
+    let spec =
+        WorkloadSpec { prompt_tokens: (8, 24), output_tokens: (1, 4), ..WorkloadSpec::default() }
+            .with_poisson_arrivals(3_000_000_000);
+    let requests = synthetic_requests(4242, 10_000, &[MODEL], spec);
+    let words: Vec<u64> = (0u64..)
+        .zip(&requests)
+        .flat_map(|(id, r)| [id, r.prompt_tokens as u64, r.output_tokens as u64])
+        .collect();
+    assert_eq!(StatsFold::identity_checksum_of(0, &requests), common::fnv(&words));
+}
+
 /// The 1M-request soak (ignored in the default tier; CI runs it with
 /// `--include-ignored`). Proves the two scale claims end to end:
 ///

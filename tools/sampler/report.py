@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self and inclusive time per function from a sampler.so profile.
 
-Usage: report.py PROFILE [--top N] [--within FUNCTION] [--callees FUNCTION]
+Usage: report.py PROFILE [--top N] [--within FUNCTION]
+                 [--callees FUNCTION | --callers FUNCTION [--depth N]]
 
 PROFILE is the file sampler.so wrote (SAMPLER_OUT). Each sample's program
 counters are attributed to the file mapped at that address, then
@@ -21,6 +22,16 @@ FUNCTION are shared out by the frame just inside the innermost such frame
 (its direct callee), with `(self)` for the samples where that frame is the
 innermost one: the split of one function's time across what it calls, e.g.
 `--callees ReferenceModel::layer`. Shares are of those stacks.
+
+With --callers FUNCTION, the mirror of --callees: the samples whose
+innermost frame's name contains FUNCTION (its self time) are shared out by
+their caller chain, the --depth frames (default 8) just outside that
+frame, innermost first, as `caller <- its caller <- ...`, or `(no caller)`.
+Generic arguments are dropped from the chain's names to keep it readable.
+It shows which paths spend one function's self time, e.g.
+`--callers occupy`. Inlined frames count, so a leaf inside iterator code
+may need a larger --depth to reach the function that matters. Shares are
+of those samples.
 """
 
 import argparse
@@ -106,14 +117,34 @@ def symbolise(path, addresses):
     return chains
 
 
+def without_generics(name):
+    """`name` with every `<...>` group removed, and the `::` left at either
+    end: `land_due<Take<..>>` reads `land_due`, `<Child>::wait` `wait`."""
+    kept, depth, previous = [], 0, ""
+    for char in name:
+        if char == "<":
+            depth += 1
+        elif char == ">" and depth and previous != "-":  # not a `->`
+            depth -= 1
+        elif not depth:
+            kept.append(char)
+        previous = char
+    return "".join(kept).strip(":") or name
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile")
     parser.add_argument("--top", type=int, default=30)
     parser.add_argument("--within", metavar="FUNCTION",
                         help="keep only stacks with a frame whose name contains FUNCTION")
-    parser.add_argument("--callees", metavar="FUNCTION",
-                        help="split the stacks through FUNCTION by its direct callee")
+    split = parser.add_mutually_exclusive_group()
+    split.add_argument("--callees", metavar="FUNCTION",
+                       help="split the stacks through FUNCTION by its direct callee")
+    split.add_argument("--callers", metavar="FUNCTION",
+                       help="split FUNCTION's self samples by their caller chain")
+    parser.add_argument("--depth", type=int, default=8, metavar="N",
+                        help="frames of caller chain --callers splits by (default 8)")
     args = parser.parse_args()
 
     header, executable, stacks, maps = read_profile(args.profile)
@@ -139,7 +170,7 @@ def main():
     chains = {path: symbolise(path, addresses) for path, addresses in wanted.items()}
 
     self_counts, inclusive_counts = collections.Counter(), collections.Counter()
-    callee_counts = collections.Counter()
+    split_counts = collections.Counter()
     kept = 0
     for sample in frames:
         names = []
@@ -156,7 +187,12 @@ def main():
             depth = next((i for i, name in enumerate(names) if args.callees in name), None)
             if depth is None:
                 continue
-            callee_counts[names[depth - 1] if depth else "(self)"] += 1
+            split_counts[names[depth - 1] if depth else "(self)"] += 1
+        if args.callers:
+            if args.callers not in names[0]:
+                continue
+            chain = (without_generics(name) for name in names[1:1 + args.depth])
+            split_counts[" <- ".join(chain) or "(no caller)"] += 1
         kept += 1
         self_counts[names[0]] += 1
         inclusive_counts.update(set(names))
@@ -164,9 +200,12 @@ def main():
     total = len(frames)
     print(f"{header}; {total} stacks from {args.profile}")
     tables = [("self", self_counts), ("inclusive", inclusive_counts)]
-    if args.within or args.callees:
+    if args.within or args.callees or args.callers:
         through = " and ".join(
-            f"{word} {name}" for word, name in (("within", args.within), ("through", args.callees))
+            f"{word} {name}" for word, name in (
+                ("within", args.within), ("through", args.callees),
+                ("with innermost frame", args.callers),
+            )
             if name
         )
         if not kept:
@@ -175,7 +214,9 @@ def main():
         print(f"{kept} stacks ({share:.2f}%) {through}; shares below are of those")
         total = kept
     if args.callees:
-        tables = [("callee", callee_counts)]
+        tables = [("callee", split_counts)]
+    if args.callers:
+        tables = [("callers", split_counts)]
     for title, counts in tables:
         print(f"\n{title:>9}  samples  function")
         for name, count in counts.most_common(args.top):
