@@ -4,7 +4,7 @@
 //!
 //! Each sweep returns exactly the text its binary prints and checks its own
 //! claims with `assert!`, so running it at either preset is also a test.
-//! Every engine is built from one `Scenario`.
+//! Every engine is built from one [`Scenario`].
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -14,32 +14,16 @@ use mugi::experiments::Preset;
 use mugi::report::TextTable;
 use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, phased_requests, synthetic_requests, ControlConfig, Executor, ExecutorConfig,
-    KvConfig, Placement, PlacementPolicy, Request, RuntimeReport, Scheduler, SchedulerConfig,
-    SchedulingPolicy, SloConfig, StatsFold, WorkloadSpec, WorkloadStream,
+    pages_for, phased_requests, synthetic_requests, ControlConfig, KvConfig, Placement,
+    PlacementPolicy, Request, RuntimeReport, Scenario, SchedulerConfig, SchedulingPolicy,
+    SloConfig, StatsFold, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
 const MODEL: ModelId = ModelId::Llama2_7b;
 const MIB: f64 = 1024.0 * 1024.0;
 
-/// One serving engine configuration: every node is a Mugi accelerator with
-/// `lanes` lanes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Scenario {
-    /// Lanes of each node's Mugi accelerator.
-    pub lanes: usize,
-    /// Batch formation.
-    pub scheduler: SchedulerConfig,
-    /// The paged KV cache and admission control.
-    pub kv: KvConfig,
-    /// The adaptive control plane.
-    pub control: ControlConfig,
-    /// The mesh and how work is placed on it.
-    pub placement: Placement,
-}
-
-/// What one [`Scenario::serve`] run produced.
+/// What one [`serve`] run produced.
 #[derive(Debug)]
 pub(crate) struct Served {
     /// The run's report.
@@ -52,54 +36,28 @@ pub(crate) struct Served {
     pub role_rerolls: u64,
 }
 
-impl Scenario {
-    /// One node of `lanes` lanes with default scheduling, an unbounded KV
-    /// pool and the controller off.
-    pub fn new(lanes: usize) -> Self {
-        Scenario {
-            lanes,
-            scheduler: SchedulerConfig::default(),
-            kv: KvConfig::default(),
-            control: ControlConfig::default(),
-            placement: Placement::single_node(),
-        }
+/// Submits every request up front, through admission control, and serves
+/// the admitted ones to completion on `scenario`'s engine.
+pub(crate) fn serve(scenario: &Scenario, requests: &[Request]) -> Served {
+    let mut engine = scenario.build().expect("every swept scenario is valid");
+    let mut admitted = 0;
+    for &r in requests {
+        admitted += usize::from(engine.try_submit(r).is_ok());
     }
+    let report = engine.run();
+    Served {
+        report,
+        admitted,
+        rejected: requests.len() - admitted,
+        role_rerolls: engine.role_reroll_count(),
+    }
+}
 
-    /// A fresh executor. Decode contexts are bucketed by the KV page size,
-    /// which a bounded pool requires (128 tokens unless `kv` says
-    /// otherwise, the executor's default).
-    pub fn executor(&self) -> Executor {
-        Executor::with_placement(
-            MugiAccelerator::new(self.lanes),
-            Scheduler::with_kv(self.scheduler, self.kv),
-            ExecutorConfig { kv_bucket: self.kv.page_tokens, control: self.control },
-            self.placement,
-        )
-    }
-
-    /// Submits every request up front, through admission control, and
-    /// serves the admitted ones to completion.
-    pub fn serve(&self, requests: &[Request]) -> Served {
-        let mut engine = self.executor();
-        let mut admitted = 0;
-        for &r in requests {
-            admitted += usize::from(engine.try_submit(r).is_ok());
-        }
-        let report = engine.run();
-        Served {
-            report,
-            admitted,
-            rejected: requests.len() - admitted,
-            role_rerolls: engine.role_reroll_count(),
-        }
-    }
-
-    /// Serves `requests` as a stream: each is submitted, through admission
-    /// control, when simulated time reaches its arrival
-    /// ([`Executor::run_stream`]).
-    pub fn serve_stream(&self, requests: &[Request]) -> RuntimeReport {
-        self.executor().run_stream(requests.iter().copied())
-    }
+/// Serves `requests` as a stream on `scenario`'s engine: each is submitted,
+/// through admission control, when simulated time reaches its arrival
+/// ([`Executor::run_stream`](mugi_runtime::Executor::run_stream)).
+pub(crate) fn serve_stream(scenario: &Scenario, requests: &[Request]) -> RuntimeReport {
+    scenario.build().expect("every swept scenario is valid").run_stream(requests.iter().copied())
 }
 
 /// A table from rows of `(header, cell)` pairs, so each column's header
@@ -146,7 +104,7 @@ pub fn serving_sweep(preset: Preset) -> String {
                     policy,
                     ..SchedulerConfig::default()
                 };
-                let report = Scenario { scheduler, ..Scenario::new(256) }.serve(&requests).report;
+                let report = serve(&Scenario { scheduler, ..Scenario::new(256) }, &requests).report;
                 rows.push(vec![
                     ("policy", format!("{policy:?}")),
                     ("max_batch", max_batch.to_string()),
@@ -182,7 +140,7 @@ pub fn noc_sweep(preset: Preset) -> String {
 
     let mut rows = Vec::new();
     let frequency_hz = MugiAccelerator::new(256).frequency_hz();
-    let baseline = Scenario::new(256).serve(&requests).report;
+    let baseline = serve(&Scenario::new(256), &requests).report;
     let mut sharded_4x4_multiplier = 0.0;
     for &side in sides {
         let mesh = NocConfig { rows: side, cols: side };
@@ -196,7 +154,7 @@ pub fn noc_sweep(preset: Preset) -> String {
             let report = if mesh.nodes() == 1 {
                 baseline.clone()
             } else {
-                Scenario { placement, ..Scenario::new(256) }.serve(&requests).report
+                serve(&Scenario { placement, ..Scenario::new(256) }, &requests).report
             };
             let multiplier = report.throughput_tokens_per_s / baseline.throughput_tokens_per_s;
             if mesh.nodes() == 16 && policy == PlacementPolicy::Sharded {
@@ -281,7 +239,7 @@ pub fn kv_sweep(preset: Preset) -> String {
                     KvConfig::bounded(PAGE_TOKENS, pages).with_max_live_sessions(pages)
                 }
             };
-            let out = Scenario { kv, ..Scenario::new(128) }.serve(&requests);
+            let out = serve(&Scenario { kv, ..Scenario::new(128) }, &requests);
             let kv = &out.report.kv;
             assert_eq!(
                 out.report.requests.len(),
@@ -360,13 +318,13 @@ pub fn disagg_sweep(preset: Preset) -> String {
     let requests =
         synthetic_requests(13, count, &[MODEL], WorkloadSpec::mixed_long_prefill(40_000_000));
     let noc = NocConfig::mesh_4x4();
-    let serve = |placement: Placement, kv: KvConfig, requests: &[Request]| {
-        Scenario { kv, placement, ..Scenario::new(128) }.serve(requests).report
+    let run = |placement: Placement, kv: KvConfig, requests: &[Request]| {
+        serve(&Scenario { kv, placement, ..Scenario::new(128) }, requests).report
     };
 
     // Table 1: colocated vs disaggregated splits, unbounded KV.
     let splits: &[usize] = if quick { &[8] } else { &[4, 8, 12] };
-    let colocated = serve(Placement::data_parallel(noc), KvConfig::unbounded(), &requests);
+    let colocated = run(Placement::data_parallel(noc), KvConfig::unbounded(), &requests);
     let mut best_disagg_tpot_p95 = f64::INFINITY;
     let mut rows = Vec::new();
     let mut row = |label: String, report: &RuntimeReport| {
@@ -389,7 +347,7 @@ pub fn disagg_sweep(preset: Preset) -> String {
     row("4x4 data-parallel (colocated)".to_string(), &colocated);
     for &prefill_nodes in splits {
         let placement = Placement::disaggregated(noc, prefill_nodes);
-        let report = serve(placement, KvConfig::unbounded(), &requests);
+        let report = run(placement, KvConfig::unbounded(), &requests);
         assert_eq!(
             report.total_output_tokens, colocated.total_output_tokens,
             "disaggregation must conserve tokens"
@@ -428,8 +386,8 @@ pub fn disagg_sweep(preset: Preset) -> String {
     let pool_pages = max_pages(&pressure, page_tokens) + 2;
     let placement = Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2);
     let bounded = KvConfig::bounded(page_tokens, pool_pages);
-    let recompute = serve(placement, bounded, &pressure);
-    let swap = serve(placement, bounded.with_swap_preemption(), &pressure);
+    let recompute = run(placement, bounded, &pressure);
+    let swap = run(placement, bounded.with_swap_preemption(), &pressure);
     let mut rows = Vec::new();
     for (label, report) in [("recompute", &recompute), ("swap", &swap)] {
         rows.push(vec![
@@ -522,8 +480,8 @@ pub fn adaptive_sweep(preset: Preset) -> String {
     // micro-batch round per generated token. Prefill is token_budget-bound
     // (2048/512 = 4 chunks per batch) so the cap leaves it untouched.
     let scheduler = SchedulerConfig { max_batch: 4, ..SchedulerConfig::default() };
-    let serve = |placement: Placement, control: ControlConfig| {
-        Scenario { scheduler, control, placement, ..Scenario::new(128) }.serve(&requests)
+    let run = |placement: Placement, control: ControlConfig| {
+        serve(&Scenario { scheduler, control, placement, ..Scenario::new(128) }, &requests)
     };
 
     let splits: &[usize] = if quick { &[8] } else { &[4, 8, 12] };
@@ -544,7 +502,7 @@ pub fn adaptive_sweep(preset: Preset) -> String {
     let expected_tokens: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
     for &prefill_nodes in splits {
         let placement = Placement::disaggregated(noc, prefill_nodes);
-        let served = serve(placement, ControlConfig::default());
+        let served = run(placement, ControlConfig::default());
         assert_eq!(served.role_rerolls, 0, "a disabled controller must not re-roll");
         assert_eq!(served.report.total_output_tokens, expected_tokens);
         best_static_throughput = best_static_throughput.max(served.report.throughput_tokens_per_s);
@@ -559,7 +517,7 @@ pub fn adaptive_sweep(preset: Preset) -> String {
         min_demand_tokens: 64,
         ..ControlConfig::default()
     };
-    let served = serve(Placement::disaggregated(noc, 8), control);
+    let served = run(Placement::disaggregated(noc, 8), control);
     let (adaptive, rerolls) = (&served.report, served.role_rerolls);
     assert_eq!(adaptive.total_output_tokens, expected_tokens);
     row("adaptive (from disagg-8p8d)".to_string(), &served);
@@ -616,13 +574,13 @@ pub fn adaptive_sweep(preset: Preset) -> String {
     slo_requests.sort_by_key(|r| r.arrival_cycle);
     let slo = SloConfig { target_ttft_cycles: TARGET_TTFT_CYCLES, cycles_per_prefill_token: GUESS };
     let [guess, calibrated] = [false, true].map(|calibrate| {
-        Scenario {
+        let scenario = Scenario {
             kv: KvConfig { slo: Some(slo), ..KvConfig::default() },
             control: ControlConfig { calibrate_slo: calibrate, ..ControlConfig::default() },
             placement: Placement::disaggregated(noc, 8),
             ..Scenario::new(128)
-        }
-        .serve_stream(&slo_requests)
+        };
+        serve_stream(&scenario, &slo_requests)
     });
     let mut rows = Vec::new();
     for (label, report) in [("static guess", &guess), ("calibrated", &calibrated)] {
@@ -800,7 +758,7 @@ fn run_per_step(cfg: &ScaleConfig, count: usize) -> ScaleRow {
     let t0 = Instant::now();
     let requests: Vec<Request> =
         WorkloadStream::new(SCALE_SEED, &[MODEL], cfg.spec).take(count).collect();
-    let report = cfg.scenario.serve(&requests).report;
+    let report = serve(&cfg.scenario, &requests).report;
     ScaleRow {
         engine: "per-step",
         wall_s: t0.elapsed().as_secs_f64(),
@@ -820,7 +778,7 @@ fn run_event_folded(cfg: &ScaleConfig, count: usize) -> ScaleRow {
         reason = "wall-clock timing of the host run; measures the simulator, never feeds simulated state"
     )]
     let t0 = Instant::now();
-    let mut ex = cfg.scenario.executor();
+    let mut ex = cfg.scenario.build().expect("every swept scenario is valid");
     let report =
         ex.run_stream_folded(WorkloadStream::new(SCALE_SEED, &[MODEL], cfg.spec).take(count));
     ScaleRow {

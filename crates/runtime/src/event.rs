@@ -108,7 +108,8 @@ impl EventQueue {
 
 /// A forwarding wrapper over [`Executor`]. It stays only because the
 /// benchmark (`perfbench/`) builds its serving workloads through it; every
-/// other caller uses [`Executor`] directly.
+/// other caller builds an [`Executor`] from a [`Scenario`](crate::Scenario).
+#[doc(hidden)]
 #[derive(Clone, Debug)]
 pub struct EventEngine {
     ex: Executor,
@@ -146,17 +147,16 @@ impl EventEngine {
 
 #[cfg(test)]
 mod tests {
-    use crate::executor::{Executor, ExecutorConfig};
+    use crate::executor::Executor;
     use crate::placement::Placement;
     use crate::request::Request;
-    use crate::scheduler::{Scheduler, SchedulerConfig};
+    use crate::scenario::Scenario;
     use crate::stats::StatsFold;
     use mugi::arch::noc::NocConfig;
-    use mugi::MugiAccelerator;
     use mugi_workloads::models::ModelId;
 
     fn executor() -> Executor {
-        Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()))
+        Scenario::new(128).build().unwrap()
     }
 
     #[test]
@@ -181,12 +181,8 @@ mod tests {
         // for one of them and the 70B session's first 512-token chunk for
         // the other, long before the 7B session's decode steps, which then
         // land earlier than that chunk.
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(128),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-        );
+        let placement = Placement::data_parallel(NocConfig { rows: 2, cols: 2 });
+        let mut ex = Scenario { placement, ..Scenario::new(128) }.build().unwrap();
         ex.run_stream([
             Request::new(ModelId::Llama2_7b, 32, 40),
             Request::new(ModelId::Llama2_70b, 2048, 2),

@@ -1,6 +1,7 @@
 //! The executor: drives a [`MugiAccelerator`] over scheduler-emitted
 //! micro-batches — on one node or across a NoC mesh — and aggregates
-//! per-request cycle/energy statistics.
+//! per-request cycle/energy statistics. Every executor is built by
+//! [`Scenario::build`], which checks the configuration first.
 //!
 //! Each dispatch asks the scheduler for one micro-batch, converts it into
 //! workload slices (decode contexts bucketed at paged-KV granularity) and
@@ -62,6 +63,7 @@ use crate::event::EventQueue;
 use crate::kv::{pages_for, AdmissionError, KvFreePages};
 use crate::placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 use crate::request::{Request, RequestId, Session, SessionState, ARENA_COMPACT_FLOOR};
+use crate::scenario::Scenario;
 use crate::scheduler::{BatchItem, MicroBatch, Scheduler};
 use crate::stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 use mugi::arch::cost::CostModel;
@@ -70,20 +72,16 @@ use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
 
-/// Executor configuration.
+/// The benchmark's way to build an engine by hand, kept for
+/// [`Executor::with_placement`]: build engines from a
+/// [`Scenario`](crate::Scenario) instead, which has no bucket to set.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExecutorConfig {
-    /// Decode contexts are rounded up to this many KV entries when building
-    /// workload slices (the paged-KV view of the cache). Coarser buckets
-    /// mean fewer distinct slice shapes and hotter estimate memos. Under a
-    /// bounded [`KvConfig`](crate::kv::KvConfig) this must equal the pool's
-    /// `page_tokens`, so the estimate view and the page-table view of a
-    /// context agree.
+    /// Must equal the KV pool's `page_tokens`: decode contexts are bucketed
+    /// at the page size.
     pub kv_bucket: usize,
-    /// The adaptive control plane (see [`crate::control`]): dynamic role
-    /// reassignment, online SLO calibration and load-aware migration
-    /// placement. Fully disabled by default, in which case the executor is
-    /// bit-identical to one predating the controller.
+    /// The adaptive control plane.
     pub control: ControlConfig,
 }
 
@@ -285,7 +283,8 @@ impl PerfFront {
 pub struct Executor {
     accel: MugiAccelerator,
     scheduler: Scheduler,
-    config: ExecutorConfig,
+    /// The adaptive control plane (see [`crate::control`]).
+    control: ControlConfig,
     placement: Placement,
     cost: CostModel,
     pool: NodePool,
@@ -368,51 +367,52 @@ impl Executor {
     /// charge nothing.
     pub const FAULT_STALL_CYCLES: u64 = 256;
 
-    /// Creates a single-node executor with the default KV bucketing.
-    pub fn new(accel: MugiAccelerator, scheduler: Scheduler) -> Self {
-        Self::with_placement(accel, scheduler, ExecutorConfig::default(), Placement::single_node())
-    }
-
-    /// Creates an executor dispatching onto a NoC mesh under `placement`.
-    /// One `accel` instance models every (identical) node of the pool, so
-    /// all nodes share its slice memo. With a 1×1 mesh the
-    /// executor behaves exactly like the single-node one, whatever the
-    /// policy.
+    /// Builds an engine by hand, as the benchmark does: the same checks and
+    /// the same construction as [`Scenario::build`](crate::Scenario::build),
+    /// which every other caller uses.
     ///
     /// # Panics
-    /// Panics if
-    /// * `kv_bucket` is zero;
-    /// * the KV pool is bounded and its `page_tokens` differs from
-    ///   `kv_bucket`;
-    /// * the placement is disaggregated with an empty prefill or decode
-    ///   pool, or with pools that do not add up to the mesh's node count.
+    /// Panics if `config.kv_bucket` differs from the KV pool's
+    /// `page_tokens`, or with the [`ConfigError`](crate::ConfigError) text
+    /// if the configuration breaks a rule.
+    #[doc(hidden)]
+    #[expect(clippy::panic, reason = "this entry point reports a broken configuration as a panic")]
     pub fn with_placement(
         accel: MugiAccelerator,
-        mut scheduler: Scheduler,
+        scheduler: Scheduler,
         config: ExecutorConfig,
         placement: Placement,
     ) -> Self {
-        assert!(config.kv_bucket > 0, "kv_bucket must be non-zero");
+        let kv = *scheduler.kv_config();
+        assert_eq!(
+            config.kv_bucket, kv.page_tokens,
+            "the executor's kv_bucket must equal the KV pool's page_tokens: a page and a \
+             decode-context bucket are the same granularity"
+        );
+        let scenario = Scenario {
+            lanes: accel.design_config().height,
+            scheduler: *scheduler.config(),
+            kv,
+            control: config.control,
+            placement,
+        };
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
+        Self::assemble(accel, scheduler, config.control, placement)
+    }
+
+    /// Builds the engine of a validated configuration. One `accel` instance
+    /// models every (identical) node of the pool, so all nodes share its
+    /// slice memo. With a 1×1 mesh the executor behaves exactly like a
+    /// single node, whatever the policy.
+    pub(crate) fn assemble(
+        accel: MugiAccelerator,
+        mut scheduler: Scheduler,
+        control: ControlConfig,
+        placement: Placement,
+    ) -> Self {
         let bounded = scheduler.kv_config().is_bounded();
-        if bounded {
-            assert_eq!(
-                scheduler.kv_config().page_tokens,
-                config.kv_bucket,
-                "the KV pool's page_tokens must equal the executor's kv_bucket: a page and a \
-                 decode-context bucket are the same granularity"
-            );
-        }
-        if let PlacementPolicy::Disaggregated { prefill_nodes, decode_nodes } = placement.policy {
-            assert!(
-                prefill_nodes > 0 && decode_nodes > 0,
-                "disaggregation needs at least one prefill node and one decode node"
-            );
-            assert_eq!(
-                prefill_nodes + decode_nodes,
-                placement.nodes(),
-                "the prefill and decode pools must partition the mesh exactly"
-            );
-        }
         let node_roles: Vec<PoolRole> =
             (0..placement.nodes()).map(|i| placement.node_role(i)).collect();
         // Partition the bounded KV capacity to match the placement: each
@@ -428,7 +428,7 @@ impl Executor {
         let disagg = matches!(placement.policy, PlacementPolicy::Disaggregated { .. });
         let multi_pool =
             bounded && placement.policy == PlacementPolicy::DataParallel && placement.nodes() > 1;
-        if config.control.calibrate_slo {
+        if control.calibrate_slo {
             scheduler.enable_slo_calibration();
         }
         // The scheduler may already hold sessions submitted before the
@@ -439,7 +439,7 @@ impl Executor {
         Executor {
             accel,
             scheduler,
-            config,
+            control,
             placement,
             cost,
             pool,
@@ -504,6 +504,12 @@ impl Executor {
     /// The scheduler (sessions, progress, configuration).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
+    }
+
+    /// The accelerator that prices every node's batches; its clones share
+    /// the slice memo.
+    pub fn accelerator(&self) -> &MugiAccelerator {
+        &self.accel
     }
 
     /// Diagnostic counters of the dispatch-side estimate memo: `(hits,
@@ -624,7 +630,7 @@ impl Executor {
         self.queue.count_pop(pending.end, false);
         self.scheduler.complete(&pending.batch, pending.end);
         self.clock_cycles = self.clock_cycles.max(pending.end);
-        if self.config.control.calibrate_slo {
+        if self.control.calibrate_slo {
             let prefill_tokens: u64 = pending
                 .batch
                 .items
@@ -648,7 +654,7 @@ impl Executor {
                 }
             }
             self.service_migrations(pending.end);
-            if self.config.control.reassign_roles {
+            if self.control.reassign_roles {
                 self.role_tick(pending.end);
             }
         }
@@ -735,7 +741,7 @@ impl Executor {
         }
         let fitting =
             decode_nodes.filter(|&i| self.scheduler.kv_free_pages(self.slot_of(i)).fits(pages));
-        if self.config.control.load_aware_migration {
+        if self.control.load_aware_migration {
             fitting.min_by_key(|&i| {
                 let pool = self.slot_of(i);
                 let free = self.scheduler.kv_free_pages(pool).ranking();
@@ -772,12 +778,12 @@ impl Executor {
             }
             return;
         }
-        if now.saturating_sub(self.last_flip_cycle) < self.config.control.min_flip_interval_cycles {
+        if now.saturating_sub(self.last_flip_cycle) < self.control.min_flip_interval_cycles {
             return;
         }
         let prefill_demand = self.scheduler.pending_prefill_total();
         let decode_demand = self.scheduler.pending_decode_tokens();
-        if prefill_demand + decode_demand < self.config.control.min_demand_tokens {
+        if prefill_demand + decode_demand < self.control.min_demand_tokens {
             return;
         }
         let current = self.node_roles.iter().filter(|&&r| r == PoolRole::Prefill).count();
@@ -1044,7 +1050,7 @@ impl Executor {
     /// from the accelerator's slice memo.
     fn price(&mut self, batch: &MicroBatch) -> Price {
         let mut slices = std::mem::take(&mut self.slice_scratch);
-        batch.slices_into(self.config.kv_bucket, &mut slices);
+        batch.slices_into(self.scheduler.kv_config().page_tokens, &mut slices);
         let front_key = FrontKey::pack(batch.model, &slices);
         let front_hash = mugi::shape_hash(&(batch.model, slices.as_slice()));
         let price = match self.perf_front.get(front_hash, front_key.as_ref()) {
@@ -1139,7 +1145,7 @@ impl Executor {
             PlacementPolicy::DataParallel | PlacementPolicy::Disaggregated { .. } => {
                 self.pool.dispatch_steps(node, start, end, steps)
             }
-            PlacementPolicy::Sharded => self.pool.dispatch_all(start, step_cycles),
+            PlacementPolicy::Sharded => self.pool.dispatch_all(start, end),
         }
         self.steps += steps;
         // Each item's energy is added once per step, in step order.
@@ -1193,7 +1199,7 @@ impl Executor {
     ///   move during a run, so `t` may not pass the second-smallest one.
     ///
     /// The run advances in *segments*. A segment's steps share one price,
-    /// since no item's context crosses a `kv_bucket` boundary inside it, so
+    /// since no item's context crosses a KV page boundary inside it, so
     /// they start at `t, t + c, …` for the price's step cycles `c`, and
     /// [`segment_steps`] gives their number in closed form. One bulk
     /// [`Scheduler::complete_and_reform`] and one [`Executor::occupy`] then
@@ -1243,8 +1249,8 @@ impl Executor {
             horizon = ready.map_or(horizon, |r| horizon.min(r));
         }
         let lag_limit = others.and(idle_clocks.1);
-        let kv_bucket = self.config.kv_bucket;
-        let bucket = |len: usize| pages_for(len, kv_bucket);
+        let page_tokens = self.scheduler.kv_config().page_tokens;
+        let bucket = |len: usize| pages_for(len, page_tokens);
         let mut last_start = None;
         loop {
             let t = self.in_flight[node].as_ref().expect("the run's batch is in flight").end;
@@ -1261,7 +1267,7 @@ impl Executor {
             let rebucket = items.iter().any(|i| bucket(i.context_len) != bucket(i.context_len + 1));
             let same_bucket = items
                 .iter()
-                .map(|i| bucket(i.context_len + 1) * kv_bucket - i.context_len)
+                .map(|i| bucket(i.context_len + 1) * page_tokens - i.context_len)
                 .min()
                 .map_or(0, u64_from_usize);
             if rebucket {
@@ -1573,15 +1579,19 @@ fn attribute_step_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::KvConfig;
     use crate::scheduler::SchedulerConfig;
     use mugi::arch::noc::NocConfig;
     use mugi_workloads::models::ModelId;
     use mugi_workloads::ops::Phase;
 
+    fn executor(placement: Placement) -> Executor {
+        Scenario { placement, ..Scenario::new(128) }.build().unwrap()
+    }
+
     #[test]
     fn single_request_runs_to_completion_with_sane_stats() {
-        let mut ex =
-            Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
+        let mut ex = executor(Placement::single_node());
         let id = ex.submit(Request::new(ModelId::Llama2_7b, 200, 5));
         let report = ex.run();
         assert_eq!(report.requests.len(), 1);
@@ -1606,8 +1616,7 @@ mod tests {
     fn first_front_probe_counts_as_a_miss() {
         // The first probe finds the slot table still unsized; it must be
         // counted like any later miss.
-        let mut ex =
-            Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
+        let mut ex = executor(Placement::single_node());
         ex.submit(Request::new(ModelId::Llama2_7b, 64, 1));
         ex.run();
         assert_eq!(ex.perf_front_stats(), (0, 1, 1));
@@ -1729,21 +1738,14 @@ mod tests {
         // holds; a 2^21-entry context overflows its packed field.
         let long = batch((0..5).map(|i| decode(i, 100 + 200 * usize_from_u64(i))).collect());
         let wide = batch(vec![decode(0, 1 << FrontKey::FIELD_BITS)]);
-        let executor = |accel| {
-            Executor::with_placement(
-                accel,
-                Scheduler::new(SchedulerConfig::default()),
-                ExecutorConfig::default(),
-                Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-            )
-        };
-        let accel = MugiAccelerator::new(128);
-        let mut ex = executor(accel.clone());
+        let executor = || executor(Placement::data_parallel(NocConfig { rows: 2, cols: 2 }));
+        let mut ex = executor();
+        let accel = ex.accelerator().clone();
         for b in [&long, &wide] {
             let mut slices = Vec::new();
-            b.slices_into(ex.config.kv_bucket, &mut slices);
+            b.slices_into(ex.scheduler.kv_config().page_tokens, &mut slices);
             assert_eq!(FrontKey::pack(b.model, &slices), None);
-            let fresh = executor(MugiAccelerator::new(128)).price(b);
+            let fresh = executor().price(b);
             let misses = accel.slice_memo_stats().misses;
             assert_eq!(price_bits(ex.price(b)), price_bits(fresh));
             assert_eq!(accel.slice_memo_stats().misses - misses, u64_from_usize(slices.len()));
@@ -1760,7 +1762,12 @@ mod tests {
         // sessions already living in the scheduler it is handed.
         let mut sched = Scheduler::new(SchedulerConfig::default());
         sched.submit(Request::new(ModelId::Llama2_7b, 50, 2));
-        let mut ex = Executor::new(MugiAccelerator::new(128), sched);
+        let mut ex = Executor::with_placement(
+            MugiAccelerator::new(128),
+            sched,
+            ExecutorConfig::default(),
+            Placement::single_node(),
+        );
         let late = ex.submit(Request::new(ModelId::Llama2_7b, 50, 2));
         let report = ex.run();
         assert_eq!(report.requests.len(), 2);
@@ -1769,17 +1776,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "kv_bucket must equal the KV pool's page_tokens")]
+    fn hand_built_engines_bucket_at_the_page_size() {
+        let kv = KvConfig { page_tokens: 32, ..KvConfig::unbounded() };
+        Executor::with_placement(
+            MugiAccelerator::new(64),
+            Scheduler::with_kv(SchedulerConfig::default(), kv),
+            ExecutorConfig::default(),
+            Placement::single_node(),
+        );
+    }
+
+    #[test]
     fn report_between_steps_lists_only_the_retired_prefix() {
         // r1 decodes 16 tokens while r2 stops at 3: r2 finishes behind the
         // unfinished r1 and is not listed until r1 finishes too. The NoC
         // energy covers every session, retired or live, with the bits the
         // report had when it summed every session's accounting in id order.
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            Placement::data_parallel(NocConfig { rows: 2, cols: 1 }),
-        );
+        let placement = Placement::data_parallel(NocConfig { rows: 2, cols: 1 });
+        let mut ex = Scenario { placement, ..Scenario::new(64) }.build().unwrap();
         for (prompt, output) in [(32, 2), (64, 16), (48, 3)] {
             ex.submit(Request::new(ModelId::Llama2_7b, prompt, output));
         }
@@ -1807,8 +1822,7 @@ mod tests {
 
     #[test]
     fn staggered_arrival_jumps_the_clock() {
-        let mut ex =
-            Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
+        let mut ex = executor(Placement::single_node());
         ex.submit(Request::new(ModelId::Llama2_7b, 32, 1).arriving_at(1_000_000));
         let report = ex.run();
         assert!(ex.clock_cycles() > 1_000_000);
@@ -1818,8 +1832,7 @@ mod tests {
 
     #[test]
     fn decode_steps_reuse_cached_traces() {
-        let mut ex =
-            Executor::new(MugiAccelerator::new(128), Scheduler::new(SchedulerConfig::default()));
+        let mut ex = executor(Placement::single_node());
         ex.submit(Request::new(ModelId::Llama2_7b, 100, 40));
         let report = ex.run();
         // 1 prefill + 39 decode micro-batches, but the bucketed decode
@@ -1897,12 +1910,7 @@ mod tests {
         let requests: Vec<Request> =
             (0..8).map(|i| Request::new(ModelId::Llama2_7b, 100 + i * 40, 6)).collect();
         let run = |placement: Placement| {
-            let mut ex = Executor::with_placement(
-                MugiAccelerator::new(128),
-                Scheduler::new(SchedulerConfig::default()),
-                ExecutorConfig::default(),
-                placement,
-            );
+            let mut ex = executor(placement);
             for r in &requests {
                 ex.submit(*r);
             }
@@ -1930,12 +1938,7 @@ mod tests {
             })
             .collect();
         let run = |placement: Placement| {
-            let mut ex = Executor::with_placement(
-                MugiAccelerator::new(128),
-                Scheduler::new(SchedulerConfig::default()),
-                ExecutorConfig::default(),
-                placement,
-            );
+            let mut ex = executor(placement);
             for r in &requests {
                 ex.submit(*r);
             }

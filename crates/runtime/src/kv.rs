@@ -120,9 +120,9 @@ pub struct SloConfig {
 /// Static configuration of the paged KV cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KvConfig {
-    /// KV entries per page. Must match the executor's decode-context
-    /// bucketing granularity (`ExecutorConfig::kv_bucket`) for the paged
-    /// view and the estimate view of a context to agree.
+    /// KV entries per page, and the granularity the executor buckets
+    /// decode contexts at for its estimates, so the paged view and the
+    /// estimate view of a context agree.
     pub page_tokens: usize,
     /// Physical pages per node, or `None` for an unbounded pool (no
     /// bookkeeping at all — the pre-paging behaviour).
@@ -160,34 +160,26 @@ impl KvConfig {
     }
 
     /// A bounded pool of `node_pages` pages of `page_tokens` KV entries on
-    /// every node.
-    ///
-    /// # Panics
-    /// Panics if `page_tokens` or `node_pages` is zero.
+    /// every node. Both must be non-zero for a [`Scenario`](crate::Scenario)
+    /// to build.
     pub fn bounded(page_tokens: usize, node_pages: usize) -> Self {
-        assert!(page_tokens > 0, "page_tokens must be non-zero");
-        assert!(node_pages > 0, "node_pages must be non-zero");
         KvConfig { page_tokens, node_pages: Some(node_pages), ..KvConfig::unbounded() }
     }
 
     /// Sizes a bounded pool from a per-node KV-byte budget and the dominant
     /// model's dimensions: `node_pages = budget / bytes-per-page`, where one
     /// page holds `page_tokens` BF16 KV entries across all layers and KV
-    /// heads of `model`.
-    ///
-    /// # Panics
-    /// Panics if `page_tokens` is zero or the budget is smaller than one
-    /// page.
+    /// heads of `model`. A budget smaller than one page gives a pool of
+    /// zero pages, which a [`Scenario`](crate::Scenario) rejects.
     pub fn for_budget(model: ModelId, node_kv_bytes: u64, page_tokens: usize) -> Self {
         let page_bytes = model.config().kv_cache_bytes(page_tokens, KV_BITS).max(1);
         let pages = node_kv_bytes / page_bytes;
-        assert!(pages > 0, "KV budget of {node_kv_bytes} B holds less than one page");
         KvConfig::bounded(page_tokens, usize_from_u64(pages))
     }
 
-    /// Sets the admission bound on concurrently live sessions.
+    /// Sets the admission bound on concurrently live sessions (non-zero
+    /// for a [`Scenario`](crate::Scenario) to build).
     pub fn with_max_live_sessions(mut self, bound: usize) -> Self {
-        assert!(bound > 0, "max_live_sessions must be non-zero");
         self.max_live_sessions = Some(bound);
         self
     }
@@ -200,13 +192,9 @@ impl KvConfig {
         self
     }
 
-    /// Enables the projected-TTFT admission bound.
-    ///
-    /// # Panics
-    /// Panics if either parameter is zero.
+    /// Enables the projected-TTFT admission bound (both parameters
+    /// non-zero for a [`Scenario`](crate::Scenario) to build).
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
-        assert!(slo.target_ttft_cycles > 0, "target_ttft_cycles must be non-zero");
-        assert!(slo.cycles_per_prefill_token > 0, "cycles_per_prefill_token must be non-zero");
         self.slo = Some(slo);
         self
     }
@@ -799,6 +787,7 @@ pub mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ConfigError, Scenario};
 
     #[test]
     fn pages_for_rounds_up_and_never_returns_zero() {
@@ -964,10 +953,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "target_ttft_cycles must be non-zero")]
     fn zero_slo_target_rejected() {
-        KvConfig::unbounded()
+        let kv = KvConfig::unbounded()
             .with_slo(SloConfig { target_ttft_cycles: 0, cycles_per_prefill_token: 1 });
+        let err = Scenario { kv, ..Scenario::new(64) }.build().err();
+        assert_eq!(err, Some(ConfigError::Zero("kv.slo.target_ttft_cycles")));
+        assert!(err.unwrap().to_string().contains("target_ttft_cycles must be non-zero"));
     }
 
     #[test]
@@ -996,9 +987,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "less than one page")]
     fn budget_below_one_page_rejected() {
-        KvConfig::for_budget(ModelId::Llama2_7b, 1024, 128);
+        let kv = KvConfig::for_budget(ModelId::Llama2_7b, 1024, 128);
+        assert_eq!(kv.node_pages, Some(0), "1 KiB holds less than one page");
+        let err = Scenario { kv, ..Scenario::new(64) }.build().err();
+        assert_eq!(err, Some(ConfigError::Zero("kv.node_pages")));
     }
 
     #[test]

@@ -44,19 +44,19 @@
 //!   [`ScaleReport`] a folded run streams retired sessions into;
 //! * [`workload`] — deterministic synthetic request streams — materialized
 //!   via [`synthetic_requests`] or lazily via a [`WorkloadStream`] — with
-//!   uniform-spread or open-loop Poisson [`ArrivalModel`]s.
+//!   uniform-spread or open-loop Poisson [`ArrivalModel`]s;
+//! * [`scenario`] — the run description: a [`Scenario`] names the lanes,
+//!   scheduler, KV cache, control plane and placement of one engine, and
+//!   [`Scenario::build`] is the one way to build an [`Executor`], returning
+//!   a typed [`ConfigError`] for a configuration that breaks a rule.
 //!
 //! # Example
 //!
 //! ```
-//! use mugi::MugiAccelerator;
-//! use mugi_runtime::{Executor, Request, Scheduler, SchedulerConfig};
+//! use mugi_runtime::{Request, Scenario};
 //! use mugi_workloads::models::ModelId;
 //!
-//! let mut engine = Executor::new(
-//!     MugiAccelerator::new(256),
-//!     Scheduler::new(SchedulerConfig::default()),
-//! );
+//! let mut engine = Scenario::new(256).build().expect("the defaults are valid");
 //! engine.submit(Request::new(ModelId::Llama2_7b, 128, 8));
 //! engine.submit(Request::new(ModelId::Llama2_70b, 256, 4));
 //! let report = engine.run();
@@ -92,6 +92,7 @@ pub mod executor;
 pub mod kv;
 pub mod placement;
 pub mod request;
+pub mod scenario;
 pub mod scheduler;
 pub mod stats;
 pub mod workload;
@@ -105,6 +106,7 @@ pub use kv::{
 };
 pub use placement::{NodePool, Placement, PlacementPolicy, PoolRole};
 pub use request::{Request, RequestId, Session, SessionArena, SessionState};
+pub use scenario::{ConfigError, Scenario};
 pub use scheduler::{
     BatchItem, DecodeOrder, MicroBatch, Migration, Scheduler, SchedulerConfig, SchedulingPolicy,
     SwapOut,

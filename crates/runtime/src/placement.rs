@@ -119,17 +119,11 @@ impl Placement {
     }
 
     /// Disaggregated placement over `noc`: the first `prefill_nodes` nodes
-    /// prefill, the rest decode.
-    ///
-    /// # Panics
-    /// Panics unless `0 < prefill_nodes < noc.nodes()` (both pools need at
-    /// least one node).
+    /// prefill, the rest decode. A [`Scenario`](crate::Scenario) builds it
+    /// only if `0 < prefill_nodes < noc.nodes()` (both pools need at least
+    /// one node).
     pub fn disaggregated(noc: NocConfig, prefill_nodes: usize) -> Self {
-        assert!(
-            prefill_nodes > 0 && prefill_nodes < noc.nodes(),
-            "disaggregation needs at least one prefill node and one decode node"
-        );
-        let decode_nodes = noc.nodes() - prefill_nodes;
+        let decode_nodes = noc.nodes().saturating_sub(prefill_nodes);
         Placement { noc, policy: PlacementPolicy::Disaggregated { prefill_nodes, decode_nodes } }
     }
 
@@ -181,12 +175,9 @@ pub struct NodePool {
 }
 
 impl NodePool {
-    /// Creates a pool of `nodes` idle nodes at cycle zero.
-    ///
-    /// # Panics
-    /// Panics if `nodes` is zero.
+    /// Creates a pool of `nodes` idle nodes at cycle zero (a
+    /// [`Scenario`](crate::Scenario) has at least one).
     pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "a node pool needs at least one node");
         NodePool { free_at: vec![0; nodes], busy_cycles: vec![0; nodes], steps: vec![0; nodes] }
     }
 
@@ -195,9 +186,9 @@ impl NodePool {
         self.free_at.len()
     }
 
-    /// A pool is never empty (construction requires at least one node).
+    /// Whether the pool has no node.
     pub fn is_empty(&self) -> bool {
-        false
+        self.free_at.is_empty()
     }
 
     /// The node among `idle` with the earliest free time (ties to the lowest
@@ -231,11 +222,6 @@ impl NodePool {
         &self.free_at
     }
 
-    /// Occupies node `i` with a batch running `[start, start + cycles)`.
-    pub fn dispatch_one(&mut self, i: usize, start: u64, cycles: u64) {
-        self.dispatch_steps(i, start, start + cycles, 1);
-    }
-
     /// Occupies node `i` with `steps` back-to-back batches filling
     /// `[start, end)` (the steps of one decode-run segment).
     pub fn dispatch_steps(&mut self, i: usize, start: u64, end: u64, steps: u64) {
@@ -245,11 +231,11 @@ impl NodePool {
         self.steps[i] += steps;
     }
 
-    /// Occupies every node with a gang-scheduled (sharded) batch running
-    /// `[start, start + cycles)`.
-    pub fn dispatch_all(&mut self, start: u64, cycles: u64) {
+    /// Occupies every node with one gang-scheduled (sharded) batch running
+    /// `[start, end)`.
+    pub fn dispatch_all(&mut self, start: u64, end: u64) {
         for i in 0..self.len() {
-            self.dispatch_one(i, start, cycles);
+            self.dispatch_steps(i, start, end, 1);
         }
     }
 
@@ -276,6 +262,7 @@ impl NodePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ConfigError, Scenario};
 
     #[test]
     fn placement_labels_and_nodes() {
@@ -302,9 +289,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one prefill node and one decode node")]
     fn disaggregation_needs_both_pools() {
-        Placement::disaggregated(NocConfig::mesh_4x4(), 16);
+        let placement = Placement::disaggregated(NocConfig::mesh_4x4(), 16);
+        let err = Scenario { placement, ..Scenario::new(64) }.build().err();
+        let bad = ConfigError::BadSplit { prefill_nodes: 16, decode_nodes: 0, nodes: 16 };
+        assert_eq!(err, Some(bad));
+        assert!(err.unwrap().to_string().contains("at least one prefill node and one decode node"));
     }
 
     #[test]
@@ -312,15 +302,15 @@ mod tests {
         let mut pool = NodePool::new(3);
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.earliest(0..3), Some(0));
-        pool.dispatch_one(0, 0, 100);
+        pool.dispatch_steps(0, 0, 100, 1);
         assert_eq!(pool.free_at(0), 100);
         assert_eq!(pool.earliest([1, 2].into_iter()), Some(1));
-        pool.dispatch_one(1, 50, 25);
+        pool.dispatch_steps(1, 50, 75, 1);
         assert_eq!(pool.earliest(0..3).unwrap(), 2);
         pool.wait_until(2, 80);
         assert_eq!(pool.free_at(2), 80);
         assert_eq!(pool.busy_cycles(2), 0, "waiting is not busy time");
-        pool.dispatch_all(100, 10);
+        pool.dispatch_all(100, 110);
         assert!(pool.clocks().iter().all(|&c| c == 110));
         assert_eq!(pool.steps(0), 2);
         assert_eq!(pool.steps(2), 1);
@@ -330,8 +320,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
     fn empty_pool_rejected() {
-        NodePool::new(0);
+        let placement = Placement::data_parallel(NocConfig { rows: 0, cols: 3 });
+        let err = Scenario { placement, ..Scenario::new(64) }.build().err();
+        assert_eq!(err, Some(ConfigError::EmptyMesh { rows: 0, cols: 3 }));
+        assert!(err.unwrap().to_string().contains("at least one node"));
     }
 }

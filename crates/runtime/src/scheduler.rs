@@ -92,6 +92,7 @@ use crate::kv::{
 };
 use crate::placement::PoolRole;
 use crate::request::{Request, RequestId, Session, SessionArena, SessionState};
+use crate::scenario::validate_scheduling;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
@@ -139,18 +140,6 @@ pub struct SchedulerConfig {
     pub policy: SchedulingPolicy,
     /// Decode-slot order within a model.
     pub decode_order: DecodeOrder,
-}
-
-impl SchedulerConfig {
-    /// Validates the caps.
-    ///
-    /// # Panics
-    /// Panics if any cap is zero.
-    fn validate(&self) {
-        assert!(self.max_batch > 0, "max_batch must be non-zero");
-        assert!(self.token_budget > 0, "token_budget must be non-zero");
-        assert!(self.prefill_chunk > 0, "prefill_chunk must be non-zero");
-    }
 }
 
 impl Default for SchedulerConfig {
@@ -431,9 +420,11 @@ pub struct Migration {
 
 impl Scheduler {
     /// Creates an empty scheduler with an unbounded KV pool (no paging).
+    /// Engines are built from a [`Scenario`](crate::Scenario) instead.
     ///
     /// # Panics
     /// Panics if any configured cap is zero.
+    #[doc(hidden)]
     pub fn new(config: SchedulerConfig) -> Self {
         Scheduler::with_kv(config, KvConfig::default())
     }
@@ -441,12 +432,16 @@ impl Scheduler {
     /// Creates an empty scheduler managing a paged KV cache. A bounded
     /// `kv` starts with a single pool of `kv.node_pages` pages; an executor
     /// repartitions it per placement via [`Scheduler::configure_kv_pools`].
+    /// Engines are built from a [`Scenario`](crate::Scenario) instead.
     ///
     /// # Panics
-    /// Panics if any configured cap is zero.
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if a cap or
+    /// a KV field breaks a rule.
+    #[doc(hidden)]
     pub fn with_kv(config: SchedulerConfig, kv: KvConfig) -> Self {
-        config.validate();
-        assert!(kv.page_tokens > 0, "page_tokens must be non-zero");
+        if let Err(e) = validate_scheduling(&config, &kv) {
+            panic!("{e}");
+        }
         let pools = match kv.node_pages {
             Some(pages) => vec![KvPool::bounded(pages)],
             None => Vec::new(),
@@ -1198,8 +1193,13 @@ impl Scheduler {
         // 2. Prefill chunks with the remaining budget, in policy order. A
         // chunk from a page-holding session (sunk recompute cost) may
         // preempt like a decode slot; a fresh admission defers instead when
-        // free pages fall short of its projected need — and defers the rest
-        // of the queue with it, so admission keeps strict policy order.
+        // free pages fall short of its projected need. A session that
+        // cannot get its pages defers every younger one behind it, so
+        // admission keeps strict policy order; an older one behind it still
+        // runs, since it outranks the blocker for pages. Under FCFS the
+        // queue is in id order, so none is older; under shortest-prefill-
+        // first, skipping the older ones could leave the oldest session
+        // blocked behind a younger one for good.
         if role != PoolRole::Decode {
             let mut waiting = std::mem::take(&mut self.scratch_ids);
             waiting.clear();
@@ -1213,9 +1213,15 @@ impl Scheduler {
             if policy == SchedulingPolicy::ShortestPrefillFirst {
                 waiting.sort_by_key(|&id| (self.sessions[self.sidx(id)].remaining_prefill(), id));
             }
+            let mut blocked_by: Option<RequestId> = None;
             for &id in &waiting {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
+                }
+                match blocked_by {
+                    Some(_) if policy == SchedulingPolicy::Fcfs => break,
+                    Some(b) if id > b => continue,
+                    _ => {}
                 }
                 if items.iter().any(|it| it.id == id) {
                     continue;
@@ -1235,7 +1241,8 @@ impl Scheduler {
                         // Fresh admission: defer (never preempt) when free
                         // pages fall short of the projected need.
                         if self.pools[pool].free_pages() < need {
-                            break;
+                            blocked_by = Some(id);
+                            continue;
                         }
                         let i = self.sidx(id);
                         let grown =
@@ -1249,7 +1256,8 @@ impl Scheduler {
                         &mut evicted_pages,
                         &mut swapped_out,
                     ) {
-                        break;
+                        blocked_by = Some(id);
+                        continue;
                     }
                 }
                 items.push(BatchItem { id, phase: Phase::Prefill, tokens: chunk, context_len });
@@ -1626,6 +1634,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ConfigError, Scenario};
 
     fn request(model: ModelId, prompt: usize, output: usize) -> Request {
         Request::new(model, prompt, output)
@@ -1865,15 +1874,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "token_budget must be non-zero")]
     fn zero_budget_rejected() {
-        Scheduler::new(SchedulerConfig {
+        let scheduler = SchedulerConfig {
             max_batch: 1,
             token_budget: 0,
             prefill_chunk: 1,
             policy: SchedulingPolicy::Fcfs,
             ..SchedulerConfig::default()
-        });
+        };
+        let err = Scenario { scheduler, ..Scenario::new(64) }.build().err();
+        assert_eq!(err, Some(ConfigError::Zero("scheduler.token_budget")));
+        assert!(err.unwrap().to_string().contains("token_budget must be non-zero"));
     }
 
     use crate::kv::{AdmissionError, KvConfig};

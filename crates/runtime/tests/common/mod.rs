@@ -1,6 +1,27 @@
-//! Shared by the integration suites: a digest of a whole [`RuntimeReport`].
+//! Shared by the integration suites: a digest of a whole [`RuntimeReport`],
+//! the peak KV demand of a workload, and a pre-submitted run.
 
-use mugi_runtime::RuntimeReport;
+#![allow(dead_code, reason = "each suite compiles its own copy and uses a subset")]
+
+use mugi_runtime::{pages_for, Executor, Request, RuntimeReport, Scenario};
+
+/// The most KV pages any one of `requests` holds at its peak (its whole
+/// prompt plus every output token), at `page_tokens` entries per page.
+pub fn peak_pages(requests: &[Request], page_tokens: usize) -> usize {
+    let need = |r: &Request| pages_for(r.prompt_tokens + r.output_tokens, page_tokens);
+    requests.iter().map(need).max().expect("a workload has at least one request")
+}
+
+/// Builds `scenario`'s engine, submits every request up front and runs it
+/// to completion.
+pub fn run_presubmitted(scenario: &Scenario, requests: &[Request]) -> (Executor, RuntimeReport) {
+    let mut ex = scenario.build().unwrap();
+    for r in requests {
+        ex.submit(*r);
+    }
+    let report = ex.run();
+    (ex, report)
+}
 
 /// FNV-1a over every field of `report`, every float via `to_bits`: any
 /// perturbation of any per-request statistic, percentile or KV counter —

@@ -11,12 +11,11 @@
 
 mod common;
 
-use common::report_digest;
+use common::{report_digest, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    phased_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement, PoolRole,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec,
+    phased_requests, ControlConfig, KvConfig, Placement, PoolRole, Request, RuntimeReport,
+    Scenario, SloConfig, WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
@@ -88,24 +87,16 @@ fn adaptive() -> ControlConfig {
     }
 }
 
-fn run_executor(
-    requests: &[Request],
-    kv: KvConfig,
-    control: ControlConfig,
-    prefill_nodes: usize,
-) -> (RuntimeReport, u64) {
-    let mut engine = Executor::with_placement(
-        MugiAccelerator::new(128),
-        Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig { kv_bucket: kv.page_tokens, control },
-        Placement::disaggregated(NocConfig::mesh_4x4(), prefill_nodes),
-    );
-    for r in requests {
-        engine.submit(*r);
-    }
-    let report = engine.run();
-    let rerolls = engine.role_reroll_count();
-    (report, rerolls)
+/// 128-lane nodes over `kv` under `control`, on a 4×4 mesh with 8
+/// prefill and 8 decode nodes.
+fn mesh(kv: KvConfig, control: ControlConfig) -> Scenario {
+    let placement = Placement::disaggregated(NocConfig::mesh_4x4(), 8);
+    Scenario { kv, control, placement, ..Scenario::new(128) }
+}
+
+fn run_executor(requests: &[Request], control: ControlConfig) -> (RuntimeReport, u64) {
+    let (engine, report) = run_presubmitted(&mesh(KvConfig::unbounded(), control), requests);
+    (report, engine.role_reroll_count())
 }
 
 /// Controller knobs without any enabled feature must be bit-inert: tuning
@@ -120,9 +111,8 @@ fn disabled_controller_knobs_are_bit_inert() {
         ..ControlConfig::default()
     };
     assert!(!knobbed.reassign_roles && !knobbed.calibrate_slo && !knobbed.load_aware_migration);
-    let (baseline, base_rerolls) =
-        run_executor(&requests, KvConfig::unbounded(), ControlConfig::default(), 8);
-    let (tuned, tuned_rerolls) = run_executor(&requests, KvConfig::unbounded(), knobbed, 8);
+    let (baseline, base_rerolls) = run_executor(&requests, ControlConfig::default());
+    let (tuned, tuned_rerolls) = run_executor(&requests, knobbed);
     assert_eq!(base_rerolls, 0);
     assert_eq!(tuned_rerolls, 0);
     assert_eq!(baseline.kv.role_rerolls, 0);
@@ -138,17 +128,7 @@ fn disabled_controller_knobs_are_bit_inert() {
 #[test]
 fn adaptive_engines_agree_bit_for_bit() {
     let requests = shifting_mix(12, 36);
-    let kv = KvConfig::unbounded();
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(128),
-        Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig { kv_bucket: kv.page_tokens, control: adaptive() },
-        Placement::disaggregated(NocConfig::mesh_4x4(), 8),
-    );
-    for r in &requests {
-        ex.submit(*r);
-    }
-    let report = ex.run();
+    let (ex, report) = run_presubmitted(&mesh(KvConfig::unbounded(), adaptive()), &requests);
     assert_eq!(ex.role_reroll_count(), 31, "this mix must exercise the controller");
     assert_eq!(report_digest(&report), 0x15e78c831e1d6cec);
 }
@@ -162,12 +142,7 @@ fn adaptive_engines_agree_bit_for_bit() {
 fn bounded_rerolls_stay_quiescent_and_conserve_tokens() {
     let requests = shifting_mix(8, 24);
     let kv = KvConfig { node_pages: Some(48), ..KvConfig::default() };
-    let mut engine = Executor::with_placement(
-        MugiAccelerator::new(128),
-        Scheduler::with_kv(SchedulerConfig::default(), kv),
-        ExecutorConfig { kv_bucket: kv.page_tokens, control: adaptive() },
-        Placement::disaggregated(NocConfig::mesh_4x4(), 8),
-    );
+    let mut engine = mesh(kv, adaptive()).build().unwrap();
     for r in &requests {
         engine.submit(*r);
     }
@@ -221,24 +196,14 @@ fn calibration_tightens_streamed_admission() {
     let guess = 500;
     let mut results = Vec::new();
     for calibrate in [false, true] {
-        let mut engine = Executor::with_placement(
-            MugiAccelerator::new(128),
-            Scheduler::with_kv(
-                SchedulerConfig::default(),
-                KvConfig {
-                    slo: Some(SloConfig {
-                        target_ttft_cycles: 600_000_000_000,
-                        cycles_per_prefill_token: guess,
-                    }),
-                    ..KvConfig::default()
-                },
-            ),
-            ExecutorConfig {
-                control: ControlConfig { calibrate_slo: calibrate, ..ControlConfig::default() },
-                ..ExecutorConfig::default()
-            },
-            Placement::disaggregated(NocConfig::mesh_4x4(), 8),
-        );
+        let slo =
+            SloConfig { target_ttft_cycles: 600_000_000_000, cycles_per_prefill_token: guess };
+        let mut engine = mesh(
+            KvConfig { slo: Some(slo), ..KvConfig::default() },
+            ControlConfig { calibrate_slo: calibrate, ..ControlConfig::default() },
+        )
+        .build()
+        .unwrap();
         results.push(engine.run_stream(requests.iter().copied()));
     }
     let (stale, calibrated) = (&results[0], &results[1]);

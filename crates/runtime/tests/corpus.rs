@@ -19,12 +19,11 @@
 
 mod common;
 
-use common::{fnv, report_digest};
+use common::{fnv, peak_pages, report_digest};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, ControlConfig, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, Scheduler, SchedulerConfig, SloConfig, WorkloadSpec, WorkloadStream,
+    synthetic_requests, ControlConfig, Executor, KvConfig, Placement, Request, Scenario, SloConfig,
+    WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
@@ -38,9 +37,7 @@ struct Case {
     seed: u64,
     models: &'static [ModelId],
     spec: WorkloadSpec,
-    kv: KvConfig,
-    executor: ExecutorConfig,
-    placement: Placement,
+    scenario: Scenario,
 }
 
 /// Case `i`: placement cycles fastest, then KV regime, then controller;
@@ -68,11 +65,7 @@ fn case(i: usize) -> Case {
         _ => Placement::disaggregated(noc, 2),
     };
     let requests = synthetic_requests(seed, REQUESTS, models, spec);
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, PAGE_TOKENS))
-        .max()
-        .unwrap();
+    let max_need = peak_pages(&requests, PAGE_TOKENS);
     let mut kv = match (i / 4) % 3 {
         0 => KvConfig { page_tokens: PAGE_TOKENS, ..KvConfig::unbounded() },
         1 => KvConfig::bounded(PAGE_TOKENS, max_need + 1 + i % 3),
@@ -103,8 +96,7 @@ fn case(i: usize) -> Case {
     } else {
         ControlConfig::default()
     };
-    let executor = ExecutorConfig { kv_bucket: PAGE_TOKENS, control };
-    Case { seed, models, spec, kv, executor, placement }
+    Case { seed, models, spec, scenario: Scenario { kv, control, placement, ..Scenario::new(64) } }
 }
 
 /// One corpus row: `(pre-submitted micro-batches, pre-submitted digest,
@@ -113,16 +105,13 @@ fn case(i: usize) -> Case {
 type Row = (u64, u64, u64, u64, usize, u64);
 
 fn run_case(c: &Case) -> Row {
-    let scheduler = || Scheduler::with_kv(SchedulerConfig::default(), c.kv);
-    let mut ex =
-        Executor::with_placement(MugiAccelerator::new(64), scheduler(), c.executor, c.placement);
+    let mut ex = c.scenario.build().unwrap();
     for r in synthetic_requests(c.seed, REQUESTS, c.models, c.spec) {
         // Rejections are counted in the report, as in the streamed run.
         let _ = ex.try_submit(r);
     }
     let pre = ex.run();
-    let mut ev =
-        Executor::with_placement(MugiAccelerator::new(64), scheduler(), c.executor, c.placement);
+    let mut ev = c.scenario.build().unwrap();
     let streamed = ev.run_stream(WorkloadStream::new(c.seed, c.models, c.spec).take(REQUESTS));
     (
         pre.micro_batches,
@@ -156,13 +145,11 @@ fn serving_loop_matches_the_fingerprint_corpus() {
 }
 
 /// One horizon-edge case: explicit `(model, prompt tokens, output tokens,
-/// arrival cycle)` requests on one engine, with 16-token KV pages (128 for
-/// the two `serve_mixed_dp`-shaped cases).
+/// arrival cycle)` requests on one engine of 64-lane nodes, with 16-token
+/// KV pages (128 for the two `serve_mixed_dp`-shaped cases).
 struct Edge {
     name: &'static str,
-    placement: Placement,
-    kv: KvConfig,
-    control: ControlConfig,
+    scenario: Scenario,
     requests: &'static [(ModelId, usize, usize, u64)],
 }
 
@@ -173,23 +160,20 @@ struct Edge {
 fn edges() -> Vec<Edge> {
     use ModelId::{Llama2_13b as M13, Llama2_70b as M70, Llama2_7b as M7};
     let unbounded = KvConfig { page_tokens: 16, ..KvConfig::unbounded() };
+    let on = |placement, kv| Scenario { kv, placement, ..Scenario::new(64) };
     let dp = |rows, cols| Placement::data_parallel(NocConfig { rows, cols });
     vec![
         // The second request arrives while the first one decodes alone.
         Edge {
             name: "arrival mid-run",
-            placement: Placement::single_node(),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), unbounded),
             requests: &[(M7, 272, 44, 37_456_727_381), (M7, 1237, 33, 93_717_275_348)],
         },
         // A 13B prefill on one node finishes while a 70B session decodes on
         // the other.
         Edge {
             name: "another node finishes mid-run",
-            placement: dp(2, 1),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(dp(2, 1), unbounded),
             requests: &[(M70, 234, 30, 25_251_569_415), (M13, 601, 45, 89_354_282_377)],
         },
         // One bounded node of 12 pages: decode growth crosses page
@@ -197,9 +181,7 @@ fn edges() -> Vec<Edge> {
         // page holder.
         Edge {
             name: "page boundary mid-run",
-            placement: Placement::single_node(),
-            kv: KvConfig::bounded(16, 12),
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), KvConfig::bounded(16, 12)),
             requests: &[
                 (M7, 65, 30, 2_794_885_226),
                 (M7, 94, 39, 19_121_993_536),
@@ -210,14 +192,18 @@ fn edges() -> Vec<Edge> {
         // re-rolling node roles while decodes run.
         Edge {
             name: "role flip mid-run",
-            placement: Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
-            kv: KvConfig::bounded(16, 36).with_swap_preemption(),
-            control: ControlConfig {
-                reassign_roles: true,
-                load_aware_migration: true,
-                calibrate_slo: true,
-                min_flip_interval_cycles: 1_000_000,
-                min_demand_tokens: 16,
+            scenario: Scenario {
+                control: ControlConfig {
+                    reassign_roles: true,
+                    load_aware_migration: true,
+                    calibrate_slo: true,
+                    min_flip_interval_cycles: 1_000_000,
+                    min_demand_tokens: 16,
+                },
+                ..on(
+                    Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
+                    KvConfig::bounded(16, 36).with_swap_preemption(),
+                )
             },
             requests: &[
                 (M7, 357, 13, 487_012_939),
@@ -234,9 +220,7 @@ fn edges() -> Vec<Edge> {
         // seed 4242.
         Edge {
             name: "two idle nodes lag behind a run while a third is busy",
-            placement: dp(2, 2),
-            kv: KvConfig { page_tokens: 128, ..KvConfig::unbounded() },
-            control: ControlConfig::default(),
+            scenario: on(dp(2, 2), KvConfig { page_tokens: 128, ..KvConfig::unbounded() }),
             requests: &[
                 (M70, 1827, 58, 0),
                 (M70, 1636, 12, 2_343_129_193_085),
@@ -250,9 +234,7 @@ fn edges() -> Vec<Edge> {
         // would overtake, so they win the next formation instead.
         Edge {
             name: "lower-index idle node mid-run",
-            placement: dp(2, 2),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(dp(2, 2), unbounded),
             requests: &[
                 (M13, 677, 23, 8_139_674),
                 (M70, 1336, 36, 27_740_023),
@@ -265,9 +247,7 @@ fn edges() -> Vec<Edge> {
         // and its step length changes there.
         Edge {
             name: "re-bucket mid-run",
-            placement: Placement::single_node(),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), unbounded),
             requests: &[(M7, 100, 40, 0)],
         },
         // The second request arrives exactly at the end of the first
@@ -275,9 +255,7 @@ fn edges() -> Vec<Edge> {
         // not one later.
         Edge {
             name: "step end exactly on the horizon",
-            placement: Placement::single_node(),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), unbounded),
             requests: &[(M7, 100, 40, 0), (M7, 200, 8, 15_049_975_552)],
         },
         // The "two idle nodes lag" case with the 70B request at index 1
@@ -287,9 +265,7 @@ fn edges() -> Vec<Edge> {
         // timeline shifts rigidly, so the row equals that case's row.
         Edge {
             name: "lagging node clock equal to a step end",
-            placement: dp(2, 2),
-            kv: KvConfig { page_tokens: 128, ..KvConfig::unbounded() },
-            control: ControlConfig::default(),
+            scenario: on(dp(2, 2), KvConfig { page_tokens: 128, ..KvConfig::unbounded() }),
             requests: &[
                 (M70, 1827, 58, 0),
                 (M70, 1636, 12, 2_344_606_464_947),
@@ -303,18 +279,14 @@ fn edges() -> Vec<Edge> {
         // but each run stops where the next step needs a new page.
         Edge {
             name: "bounded single-pool run stops at a page boundary",
-            placement: Placement::single_node(),
-            kv: KvConfig::bounded(16, 64),
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), KvConfig::bounded(16, 64)),
             requests: &[(M7, 100, 40, 0)],
         },
         // Three sessions prefill in one batch and then decode together:
         // every step changes each item's share of the attention energy.
         Edge {
             name: "multi-item run",
-            placement: Placement::single_node(),
-            kv: unbounded,
-            control: ControlConfig::default(),
+            scenario: on(Placement::single_node(), unbounded),
             requests: &[(M7, 100, 40, 0), (M7, 37, 30, 0), (M7, 250, 45, 0)],
         },
     ]
@@ -334,11 +306,6 @@ fn run_edge(e: &Edge) -> EdgeRow {
             Request::new(model, prompt, output).arriving_at(arrival)
         })
         .collect();
-    let executor = ExecutorConfig { kv_bucket: e.kv.page_tokens, control: e.control };
-    let engine = || {
-        let scheduler = Scheduler::with_kv(SchedulerConfig::default(), e.kv);
-        Executor::with_placement(MugiAccelerator::new(64), scheduler, executor, e.placement)
-    };
     let digest = |ex: &Executor, report| {
         let queue = ex.queue();
         let mut words = vec![
@@ -350,12 +317,12 @@ fn run_edge(e: &Edge) -> EdgeRow {
         words.extend(ex.node_clocks());
         fnv(&words)
     };
-    let mut ex = engine();
+    let mut ex = e.scenario.build().unwrap();
     for &r in &requests {
         let _ = ex.try_submit(r);
     }
     let pre = ex.run();
-    let mut ev = engine();
+    let mut ev = e.scenario.build().unwrap();
     let streamed = ev.run_stream(requests);
     (pre.micro_batches, digest(&ex, &pre), streamed.micro_batches, digest(&ev, &streamed))
 }

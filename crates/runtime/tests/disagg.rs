@@ -3,20 +3,29 @@
 //! KV-migration transfer energy/stall counters, swap-style versus
 //! recompute-style preemption, and folded session retirement.
 
+mod common;
+
+use common::{peak_pages, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, DecodeOrder, Executor, ExecutorConfig, KvConfig, Placement,
-    Request, RuntimeReport, Scheduler, SchedulerConfig, StatsFold, WorkloadSpec, KV_BITS,
+    synthetic_requests, DecodeOrder, KvConfig, Placement, Request, RuntimeReport, Scenario,
+    SchedulerConfig, StatsFold, WorkloadSpec, KV_BITS,
 };
 use mugi_workloads::models::ModelId;
 
 const MODEL: ModelId = ModelId::Llama2_7b;
 
-/// The default configuration with the pre-refactor FCFS decode order — the
-/// exact scheduler the golden values below were captured from.
-fn fcfs_config() -> SchedulerConfig {
-    SchedulerConfig { decode_order: DecodeOrder::Fcfs, ..SchedulerConfig::default() }
+/// 64-lane nodes on `placement` with the pre-refactor FCFS decode order —
+/// the exact scheduler the golden values below were captured from.
+fn fcfs(kv: KvConfig, placement: Placement) -> Scenario {
+    let scheduler =
+        SchedulerConfig { decode_order: DecodeOrder::Fcfs, ..SchedulerConfig::default() };
+    Scenario { scheduler, kv, placement, ..Scenario::new(64) }
+}
+
+/// 64-lane nodes with default scheduling over `kv` on `placement`.
+fn on(kv: KvConfig, placement: Placement) -> Scenario {
+    Scenario { kv, placement, ..Scenario::new(64) }
 }
 
 /// Collapses a report to the bit patterns the golden test pins: every float
@@ -61,12 +70,9 @@ fn colocated_placements_match_pre_refactor_goldens_bit_for_bit() {
     // decode population (24) exceeds max_batch (16) and decode ordering
     // genuinely binds.
     let requests = synthetic_requests(11, 24, &[MODEL], WorkloadSpec::kv_pressure());
-    let mut ex = Executor::new(MugiAccelerator::new(64), Scheduler::new(fcfs_config()));
-    for r in &requests {
-        ex.submit(*r);
-    }
+    let scenario = fcfs(KvConfig::unbounded(), Placement::single_node());
     assert_eq!(
-        fingerprint(&ex.run()),
+        fingerprint(&run_presubmitted(&scenario, &requests).1),
         vec![
             0x409bd459ab6d00b4,
             0x3fef3e6bbf0c9c77,
@@ -93,22 +99,13 @@ fn colocated_placements_match_pre_refactor_goldens_bit_for_bit() {
     let page_tokens = 32;
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b];
     let requests = synthetic_requests(7, 20, &models, WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(fcfs_config(), KvConfig::bounded(page_tokens, max_need + 2)),
-        ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
+    let max_need = peak_pages(&requests, page_tokens);
+    let scenario = fcfs(
+        KvConfig::bounded(page_tokens, max_need + 2),
         Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
     );
-    for r in &requests {
-        ex.submit(*r);
-    }
     assert_eq!(
-        fingerprint(&ex.run()),
+        fingerprint(&run_presubmitted(&scenario, &requests).1),
         vec![
             0x409c992e107ed345,
             0x3fea666e015ae7c3,
@@ -132,17 +129,9 @@ fn colocated_placements_match_pre_refactor_goldens_bit_for_bit() {
 
     // Scenario C: sharded 2x2, unbounded.
     let requests = synthetic_requests(3, 16, &models, WorkloadSpec::default());
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::new(fcfs_config()),
-        ExecutorConfig::default(),
-        Placement::sharded(NocConfig { rows: 2, cols: 2 }),
-    );
-    for r in &requests {
-        ex.submit(*r);
-    }
+    let scenario = fcfs(KvConfig::unbounded(), Placement::sharded(NocConfig { rows: 2, cols: 2 }));
     assert_eq!(
-        fingerprint(&ex.run()),
+        fingerprint(&run_presubmitted(&scenario, &requests).1),
         vec![
             0x40839f2c5cc57dce,
             0x3fe0832435b68b66,
@@ -173,12 +162,7 @@ fn prefill_completion_migrates_kv_with_hand_computed_transfer_costs() {
     // session b (prompt 50, output 1) finishes *at* prefill completion and
     // must not migrate at all.
     let noc = NocConfig { rows: 2, cols: 1 };
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::new(SchedulerConfig::default()),
-        ExecutorConfig::default(),
-        Placement::disaggregated(noc, 1),
-    );
+    let mut ex = on(KvConfig::unbounded(), Placement::disaggregated(noc, 1)).build().unwrap();
     let a = ex.submit(Request::new(MODEL, 100, 4));
     let b = ex.submit(Request::new(MODEL, 50, 1));
     let report = ex.run();
@@ -193,7 +177,7 @@ fn prefill_completion_migrates_kv_with_hand_computed_transfer_costs() {
     assert_eq!(report.kv.transfer_bytes, bytes);
     assert_eq!(report.kv.transfer_stall_cycles, noc.transfer_cycles(bytes));
     assert_eq!(report.kv.swap_outs, 0);
-    let cost = MugiAccelerator::new(64).cost_model();
+    let cost = ex.accelerator().cost_model();
     let expected_uj = noc.transfer_energy_pj(bytes, &cost) * 1e-6;
     assert!((report.kv.transfer_energy_uj - expected_uj).abs() < 1e-12);
 
@@ -212,23 +196,15 @@ fn prefill_completion_migrates_kv_with_hand_computed_transfer_costs() {
 /// Runs the hand-traceable two-request overload on a 1-prefill/1-decode
 /// mesh with 4-token pages and 4-page pools.
 fn run_two_request_disagg(kv: KvConfig) -> RuntimeReport {
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(
-            SchedulerConfig {
-                max_batch: 2,
-                token_budget: 8,
-                prefill_chunk: 4,
-                ..SchedulerConfig::default()
-            },
-            kv,
-        ),
-        ExecutorConfig { kv_bucket: 4, ..ExecutorConfig::default() },
-        Placement::disaggregated(NocConfig { rows: 2, cols: 1 }, 1),
-    );
-    ex.submit(Request::new(MODEL, 4, 8));
-    ex.submit(Request::new(MODEL, 4, 8));
-    ex.run()
+    let scheduler = SchedulerConfig {
+        max_batch: 2,
+        token_budget: 8,
+        prefill_chunk: 4,
+        ..SchedulerConfig::default()
+    };
+    let placement = Placement::disaggregated(NocConfig { rows: 2, cols: 1 }, 1);
+    let scenario = Scenario { scheduler, kv, placement, ..Scenario::new(64) };
+    run_presubmitted(&scenario, &[Request::new(MODEL, 4, 8); 2]).1
 }
 
 #[test]
@@ -297,18 +273,7 @@ fn disaggregation_beats_colocated_decode_tpot_under_long_prefills() {
     // p95 by a wide margin on the same mesh.
     let requests =
         synthetic_requests(13, 24, &[MODEL], WorkloadSpec::mixed_long_prefill(40_000_000));
-    let run = |placement: Placement| {
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            placement,
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        ex.run()
-    };
+    let run = |placement| run_presubmitted(&on(KvConfig::unbounded(), placement), &requests).1;
     let noc = NocConfig { rows: 2, cols: 2 };
     let colocated = run(Placement::data_parallel(noc));
     let disagg = run(Placement::disaggregated(noc, 2));
@@ -331,14 +296,9 @@ fn incremental_retirement_matches_the_unretired_report() {
     // report of the same run, and both empty the scheduler's session window
     // instead of growing it with every submission.
     let requests = synthetic_requests(9, 32, &[MODEL], WorkloadSpec::default());
-    let build = || {
-        Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
-        )
-    };
+    let scenario =
+        on(KvConfig::unbounded(), Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2));
+    let build = || scenario.build().unwrap();
     let mut keep = build();
     let full = keep.run_stream(requests.iter().copied());
     let mut retire = build();
@@ -364,11 +324,7 @@ fn disaggregated_bounded_pools_conserve_tokens_and_pages() {
     // is in force, and every page must come home.
     let page_tokens = 32;
     let requests = synthetic_requests(11, 16, &[MODEL], WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
+    let max_need = peak_pages(&requests, page_tokens);
     let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
     for swap in [false, true] {
         let kv = if swap {
@@ -376,16 +332,8 @@ fn disaggregated_bounded_pools_conserve_tokens_and_pages() {
         } else {
             KvConfig::bounded(page_tokens, max_need + 1)
         };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let placement = Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2);
+        let (ex, report) = run_presubmitted(&on(kv, placement), &requests);
         let label = if swap { "swap" } else { "recompute" };
         assert_eq!(report.requests.len(), requests.len(), "{label}");
         assert_eq!(report.total_output_tokens, expected, "{label}");

@@ -12,12 +12,11 @@
 
 mod common;
 
-use common::report_digest;
+use common::{peak_pages, report_digest, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, Executor, ExecutorConfig, KvConfig, Placement, Request,
-    RuntimeReport, Scheduler, SchedulerConfig, SloConfig, StatsFold, WorkloadSpec, WorkloadStream,
+    synthetic_requests, KvConfig, Placement, Request, RuntimeReport, Scenario, SloConfig,
+    StatsFold, WorkloadSpec, WorkloadStream,
 };
 use mugi_workloads::models::ModelId;
 
@@ -62,31 +61,27 @@ fn fingerprint(report: &RuntimeReport) -> Vec<u64> {
     ]
 }
 
-/// One golden scenario: a workload plus the full executor configuration.
-struct Scenario {
+/// One golden case: a workload plus the engine it runs on, of 64-lane
+/// nodes.
+struct Golden {
     name: &'static str,
     requests: Vec<Request>,
-    scheduler: SchedulerConfig,
-    kv: KvConfig,
-    executor: ExecutorConfig,
-    placement: Placement,
+    scenario: Scenario,
 }
 
-/// The four golden scenarios, one per placement policy family. Each is
+/// The four golden cases, one per placement policy family. Each is
 /// deliberately overloaded enough that its policy's machinery genuinely
 /// binds (decode rotation, preemption, tiling, migration + swap).
-fn scenarios() -> Vec<Scenario> {
+fn scenarios() -> Vec<Golden> {
     let mut out = Vec::new();
+    let on = |placement, kv| Scenario { kv, placement, ..Scenario::new(64) };
 
     // A: single node, unbounded pool, 24 one-model requests so the decode
     // population (24) exceeds max_batch (16) and decode rotation binds.
-    out.push(Scenario {
+    out.push(Golden {
         name: "single-node",
         requests: synthetic_requests(21, 24, &[MODEL], WorkloadSpec::kv_pressure()),
-        scheduler: SchedulerConfig::default(),
-        kv: KvConfig::unbounded(),
-        executor: ExecutorConfig::default(),
-        placement: Placement::single_node(),
+        scenario: Scenario::new(64),
     });
 
     // B: data-parallel 2x2 with bounded per-node pools under real
@@ -94,22 +89,18 @@ fn scenarios() -> Vec<Scenario> {
     let page_tokens = 32;
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b];
     let requests = synthetic_requests(7, 20, &models, WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
-    out.push(Scenario {
+    let max_need = peak_pages(&requests, page_tokens);
+    out.push(Golden {
         name: "dp-bounded-kv",
         requests,
-        scheduler: SchedulerConfig::default(),
-        kv: KvConfig::bounded(page_tokens, max_need + 2),
-        executor: ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-        placement: Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+        scenario: on(
+            Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
+            KvConfig::bounded(page_tokens, max_need + 2),
+        ),
     });
 
     // C: sharded 2x2, unbounded, staggered arrivals.
-    out.push(Scenario {
+    out.push(Golden {
         name: "sharded",
         requests: synthetic_requests(
             3,
@@ -117,27 +108,20 @@ fn scenarios() -> Vec<Scenario> {
             &models,
             WorkloadSpec { arrival_spread_cycles: 30_000_000, ..WorkloadSpec::default() },
         ),
-        scheduler: SchedulerConfig::default(),
-        kv: KvConfig::unbounded(),
-        executor: ExecutorConfig::default(),
-        placement: Placement::sharded(NocConfig { rows: 2, cols: 2 }),
+        scenario: on(Placement::sharded(NocConfig { rows: 2, cols: 2 }), KvConfig::unbounded()),
     });
 
     // D: disaggregated 2p2d on a 2x2 mesh, bounded pools, swap-style
     // preemption — migrations, swap-outs and swap-ins all exercised.
     let requests = synthetic_requests(11, 16, &[MODEL], WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
-    out.push(Scenario {
+    let max_need = peak_pages(&requests, page_tokens);
+    out.push(Golden {
         name: "disagg-swap",
         requests,
-        scheduler: SchedulerConfig::default(),
-        kv: KvConfig::bounded(page_tokens, max_need + 1).with_swap_preemption(),
-        executor: ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-        placement: Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
+        scenario: on(
+            Placement::disaggregated(NocConfig { rows: 2, cols: 2 }, 2),
+            KvConfig::bounded(page_tokens, max_need + 1).with_swap_preemption(),
+        ),
     });
 
     out
@@ -290,22 +274,6 @@ fn per_step_report_digest(name: &str) -> u64 {
     }
 }
 
-/// Runs one pre-submitted scenario, returning the executor too so tests can
-/// inspect its queue counters after the run.
-fn run(s: &Scenario) -> (RuntimeReport, Executor) {
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(s.scheduler, s.kv),
-        s.executor,
-        s.placement,
-    );
-    for r in &s.requests {
-        ex.submit(*r);
-    }
-    let report = ex.run();
-    (report, ex)
-}
-
 /// Regeneration helper, not a check: prints every scenario's fingerprint in
 /// the hex layout of [`golden`], then its full-report digest as recorded in
 /// [`per_step_report_digest`]. Run it when a golden legitimately moves
@@ -317,13 +285,17 @@ fn run(s: &Scenario) -> (RuntimeReport, Executor) {
 fn print_fingerprints() {
     for s in scenarios() {
         println!("        \"{}\" => vec![", s.name);
-        for word in fingerprint(&run(&s).0) {
+        for word in fingerprint(&run_presubmitted(&s.scenario, &s.requests).1) {
             println!("            0x{word:016x},");
         }
         println!("        ],");
     }
     for s in scenarios() {
-        println!("        \"{}\" => 0x{:016x},", s.name, report_digest(&run(&s).0));
+        println!(
+            "        \"{}\" => 0x{:016x},",
+            s.name,
+            report_digest(&run_presubmitted(&s.scenario, &s.requests).1)
+        );
     }
 }
 
@@ -332,7 +304,7 @@ fn print_fingerprints() {
 #[test]
 fn event_engine_matches_goldens() {
     for s in scenarios() {
-        let (report, ex) = run(&s);
+        let (ex, report) = run_presubmitted(&s.scenario, &s.requests);
         assert_eq!(fingerprint(&report), golden(s.name), "fingerprint drifted for {}", s.name);
         // Every dispatched batch raised exactly one completion event.
         assert_eq!(ex.queue().pop_count(), report.micro_batches, "{}", s.name);
@@ -346,7 +318,7 @@ fn event_engine_matches_goldens() {
 #[test]
 fn event_engine_reports_equal_per_step_reports_exactly() {
     for s in scenarios() {
-        let (report, _) = run(&s);
+        let report = run_presubmitted(&s.scenario, &s.requests).1;
         assert_eq!(
             report_digest(&report),
             per_step_report_digest(s.name),
@@ -364,7 +336,7 @@ fn event_engine_reports_equal_per_step_reports_exactly() {
 fn event_queue_completion_pops_are_monotone() {
     for s in scenarios() {
         let single_pool = matches!(s.name, "single-node" | "sharded");
-        let (_, ex) = run(&s);
+        let ex = run_presubmitted(&s.scenario, &s.requests).0;
         let regressions = ex.queue().completion_time_regressions();
         if single_pool {
             assert_eq!(regressions, 0, "single-pool {} must pop monotonically", s.name);
@@ -385,23 +357,13 @@ fn event_queue_completion_pops_are_monotone() {
 fn streamed_poisson_run_matches_presubmitted() {
     let spec = WorkloadSpec::kv_pressure().with_poisson_arrivals(3_000_000);
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b];
-    let build = || {
-        Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), KvConfig::unbounded()),
-            ExecutorConfig::default(),
-            Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-        )
-    };
+    let placement = Placement::data_parallel(NocConfig { rows: 2, cols: 2 });
+    let scenario = Scenario { placement, ..Scenario::new(64) };
 
     let trace = synthetic_requests(97, 40, &models, spec);
-    let mut pre = build();
-    for r in &trace {
-        pre.submit(*r);
-    }
-    let presubmitted = pre.run();
+    let presubmitted = run_presubmitted(&scenario, &trace).1;
 
-    let mut streaming = build();
+    let mut streaming = scenario.build().unwrap();
     let streamed = streaming.run_stream(WorkloadStream::new(97, &models, spec).take(40));
 
     assert_eq!(presubmitted, streamed, "lazy submission must not perturb the report");
@@ -422,19 +384,11 @@ fn streamed_run_with_every_request_slo_rejected_terminates() {
         .with_poisson_arrivals(1);
     let slo = SloConfig { target_ttft_cycles: 3_000_000_000, cycles_per_prefill_token: 4_000_000 };
     let noc = NocConfig { rows: 2, cols: 2 };
-    let page_tokens = 32;
-    let kv = KvConfig { slo: Some(slo), ..KvConfig::bounded(page_tokens, 64) };
+    let kv = KvConfig { slo: Some(slo), ..KvConfig::bounded(32, 64) };
     for placement in
         [Placement::single_node(), Placement::data_parallel(noc), Placement::sharded(noc)]
     {
-        let build = || {
-            Executor::with_placement(
-                MugiAccelerator::new(64),
-                Scheduler::with_kv(SchedulerConfig::default(), kv),
-                ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-                placement,
-            )
-        };
+        let build = || Scenario { kv, placement, ..Scenario::new(64) }.build().unwrap();
         let stream = || WorkloadStream::new(6, &[MODEL], spec).take(COUNT);
         let report = build().run_stream(stream());
         assert_eq!(report.kv.rejected_requests, COUNT as u64, "{}", placement.label());
@@ -460,17 +414,8 @@ fn streamed_run_ending_on_a_rejected_tail_arrival_terminates() {
     for placement in
         [Placement::single_node(), Placement::data_parallel(NocConfig { rows: 2, cols: 2 })]
     {
-        let build = || {
-            Executor::with_placement(
-                MugiAccelerator::new(64),
-                Scheduler::with_kv(
-                    SchedulerConfig::default(),
-                    KvConfig { slo: Some(slo), ..KvConfig::unbounded() },
-                ),
-                ExecutorConfig::default(),
-                placement,
-            )
-        };
+        let kv = KvConfig { slo: Some(slo), ..KvConfig::unbounded() };
+        let build = || Scenario { kv, placement, ..Scenario::new(64) }.build().unwrap();
         let mut ex = build();
         let report = ex.run_stream(requests.iter().copied());
         assert_eq!(report.kv.rejected_requests, 1, "{}", placement.label());
@@ -520,8 +465,7 @@ fn soak_one_million_requests_in_bounded_memory() {
             .with_poisson_arrivals(3_000_000_000);
     let models = [MODEL];
 
-    let mut engine =
-        Executor::new(MugiAccelerator::new(64), Scheduler::new(SchedulerConfig::default()));
+    let mut engine = Scenario::new(64).build().unwrap();
     let report = engine.run_stream_folded(WorkloadStream::new(4242, &models, spec).take(COUNT));
 
     assert_eq!(report.fold.requests, COUNT as u64, "every request must retire");

@@ -7,23 +7,19 @@
 //! placements and is meant for the CI `--include-ignored` pass, not the
 //! default tier-1 loop.
 
+mod common;
+
+use common::{peak_pages, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    pages_for, synthetic_requests, Executor, ExecutorConfig, KvConfig, KvFreePages, Placement,
-    Request, Scheduler, SchedulerConfig, SchedulingPolicy, WorkloadSpec,
+    synthetic_requests, Executor, KvConfig, KvFreePages, Placement, Request, Scenario,
+    SchedulerConfig, SchedulingPolicy, WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
-/// Builds a single-node executor over a paged pool of `node_pages` pages of
-/// `page_tokens` KV entries.
-fn bounded_executor(config: SchedulerConfig, page_tokens: usize, node_pages: usize) -> Executor {
-    Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(config, KvConfig::bounded(page_tokens, node_pages)),
-        ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-        Placement::single_node(),
-    )
+/// A 64-lane engine over `kv` on `placement`.
+fn engine_on(kv: KvConfig, placement: Placement) -> Executor {
+    Scenario { kv, placement, ..Scenario::new(64) }.build().unwrap()
 }
 
 #[test]
@@ -34,12 +30,9 @@ fn deterministic_overload_preempts_and_every_request_completes() {
     // fights over a pool that barely fits one of them.
     let page_tokens = 32;
     let requests = synthetic_requests(11, 16, &[ModelId::Llama2_7b], WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
-    let mut engine = bounded_executor(SchedulerConfig::default(), page_tokens, max_need + 1);
+    let max_need = peak_pages(&requests, page_tokens);
+    let mut engine =
+        engine_on(KvConfig::bounded(page_tokens, max_need + 1), Placement::single_node());
     for r in &requests {
         engine.submit(*r);
     }
@@ -102,15 +95,8 @@ fn rejection_count_matches_hand_computed_backpressure() {
     let page_tokens = 32;
     let requests = synthetic_requests(5, 16, &[ModelId::Llama2_7b], WorkloadSpec::kv_pressure());
     let bound = 6;
-    let mut engine = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(
-            SchedulerConfig::default(),
-            KvConfig::bounded(page_tokens, 16).with_max_live_sessions(bound),
-        ),
-        ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-        Placement::single_node(),
-    );
+    let kv = KvConfig::bounded(page_tokens, 16).with_max_live_sessions(bound);
+    let mut engine = engine_on(kv, Placement::single_node());
     let mut admitted = 0usize;
     let mut rejected = 0usize;
     for r in &requests {
@@ -146,24 +132,15 @@ fn hand_computed_preemption_counters() {
     // * r1 re-prefills in 4-token chunks as pages free up and still
     //   finishes all 8 tokens.
     let fault = Executor::FAULT_STALL_CYCLES;
-    let mut engine = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(
-            SchedulerConfig {
-                max_batch: 2,
-                token_budget: 8,
-                prefill_chunk: 4,
-                policy: SchedulingPolicy::Fcfs,
-                ..SchedulerConfig::default()
-            },
-            KvConfig::bounded(4, 4),
-        ),
-        ExecutorConfig { kv_bucket: 4, ..ExecutorConfig::default() },
-        Placement::single_node(),
-    );
-    engine.submit(Request::new(ModelId::Llama2_7b, 4, 8));
-    engine.submit(Request::new(ModelId::Llama2_7b, 4, 8));
-    let report = engine.run();
+    let scheduler = SchedulerConfig {
+        max_batch: 2,
+        token_budget: 8,
+        prefill_chunk: 4,
+        policy: SchedulingPolicy::Fcfs,
+        ..SchedulerConfig::default()
+    };
+    let scenario = Scenario { scheduler, kv: KvConfig::bounded(4, 4), ..Scenario::new(64) };
+    let report = run_presubmitted(&scenario, &[Request::new(ModelId::Llama2_7b, 4, 8); 2]).1;
     assert_eq!(report.kv.preemptions, 1);
     assert_eq!(report.kv.evicted_pages, 2);
     assert_eq!(report.kv.reprefill_tokens, 8);
@@ -182,25 +159,10 @@ fn pressure_costs_latency_but_not_tokens() {
     // plus fault stalls are pure overhead).
     let page_tokens = 32;
     let requests = synthetic_requests(11, 12, &[ModelId::Llama2_7b], WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
-    let run = |kv: KvConfig| {
-        let mut engine = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            Placement::single_node(),
-        );
-        for r in &requests {
-            engine.submit(*r);
-        }
-        engine.run()
-    };
+    let max_need = peak_pages(&requests, page_tokens);
+    let run = |kv| run_presubmitted(&Scenario { kv, ..Scenario::new(64) }, &requests).1;
     let tight = run(KvConfig::bounded(page_tokens, max_need));
-    let roomy = run(KvConfig::unbounded());
+    let roomy = run(KvConfig { page_tokens, ..KvConfig::unbounded() });
     assert!(tight.kv.preemptions > 0);
     assert_eq!(roomy.kv.preemptions, 0);
     assert_eq!(tight.total_output_tokens, roomy.total_output_tokens);
@@ -221,11 +183,7 @@ fn soak_pool_sizes_policies_and_placements_all_drain() {
     let page_tokens = 64;
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b];
     let requests = synthetic_requests(7, 32, &models, WorkloadSpec::kv_pressure());
-    let max_need = requests
-        .iter()
-        .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-        .max()
-        .unwrap();
+    let max_need = peak_pages(&requests, page_tokens);
     let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
     let placements = [
         Placement::single_node(),
@@ -235,19 +193,13 @@ fn soak_pool_sizes_policies_and_placements_all_drain() {
     for policy in [SchedulingPolicy::Fcfs, SchedulingPolicy::ShortestPrefillFirst] {
         for extra in [0, 2, 8, 64] {
             for placement in placements {
-                let mut engine = Executor::with_placement(
-                    MugiAccelerator::new(64),
-                    Scheduler::with_kv(
-                        SchedulerConfig { policy, ..SchedulerConfig::default() },
-                        KvConfig::bounded(page_tokens, max_need + extra),
-                    ),
-                    ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
+                let scenario = Scenario {
+                    scheduler: SchedulerConfig { policy, ..SchedulerConfig::default() },
+                    kv: KvConfig::bounded(page_tokens, max_need + extra),
                     placement,
-                );
-                for r in &requests {
-                    engine.submit(*r);
-                }
-                let report = engine.run();
+                    ..Scenario::new(64)
+                };
+                let (engine, report) = run_presubmitted(&scenario, &requests);
                 let label = format!("{policy:?} +{extra} pages {}", placement.label());
                 assert_eq!(report.requests.len(), requests.len(), "{label}");
                 assert_eq!(report.total_output_tokens, expected, "{label}");
@@ -269,12 +221,8 @@ fn soak_pool_sizes_policies_and_placements_all_drain() {
 /// every node of a bounded multi-pool placement.
 #[test]
 fn idle_sort_headroom_is_bounded_on_every_valid_node() {
-    let mut ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(32, 8)),
-        ExecutorConfig { kv_bucket: 32, ..ExecutorConfig::default() },
-        Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-    );
+    let dp = Placement::data_parallel(NocConfig { rows: 2, cols: 2 });
+    let mut ex = engine_on(KvConfig::bounded(32, 8), dp);
     ex.submit(Request::new(ModelId::Llama2_7b, 16, 1));
     for node in 0..4 {
         assert_eq!(
@@ -284,12 +232,7 @@ fn idle_sort_headroom_is_bounded_on_every_valid_node() {
         );
     }
     // Unbounded configurations keep the explicit unbounded state instead.
-    let unb = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::new(SchedulerConfig::default()),
-        ExecutorConfig::default(),
-        Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-    );
+    let unb = engine_on(KvConfig::unbounded(), dp);
     assert_eq!(unb.kv_free_pages(3), KvFreePages::Unbounded);
 }
 
@@ -298,10 +241,8 @@ fn idle_sort_headroom_is_bounded_on_every_valid_node() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn idle_sort_headroom_panics_past_the_last_bounded_pool() {
-    let ex = Executor::with_placement(
-        MugiAccelerator::new(64),
-        Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(32, 8)),
-        ExecutorConfig { kv_bucket: 32, ..ExecutorConfig::default() },
+    let ex = engine_on(
+        KvConfig::bounded(32, 8),
         Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
     );
     let _ = ex.kv_free_pages(4); // one past the 2x2 mesh

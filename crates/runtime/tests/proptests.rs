@@ -11,13 +11,15 @@
 //! placement policy, streamed runs equal to pre-submitted ones,
 //! session-arena slots never aliased while live).
 
+mod common;
+
+use common::{peak_pages, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
-    pages_for, ControlConfig, Executor, ExecutorConfig, KvConfig, KvPool, PageId, PageTable,
-    Placement, PoolRole, Request, RuntimeReport, Scheduler, SchedulerConfig, SchedulingPolicy,
-    SessionArena, KV_BITS,
+    pages_for, ControlConfig, Executor, KvConfig, KvPool, PageId, PageTable, Placement, PoolRole,
+    Request, RuntimeReport, Scenario, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
+    KV_BITS,
 };
 use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
@@ -206,16 +208,7 @@ proptest! {
         let noc = NocConfig { rows, cols };
         let placement =
             if sharded { Placement::sharded(noc) } else { Placement::data_parallel(noc) };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            placement,
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let (ex, report) = run_presubmitted(&Scenario { placement, ..Scenario::new(64) }, &requests);
         // Sharded / data-parallel execution conserves the workload exactly.
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
@@ -246,28 +239,15 @@ proptest! {
     ) {
         let policy =
             if spf { SchedulingPolicy::ShortestPrefillFirst } else { SchedulingPolicy::Fcfs };
-        let config = SchedulerConfig { policy, ..SchedulerConfig::default() };
-        let run = |placement: Option<Placement>| {
-            let accel = MugiAccelerator::new(64);
-            let sched = Scheduler::new(config);
-            let mut ex = match placement {
-                None => Executor::new(accel, sched),
-                Some(p) => {
-                    Executor::with_placement(accel, sched, ExecutorConfig::default(), p)
-                }
-            };
-            for r in &requests {
-                ex.submit(*r);
-            }
-            ex.run()
+        let scheduler = SchedulerConfig { policy, ..SchedulerConfig::default() };
+        let run = |placement| {
+            run_presubmitted(&Scenario { scheduler, placement, ..Scenario::new(64) }, &requests).1
         };
-        // The plain single-node executor and both 1×1 placements must agree
-        // bit for bit, down to every per-request float.
-        let base = run(None);
-        let one_by_one = run(Some(Placement::single_node()));
-        let sharded = run(Some(Placement::sharded(NocConfig::single())));
-        prop_assert_eq!(&base, &one_by_one);
-        prop_assert_eq!(&base, &sharded);
+        // Both 1×1 placements must agree bit for bit, down to every
+        // per-request float.
+        let one_by_one = run(Placement::single_node());
+        let sharded = run(Placement::sharded(NocConfig::single()));
+        prop_assert_eq!(&one_by_one, &sharded);
     }
 
     #[test]
@@ -418,25 +398,13 @@ proptest! {
         // workload constantly preempts — yet every request must finish with
         // exact token accounting and every page must come home.
         let page_tokens = 32;
-        let max_need = requests
-            .iter()
-            .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-            .max()
-            .unwrap();
+        let max_need = peak_pages(&requests, page_tokens);
         let kv = KvConfig::bounded(page_tokens, max_need + headroom);
         let noc = NocConfig { rows, cols };
         let placement =
             if sharded { Placement::sharded(noc) } else { Placement::data_parallel(noc) };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            placement,
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let (ex, report) =
+            run_presubmitted(&Scenario { kv, placement, ..Scenario::new(64) }, &requests);
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
         every_request_retired_whole(&ex, &report, &requests)?;
@@ -465,11 +433,7 @@ proptest! {
         // mutation site were missed. The disaggregated case re-rolls node
         // roles, so drain sweeps recompute-evict too.
         let page_tokens = 32;
-        let max_need = requests
-            .iter()
-            .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-            .max()
-            .unwrap();
+        let max_need = peak_pages(&requests, page_tokens);
         let kv = KvConfig::bounded(page_tokens, max_need + headroom);
         let noc = NocConfig { rows: 2, cols: 2 };
         let (placement, control, prefill_chunk) = if disagg {
@@ -485,13 +449,9 @@ proptest! {
         } else {
             (Placement::data_parallel(noc), ControlConfig::default(), 512)
         };
-        let config = SchedulerConfig { prefill_chunk, ..SchedulerConfig::default() };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(config, kv),
-            ExecutorConfig { kv_bucket: page_tokens, control },
-            placement,
-        );
+        let scheduler = SchedulerConfig { prefill_chunk, ..SchedulerConfig::default() };
+        let mut ex =
+            Scenario { scheduler, kv, control, placement, ..Scenario::new(64) }.build().unwrap();
         for r in &requests {
             ex.submit(*r);
         }
@@ -519,14 +479,8 @@ proptest! {
         // perturb scheduling at all.
         let policy =
             if spf { SchedulingPolicy::ShortestPrefillFirst } else { SchedulingPolicy::Fcfs };
-        let config = SchedulerConfig { policy, ..SchedulerConfig::default() };
-        let run = |kv: KvConfig| {
-            let mut ex = Executor::new(MugiAccelerator::new(64), Scheduler::with_kv(config, kv));
-            for r in &requests {
-                ex.submit(*r);
-            }
-            ex.run()
-        };
+        let scheduler = SchedulerConfig { policy, ..SchedulerConfig::default() };
+        let run = |kv| run_presubmitted(&Scenario { scheduler, kv, ..Scenario::new(64) }, &requests).1;
         let unbounded = run(KvConfig::unbounded());
         let bounded = run(KvConfig::bounded(128, 1 << 20));
         prop_assert_eq!(bounded.kv.preemptions, 0);
@@ -553,26 +507,15 @@ proptest! {
         let page_tokens = 32;
         let noc = NocConfig { rows: 2, cols: 2 };
         let kv = if bounded {
-            let max_need = requests
-                .iter()
-                .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-                .max()
-                .unwrap();
+            let max_need = peak_pages(&requests, page_tokens);
             let kv = KvConfig::bounded(page_tokens, max_need + headroom);
             if swap { kv.with_swap_preemption() } else { kv }
         } else {
             KvConfig { page_tokens, ..KvConfig::unbounded() }
         };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            Placement::disaggregated(noc, prefill_nodes),
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let placement = Placement::disaggregated(noc, prefill_nodes);
+        let (ex, report) =
+            run_presubmitted(&Scenario { kv, placement, ..Scenario::new(64) }, &requests);
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
         every_request_retired_whole(&ex, &report, &requests)?;
@@ -603,16 +546,8 @@ proptest! {
         // migrated-page count is exactly the page equivalent of each
         // multi-token session's prompt-plus-first-token KV at handoff time.
         let noc = NocConfig { rows: 2, cols: 2 };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            Placement::disaggregated(noc, prefill_nodes),
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let placement = Placement::disaggregated(noc, prefill_nodes);
+        let (ex, report) = run_presubmitted(&Scenario { placement, ..Scenario::new(64) }, &requests);
         let page_tokens = ex.scheduler().kv_config().page_tokens;
         let multi: Vec<&Request> =
             requests.iter().filter(|r| r.output_tokens >= 2).collect();
@@ -642,26 +577,11 @@ proptest! {
         // reproduce the recompute run bit for bit even under heavy
         // preemption pressure.
         let page_tokens = 32;
-        let max_need = requests
-            .iter()
-            .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-            .max()
-            .unwrap();
+        let max_need = peak_pages(&requests, page_tokens);
         let noc = NocConfig { rows: 2, cols: 2 };
         let placement =
             if sharded { Placement::sharded(noc) } else { Placement::data_parallel(noc) };
-        let run = |kv: KvConfig| {
-            let mut ex = Executor::with_placement(
-                MugiAccelerator::new(64),
-                Scheduler::with_kv(SchedulerConfig::default(), kv),
-                ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-                placement,
-            );
-            for r in &requests {
-                ex.submit(*r);
-            }
-            ex.run()
-        };
+        let run = |kv| run_presubmitted(&Scenario { kv, placement, ..Scenario::new(64) }, &requests).1;
         let kv = KvConfig::bounded(page_tokens, max_need + headroom);
         let recompute = run(kv);
         let swap = run(kv.with_swap_preemption());
@@ -719,26 +639,14 @@ proptest! {
         // fingerprint corpus.)
         let page_tokens = 32;
         let kv = if bounded {
-            let max_need = requests
-                .iter()
-                .map(|r| pages_for(r.prompt_tokens + r.output_tokens, page_tokens))
-                .max()
-                .unwrap();
+            let max_need = peak_pages(&requests, page_tokens);
             let kv = KvConfig::bounded(page_tokens, max_need + headroom);
             if swap { kv.with_swap_preemption() } else { kv }
         } else {
-            KvConfig::unbounded()
+            KvConfig { page_tokens, ..KvConfig::unbounded() }
         };
-        let mut ex = Executor::with_placement(
-            MugiAccelerator::new(64),
-            Scheduler::with_kv(SchedulerConfig::default(), kv),
-            ExecutorConfig { kv_bucket: page_tokens, ..ExecutorConfig::default() },
-            placement,
-        );
-        for r in &requests {
-            ex.submit(*r);
-        }
-        let report = ex.run();
+        let (ex, report) =
+            run_presubmitted(&Scenario { kv, placement, ..Scenario::new(64) }, &requests);
         let expected: u64 = requests.iter().map(|r| r.output_tokens as u64).sum();
         prop_assert_eq!(report.total_output_tokens, expected);
         every_request_retired_whole(&ex, &report, &requests)?;
@@ -763,20 +671,9 @@ proptest! {
         // bit, provided arrivals are nondecreasing (the stable sort keeps
         // same-cycle requests in generation order, preserving ids).
         requests.sort_by_key(|r| r.arrival_cycle);
-        let build = || {
-            Executor::with_placement(
-                MugiAccelerator::new(64),
-                Scheduler::new(SchedulerConfig::default()),
-                ExecutorConfig::default(),
-                placement,
-            )
-        };
-        let mut pre = build();
-        for r in &requests {
-            pre.submit(*r);
-        }
-        let presubmitted = pre.run();
-        let mut streaming = build();
+        let scenario = Scenario { placement, ..Scenario::new(64) };
+        let presubmitted = run_presubmitted(&scenario, &requests).1;
+        let mut streaming = scenario.build().unwrap();
         let streamed = streaming.run_stream(requests.iter().copied());
         prop_assert_eq!(&presubmitted, &streamed);
         prop_assert_eq!(streaming.queue().arrival_time_regressions(), 0);

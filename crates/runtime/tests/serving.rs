@@ -1,11 +1,13 @@
 //! End-to-end serving integration: 64 concurrent requests across two models
 //! through the scheduler → executor → accelerator pipeline.
 
+mod common;
+
+use common::run_presubmitted;
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    synthetic_requests, Executor, ExecutorConfig, Placement, Scheduler, SchedulerConfig,
-    SchedulingPolicy, WorkloadSpec,
+    synthetic_requests, Executor, Placement, Scenario, SchedulerConfig, SchedulingPolicy,
+    WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
@@ -13,14 +15,8 @@ const MODELS: [ModelId; 2] = [ModelId::Llama2_7b, ModelId::Llama2_70b];
 
 fn run_with(policy: SchedulingPolicy) -> mugi_runtime::RuntimeReport {
     let requests = synthetic_requests(7, 64, &MODELS, WorkloadSpec::default());
-    let mut engine = Executor::new(
-        MugiAccelerator::new(256),
-        Scheduler::new(SchedulerConfig { policy, ..SchedulerConfig::default() }),
-    );
-    for r in &requests {
-        engine.submit(*r);
-    }
-    engine.run()
+    let scheduler = SchedulerConfig { policy, ..SchedulerConfig::default() };
+    run_presubmitted(&Scenario { scheduler, ..Scenario::new(256) }, &requests).1
 }
 
 #[test]
@@ -57,18 +53,8 @@ fn both_policies_generate_the_same_tokens() {
 #[test]
 fn sharded_mesh_serves_the_same_workload_much_faster() {
     let requests = synthetic_requests(7, 64, &MODELS, WorkloadSpec::default());
-    let run = |placement: Placement| {
-        let mut engine = Executor::with_placement(
-            MugiAccelerator::new(256),
-            Scheduler::new(SchedulerConfig::default()),
-            ExecutorConfig::default(),
-            placement,
-        );
-        for r in &requests {
-            engine.submit(*r);
-        }
-        engine.run()
-    };
+    let run =
+        |placement| run_presubmitted(&Scenario { placement, ..Scenario::new(256) }, &requests).1;
     let single = run(Placement::single_node());
     let mesh = run(Placement::sharded(NocConfig::mesh_4x4()));
     // Same tokens, same finished requests, near-linear throughput scaling.
@@ -89,9 +75,9 @@ fn sharded_mesh_serves_the_same_workload_much_faster() {
     assert!(mesh.node_busy_cycles.windows(2).all(|w| w[0] == w[1]));
 }
 
-/// Runs a small seeded `serve_mixed_dp`-shaped stream on `accel`: 64
+/// Runs a small seeded `serve_mixed_dp`-shaped stream on 64-lane nodes: 64
 /// requests of Llama 2 7B/13B/70B on a 2×2 data-parallel mesh.
-fn run_mixed_dp(accel: MugiAccelerator) -> (Executor, mugi_runtime::ScaleReport) {
+fn run_mixed_dp() -> (Executor, mugi_runtime::ScaleReport) {
     use mugi_runtime::WorkloadStream;
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
     let spec = WorkloadSpec {
@@ -100,12 +86,8 @@ fn run_mixed_dp(accel: MugiAccelerator) -> (Executor, mugi_runtime::ScaleReport)
         ..WorkloadSpec::default()
     }
     .with_poisson_arrivals(400_000_000_000);
-    let mut ex = Executor::with_placement(
-        accel,
-        Scheduler::new(SchedulerConfig::default()),
-        ExecutorConfig::default(),
-        Placement::data_parallel(NocConfig { rows: 2, cols: 2 }),
-    );
+    let placement = Placement::data_parallel(NocConfig { rows: 2, cols: 2 });
+    let mut ex = Scenario { placement, ..Scenario::new(64) }.build().unwrap();
     let report = ex.run_stream_folded(WorkloadStream::new(7, &models, spec).take(64));
     (ex, report)
 }
@@ -115,20 +97,18 @@ fn run_mixed_dp(accel: MugiAccelerator) -> (Executor, mugi_runtime::ScaleReport)
 /// replaced; the segments are the bulk advances.
 #[test]
 fn decode_runs_advance_in_fewer_segments_than_steps() {
-    let (ex, report) = run_mixed_dp(MugiAccelerator::new(64));
+    let (ex, report) = run_mixed_dp();
     let (runs, run_steps, segments) = ex.run_counters();
     assert_eq!((runs, run_steps, segments, report.micro_batches), (93, 1683, 108, 2088));
     assert!(segments < run_steps);
 }
 
 /// The slice-memo work counters of [`run_mixed_dp`]'s stream, read through
-/// a clone of the executor's accelerator (clones share the memo). Every
-/// miss inserts one entry and the cap is far off, so nothing is evicted.
+/// the executor's accelerator. Every miss inserts one entry and the cap is
+/// far off, so nothing is evicted.
 #[test]
 fn slice_memo_counts_its_hits_misses_and_evictions() {
-    let accel = MugiAccelerator::new(64);
-    run_mixed_dp(accel.clone());
-    let stats = accel.slice_memo_stats();
+    let stats = run_mixed_dp().0.accelerator().slice_memo_stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions, stats.entries), (7, 112, 0, 112));
     assert_eq!(stats.misses, stats.evictions + stats.entries as u64);
 }
@@ -140,7 +120,7 @@ fn slice_memo_counts_its_hits_misses_and_evictions() {
 /// resident.
 #[test]
 fn front_memo_counts_its_hits_misses_and_resident_shapes() {
-    let (ex, report) = run_mixed_dp(MugiAccelerator::new(64));
+    let (ex, report) = run_mixed_dp();
     let (hits, misses, resident) = ex.perf_front_stats();
     assert_eq!((hits, misses, resident), (305, 115, 115));
     let (_, run_steps, segments) = ex.run_counters();

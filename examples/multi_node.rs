@@ -6,51 +6,41 @@
 //! Demonstrates the paper's near-linear NoC scaling end to end — serving
 //! throughput, not just per-step cycles — and that the NoC transfer model
 //! charges activation/accumulation movement as a reported component of
-//! per-request energy. Also checks the degenerate case: a 1×1 "mesh" is
-//! bit-identical to the plain single-node executor.
+//! per-request energy. Also checks the degenerate case: a sharded 1×1
+//! "mesh" is bit-identical to the plain single-node executor.
 //!
 //! Run with: `cargo run --release --example multi_node`
 
 use mugi::arch::noc::NocConfig;
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    synthetic_requests, Executor, ExecutorConfig, Placement, PlacementPolicy, Request,
-    RuntimeReport, Scheduler, SchedulerConfig, WorkloadSpec,
+    synthetic_requests, ConfigError, Placement, PlacementPolicy, Request, RuntimeReport, Scenario,
+    WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
-fn serve(requests: &[Request], placement: Placement) -> RuntimeReport {
-    let mut engine = Executor::with_placement(
-        MugiAccelerator::new(256),
-        Scheduler::new(SchedulerConfig::default()),
-        ExecutorConfig::default(),
-        placement,
-    );
+fn serve(requests: &[Request], placement: Placement) -> Result<RuntimeReport, ConfigError> {
+    let mut engine = Scenario { placement, ..Scenario::new(256) }.build()?;
     for r in requests {
         engine.submit(*r);
     }
-    engine.run()
+    Ok(engine.run())
 }
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
     let requests = synthetic_requests(2026, 48, &models, WorkloadSpec::default());
     println!("workload: {} requests across {} models\n", requests.len(), models.len());
 
     // A 1×1 placement is the single-node executor, bit for bit.
-    let single = serve(&requests, Placement::single_node());
-    let mut plain =
-        Executor::new(MugiAccelerator::new(256), Scheduler::new(SchedulerConfig::default()));
-    for r in &requests {
-        plain.submit(*r);
-    }
-    assert_eq!(single, plain.run(), "1x1 placement must match the single-node executor exactly");
+    let single = serve(&requests, Placement::single_node())?;
+    let one_by_one = serve(&requests, Placement::sharded(NocConfig::single()))?;
+    assert_eq!(single, one_by_one, "1x1 placement must match the single-node executor exactly");
     println!("1x1 placement: bit-identical to the single-node executor");
 
     let mesh = NocConfig::mesh_4x4();
     let mut sharded_multiplier = 0.0;
     for placement in [Placement::data_parallel(mesh), Placement::sharded(mesh)] {
-        let report = serve(&requests, placement);
+        let report = serve(&requests, placement)?;
         let multiplier = report.throughput_tokens_per_s / single.throughput_tokens_per_s;
         if placement.policy == PlacementPolicy::Sharded {
             sharded_multiplier = multiplier;
@@ -78,4 +68,5 @@ fn main() {
         sharded_multiplier > 12.0,
         "sharded 4x4 should scale near-linearly, got {sharded_multiplier:.2}x"
     );
+    Ok(())
 }

@@ -9,14 +9,13 @@
 //!
 //! Run with: `cargo run --release --example serving`
 
-use mugi::MugiAccelerator;
 use mugi_runtime::{
-    synthetic_requests, Executor, KvConfig, Scheduler, SchedulerConfig, SchedulingPolicy,
+    synthetic_requests, ConfigError, KvConfig, Scenario, SchedulerConfig, SchedulingPolicy,
     WorkloadSpec,
 };
 use mugi_workloads::models::ModelId;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     // 72 concurrent requests (single burst) across three models.
     let models = [ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b];
     let requests = synthetic_requests(2026, 72, &models, WorkloadSpec::default());
@@ -27,10 +26,8 @@ fn main() {
     );
 
     for policy in [SchedulingPolicy::Fcfs, SchedulingPolicy::ShortestPrefillFirst] {
-        let mut engine = Executor::new(
-            MugiAccelerator::new(256),
-            Scheduler::new(SchedulerConfig { policy, ..SchedulerConfig::default() }),
-        );
+        let scheduler = SchedulerConfig { policy, ..SchedulerConfig::default() };
+        let mut engine = Scenario { scheduler, ..Scenario::new(256) }.build()?;
         for request in &requests {
             engine.submit(*request);
         }
@@ -69,10 +66,7 @@ fn main() {
     // re-prefill and still finish — the report's KV line shows the cost.
     let kv = KvConfig::for_budget(ModelId::Llama2_7b, 2 << 30, 128);
     println!("\n=== paged KV: {} pages of 128 tokens (2 GiB budget) ===", kv.node_pages.unwrap());
-    let mut engine = Executor::new(
-        MugiAccelerator::new(256),
-        Scheduler::with_kv(SchedulerConfig::default(), kv),
-    );
+    let mut engine = Scenario { kv, ..Scenario::new(256) }.build()?;
     let pressured =
         synthetic_requests(2026, 24, &[ModelId::Llama2_7b], WorkloadSpec::kv_pressure());
     for request in &pressured {
@@ -81,4 +75,5 @@ fn main() {
     let report = engine.run();
     println!("{report}");
     assert_eq!(report.requests.len(), pressured.len(), "preemption never drops a request");
+    Ok(())
 }

@@ -1,8 +1,10 @@
 /*
  * A sampling profiler that loads into a process through LD_PRELOAD.
  *
- * A ticker thread sends SIGPROF to the process's main thread every
- * 50 microseconds. The handler walks the
+ * A ticker thread sends SIGPROF to the process's main thread each time
+ * that thread's CPU clock has advanced 50 microseconds, so time the main
+ * thread spends blocked (say, waiting for a child) is not sampled. The
+ * handler walks the
  * interrupted stack by its frame pointers and appends the program counters
  * to a preallocated buffer; nothing in the handler allocates or locks. At
  * exit the samples and a copy of /proc/self/maps are written to
@@ -37,7 +39,7 @@
 #define MAX_DEPTH 128
 #define BUFFER_WORDS (16u << 20)
 
-/* Time between two samples. */
+/* Main-thread CPU time between two samples. */
 #define PERIOD_US 50
 
 static uint64_t *buffer;
@@ -45,6 +47,7 @@ static volatile size_t used;
 static volatile uint64_t dropped;
 static uintptr_t stack_top;
 static pid_t main_tid;
+static clockid_t main_clock;
 static volatile int running;
 static pthread_t ticker;
 
@@ -88,14 +91,27 @@ static void on_sigprof(int sig, siginfo_t *info, void *context) {
     errno = saved_errno;
 }
 
+/* The main thread's CPU time in nanoseconds. */
+static uint64_t main_cpu_ns(void) {
+    struct timespec t;
+    if (clock_gettime(main_clock, &t) != 0)
+        return 0;
+    return (uint64_t)t.tv_sec * 1000000000u + (uint64_t)t.tv_nsec;
+}
+
 static void *tick(void *arg) {
     (void)arg;
     const struct timespec gap = {0, PERIOD_US * 1000};
     pid_t pid = getpid();
     /* The default 50 us timer slack would double the period. */
     prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
+    uint64_t last = main_cpu_ns();
     while (running) {
         clock_nanosleep(CLOCK_MONOTONIC, 0, &gap, NULL);
+        uint64_t now = main_cpu_ns();
+        if (now - last < PERIOD_US * 1000u)
+            continue;
+        last = now;
         syscall(SYS_tgkill, pid, main_tid, SIGPROF);
     }
     return NULL;
@@ -128,6 +144,8 @@ __attribute__((constructor)) static void sampler_start(void) {
     if (buffer == MAP_FAILED)
         return;
     main_tid = (pid_t)syscall(SYS_gettid);
+    if (pthread_getcpuclockid(pthread_self(), &main_clock) != 0)
+        return;
     struct sigaction action;
     memset(&action, 0, sizeof action);
     action.sa_sigaction = on_sigprof;
