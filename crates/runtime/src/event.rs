@@ -116,7 +116,13 @@ pub struct EventEngine {
 }
 
 impl EventEngine {
-    /// [`Executor::with_placement`].
+    /// Builds the engine by hand: the same checks and the same construction
+    /// as [`Scenario::build`](crate::Scenario::build).
+    ///
+    /// # Panics
+    /// Panics if `config.kv_bucket` differs from the KV pool's
+    /// `page_tokens`, or with the [`ConfigError`](crate::ConfigError) text
+    /// if the configuration breaks a rule.
     pub fn with_placement(
         accel: MugiAccelerator,
         scheduler: Scheduler,

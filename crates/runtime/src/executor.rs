@@ -73,7 +73,7 @@ use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
 
 /// The benchmark's way to build an engine by hand, kept for
-/// [`Executor::with_placement`]: build engines from a
+/// `EventEngine::with_placement`: build engines from a
 /// [`Scenario`](crate::Scenario) instead, which has no bucket to set.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -367,17 +367,16 @@ impl Executor {
     /// charge nothing.
     pub const FAULT_STALL_CYCLES: u64 = 256;
 
-    /// Builds an engine by hand, as the benchmark does: the same checks and
-    /// the same construction as [`Scenario::build`](crate::Scenario::build),
-    /// which every other caller uses.
+    /// Builds an engine by hand, as the benchmark does through
+    /// `EventEngine::with_placement`: the same checks and the same
+    /// construction as [`Scenario::build`], which every other caller uses.
     ///
     /// # Panics
     /// Panics if `config.kv_bucket` differs from the KV pool's
     /// `page_tokens`, or with the [`ConfigError`](crate::ConfigError) text
     /// if the configuration breaks a rule.
-    #[doc(hidden)]
     #[expect(clippy::panic, reason = "this entry point reports a broken configuration as a panic")]
-    pub fn with_placement(
+    pub(crate) fn with_placement(
         accel: MugiAccelerator,
         scheduler: Scheduler,
         config: ExecutorConfig,

@@ -1196,10 +1196,9 @@ impl Scheduler {
         // free pages fall short of its projected need. A session that
         // cannot get its pages defers every younger one behind it, so
         // admission keeps strict policy order; an older one behind it still
-        // runs, since it outranks the blocker for pages. Under FCFS the
-        // queue is in id order, so none is older; under shortest-prefill-
-        // first, skipping the older ones could leave the oldest session
-        // blocked behind a younger one for good.
+        // runs, since it outranks the blocker for pages. Skipping the older
+        // ones too could leave the oldest session blocked behind a younger
+        // one for good.
         if role != PoolRole::Decode {
             let mut waiting = std::mem::take(&mut self.scratch_ids);
             waiting.clear();
@@ -1218,10 +1217,8 @@ impl Scheduler {
                 if items.len() >= max_batch || tokens >= token_budget {
                     break;
                 }
-                match blocked_by {
-                    Some(_) if policy == SchedulingPolicy::Fcfs => break,
-                    Some(b) if id > b => continue,
-                    _ => {}
+                if blocked_by.is_some_and(|b| id > b) {
+                    continue;
                 }
                 if items.iter().any(|it| it.id == id) {
                     continue;
