@@ -80,11 +80,11 @@ impl Default for ControlConfig {
 
 /// Prefill tokens the executor's calibrator observes before its estimate
 /// replaces the configured one (early slices are noisy).
-pub const CALIBRATION_WARMUP_TOKENS: u64 = 1_024;
+pub(crate) const CALIBRATION_WARMUP_TOKENS: u64 = 1_024;
 
 /// The executor's calibrator EWMA weight as a right-shift: each new slice
 /// moves the estimate by `1 / 2^3` of the gap.
-pub const CALIBRATION_EWMA_SHIFT: u32 = 3;
+pub(crate) const CALIBRATION_EWMA_SHIFT: u32 = 3;
 
 /// Fixed-point scale of the calibrator's internal rate: Q48.16
 /// cycles-per-token.
@@ -105,7 +105,7 @@ const RATE_FRAC_BITS: u32 = 16;
 /// admission conservative by construction: any request it admits, an oracle
 /// using the exact measured mean rate would have admitted too.
 #[derive(Clone, Debug, Default)]
-pub struct SloCalibrator {
+pub(crate) struct SloCalibrator {
     /// EWMA of per-slice cycles-per-token, Q48.16; zero until seeded.
     ewma_rate_q16: u64,
     /// Total prefill tokens observed.
@@ -125,14 +125,14 @@ pub struct SloCalibrator {
 impl SloCalibrator {
     /// A calibrator that publishes nothing until `warmup_tokens` prefill
     /// tokens have been observed, then smooths with weight `1 / 2^shift`.
-    pub fn new(warmup_tokens: u64, ewma_shift: u32) -> Self {
+    pub(crate) fn new(warmup_tokens: u64, ewma_shift: u32) -> Self {
         SloCalibrator { warmup_tokens, ewma_shift, ..SloCalibrator::default() }
     }
 
     /// Folds in one completed prefill slice: `tokens` prefill tokens served
     /// in a micro-batch that ran `cycles` cycles. Slices with no prefill
     /// tokens must not be reported.
-    pub fn observe(&mut self, tokens: u64, cycles: u64) {
+    pub(crate) fn observe(&mut self, tokens: u64, cycles: u64) {
         debug_assert!(tokens > 0, "a prefill slice carries at least one token");
         // u128 so `cycles << 16` cannot wrap even on absurd makespans.
         let rate_q16 = u64::try_from(((cycles as u128) << RATE_FRAC_BITS) / tokens as u128)
@@ -153,7 +153,7 @@ impl SloCalibrator {
     /// still warming up. Always at least 1, always at least the cumulative
     /// mean rounded up (the conservativeness floor), and tracks the EWMA
     /// above that floor.
-    pub fn rate(&self) -> Option<u64> {
+    pub(crate) fn rate(&self) -> Option<u64> {
         if self.tokens < self.warmup_tokens.max(1) {
             return None;
         }
@@ -164,7 +164,7 @@ impl SloCalibrator {
     }
 
     /// Completed prefill slices observed so far.
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.samples
     }
 }
@@ -173,7 +173,7 @@ impl SloCalibrator {
 /// migrations while its residents drain, then flips to `target` once
 /// quiescent (no in-flight batch, no resident pages).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Drain {
+pub(crate) struct Drain {
     /// The mesh node being drained.
     pub node: usize,
     /// The role it assumes once quiescent.
@@ -184,7 +184,7 @@ pub struct Drain {
 /// `prefill_demand : decode_demand` with round-half-up integer arithmetic,
 /// clamped so both pools keep at least one node. With zero total demand the
 /// current split is already right (returns `current`).
-pub fn desired_prefill_nodes(
+pub(crate) fn desired_prefill_nodes(
     nodes: usize,
     current: usize,
     prefill_demand: u64,
@@ -202,6 +202,7 @@ pub fn desired_prefill_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn default_config_is_fully_disabled() {
@@ -247,5 +248,36 @@ mod tests {
         assert_eq!(desired_prefill_nodes(4, 3, 0, 0), 3);
         // Round-half-up: 5 nodes, 30% prefill demand → 5*0.3 = 1.5 → 2.
         assert_eq!(desired_prefill_nodes(5, 1, 300, 700), 2);
+    }
+
+    proptest! {
+        /// The SLO calibrator is conservative by construction: whenever it
+        /// publishes a rate, that rate is at least the cumulative measured mean
+        /// (rounded up) — so calibrated admission never accepts a request the
+        /// true measured mean rate would have rejected — and at least 1. Before
+        /// warmup it publishes nothing.
+        #[test]
+        fn calibrator_rate_never_undercuts_the_measured_mean(
+            sample_tokens in prop::collection::vec(1u64..5_000, 1..64),
+            sample_cycles in prop::collection::vec(1u64..50_000_000_000, 1..64),
+            warmup in 1u64..4_096,
+            shift in 0u32..8,
+        ) {
+            let mut cal = SloCalibrator::new(warmup, shift);
+            let (mut tokens_total, mut cycles_total) = (0u64, 0u64);
+            for (&tokens, &cycles) in sample_tokens.iter().zip(sample_cycles.iter()) {
+                cal.observe(tokens, cycles);
+                tokens_total += tokens;
+                cycles_total += cycles;
+                match cal.rate() {
+                    Some(rate) => {
+                        prop_assert!(tokens_total >= warmup.max(1));
+                        prop_assert!(rate >= cycles_total.div_ceil(tokens_total));
+                        prop_assert!(rate >= 1);
+                    }
+                    None => prop_assert!(tokens_total < warmup.max(1)),
+                }
+            }
+        }
     }
 }

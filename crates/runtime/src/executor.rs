@@ -532,11 +532,6 @@ impl Executor {
         self.run_counters
     }
 
-    /// The placement the executor dispatches under.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// Per-node clocks (when each node becomes free).
     pub fn node_clocks(&self) -> &[u64] {
         self.pool.clocks()
@@ -1451,24 +1446,12 @@ impl Executor {
     /// and [`Executor::run_stream_folded`]'s report).
     fn kv_stats(&self) -> KvStats {
         KvStats {
-            page_tokens: self.scheduler.kv_config().page_tokens,
-            capacity_pages: self.scheduler.kv_capacity_pages(),
-            peak_used_pages: self.scheduler.kv_peak_used_pages(),
-            preemptions: self.scheduler.preemption_count(),
-            reprefill_tokens: self.scheduler.reprefill_token_count(),
-            evicted_pages: self.scheduler.evicted_page_count(),
-            rejected_requests: self.scheduler.rejected_count(),
             fault_stall_cycles: self.fault_stall_cycles,
-            migrations: self.scheduler.migration_count(),
-            migrated_pages: self.scheduler.migrated_page_count(),
-            swap_outs: self.scheduler.swap_out_count(),
-            swapped_pages: self.scheduler.swapped_page_count(),
             transfer_bytes: self.transfer_bytes,
             transfer_energy_uj: self.transfer_energy_pj * 1e-6,
             transfer_stall_cycles: self.transfer_stall_cycles,
             role_rerolls: self.role_rerolls,
-            calibration_samples: self.scheduler.calibration_samples(),
-            calibrated_cycles_per_prefill_token: self.scheduler.calibrated_rate(),
+            ..self.scheduler.kv_stats()
         }
     }
 }

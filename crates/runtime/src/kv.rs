@@ -36,16 +36,16 @@
 //! release/migration move extents rather than pages. None of this is
 //! observable in the simulation: all accounting is in page *counts* and
 //! bytes, allocation succeeds exactly when `free >= n`, and the pre-extent
-//! free-list allocator is retained in [`oracle`] as the property-test
-//! reference.
+//! free-list allocator is retained in the test-only `oracle` module as the
+//! property-test reference.
 //!
-//! Pool invariants (property-tested in `tests/proptests.rs`):
+//! Pool invariants (property-tested in this module's unit tests):
 //!
 //! * a page is mapped by at most one table at a time (never double-mapped);
 //! * `free + Σ mapped == capacity` after any sequence of operations;
 //! * a table always maps at least [`pages_for`]`(kv_len)` pages while its
 //!   session is live;
-//! * the extent allocator maps the same page *set* as [`oracle`] under
+//! * the extent allocator maps the same page *set* as `oracle` under
 //!   identical operation sequences.
 
 #![expect(
@@ -61,16 +61,6 @@ use std::fmt;
 /// KV-cache precision in bits per value (BF16), used to convert a session's
 /// KV length into NoC transfer bytes when pages migrate between pools.
 pub const KV_BITS: usize = 16;
-
-/// Handle of one physical KV page inside a [`KvPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PageId(pub u32);
-
-impl fmt::Display for PageId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
 
 /// Pages needed to hold `tokens` KV entries at `page_tokens` granularity.
 /// Zero tokens still occupy one page — a session's table is never empty
@@ -128,7 +118,7 @@ pub struct KvConfig {
     /// bookkeeping at all — the pre-paging behaviour).
     pub node_pages: Option<usize>,
     /// Maximum concurrently live (admitted, unfinished) sessions; further
-    /// [`Scheduler::try_submit`](crate::Scheduler::try_submit) calls are
+    /// [`Executor::try_submit`](crate::Executor::try_submit) calls are
     /// rejected — the backpressure signal a workload generator sees. `None`
     /// admits everything.
     pub max_live_sessions: Option<usize>,
@@ -194,13 +184,14 @@ impl KvConfig {
 
     /// Enables the projected-TTFT admission bound (both parameters
     /// non-zero for a [`Scenario`](crate::Scenario) to build).
-    pub fn with_slo(mut self, slo: SloConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = Some(slo);
         self
     }
 
     /// Whether the pool has a capacity limit.
-    pub fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         self.node_pages.is_some()
     }
 }
@@ -276,7 +267,7 @@ pub enum KvFreePages {
 impl KvFreePages {
     /// Free-page count for placement ranking: an unbounded pool outranks
     /// every bounded one.
-    pub fn ranking(self) -> usize {
+    pub(crate) fn ranking(self) -> usize {
         match self {
             KvFreePages::Unbounded => usize::MAX,
             KvFreePages::Pages(free) => free,
@@ -284,7 +275,7 @@ impl KvFreePages {
     }
 
     /// Whether `pages` more pages can be allocated right now.
-    pub fn fits(self, pages: usize) -> bool {
+    pub(crate) fn fits(self, pages: usize) -> bool {
         match self {
             KvFreePages::Unbounded => true,
             KvFreePages::Pages(free) => free >= pages,
@@ -305,7 +296,7 @@ impl KvFreePages {
 /// context is typically one or two extents, so releasing, migrating or
 /// hashing a table is O(extents), not O(pages).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Extent {
+pub(crate) struct Extent {
     /// First page of the run.
     pub start: u32,
     /// Pages in the run (never zero for a mapped extent).
@@ -314,7 +305,7 @@ pub struct Extent {
 
 impl Extent {
     /// One past the last page of the run.
-    pub fn end(self) -> u32 {
+    pub(crate) fn end(self) -> u32 {
         self.start + self.len
     }
 }
@@ -340,9 +331,9 @@ fn bit_mask(lo: usize, len: usize) -> u64 {
 /// deterministic, never fails while `free_pages() >= n` (fragmentation
 /// yields more extents, never a refusal), and a page is never mapped twice:
 /// `free + Σ mapped == capacity` is property-tested against the retained
-/// pre-extent free-list implementation ([`oracle`]).
+/// pre-extent free-list implementation (`oracle`).
 #[derive(Clone, Debug)]
-pub struct KvPool {
+pub(crate) struct KvPool {
     capacity: usize,
     /// Count of set bits across `words`.
     free: usize,
@@ -358,7 +349,7 @@ impl KvPool {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn bounded(capacity: usize) -> Self {
+    pub(crate) fn bounded(capacity: usize) -> Self {
         assert!(capacity > 0, "a KV pool needs at least one page");
         let _ = u32_from_usize(capacity); // page ids must stay u32-addressable
         let n_words = capacity.div_ceil(WORD_BITS);
@@ -381,22 +372,22 @@ impl KvPool {
     }
 
     /// Total pages the pool holds.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Pages currently unmapped.
-    pub fn free_pages(&self) -> usize {
+    pub(crate) fn free_pages(&self) -> usize {
         self.free
     }
 
     /// Pages currently mapped by some table.
-    pub fn used_pages(&self) -> usize {
+    pub(crate) fn used_pages(&self) -> usize {
         self.capacity - self.free
     }
 
     /// High-water mark of mapped pages.
-    pub fn peak_used_pages(&self) -> usize {
+    pub(crate) fn peak_used_pages(&self) -> usize {
         self.peak_used
     }
 
@@ -467,7 +458,7 @@ impl KvPool {
     /// `n` pages are free. Fragmentation costs extra extents, never a
     /// spurious failure — the success condition is `free_pages() >= n`,
     /// exactly as with the pre-extent free list.
-    pub fn alloc_extents(&mut self, n: usize, out: &mut Vec<Extent>) -> bool {
+    pub(crate) fn alloc_extents(&mut self, n: usize, out: &mut Vec<Extent>) -> bool {
         if self.free < n {
             return false;
         }
@@ -489,7 +480,7 @@ impl KvPool {
     /// `at` is used or past the end). The O(1)-ish decode-growth path: when
     /// the pages right after a table's last extent are still free, growth
     /// lengthens that extent instead of adding one.
-    pub fn extend_at(&mut self, at: u32, want: u32) -> u32 {
+    pub(crate) fn extend_at(&mut self, at: u32, want: u32) -> u32 {
         if at as usize >= self.capacity {
             return 0;
         }
@@ -507,7 +498,7 @@ impl KvPool {
     /// # Panics
     /// Panics (in debug builds) if any page of the run is already free —
     /// a sign a page was double-mapped or released twice.
-    pub fn release_run(&mut self, extent: Extent) {
+    pub(crate) fn release_run(&mut self, extent: Extent) {
         self.flip_range(extent.start, extent.len, true);
         self.free += extent.len as usize;
         debug_assert!(self.free <= self.capacity, "released more pages than the pool holds");
@@ -524,7 +515,7 @@ impl KvPool {
 /// node, so only micro-batches formed for that node may schedule it. The
 /// table forgets its home when it releases all pages (eviction or finish).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PageTable {
+pub(crate) struct PageTable {
     extents: Vec<Extent>,
     pages: usize,
     home: Option<usize>,
@@ -532,35 +523,36 @@ pub struct PageTable {
 
 impl PageTable {
     /// An empty, homeless table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageTable::default()
     }
 
     /// Pages currently mapped.
-    pub fn mapped_pages(&self) -> usize {
+    pub(crate) fn mapped_pages(&self) -> usize {
         self.pages
     }
 
     /// The mapped extents, in allocation order.
-    pub fn extents(&self) -> &[Extent] {
+    #[cfg(test)]
+    pub(crate) fn extents(&self) -> &[Extent] {
         &self.extents
     }
 
-    /// Every mapped page handle, in extent order (a test/diagnostic view —
-    /// hot paths never enumerate pages).
-    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+    /// Every mapped page handle, in extent order.
+    #[cfg(test)]
+    pub(crate) fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
         self.extents.iter().flat_map(|e| (e.start..e.end()).map(PageId))
     }
 
     /// Pool index the session's KV lives on, or `None` while no page is
     /// mapped.
-    pub fn home(&self) -> Option<usize> {
+    pub(crate) fn home(&self) -> Option<usize> {
         self.home
     }
 
     /// Whether the table may allocate from pool `pool` (homeless, or already
     /// homed there).
-    pub fn admissible_on(&self, pool: usize) -> bool {
+    pub(crate) fn admissible_on(&self, pool: usize) -> bool {
         self.home.is_none_or(|h| h == pool)
     }
 
@@ -574,7 +566,7 @@ impl PageTable {
     ///
     /// # Panics
     /// Panics if the table is homed to a different pool.
-    pub fn grow(&mut self, pool_id: usize, pool: &mut KvPool, target_pages: usize) -> bool {
+    pub(crate) fn grow(&mut self, pool_id: usize, pool: &mut KvPool, target_pages: usize) -> bool {
         assert!(self.admissible_on(pool_id), "page table homed to a different pool");
         let needed = target_pages.saturating_sub(self.pages);
         if needed == 0 {
@@ -600,7 +592,7 @@ impl PageTable {
 
     /// Releases every mapped page back into `pool` and forgets the home.
     /// Returns how many pages were released.
-    pub fn release_all(&mut self, pool: &mut KvPool) -> usize {
+    pub(crate) fn release_all(&mut self, pool: &mut KvPool) -> usize {
         for e in self.extents.drain(..) {
             pool.release_run(e);
         }
@@ -620,7 +612,12 @@ impl PageTable {
     /// # Panics
     /// Panics if the table maps no pages (nothing to migrate) or if `to_id`
     /// is the table's current home (a self-migration is a bug).
-    pub fn migrate(&mut self, from: &mut KvPool, to_id: usize, to: &mut KvPool) -> Option<usize> {
+    pub(crate) fn migrate(
+        &mut self,
+        from: &mut KvPool,
+        to_id: usize,
+        to: &mut KvPool,
+    ) -> Option<usize> {
         assert!(!self.extents.is_empty(), "an empty table has nothing to migrate");
         assert_ne!(self.home, Some(to_id), "migration target is already the home pool");
         let count = self.pages;
@@ -637,17 +634,30 @@ impl PageTable {
     }
 }
 
+#[cfg(test)]
+/// Handle of one physical KV page inside a [`KvPool`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct PageId(pub u32);
+
+#[cfg(test)]
+impl fmt::Display for PageId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "p{}", self.0)
+    }
+}
+
+#[cfg(test)]
 /// The pre-extent page allocator — a LIFO `Vec<PageId>` free list and
 /// per-page tables — retained verbatim as the reference implementation the
-/// extent allocator is property-tested against (`tests/proptests.rs` drives
-/// both on identical operation sequences and compares mapped page *sets*
-/// and every count). Not used on any serving path.
-pub mod oracle {
+/// extent allocator is property-tested against (the tests below drive both
+/// on identical operation sequences and compare mapped page *sets* and every
+/// count). Not used on any serving path.
+mod oracle {
     use super::{u32_from_usize, PageId};
 
     /// Pre-extent [`KvPool`](super::KvPool): an explicit LIFO free list.
     #[derive(Clone, Debug)]
-    pub struct Pool {
+    pub(crate) struct Pool {
         capacity: usize,
         free: Vec<PageId>,
         peak_used: usize,
@@ -658,36 +668,31 @@ pub mod oracle {
         ///
         /// # Panics
         /// Panics if `capacity` is zero.
-        pub fn bounded(capacity: usize) -> Self {
+        pub(crate) fn bounded(capacity: usize) -> Self {
             assert!(capacity > 0, "a KV pool needs at least one page");
             // Reversed so page p0 is handed out first (LIFO free list).
             let free = (0..u32_from_usize(capacity)).rev().map(PageId).collect();
             Pool { capacity, free, peak_used: 0 }
         }
 
-        /// Total pages the pool holds.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-
         /// Pages currently unmapped.
-        pub fn free_pages(&self) -> usize {
+        pub(crate) fn free_pages(&self) -> usize {
             self.free.len()
         }
 
         /// Pages currently mapped by some table.
-        pub fn used_pages(&self) -> usize {
+        pub(crate) fn used_pages(&self) -> usize {
             self.capacity - self.free.len()
         }
 
         /// High-water mark of mapped pages.
-        pub fn peak_used_pages(&self) -> usize {
+        pub(crate) fn peak_used_pages(&self) -> usize {
             self.peak_used
         }
 
         /// Takes `n` pages from the free list, or `None` (pool unchanged)
         /// if fewer than `n` are free.
-        pub fn alloc(&mut self, n: usize) -> Option<Vec<PageId>> {
+        pub(crate) fn alloc(&mut self, n: usize) -> Option<Vec<PageId>> {
             if self.free.len() < n {
                 return None;
             }
@@ -697,7 +702,7 @@ pub mod oracle {
         }
 
         /// Returns pages to the free list.
-        pub fn release(&mut self, pages: Vec<PageId>) {
+        pub(crate) fn release(&mut self, pages: Vec<PageId>) {
             debug_assert!(
                 self.free.len() + pages.len() <= self.capacity,
                 "released more pages than the pool holds"
@@ -708,35 +713,30 @@ pub mod oracle {
 
     /// Pre-extent [`PageTable`](super::PageTable): one handle per page.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct Table {
+    pub(crate) struct Table {
         pages: Vec<PageId>,
         home: Option<usize>,
     }
 
     impl Table {
         /// An empty, homeless table.
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Table::default()
         }
 
         /// Pages currently mapped.
-        pub fn mapped_pages(&self) -> usize {
+        pub(crate) fn mapped_pages(&self) -> usize {
             self.pages.len()
-        }
-
-        /// The mapped page handles.
-        pub fn pages(&self) -> &[PageId] {
-            &self.pages
         }
 
         /// Pool index the session's KV lives on, or `None` while no page
         /// is mapped.
-        pub fn home(&self) -> Option<usize> {
+        pub(crate) fn home(&self) -> Option<usize> {
             self.home
         }
 
         /// Whether the table may allocate from pool `pool`.
-        pub fn admissible_on(&self, pool: usize) -> bool {
+        pub(crate) fn admissible_on(&self, pool: usize) -> bool {
             self.home.is_none_or(|h| h == pool)
         }
 
@@ -744,7 +744,12 @@ pub mod oracle {
         ///
         /// # Panics
         /// Panics if the table is homed to a different pool.
-        pub fn grow(&mut self, pool_id: usize, pool: &mut Pool, target_pages: usize) -> bool {
+        pub(crate) fn grow(
+            &mut self,
+            pool_id: usize,
+            pool: &mut Pool,
+            target_pages: usize,
+        ) -> bool {
             assert!(self.admissible_on(pool_id), "page table homed to a different pool");
             let needed = target_pages.saturating_sub(self.pages.len());
             if needed == 0 {
@@ -760,7 +765,7 @@ pub mod oracle {
 
         /// Releases every mapped page back into `pool` and forgets the
         /// home. Returns how many pages were released.
-        pub fn release_all(&mut self, pool: &mut Pool) -> usize {
+        pub(crate) fn release_all(&mut self, pool: &mut Pool) -> usize {
             let released = self.pages.len();
             pool.release(std::mem::take(&mut self.pages));
             self.home = None;
@@ -772,7 +777,12 @@ pub mod oracle {
         ///
         /// # Panics
         /// Panics if the table maps no pages or `to_id` is already home.
-        pub fn migrate(&mut self, from: &mut Pool, to_id: usize, to: &mut Pool) -> Option<usize> {
+        pub(crate) fn migrate(
+            &mut self,
+            from: &mut Pool,
+            to_id: usize,
+            to: &mut Pool,
+        ) -> Option<usize> {
             assert!(!self.pages.is_empty(), "an empty table has nothing to migrate");
             assert_ne!(self.home, Some(to_id), "migration target is already the home pool");
             let count = self.pages.len();
@@ -786,8 +796,10 @@ pub mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle as kv_oracle;
     use super::*;
     use crate::scenario::{ConfigError, Scenario};
+    use proptest::prelude::*;
 
     #[test]
     fn pages_for_rounds_up_and_never_returns_zero() {
@@ -1017,5 +1029,165 @@ mod tests {
         assert!(!bounded.fits(4));
         assert_eq!(bounded.pages(), Some(3));
         assert_ne!(unbounded, KvFreePages::Pages(usize::MAX), "MAX free is still bounded");
+    }
+
+    // One paging operation against a shared pool: table index plus a token
+    // target (0 = release every page of that table).
+    prop_compose! {
+        fn kv_op_strategy()(
+            table in 0usize..6,
+            tokens in 0usize..600,
+        ) -> (usize, usize) {
+            (table, tokens)
+        }
+    }
+
+    // One two-pool paging operation: table index, action (0 = grow, 1 = release
+    // everything, 2 = migrate to the other pool) and a token target.
+    prop_compose! {
+        fn kv_migration_op_strategy()(
+            table in 0usize..4,
+            action in 0usize..3,
+            tokens in 1usize..400,
+        ) -> (usize, usize, usize) {
+            (table, action, tokens)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn kv_pool_never_double_maps_and_conserves_pages(
+            capacity in 1usize..48,
+            ops in prop::collection::vec(kv_op_strategy(), 1..80),
+        ) {
+            // Random grow/release sequences over six tables sharing one pool,
+            // driven in lockstep against the retained pre-extent free-list
+            // allocator (`kv::oracle`): every operation must have the same
+            // outcome on both, every observable count must agree, and on the
+            // extent side the free bitmap plus all mapped pages must equal the
+            // capacity exactly with no page ever mapped by two tables at once.
+            let page_tokens = 16;
+            let mut pool = KvPool::bounded(capacity);
+            let mut reference = kv_oracle::Pool::bounded(capacity);
+            let mut tables: Vec<PageTable> = (0..6).map(|_| PageTable::new()).collect();
+            let mut ref_tables: Vec<kv_oracle::Table> =
+                (0..6).map(|_| kv_oracle::Table::new()).collect();
+            for (t, tokens) in ops {
+                if tokens == 0 {
+                    let released = tables[t].release_all(&mut pool);
+                    let ref_released = ref_tables[t].release_all(&mut reference);
+                    prop_assert_eq!(released, ref_released, "release count diverged");
+                } else {
+                    let target = pages_for(tokens, page_tokens);
+                    let grew = tables[t].grow(0, &mut pool, target);
+                    let ref_grew = ref_tables[t].grow(0, &mut reference, target);
+                    prop_assert_eq!(grew, ref_grew, "grow outcome diverged from the oracle");
+                    prop_assert_eq!(grew, tables[t].mapped_pages() >= target);
+                }
+                // Every count the scheduler can observe agrees with the oracle.
+                prop_assert_eq!(pool.free_pages(), reference.free_pages());
+                prop_assert_eq!(pool.used_pages(), reference.used_pages());
+                prop_assert_eq!(pool.peak_used_pages(), reference.peak_used_pages());
+                for (a, b) in tables.iter().zip(&ref_tables) {
+                    prop_assert_eq!(a.mapped_pages(), b.mapped_pages(), "table size diverged");
+                    prop_assert_eq!(a.home(), b.home(), "table home diverged");
+                }
+                let mapped: usize = tables.iter().map(PageTable::mapped_pages).sum();
+                prop_assert_eq!(pool.free_pages() + mapped, capacity, "page leak or double-count");
+                let mut all: Vec<PageId> = tables.iter().flat_map(PageTable::page_ids).collect();
+                let total = all.len();
+                all.sort_unstable();
+                all.dedup();
+                prop_assert_eq!(all.len(), total, "a page is mapped by two tables");
+                prop_assert!(all.iter().all(|p| (p.0 as usize) < capacity), "page id out of range");
+                for table in &tables {
+                    let from_extents: usize = table.extents().iter().map(|e| e.len as usize).sum();
+                    prop_assert_eq!(
+                        from_extents,
+                        table.mapped_pages(),
+                        "extent list disagrees with the cached page count"
+                    );
+                    prop_assert!(
+                        table.extents().iter().all(|e| e.len > 0),
+                        "a mapped extent may never be empty"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn kv_migration_matches_the_pre_extent_oracle(
+            cap_a in 1usize..24,
+            cap_b in 1usize..24,
+            ops in prop::collection::vec(kv_migration_op_strategy(), 1..60),
+        ) {
+            // Grow/release/migrate sequences over two pools, extent allocator
+            // and pre-extent oracle in lockstep: migration outcomes (including
+            // refusals when the target lacks room), page counts and homes must
+            // never diverge, and pages must be conserved across both pools.
+            let page_tokens = 16;
+            let caps = [cap_a, cap_b];
+            let mut pools = [KvPool::bounded(cap_a), KvPool::bounded(cap_b)];
+            let mut refs = [kv_oracle::Pool::bounded(cap_a), kv_oracle::Pool::bounded(cap_b)];
+            let mut tables: Vec<PageTable> = (0..4).map(|_| PageTable::new()).collect();
+            let mut ref_tables: Vec<kv_oracle::Table> =
+                (0..4).map(|_| kv_oracle::Table::new()).collect();
+            for (t, action, tokens) in ops {
+                let home = tables[t].home();
+                prop_assert_eq!(home, ref_tables[t].home());
+                match action {
+                    // Grow on the current home (or pool 0 while homeless).
+                    0 => {
+                        let pool = home.unwrap_or(0);
+                        let target = pages_for(tokens, page_tokens);
+                        let grew = tables[t].grow(pool, &mut pools[pool], target);
+                        let ref_grew = ref_tables[t].grow(pool, &mut refs[pool], target);
+                        prop_assert_eq!(grew, ref_grew, "grow outcome diverged");
+                    }
+                    // Release everything.
+                    1 => {
+                        if let Some(pool) = home {
+                            let a = tables[t].release_all(&mut pools[pool]);
+                            let b = ref_tables[t].release_all(&mut refs[pool]);
+                            prop_assert_eq!(a, b, "release count diverged");
+                        }
+                    }
+                    // Migrate to the other pool (only legal with pages mapped).
+                    _ => {
+                        if let Some(from) = home {
+                            let (a, b) = if from == 0 {
+                                let [p0, p1] = &mut pools;
+                                let [r0, r1] = &mut refs;
+                                (tables[t].migrate(p0, 1, p1), ref_tables[t].migrate(r0, 1, r1))
+                            } else {
+                                let [p0, p1] = &mut pools;
+                                let [r0, r1] = &mut refs;
+                                (tables[t].migrate(p1, 0, p0), ref_tables[t].migrate(r1, 0, r0))
+                            };
+                            prop_assert_eq!(a, b, "migration outcome diverged");
+                        }
+                    }
+                }
+                for pool in 0..2 {
+                    prop_assert_eq!(pools[pool].free_pages(), refs[pool].free_pages());
+                    prop_assert_eq!(pools[pool].peak_used_pages(), refs[pool].peak_used_pages());
+                    let mapped: usize = tables
+                        .iter()
+                        .filter(|tb| tb.home() == Some(pool))
+                        .map(PageTable::mapped_pages)
+                        .sum();
+                    prop_assert_eq!(
+                        pools[pool].free_pages() + mapped,
+                        caps[pool],
+                        "page leak or double-count in pool {}",
+                        pool
+                    );
+                }
+                for (a, b) in tables.iter().zip(&ref_tables) {
+                    prop_assert_eq!(a.mapped_pages(), b.mapped_pages());
+                    prop_assert_eq!(a.home(), b.home());
+                }
+            }
+        }
     }
 }

@@ -4,51 +4,50 @@
 //! accelerator model: the serving layer that turns the paper's
 //! accelerator-level wins into end-to-end request throughput.
 //!
-//! The pipeline, bottom to top:
+//! The crate's surface is one facade:
 //!
-//! * [`request`] — [`Request`]s submitted by clients and the [`Session`]s
-//!   that track per-session KV-cache state and latency milestones;
-//! * [`kv`] — the paged KV cache: bounded per-node [`KvPool`]s of physical
-//!   pages, per-session [`PageTable`]s, recompute-style preemption when a
-//!   pool runs dry, and admission control (an unbounded pool, the default,
-//!   disables all of it);
-//! * [`scheduler`] — the continuous-batching [`Scheduler`]: decode-first
-//!   micro-batches under `max_batch`/`token_budget` caps, chunked prefill,
-//!   FCFS or shortest-prefill-first admission, round-robin across models,
-//!   paging every batch against the target node's KV pool;
-//! * [`placement`] — how micro-batches map onto a NoC mesh of nodes:
-//!   [`Placement`] (data-parallel, sharded or prefill/decode-disaggregated
-//!   over a [`NocConfig`](mugi::arch::noc::NocConfig)) plus the
-//!   [`NodePool`] of per-node clocks; under disaggregation a completed
-//!   prefill's KV pages migrate to a decode node over the NoC instead of
-//!   being recomputed;
-//! * [`executor`] — the [`Executor`] drives one or many
-//!   [`MugiAccelerator`](mugi::MugiAccelerator) nodes over the scheduled
-//!   micro-batches (priced from per-slice op costs), charges NoC energy
-//!   and keeps per-request accounting. Its one decision loop serves
-//!   pre-submitted traces and lazily streamed workloads alike
-//!   ([`Executor::run_stream`]), landing completions and arrivals in
-//!   `(time, seq)` order, and every run retires each session once it and
-//!   all older ones have finished: the report keeps its statistics, and
-//!   the folded mode ([`Executor::run_stream_folded`]) folds them instead,
-//!   serving millions of requests in O(live sessions) memory;
-//! * [`event`] — the [`EventQueue`] counters of that loop (plus a thin
-//!   benchmark-facing wrapper);
-//! * [`control`] — the adaptive control plane: a feedback controller
-//!   sampled at batch-completion boundaries that re-rolls node roles toward
-//!   the live prefill:decode demand split (quiescent handoffs), calibrates
-//!   the projected-TTFT admission rate online, and places KV migrations by
-//!   projected decode load — all off by default and bit-inert when off;
-//! * [`stats`] — TTFT/TPOT/throughput per request plus p50/p95/p99
-//!   aggregates in a [`RuntimeReport`], and the O(1) [`StatsFold`] /
-//!   [`ScaleReport`] a folded run streams retired sessions into;
-//! * [`workload`] — deterministic synthetic request streams — materialized
-//!   via [`synthetic_requests`] or lazily via a [`WorkloadStream`] — with
-//!   uniform-spread or open-loop Poisson [`ArrivalModel`]s;
-//! * [`scenario`] — the run description: a [`Scenario`] names the lanes,
-//!   scheduler, KV cache, control plane and placement of one engine, and
-//!   [`Scenario::build`] is the one way to build an [`Executor`], returning
-//!   a typed [`ConfigError`] for a configuration that breaks a rule.
+//! * *Describe a run.* A [`Scenario`] names the lanes, the
+//!   [`SchedulerConfig`] ([`SchedulingPolicy`], [`DecodeOrder`]), the paged
+//!   KV cache ([`KvConfig`], with its [`PreemptionMode`] and optional
+//!   [`SloConfig`] admission bound), the adaptive [`ControlConfig`] and the
+//!   [`Placement`] of nodes on a NoC mesh ([`PlacementPolicy`], each node's
+//!   [`PoolRole`]). [`Scenario::build`] is the one way to build an
+//!   [`Executor`]; it returns a typed [`ConfigError`] for a configuration
+//!   that breaks a rule.
+//! * *Feed it.* [`Request`]s are submitted one by one
+//!   ([`Executor::try_submit`] reports an [`AdmissionError`]) or streamed:
+//!   [`synthetic_requests`] and [`phased_requests`] materialize a workload,
+//!   and a [`WorkloadStream`] generates one lazily from a [`WorkloadSpec`]
+//!   and its [`ArrivalModel`]. [`pages_for`] and [`KV_BITS`] size a
+//!   request's KV cache.
+//! * *Run it.* [`Executor::step`], [`Executor::run`],
+//!   [`Executor::run_stream`] and [`Executor::run_stream_folded`] drive one
+//!   decision loop that lands completions and arrivals in `(time, seq)`
+//!   order and retires each session once it and all older ones have
+//!   finished.
+//! * *Read the results.* A [`RuntimeReport`] keeps each retired request's
+//!   [`RequestStats`], [`Percentiles`] of TTFT and TPOT, and the run's
+//!   [`KvStats`]. The folded mode folds retired requests into a
+//!   [`StatsFold`] and returns a [`ScaleReport`], serving millions of
+//!   requests in O(live sessions) memory. Mid-run, the executor exposes
+//!   live [`Session`]s ([`SessionState`], [`RequestId`]), each pool's
+//!   [`KvFreePages`] and its [`EventQueue`] counters.
+//!
+//! Behind the facade, bottom to top: requests and the session arena; the
+//! paged KV cache (bounded per-node pools of page extents, per-session page
+//! tables, recompute- or swap-style preemption and admission control, all
+//! disabled by the default unbounded pool); the continuous-batching
+//! scheduler (decode-first micro-batches under `max_batch`/`token_budget`
+//! caps, chunked prefill, FCFS or shortest-prefill-first admission,
+//! round-robin across models); the placement of micro-batches on nodes,
+//! where a completed prefill's KV pages migrate to a decode node over the
+//! NoC under disaggregation; the executor, which prices each micro-batch on
+//! [`MugiAccelerator`](mugi::MugiAccelerator) nodes and charges NoC energy;
+//! the control plane, which re-rolls node roles toward the live
+//! prefill:decode demand split, calibrates the SLO admission rate and
+//! places migrations by decode load (all off by default and bit-inert when
+//! off); and the statistics and workload generators. Each run is
+//! deterministic and replayable bit for bit.
 //!
 //! # Example
 //!
@@ -68,6 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     warn(
@@ -86,32 +86,38 @@
     )
 )]
 
-pub mod control;
-pub mod event;
-pub mod executor;
-pub mod kv;
-pub mod placement;
-pub mod request;
-pub mod scenario;
-pub mod scheduler;
-pub mod stats;
-pub mod workload;
+mod control;
+mod event;
+mod executor;
+mod kv;
+mod placement;
+mod request;
+mod scenario;
+mod scheduler;
+mod stats;
+mod workload;
 
-pub use control::{ControlConfig, SloCalibrator};
-pub use event::{EventEngine, EventQueue};
-pub use executor::{Executor, ExecutorConfig};
+pub use control::ControlConfig;
+pub use event::EventQueue;
+pub use executor::Executor;
 pub use kv::{
-    pages_for, AdmissionError, Extent, KvConfig, KvFreePages, KvPool, PageId, PageTable,
-    PreemptionMode, SloConfig, KV_BITS,
+    pages_for, AdmissionError, KvConfig, KvFreePages, PreemptionMode, SloConfig, KV_BITS,
 };
-pub use placement::{NodePool, Placement, PlacementPolicy, PoolRole};
-pub use request::{Request, RequestId, Session, SessionArena, SessionState};
+pub use placement::{Placement, PlacementPolicy, PoolRole};
+pub use request::{Request, RequestId, Session, SessionState};
 pub use scenario::{ConfigError, Scenario};
-pub use scheduler::{
-    BatchItem, DecodeOrder, MicroBatch, Migration, Scheduler, SchedulerConfig, SchedulingPolicy,
-    SwapOut,
-};
+pub use scheduler::{DecodeOrder, SchedulerConfig, SchedulingPolicy};
 pub use stats::{KvStats, Percentiles, RequestStats, RuntimeReport, ScaleReport, StatsFold};
 pub use workload::{
     phased_requests, synthetic_requests, ArrivalModel, WorkloadSpec, WorkloadStream,
 };
+
+// perfbench builds its engines below `Scenario`, and two integration tests
+// drive the scheduler alone; these stay public, out of the documented
+// surface, until they go through `Scenario` or become unit tests.
+#[doc(hidden)]
+pub use event::EventEngine;
+#[doc(hidden)]
+pub use executor::ExecutorConfig;
+#[doc(hidden)]
+pub use scheduler::Scheduler;

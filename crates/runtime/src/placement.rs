@@ -128,14 +128,14 @@ impl Placement {
     }
 
     /// Number of nodes in the mesh.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.noc.nodes()
     }
 
     /// The scheduling role of node `i` under this placement: `Colocated`
     /// for every non-disaggregated policy, `Prefill`/`Decode` by mesh index
     /// under [`PlacementPolicy::Disaggregated`].
-    pub fn node_role(&self, i: usize) -> PoolRole {
+    pub(crate) fn node_role(&self, i: usize) -> PoolRole {
         match self.policy {
             PlacementPolicy::DataParallel | PlacementPolicy::Sharded => PoolRole::Colocated,
             PlacementPolicy::Disaggregated { prefill_nodes, .. } => {
@@ -168,7 +168,7 @@ impl Default for Placement {
 /// across all nodes); under [`PlacementPolicy::DataParallel`] each dispatch
 /// occupies one node.
 #[derive(Clone, Debug)]
-pub struct NodePool {
+pub(crate) struct NodePool {
     free_at: Vec<u64>,
     busy_cycles: Vec<u64>,
     steps: Vec<u64>,
@@ -177,54 +177,51 @@ pub struct NodePool {
 impl NodePool {
     /// Creates a pool of `nodes` idle nodes at cycle zero (a
     /// [`Scenario`](crate::Scenario) has at least one).
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         NodePool { free_at: vec![0; nodes], busy_cycles: vec![0; nodes], steps: vec![0; nodes] }
     }
 
     /// Number of nodes in the pool.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.free_at.len()
-    }
-
-    /// Whether the pool has no node.
-    pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
     }
 
     /// The node among `idle` with the earliest free time (ties to the lowest
     /// index), or `None` if `idle` yields nothing.
-    pub fn earliest(&self, idle: impl Iterator<Item = usize>) -> Option<usize> {
+    pub(crate) fn earliest(&self, idle: impl Iterator<Item = usize>) -> Option<usize> {
         idle.min_by_key(|&i| (self.free_at[i], i))
     }
 
     /// When node `i` becomes free.
-    pub fn free_at(&self, i: usize) -> u64 {
+    pub(crate) fn free_at(&self, i: usize) -> u64 {
         self.free_at[i]
     }
 
     /// Cycles node `i` spent executing micro-batches.
-    pub fn busy_cycles(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn busy_cycles(&self, i: usize) -> u64 {
         self.busy_cycles[i]
     }
 
     /// Per-node busy cycles.
-    pub fn busy(&self) -> &[u64] {
+    pub(crate) fn busy(&self) -> &[u64] {
         &self.busy_cycles
     }
 
     /// Micro-batches node `i` participated in.
-    pub fn steps(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn steps(&self, i: usize) -> u64 {
         self.steps[i]
     }
 
     /// Per-node clocks (free times).
-    pub fn clocks(&self) -> &[u64] {
+    pub(crate) fn clocks(&self) -> &[u64] {
         &self.free_at
     }
 
     /// Occupies node `i` with `steps` back-to-back batches filling
     /// `[start, end)` (the steps of one decode-run segment).
-    pub fn dispatch_steps(&mut self, i: usize, start: u64, end: u64, steps: u64) {
+    pub(crate) fn dispatch_steps(&mut self, i: usize, start: u64, end: u64, steps: u64) {
         debug_assert!(self.free_at[i] <= start, "node dispatched before it is free");
         self.free_at[i] = end;
         self.busy_cycles[i] += end - start;
@@ -233,7 +230,7 @@ impl NodePool {
 
     /// Occupies every node with one gang-scheduled (sharded) batch running
     /// `[start, end)`.
-    pub fn dispatch_all(&mut self, start: u64, end: u64) {
+    pub(crate) fn dispatch_all(&mut self, start: u64, end: u64) {
         for i in 0..self.len() {
             self.dispatch_steps(i, start, end, 1);
         }
@@ -241,7 +238,7 @@ impl NodePool {
 
     /// Advances an idle node's clock to `cycle` (waiting costs no busy
     /// time). No-op if the node is already past it.
-    pub fn wait_until(&mut self, i: usize, cycle: u64) {
+    pub(crate) fn wait_until(&mut self, i: usize, cycle: u64) {
         if self.free_at[i] < cycle {
             self.free_at[i] = cycle;
         }
@@ -250,7 +247,7 @@ impl NodePool {
     /// Idles every node whose clock lags `cycle` forward to it — the
     /// executors' idle jump when the only remaining work is a future
     /// arrival. One pass over the pool; waiting never accrues busy cycles.
-    pub fn wait_all_until(&mut self, cycle: u64) {
+    pub(crate) fn wait_all_until(&mut self, cycle: u64) {
         for free in &mut self.free_at {
             if *free < cycle {
                 *free = cycle;

@@ -86,22 +86,22 @@ pub struct Session {
     /// Generated tokens whose KV entries are folded into `prefill_target`
     /// after an eviction, so [`Session::kv_len`] does not double-count them
     /// during and after the recompute prefill.
-    pub recomputed_tokens: usize,
+    pub(crate) recomputed_tokens: usize,
     /// Times this session was preempted (evicted from a full KV pool). Under
     /// swap-style preemption the eviction is a page-out, not a recompute,
     /// and is counted in [`Session::swap_outs`] instead.
-    pub preemptions: u32,
+    pub(crate) preemptions: u32,
     /// Times this session's KV pages migrated into a decode pool over the
     /// NoC (prefill→decode handoffs plus swap-ins); zero under colocated
     /// placement.
-    pub migrations: u32,
+    pub(crate) migrations: u32,
     /// Times this session was paged out of a decode pool into a prefill pool
     /// (swap-style preemption); zero under recompute preemption.
-    pub swap_outs: u32,
+    pub(crate) swap_outs: u32,
     /// Map from this session's KV entries to physical pages of the KV pool
     /// its cache lives on. Stays empty under an unbounded
     /// [`KvConfig`](crate::kv::KvConfig), where no paging is modelled.
-    pub page_table: PageTable,
+    pub(crate) page_table: PageTable,
     /// Output tokens generated so far (the prefill completion produces the
     /// first one).
     pub generated_tokens: usize,
@@ -114,19 +114,19 @@ pub struct Session {
     /// latest micro-batch. Keeps multi-node executors causal — a decode step
     /// cannot start on one node before the step that produced its input
     /// token finished on another.
-    pub ready_cycle: u64,
+    pub(crate) ready_cycle: u64,
     /// Whether the session sits inside an emitted-but-not-yet-completed
     /// micro-batch. Set by the scheduler at batch formation, cleared at
     /// completion: a per-session flag in the arena replaces the old
     /// `BTreeSet` membership probe, so the scheduler's hottest check is one
     /// load from a session already in cache. Transient scheduling state
     /// (always `false` between runs).
-    pub in_flight: bool,
+    pub(crate) in_flight: bool,
 }
 
 impl Session {
     /// Wraps a request in a fresh session.
-    pub fn new(id: RequestId, request: Request) -> Self {
+    pub(crate) fn new(id: RequestId, request: Request) -> Self {
         Session {
             id,
             request,
@@ -149,13 +149,13 @@ impl Session {
     /// KV-cache entries this session currently holds: the prefilled prefix
     /// plus the generated tokens not already folded into a recompute prefill
     /// target.
-    pub fn kv_len(&self) -> usize {
+    pub(crate) fn kv_len(&self) -> usize {
         self.prefilled_tokens + self.generated_tokens - self.recomputed_tokens
     }
 
     /// Tokens still waiting to be prefilled (the prompt, plus — after a
     /// preemption — the evicted generated-token entries being recomputed).
-    pub fn remaining_prefill(&self) -> usize {
+    pub(crate) fn remaining_prefill(&self) -> usize {
         self.prefill_target - self.prefilled_tokens
     }
 
@@ -168,7 +168,7 @@ impl Session {
     /// entries must be recomputed — so token accounting is unaffected. The
     /// caller is responsible for releasing the page table and requeueing
     /// the session.
-    pub fn preempt(&mut self) {
+    pub(crate) fn preempt(&mut self) {
         debug_assert!(!self.is_finished(), "finished sessions hold no KV to evict");
         self.prefill_target = self.request.prompt_tokens + self.generated_tokens;
         self.recomputed_tokens = self.generated_tokens;
@@ -185,7 +185,7 @@ impl Session {
     /// Whether the session has schedulable work at `now` (arrived, not mid
     /// micro-batch on another node, and either still prefilling or still
     /// decoding).
-    pub fn is_runnable(&self, now: u64) -> bool {
+    pub(crate) fn is_runnable(&self, now: u64) -> bool {
         !self.is_finished() && self.ready_cycle <= now
     }
 }
@@ -200,7 +200,7 @@ impl Session {
 /// [`SessionArena::live`] stays a plain contiguous `&[Session]` for the
 /// scheduler's index arithmetic.
 #[derive(Clone, Debug, Default)]
-pub struct SessionArena {
+pub(crate) struct SessionArena {
     /// Backing slots: `slots[head..]` is the live window in id order.
     slots: Vec<Session>,
     /// Retired slots below this index await compaction.
@@ -219,7 +219,7 @@ pub(crate) const ARENA_COMPACT_FLOOR: usize = 64;
 
 impl SessionArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SessionArena::default()
     }
 
@@ -227,7 +227,7 @@ impl SessionArena {
     /// prefix away if it outgrew the live tail. The caller assigns ids
     /// densely in submission order, so `session.id` must equal
     /// `retired_count() + live().len()`.
-    pub fn push(&mut self, session: Session) {
+    pub(crate) fn push(&mut self, session: Session) {
         debug_assert_eq!(
             usize_from_u64(session.id.0),
             self.retired + self.live().len(),
@@ -242,32 +242,33 @@ impl SessionArena {
     }
 
     /// The live (unretired) sessions in submission order.
-    pub fn live(&self) -> &[Session] {
+    pub(crate) fn live(&self) -> &[Session] {
         self.slots.get(self.head..).unwrap_or_default()
     }
 
     /// Number of live sessions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len() - self.head
     }
 
     /// Whether no live session exists.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Sessions ever retired from the front of the window.
-    pub fn retired_count(&self) -> usize {
+    pub(crate) fn retired_count(&self) -> usize {
         self.retired
     }
 
     /// High-water mark of the live-session population.
-    pub fn peak_live(&self) -> usize {
+    pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
     /// Iterates over the live sessions in submission order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Session> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Session> {
         self.live().iter()
     }
 
@@ -276,18 +277,19 @@ impl SessionArena {
     ///
     /// # Panics
     /// Debug-asserts that every retired session is finished.
-    pub fn retire_prefix(&mut self, n: usize) {
+    pub(crate) fn retire_prefix(&mut self, n: usize) {
         debug_assert!(self.live().iter().take(n).all(Session::is_finished));
         self.head += n;
         self.retired += n;
     }
 
     /// Checks the arena's structural invariants: live ids are dense,
-    /// ascending and never alias a retired id. Test/debug helper.
+    /// ascending and never alias a retired id.
     ///
     /// # Panics
     /// Panics on any violation.
-    pub fn assert_invariants(&self) {
+    #[cfg(test)]
+    pub(crate) fn assert_invariants(&self) {
         assert!(self.head <= self.slots.len(), "head may not pass the end");
         for (i, s) in self.live().iter().enumerate() {
             assert_eq!(
@@ -325,6 +327,7 @@ impl std::ops::IndexMut<usize> for SessionArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_construction_and_arrival() {
@@ -480,5 +483,54 @@ mod tests {
         arena.push(finished_session(0));
         arena[0].id = RequestId(9); // corrupt the slot
         arena.assert_invariants();
+    }
+
+    // One arena operation: push up to four sessions, then retire up to four.
+    prop_compose! {
+        fn arena_op_strategy()(
+            pushes in 0usize..5,
+            retires in 0usize..5,
+        ) -> (usize, usize) {
+            (pushes, retires)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn session_arena_slots_are_never_aliased_while_live(
+            ops in prop::collection::vec(arena_op_strategy(), 1..60),
+        ) {
+            // Random push/retire interleavings: live ids stay dense and
+            // ascending (no slot ever aliases another session), the live window
+            // indexes correctly through compactions, and the peak-live
+            // high-water mark matches a reference model.
+            let mut arena = SessionArena::new();
+            let mut next_id = 0u64;
+            let mut model_peak = 0usize;
+            for (pushes, retires) in ops {
+                for _ in 0..pushes {
+                    let req = Request::new(ModelId::Llama2_7b, 1, 1);
+                    arena.push(Session::new(RequestId(next_id), req));
+                    next_id += 1;
+                }
+                model_peak = model_peak.max(arena.len());
+                let n = retires.min(arena.len());
+                for i in 0..n {
+                    arena[i].state = SessionState::Finished;
+                }
+                arena.retire_prefix(n);
+                arena.assert_invariants();
+                prop_assert_eq!(
+                    arena.retired_count() + arena.len(),
+                    next_id as usize,
+                    "sessions were lost or duplicated"
+                );
+                for (i, s) in arena.live().iter().enumerate() {
+                    prop_assert_eq!(s.id, arena[i].id, "index and live window disagree");
+                    prop_assert_eq!(s.id.0 as usize, arena.retired_count() + i);
+                }
+            }
+            prop_assert_eq!(arena.peak_live(), model_peak);
+        }
     }
 }

@@ -46,7 +46,7 @@ impl Scenario {
     }
 
     /// Checks every configuration rule, reporting the first one broken.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.lanes == 0 {
             return Err(ConfigError::Zero("lanes"));
         }

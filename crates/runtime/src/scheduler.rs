@@ -93,6 +93,7 @@ use crate::kv::{
 use crate::placement::PoolRole;
 use crate::request::{Request, RequestId, Session, SessionArena, SessionState};
 use crate::scenario::validate_scheduling;
+use crate::stats::KvStats;
 use mugi_numerics::cast::{u64_from_usize, usize_from_u64};
 use mugi_workloads::models::ModelId;
 use mugi_workloads::ops::{BatchSlice, Phase};
@@ -167,7 +168,7 @@ pub struct BatchItem {
     pub tokens: usize,
     /// KV-cache entries the item attends to after this step (cached prefix
     /// plus the chunk for prefill; current cache length for decode).
-    pub context_len: usize,
+    pub(crate) context_len: usize,
 }
 
 /// One session paged out of a decode pool over the NoC while a micro-batch
@@ -175,16 +176,16 @@ pub struct BatchItem {
 /// transfer energy for `bytes` and stalls the batch while the pages stream
 /// out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SwapOut {
+pub(crate) struct SwapOut {
     /// The paged-out session.
-    pub id: RequestId,
+    pub(crate) id: RequestId,
     /// The prefill pool (node) the pages landed on; the executor stalls its
     /// receive path while the transfer streams.
-    pub to_pool: usize,
+    pub(crate) to_pool: usize,
     /// KV pages moved to the prefill pool.
-    pub pages: usize,
+    pub(crate) pages: usize,
     /// KV-cache bytes shipped over the NoC.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// A scheduled micro-batch: work for one model, one step.
@@ -197,12 +198,12 @@ pub struct MicroBatch {
     /// KV pages evicted (sessions recompute-preempted) to make room for this
     /// batch; always zero under an unbounded pool. The executor charges
     /// page-fault stall cycles per evicted page.
-    pub evicted_pages: usize,
+    pub(crate) evicted_pages: usize,
     /// Sessions paged out over the NoC to make room for this batch
     /// (swap-style preemption); empty except on a disaggregated decode pool
     /// under [`PreemptionMode::Swap`]. The executor charges the transfer
     /// energy and latency.
-    pub swapped_out: Vec<SwapOut>,
+    pub(crate) swapped_out: Vec<SwapOut>,
 }
 
 impl MicroBatch {
@@ -216,9 +217,18 @@ impl MicroBatch {
         self.items.iter().filter(|i| i.phase == Phase::Decode).count()
     }
 
+    /// [`slices_into`](Self::slices_into) a fresh vector.
+    #[cfg(test)]
+    pub(crate) fn slices(&self, kv_bucket: usize) -> Vec<BatchSlice> {
+        let mut slices = Vec::new();
+        self.slices_into(kv_bucket, &mut slices);
+        slices
+    }
+
     /// Converts the batch into the workload slices
     /// [`MugiAccelerator::estimate_micro_batch`](mugi::MugiAccelerator::estimate_micro_batch)
-    /// prices.
+    /// prices, writing into a caller-owned buffer (cleared first) so the
+    /// executor's per-step estimate reuses one allocation for the whole run.
     ///
     /// Decode slots are grouped by their context length rounded up to
     /// `kv_bucket` (the paged-KV page-granularity view of the cache), which
@@ -234,20 +244,7 @@ impl MicroBatch {
     ///
     /// # Panics
     /// Panics if `kv_bucket` is zero.
-    pub fn slices(&self, kv_bucket: usize) -> Vec<BatchSlice> {
-        let mut slices = Vec::new();
-        self.slices_into(kv_bucket, &mut slices);
-        slices
-    }
-
-    /// [`slices`](Self::slices), writing into a caller-owned buffer so the
-    /// executor's per-step estimate reuses one allocation for the whole run.
-    /// `out` is cleared first; the slice list produced is identical to
-    /// [`slices`](Self::slices).
-    ///
-    /// # Panics
-    /// Panics if `kv_bucket` is zero.
-    pub fn slices_into(&self, kv_bucket: usize, out: &mut Vec<BatchSlice>) {
+    pub(crate) fn slices_into(&self, kv_bucket: usize, out: &mut Vec<BatchSlice>) {
         assert!(kv_bucket > 0, "kv_bucket must be non-zero");
         out.clear();
         let bucket = |len: usize| pages_for(len, kv_bucket) * kv_bucket;
@@ -345,12 +342,6 @@ pub struct Scheduler {
     /// queues, sorted ascending by arrival: in-order submissions (the normal
     /// case) append in O(1) and each release pops from the front.
     future: VecDeque<(u64, RequestId)>,
-    /// Sessions inside an emitted-but-not-yet-completed micro-batch. A
-    /// multi-node executor overlaps several micro-batches; their sessions
-    /// must not be scheduled twice. Membership lives on the sessions
-    /// themselves ([`Session::in_flight`] in the arena); this counter only
-    /// answers [`Scheduler::in_flight_count`] in O(1).
-    in_flight_count: usize,
     /// Prefill tokens still owed across every live session (two integer ops
     /// per event), so the control plane's demand split stays O(1).
     pending_prefill_total: u64,
@@ -410,7 +401,7 @@ pub struct Scheduler {
 /// Outcome of one KV-page migration ([`Scheduler::migrate_session`]): what
 /// moved, so the executor can charge the NoC transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Migration {
+pub(crate) struct Migration {
     /// Pages that changed pools (under an unbounded pool: the page
     /// equivalent of the session's KV length).
     pub pages: usize,
@@ -455,7 +446,6 @@ impl Scheduler {
             sessions: SessionArena::new(),
             queues: Vec::new(),
             future: VecDeque::new(),
-            in_flight_count: 0,
             pending_prefill_total: 0,
             pending_decode_tokens: 0,
             calibrator: None,
@@ -489,7 +479,7 @@ impl Scheduler {
     }
 
     /// The configuration the scheduler runs under.
-    pub fn config(&self) -> &SchedulerConfig {
+    pub(crate) fn config(&self) -> &SchedulerConfig {
         &self.config
     }
 
@@ -513,7 +503,7 @@ impl Scheduler {
     /// Under a bounded configuration, panics if `roles` is empty or
     /// `capacity_scale` is zero, or if any session already holds pages
     /// (pools cannot be repartitioned mid-run).
-    pub fn configure_kv_pools(&mut self, roles: &[PoolRole], capacity_scale: usize) {
+    pub(crate) fn configure_kv_pools(&mut self, roles: &[PoolRole], capacity_scale: usize) {
         let Some(node_pages) = self.kv.node_pages else { return };
         assert!(!roles.is_empty(), "at least one KV pool is required");
         assert!(capacity_scale > 0, "capacity_scale must be non-zero");
@@ -527,7 +517,7 @@ impl Scheduler {
 
     /// The scheduling role of pool `pool` (`Colocated` under an unbounded
     /// configuration, where no pools exist).
-    pub fn pool_role(&self, pool: usize) -> PoolRole {
+    pub(crate) fn pool_role(&self, pool: usize) -> PoolRole {
         self.pool_roles.get(pool).copied().unwrap_or(PoolRole::Colocated)
     }
 
@@ -555,7 +545,7 @@ impl Scheduler {
     /// repartitions the pools (a sharded executor merges them into a larger
     /// aggregate, which only relaxes the true constraint). Rejections are
     /// counted in the runtime report.
-    pub fn try_submit(&mut self, request: Request) -> Result<RequestId, AdmissionError> {
+    pub(crate) fn try_submit(&mut self, request: Request) -> Result<RequestId, AdmissionError> {
         if let Some(bound) = self.kv.max_live_sessions {
             let live = self.sessions.retired_count() + self.sessions.len() - self.retired;
             if live >= bound {
@@ -635,7 +625,7 @@ impl Scheduler {
 
     /// High-water mark of the live (unretired) session population: what the
     /// scheduler's memory scales with, however long the request stream.
-    pub fn peak_live_sessions(&self) -> usize {
+    pub(crate) fn peak_live_sessions(&self) -> usize {
         self.sessions.peak_live()
     }
 
@@ -655,7 +645,7 @@ impl Scheduler {
     /// # Panics
     /// Debug-asserts that each is whole: every output token generated, its
     /// prefill target prefilled, no page mapped, first token after arrival.
-    pub fn retire_finished_prefix(&mut self) -> usize {
+    pub(crate) fn retire_finished_prefix(&mut self) -> usize {
         let n = self.sessions.iter().take_while(|s| s.is_finished()).count();
         for s in self.sessions.iter().take(n) {
             debug_assert_eq!(s.generated_tokens, s.request.output_tokens, "{} output", s.id);
@@ -675,9 +665,12 @@ impl Scheduler {
     }
 
     /// Number of sessions currently inside an emitted-but-not-completed
-    /// micro-batch.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight_count
+    /// micro-batch. A multi-node executor overlaps several micro-batches;
+    /// their sessions must not be scheduled twice, so membership lives on
+    /// the sessions themselves ([`Session::in_flight`]).
+    #[cfg(test)]
+    pub(crate) fn in_flight_count(&self) -> usize {
+        self.sessions.iter().filter(|s| s.in_flight).count()
     }
 
     /// Prefill tokens still owed by sessions that arrived at or before
@@ -702,7 +695,7 @@ impl Scheduler {
     /// Output tokens promised but not yet emitted across every live session
     /// — the decode-side demand the control plane weighs against
     /// [`Scheduler::pending_prefill_total`] when re-rolling node roles.
-    pub fn pending_decode_tokens(&self) -> u64 {
+    pub(crate) fn pending_decode_tokens(&self) -> u64 {
         self.pending_decode_tokens
     }
 
@@ -712,14 +705,14 @@ impl Scheduler {
     /// configured [`SloConfig::cycles_per_prefill_token`] in the admission
     /// check. Called by the executor when the control plane's calibration
     /// is enabled; re-enabling resets the calibrator.
-    pub fn enable_slo_calibration(&mut self) {
+    pub(crate) fn enable_slo_calibration(&mut self) {
         self.calibrator =
             Some(SloCalibrator::new(CALIBRATION_WARMUP_TOKENS, CALIBRATION_EWMA_SHIFT));
     }
 
     /// Feeds the calibrator one completed micro-batch that served `tokens`
     /// prefill tokens in `cycles` cycles. No-op when calibration is off.
-    pub fn observe_prefill_service(&mut self, tokens: u64, cycles: u64) {
+    pub(crate) fn observe_prefill_service(&mut self, tokens: u64, cycles: u64) {
         if let Some(c) = &mut self.calibrator {
             c.observe(tokens, cycles);
         }
@@ -727,7 +720,7 @@ impl Scheduler {
 
     /// The calibrated cycles-per-prefill-token estimate currently steering
     /// admission, or `None` when calibration is off or still warming up.
-    pub fn calibrated_rate(&self) -> Option<u64> {
+    pub(crate) fn calibrated_rate(&self) -> Option<u64> {
         self.calibrator.as_ref().and_then(SloCalibrator::rate)
     }
 
@@ -743,7 +736,7 @@ impl Scheduler {
     /// # Panics
     /// Panics if the pool still holds pages: roles may only change on an
     /// empty pool (the executor drains it first).
-    pub fn set_pool_role(&mut self, pool: usize, role: PoolRole) {
+    pub(crate) fn set_pool_role(&mut self, pool: usize, role: PoolRole) {
         assert_eq!(
             self.pools[pool].used_pages(),
             0,
@@ -755,13 +748,13 @@ impl Scheduler {
     /// Marks `pool` as draining for a role flip (or clears the mark with
     /// `None`): a draining pool is never picked as a swap-out target, so no
     /// new residents trickle in while the executor empties it.
-    pub fn set_drain_pool(&mut self, pool: Option<usize>) {
+    pub(crate) fn set_drain_pool(&mut self, pool: Option<usize>) {
         self.drain_pool = pool;
     }
 
     /// Pages currently mapped in pool `pool` (zero under an unbounded
     /// configuration, where no pools exist).
-    pub fn kv_pool_used_pages(&self, pool: usize) -> usize {
+    pub(crate) fn kv_pool_used_pages(&self, pool: usize) -> usize {
         self.pools.get(pool).map_or(0, KvPool::used_pages)
     }
 
@@ -770,7 +763,7 @@ impl Scheduler {
     /// written there. A lazy O(decoding residents) scan, taken only at
     /// migration-target selection under the control plane's load-aware
     /// placement.
-    pub fn pool_decode_load(&self, pool: usize) -> u64 {
+    pub(crate) fn pool_decode_load(&self, pool: usize) -> u64 {
         self.queues
             .iter()
             .flat_map(|q| q.decoding.iter())
@@ -786,7 +779,7 @@ impl Scheduler {
     /// released. The executor's drain sweep calls this until the pool
     /// empties; each victim takes the same recompute eviction as a capacity
     /// eviction during formation.
-    pub fn preempt_pool_residents(&mut self, pool: usize) -> u64 {
+    pub(crate) fn preempt_pool_residents(&mut self, pool: usize) -> u64 {
         let victims: Vec<RequestId> = self
             .queues
             .iter()
@@ -835,7 +828,8 @@ impl Scheduler {
     }
 
     /// Number of KV pools (zero under an unbounded configuration).
-    pub fn kv_pool_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn kv_pool_count(&self) -> usize {
         self.pools.len()
     }
 
@@ -846,7 +840,7 @@ impl Scheduler {
     /// Panics when pools are bounded and `pool` is out of range — an
     /// indexing bug must fail loudly, not read as infinite headroom and win
     /// every placement decision.
-    pub fn kv_free_pages(&self, pool: usize) -> KvFreePages {
+    pub(crate) fn kv_free_pages(&self, pool: usize) -> KvFreePages {
         if self.pools.is_empty() {
             return KvFreePages::Unbounded;
         }
@@ -858,64 +852,31 @@ impl Scheduler {
         KvFreePages::Pages(self.pools[pool].free_pages())
     }
 
-    /// Total page capacity across all pools (`None` = unbounded).
-    pub fn kv_capacity_pages(&self) -> Option<u64> {
-        if self.pools.is_empty() {
-            None
-        } else {
-            Some(self.pools.iter().map(|p| p.capacity() as u64).sum())
-        }
-    }
-
     /// Pages currently mapped across all pools.
     pub fn kv_used_pages(&self) -> u64 {
         self.pools.iter().map(|p| u64_from_usize(p.used_pages())).sum()
     }
 
-    /// High-water mark of mapped pages, summed across pools.
-    pub fn kv_peak_used_pages(&self) -> u64 {
-        self.pools.iter().map(|p| u64_from_usize(p.peak_used_pages())).sum()
-    }
-
-    /// Sessions evicted from a full KV pool so far.
-    pub fn preemption_count(&self) -> u64 {
-        self.preempted
-    }
-
-    /// KV entries dropped by evictions that had to be prefilled again.
-    pub fn reprefill_token_count(&self) -> u64 {
-        self.reprefill_tokens
-    }
-
-    /// Pages released by evictions so far.
-    pub fn evicted_page_count(&self) -> u64 {
-        self.evicted_pages
-    }
-
-    /// Submissions rejected by admission control so far.
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected
-    }
-
-    /// KV-page migrations between pools so far (prefill→decode handoffs plus
-    /// swap-ins).
-    pub fn migration_count(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Pages moved by migrations so far.
-    pub fn migrated_page_count(&self) -> u64 {
-        self.migrated_pages
-    }
-
-    /// Sessions paged out of a decode pool (swap-style preemption) so far.
-    pub fn swap_out_count(&self) -> u64 {
-        self.swap_outs
-    }
-
-    /// Pages moved by swap-outs so far.
-    pub fn swapped_page_count(&self) -> u64 {
-        self.swapped_pages
+    /// The run's paged-KV counters kept by the scheduler; the executor adds
+    /// its fault-stall, transfer and role-flip counters.
+    pub(crate) fn kv_stats(&self) -> KvStats {
+        let bounded = !self.pools.is_empty();
+        KvStats {
+            page_tokens: self.kv.page_tokens,
+            capacity_pages: bounded.then(|| self.pools.iter().map(|p| p.capacity() as u64).sum()),
+            peak_used_pages: self.pools.iter().map(|p| u64_from_usize(p.peak_used_pages())).sum(),
+            preemptions: self.preempted,
+            reprefill_tokens: self.reprefill_tokens,
+            evicted_pages: self.evicted_pages,
+            rejected_requests: self.rejected,
+            migrations: self.migrations,
+            migrated_pages: self.migrated_pages,
+            swap_outs: self.swap_outs,
+            swapped_pages: self.swapped_pages,
+            calibration_samples: self.calibration_samples(),
+            calibrated_cycles_per_prefill_token: self.calibrated_rate(),
+            ..KvStats::default()
+        }
     }
 
     /// Earliest cycle strictly after `now` at which an unfinished session
@@ -1094,7 +1055,6 @@ impl Scheduler {
             let i = self.sidx(item.id);
             self.sessions[i].in_flight = true;
         }
-        self.in_flight_count += items.len();
         Some(MicroBatch { model: self.queues[qi].model, items, evicted_pages, swapped_out })
     }
 
@@ -1419,7 +1379,7 @@ impl Scheduler {
     /// # Panics
     /// Panics if the session is finished, holds no pages while a bounded
     /// pool is configured, or is already homed on `to_pool`.
-    pub fn migrate_session(&mut self, id: RequestId, to_pool: usize) -> Option<Migration> {
+    pub(crate) fn migrate_session(&mut self, id: RequestId, to_pool: usize) -> Option<Migration> {
         let i = self.sidx(id);
         assert!(!self.sessions[i].is_finished(), "finished sessions have no KV to migrate");
         if self.pools.is_empty() {
@@ -1452,7 +1412,7 @@ impl Scheduler {
     /// Raises session `id`'s ready cycle to at least `cycle` — how the
     /// executor keeps a migrated session causal: its next decode step cannot
     /// start before its KV pages have finished streaming over the NoC.
-    pub fn stall_session_until(&mut self, id: RequestId, cycle: u64) {
+    pub(crate) fn stall_session_until(&mut self, id: RequestId, cycle: u64) {
         let i = self.sidx(id);
         let s = &mut self.sessions[i];
         s.ready_cycle = s.ready_cycle.max(cycle);
@@ -1533,7 +1493,7 @@ impl Scheduler {
     /// allocating. Purely an optimization — dropping the batch instead is
     /// always correct. The free list is capped at the executor's plausible
     /// in-flight depth so a burst never pins memory.
-    pub fn recycle(&mut self, batch: MicroBatch) {
+    pub(crate) fn recycle(&mut self, batch: MicroBatch) {
         const SPARE_CAP: usize = 64;
         if self.spare_items.len() < SPARE_CAP {
             let mut items = batch.items;
@@ -1607,7 +1567,6 @@ impl Scheduler {
                     table.release_all(&mut self.pools[home]);
                 }
             }
-            self.in_flight_count -= 1;
             let queue = &mut self.queues[qi];
             match state {
                 SessionState::Prefilling => {}
@@ -1889,7 +1848,7 @@ mod tests {
     /// Drives the scheduler to completion on one pool, checking page
     /// conservation after every step, and returns the number of steps.
     fn drain(sched: &mut Scheduler) -> usize {
-        let capacity = sched.kv_capacity_pages();
+        let capacity = sched.kv_stats().capacity_pages;
         let mut now = 0u64;
         let mut steps = 0usize;
         while !sched.all_finished() {
@@ -1938,10 +1897,10 @@ mod tests {
         assert!(sched.all_finished());
         assert_eq!(sched.session(a).preemptions, 0, "the oldest session is unpreemptable");
         assert_eq!(sched.session(b).preemptions, 1);
-        assert_eq!(sched.preemption_count(), 1);
-        assert_eq!(sched.evicted_page_count(), 2, "the victim held two pages");
+        assert_eq!(sched.kv_stats().preemptions, 1);
+        assert_eq!(sched.kv_stats().evicted_pages, 2, "the victim held two pages");
         assert_eq!(
-            sched.reprefill_token_count(),
+            sched.kv_stats().reprefill_tokens,
             8,
             "prompt 4 + 4 generated KV entries recomputed"
         );
@@ -2002,7 +1961,7 @@ mod tests {
         assert_eq!(sched.session(late).prefilled_tokens, 0);
         drain(&mut sched);
         assert!(sched.all_finished());
-        assert_eq!(sched.preemption_count(), 0, "deferral suffices for this workload");
+        assert_eq!(sched.kv_stats().preemptions, 0, "deferral suffices for this workload");
     }
 
     #[test]
@@ -2025,8 +1984,8 @@ mod tests {
             roomy.try_submit(request(ModelId::Llama2_7b, 60, 8)),
             Err(AdmissionError::NeverFits { needed_pages: 17, capacity_pages: 8 })
         );
-        assert_eq!(sched.rejected_count(), 1);
-        assert_eq!(roomy.rejected_count(), 1);
+        assert_eq!(sched.kv_stats().rejected_requests, 1);
+        assert_eq!(roomy.kv_stats().rejected_requests, 1);
         // Unbounded schedulers never reject.
         let mut unbounded = Scheduler::new(SchedulerConfig::default());
         assert!(unbounded.try_submit(request(ModelId::Llama2_7b, 100_000, 1000)).is_ok());
@@ -2040,7 +1999,7 @@ mod tests {
         // (32 pages) still rejects what one node (8 pages) cannot hold.
         let mut sched = Scheduler::with_kv(SchedulerConfig::default(), KvConfig::bounded(4, 8));
         sched.configure_kv_pools(&[PoolRole::Colocated], 4);
-        assert_eq!(sched.kv_capacity_pages(), Some(32));
+        assert_eq!(sched.kv_stats().capacity_pages, Some(32));
         assert_eq!(
             sched.try_submit(request(ModelId::Llama2_7b, 60, 8)),
             Err(AdmissionError::NeverFits { needed_pages: 17, capacity_pages: 8 })
@@ -2064,15 +2023,15 @@ mod tests {
         assert_eq!(sched.kv_pool_count(), 1);
         sched.configure_kv_pools(&[PoolRole::Colocated; 4], 1); // data-parallel over 4 nodes
         assert_eq!(sched.kv_pool_count(), 4);
-        assert_eq!(sched.kv_capacity_pages(), Some(32));
+        assert_eq!(sched.kv_stats().capacity_pages, Some(32));
         sched.configure_kv_pools(&[PoolRole::Colocated], 4); // sharded across 4 nodes
         assert_eq!(sched.kv_pool_count(), 1);
-        assert_eq!(sched.kv_capacity_pages(), Some(32));
+        assert_eq!(sched.kv_stats().capacity_pages, Some(32));
         // Unbounded schedulers ignore repartitioning entirely.
         let mut unbounded = Scheduler::new(SchedulerConfig::default());
         unbounded.configure_kv_pools(&[PoolRole::Colocated; 4], 1);
         assert_eq!(unbounded.kv_pool_count(), 0);
-        assert_eq!(unbounded.kv_capacity_pages(), None);
+        assert_eq!(unbounded.kv_stats().capacity_pages, None);
     }
 
     #[test]
@@ -2206,7 +2165,7 @@ mod tests {
             sched.try_submit(request(ModelId::Llama2_7b, 1, 2)),
             Err(AdmissionError::SloViolation { projected_cycles: 1_010, target_cycles: 1_000 })
         );
-        assert_eq!(sched.rejected_count(), 1);
+        assert_eq!(sched.kv_stats().rejected_requests, 1);
         // Once the prompt prefills, the backlog drains and admission opens
         // again (decoding sessions carry no prefill backlog).
         let batch = sched.next_micro_batch(0, 0, PoolRole::Colocated).unwrap();
@@ -2281,7 +2240,7 @@ mod tests {
             sched.sessions().to_vec(),
             sched.serve_counter,
             queues,
-            sched.in_flight_count,
+            sched.in_flight_count(),
             sched.pending_decode_tokens,
         )
     }

@@ -63,7 +63,7 @@ pub struct Percentiles {
 impl Percentiles {
     /// Computes percentiles over `values` (need not be sorted). Returns the
     /// default (all zero) for an empty slice.
-    pub fn of(values: &[f64]) -> Self {
+    pub(crate) fn of(values: &[f64]) -> Self {
         if values.is_empty() {
             return Percentiles::default();
         }
@@ -334,7 +334,7 @@ fn fnv_fold(mut hash: u64, word: u64) -> u64 {
 impl StatsFold {
     /// Folds one retired request in. Must be called in id order for the
     /// floating-point sums and the checksum to be reproducible.
-    pub fn add(&mut self, s: &RequestStats) {
+    pub(crate) fn add(&mut self, s: &RequestStats) {
         self.requests += 1;
         self.prompt_tokens += s.prompt_tokens as u64;
         self.output_tokens += s.output_tokens as u64;

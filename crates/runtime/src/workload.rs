@@ -67,8 +67,8 @@ impl WorkloadSpec {
     /// A KV-pressure workload: moderate prompts but long generations
     /// (64–256 prompt, 48–96 output tokens) in a single burst, so the
     /// decode population's cache footprint keeps growing long after the
-    /// prefills are done — the regime where a bounded
-    /// [`KvPool`](crate::kv::KvPool) preempts. Used by the `kv_pressure`
+    /// prefills are done — the regime where a bounded KV pool
+    /// ([`KvConfig::bounded`](crate::KvConfig::bounded)) preempts. Used by the `kv_pressure`
     /// integration test and the `kv_sweep` bench.
     pub fn kv_pressure() -> Self {
         WorkloadSpec {
@@ -109,7 +109,8 @@ impl WorkloadSpec {
 /// [`synthetic_requests`] would materialize for the same arguments, one
 /// request at a time, in O(1) memory. Unbounded — callers `take(n)` or stop
 /// consuming; [`Executor::run_stream`](crate::Executor::run_stream) stages
-/// it one arrival at a time.
+/// it one arrival at a time. A Poisson arrival clock that would pass
+/// `u64::MAX` panics rather than wrapping.
 #[derive(Clone, Debug)]
 pub struct WorkloadStream {
     rng: SmallRng,
@@ -145,7 +146,8 @@ impl WorkloadStream {
     /// Whether this stream's arrival sequence is nondecreasing (what lazy,
     /// event-driven consumption requires). True for Poisson arrivals and
     /// for a zero-horizon burst; false for a nonzero uniform spread.
-    pub fn arrivals_sorted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn arrivals_sorted(&self) -> bool {
         match self.spec.arrival {
             ArrivalModel::Poisson { .. } => true,
             ArrivalModel::Spread => self.spec.arrival_spread_cycles == 0,
@@ -178,12 +180,29 @@ impl Iterator for WorkloadStream {
                 }
             }
             ArrivalModel::Poisson { mean_gap_cycles } => {
-                self.clock_cycles += exponential_gap(&mut self.rng, mean_gap_cycles);
+                let gap = exponential_gap(&mut self.rng, mean_gap_cycles);
+                self.clock_cycles = arrival_after(self.clock_cycles, gap);
                 self.clock_cycles
             }
         };
         Some(Request::new(model, prompt, output).arriving_at(arrival))
     }
+}
+
+/// The arrival cycle `gap` cycles after `cycle`: the one arrival-side cycle
+/// sum, for the Poisson clock and for a phase's start offset.
+///
+/// # Panics
+/// Panics when `cycle + gap` overflows a `u64` cycle count, rather than
+/// wrapping (release builds do not check overflow).
+#[expect(
+    clippy::panic,
+    reason = "a wrapped arrival clock would silently move later arrivals before earlier ones"
+)]
+fn arrival_after(cycle: u64, gap: u64) -> u64 {
+    cycle.checked_add(gap).unwrap_or_else(|| {
+        panic!("arrival overflow: {gap} cycles after cycle {cycle} pass u64::MAX")
+    })
 }
 
 /// One exponentially distributed inter-arrival gap with the given mean, by
@@ -231,7 +250,8 @@ pub fn synthetic_requests(
 /// `adaptive_sweep` bench drives.
 ///
 /// # Panics
-/// Panics if `models` is empty or any phase's range is inverted.
+/// Panics if `models` is empty, any phase's range is inverted, or an offset
+/// arrival passes `u64::MAX`.
 pub fn phased_requests(
     seed: u64,
     models: &[ModelId],
@@ -243,7 +263,7 @@ pub fn phased_requests(
         .flat_map(|(i, &(spec, start_cycle, count))| {
             synthetic_requests(seed + u64_from_usize(i), count, models, spec)
                 .into_iter()
-                .map(move |r| r.arriving_at(start_cycle + r.arrival_cycle))
+                .map(move |r| r.arriving_at(arrival_after(start_cycle, r.arrival_cycle)))
         })
         .collect()
 }
@@ -409,4 +429,35 @@ mod tests {
     /// `poisson_inter_arrival_sequence_is_pinned`.
     const PINNED_ARRIVALS: [u64; 8] =
         [11_741, 34_137, 42_788, 45_374, 50_108, 82_450, 97_993, 98_419];
+
+    #[test]
+    fn arrival_sums_reach_u64_max_exactly() {
+        assert_eq!(arrival_after(u64::MAX - 7, 7), u64::MAX);
+        // A Poisson clock one short gap below the top still advances.
+        let spec = WorkloadSpec::default().with_poisson_arrivals(1);
+        let mut stream = WorkloadStream::new(3, &[ModelId::Llama2_7b], spec);
+        stream.clock_cycles = u64::MAX - 1_000;
+        let r = stream.next().unwrap();
+        assert!(r.arrival_cycle >= u64::MAX - 1_000);
+        // A phase starting at the last cycle its spread allows.
+        let spread = WorkloadSpec { arrival_spread_cycles: 1_000, ..WorkloadSpec::default() };
+        let phased = phased_requests(5, &[ModelId::Llama2_7b], &[(spread, u64::MAX - 1_000, 8)]);
+        assert!(phased.iter().all(|r| r.arrival_cycle >= u64::MAX - 1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival overflow")]
+    fn poisson_clock_panics_past_u64_max() {
+        let spec = WorkloadSpec::default().with_poisson_arrivals(1 << 40);
+        let mut stream = WorkloadStream::new(3, &[ModelId::Llama2_7b], spec);
+        stream.clock_cycles = u64::MAX - 1;
+        stream.next();
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival overflow")]
+    fn phased_arrivals_panic_past_u64_max() {
+        let spread = WorkloadSpec { arrival_spread_cycles: 1_000, ..WorkloadSpec::default() };
+        phased_requests(5, &[ModelId::Llama2_7b], &[(spread, u64::MAX - 1, 8)]);
+    }
 }

@@ -1,27 +1,24 @@
 //! Property tests for the continuous-batching scheduler, the multi-node
-//! placement layer, the paged KV cache and the discrete-event engine:
-//! liveness (no request starves, even under preemption), the micro-batch
-//! caps (token budget, max batch), exact output-token accounting, the
-//! placement invariants (token conservation, per-node clocks bounded by the
-//! makespan, 1×1 placement bit-identical to the single-node executor), the
-//! paging invariants (pages never double-mapped, `free + Σ mapped ==
-//! capacity` after any op sequence, an unbounded pool bit-identical to a
-//! never-full bounded one), and the serving-loop invariants (token and page
+//! placement layer, the paged KV cache and the discrete-event engine,
+//! through the public API: liveness (no request starves, even under
+//! preemption), the micro-batch caps (token budget, max batch), exact
+//! output-token accounting, the placement invariants (token conservation,
+//! per-node clocks bounded by the makespan, 1×1 placement bit-identical to
+//! the single-node executor), an unbounded pool bit-identical to a
+//! never-full bounded one, and the serving-loop invariants (token and page
 //! conservation, causality and one completion per batch across every
-//! placement policy, streamed runs equal to pre-submitted ones,
-//! session-arena slots never aliased while live).
+//! placement policy, streamed runs equal to pre-submitted ones). The page
+//! allocator's, session arena's and SLO calibrator's own properties are
+//! unit tests in `kv.rs`, `request.rs` and `control.rs`.
 
 mod common;
 
 use common::{peak_pages, run_presubmitted};
 use mugi::arch::noc::NocConfig;
-use mugi_runtime::kv::oracle as kv_oracle;
 use mugi_runtime::{
-    pages_for, ControlConfig, Executor, KvConfig, KvPool, PageId, PageTable, Placement, PoolRole,
-    Request, RuntimeReport, Scenario, Scheduler, SchedulerConfig, SchedulingPolicy, SessionArena,
-    KV_BITS,
+    pages_for, ControlConfig, Executor, KvConfig, Placement, PoolRole, Request, RuntimeReport,
+    Scenario, Scheduler, SchedulerConfig, SchedulingPolicy, KV_BITS,
 };
-use mugi_runtime::{Session, SessionState};
 use mugi_workloads::models::ModelId;
 use proptest::prelude::*;
 
@@ -73,29 +70,6 @@ prop_compose! {
     }
 }
 
-// One paging operation against a shared pool: table index plus a token
-// target (0 = release every page of that table).
-prop_compose! {
-    fn kv_op_strategy()(
-        table in 0usize..6,
-        tokens in 0usize..600,
-    ) -> (usize, usize) {
-        (table, tokens)
-    }
-}
-
-// One two-pool paging operation: table index, action (0 = grow, 1 = release
-// everything, 2 = migrate to the other pool) and a token target.
-prop_compose! {
-    fn kv_migration_op_strategy()(
-        table in 0usize..4,
-        action in 0usize..3,
-        tokens in 1usize..400,
-    ) -> (usize, usize, usize) {
-        (table, action, tokens)
-    }
-}
-
 prop_compose! {
     fn config_strategy()(
         max_batch in 1usize..17,
@@ -114,16 +88,6 @@ prop_compose! {
             },
             ..SchedulerConfig::default()
         }
-    }
-}
-
-// One arena operation: push up to four sessions, then retire up to four.
-prop_compose! {
-    fn arena_op_strategy()(
-        pushes in 0usize..5,
-        retires in 0usize..5,
-    ) -> (usize, usize) {
-        (pushes, retires)
     }
 }
 
@@ -248,141 +212,6 @@ proptest! {
         let one_by_one = run(Placement::single_node());
         let sharded = run(Placement::sharded(NocConfig::single()));
         prop_assert_eq!(&one_by_one, &sharded);
-    }
-
-    #[test]
-    fn kv_pool_never_double_maps_and_conserves_pages(
-        capacity in 1usize..48,
-        ops in prop::collection::vec(kv_op_strategy(), 1..80),
-    ) {
-        // Random grow/release sequences over six tables sharing one pool,
-        // driven in lockstep against the retained pre-extent free-list
-        // allocator (`kv::oracle`): every operation must have the same
-        // outcome on both, every observable count must agree, and on the
-        // extent side the free bitmap plus all mapped pages must equal the
-        // capacity exactly with no page ever mapped by two tables at once.
-        let page_tokens = 16;
-        let mut pool = KvPool::bounded(capacity);
-        let mut reference = kv_oracle::Pool::bounded(capacity);
-        let mut tables: Vec<PageTable> = (0..6).map(|_| PageTable::new()).collect();
-        let mut ref_tables: Vec<kv_oracle::Table> =
-            (0..6).map(|_| kv_oracle::Table::new()).collect();
-        for (t, tokens) in ops {
-            if tokens == 0 {
-                let released = tables[t].release_all(&mut pool);
-                let ref_released = ref_tables[t].release_all(&mut reference);
-                prop_assert_eq!(released, ref_released, "release count diverged");
-            } else {
-                let target = pages_for(tokens, page_tokens);
-                let grew = tables[t].grow(0, &mut pool, target);
-                let ref_grew = ref_tables[t].grow(0, &mut reference, target);
-                prop_assert_eq!(grew, ref_grew, "grow outcome diverged from the oracle");
-                prop_assert_eq!(grew, tables[t].mapped_pages() >= target);
-            }
-            // Every count the scheduler can observe agrees with the oracle.
-            prop_assert_eq!(pool.free_pages(), reference.free_pages());
-            prop_assert_eq!(pool.used_pages(), reference.used_pages());
-            prop_assert_eq!(pool.peak_used_pages(), reference.peak_used_pages());
-            for (a, b) in tables.iter().zip(&ref_tables) {
-                prop_assert_eq!(a.mapped_pages(), b.mapped_pages(), "table size diverged");
-                prop_assert_eq!(a.home(), b.home(), "table home diverged");
-            }
-            let mapped: usize = tables.iter().map(PageTable::mapped_pages).sum();
-            prop_assert_eq!(pool.free_pages() + mapped, capacity, "page leak or double-count");
-            let mut all: Vec<PageId> = tables.iter().flat_map(PageTable::page_ids).collect();
-            let total = all.len();
-            all.sort_unstable();
-            all.dedup();
-            prop_assert_eq!(all.len(), total, "a page is mapped by two tables");
-            prop_assert!(all.iter().all(|p| (p.0 as usize) < capacity), "page id out of range");
-            for table in &tables {
-                let from_extents: usize = table.extents().iter().map(|e| e.len as usize).sum();
-                prop_assert_eq!(
-                    from_extents,
-                    table.mapped_pages(),
-                    "extent list disagrees with the cached page count"
-                );
-                prop_assert!(
-                    table.extents().iter().all(|e| e.len > 0),
-                    "a mapped extent may never be empty"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kv_migration_matches_the_pre_extent_oracle(
-        cap_a in 1usize..24,
-        cap_b in 1usize..24,
-        ops in prop::collection::vec(kv_migration_op_strategy(), 1..60),
-    ) {
-        // Grow/release/migrate sequences over two pools, extent allocator
-        // and pre-extent oracle in lockstep: migration outcomes (including
-        // refusals when the target lacks room), page counts and homes must
-        // never diverge, and pages must be conserved across both pools.
-        let page_tokens = 16;
-        let caps = [cap_a, cap_b];
-        let mut pools = [KvPool::bounded(cap_a), KvPool::bounded(cap_b)];
-        let mut refs = [kv_oracle::Pool::bounded(cap_a), kv_oracle::Pool::bounded(cap_b)];
-        let mut tables: Vec<PageTable> = (0..4).map(|_| PageTable::new()).collect();
-        let mut ref_tables: Vec<kv_oracle::Table> =
-            (0..4).map(|_| kv_oracle::Table::new()).collect();
-        for (t, action, tokens) in ops {
-            let home = tables[t].home();
-            prop_assert_eq!(home, ref_tables[t].home());
-            match action {
-                // Grow on the current home (or pool 0 while homeless).
-                0 => {
-                    let pool = home.unwrap_or(0);
-                    let target = pages_for(tokens, page_tokens);
-                    let grew = tables[t].grow(pool, &mut pools[pool], target);
-                    let ref_grew = ref_tables[t].grow(pool, &mut refs[pool], target);
-                    prop_assert_eq!(grew, ref_grew, "grow outcome diverged");
-                }
-                // Release everything.
-                1 => {
-                    if let Some(pool) = home {
-                        let a = tables[t].release_all(&mut pools[pool]);
-                        let b = ref_tables[t].release_all(&mut refs[pool]);
-                        prop_assert_eq!(a, b, "release count diverged");
-                    }
-                }
-                // Migrate to the other pool (only legal with pages mapped).
-                _ => {
-                    if let Some(from) = home {
-                        let (a, b) = if from == 0 {
-                            let [p0, p1] = &mut pools;
-                            let [r0, r1] = &mut refs;
-                            (tables[t].migrate(p0, 1, p1), ref_tables[t].migrate(r0, 1, r1))
-                        } else {
-                            let [p0, p1] = &mut pools;
-                            let [r0, r1] = &mut refs;
-                            (tables[t].migrate(p1, 0, p0), ref_tables[t].migrate(r1, 0, r0))
-                        };
-                        prop_assert_eq!(a, b, "migration outcome diverged");
-                    }
-                }
-            }
-            for pool in 0..2 {
-                prop_assert_eq!(pools[pool].free_pages(), refs[pool].free_pages());
-                prop_assert_eq!(pools[pool].peak_used_pages(), refs[pool].peak_used_pages());
-                let mapped: usize = tables
-                    .iter()
-                    .filter(|tb| tb.home() == Some(pool))
-                    .map(PageTable::mapped_pages)
-                    .sum();
-                prop_assert_eq!(
-                    pools[pool].free_pages() + mapped,
-                    caps[pool],
-                    "page leak or double-count in pool {}",
-                    pool
-                );
-            }
-            for (a, b) in tables.iter().zip(&ref_tables) {
-                prop_assert_eq!(a.mapped_pages(), b.mapped_pages());
-                prop_assert_eq!(a.home(), b.home());
-            }
-        }
     }
 
     #[test]
@@ -681,73 +510,5 @@ proptest! {
             streaming.queue().pop_count(),
             requests.len() as u64 + streamed.micro_batches
         );
-    }
-
-    #[test]
-    fn session_arena_slots_are_never_aliased_while_live(
-        ops in prop::collection::vec(arena_op_strategy(), 1..60),
-    ) {
-        // Random push/retire interleavings: live ids stay dense and
-        // ascending (no slot ever aliases another session), the live window
-        // indexes correctly through compactions, and the peak-live
-        // high-water mark matches a reference model.
-        let mut arena = SessionArena::new();
-        let mut next_id = 0u64;
-        let mut model_peak = 0usize;
-        for (pushes, retires) in ops {
-            for _ in 0..pushes {
-                let req = Request::new(ModelId::Llama2_7b, 1, 1);
-                arena.push(Session::new(mugi_runtime::RequestId(next_id), req));
-                next_id += 1;
-            }
-            model_peak = model_peak.max(arena.len());
-            let n = retires.min(arena.len());
-            for i in 0..n {
-                arena[i].state = SessionState::Finished;
-            }
-            arena.retire_prefix(n);
-            arena.assert_invariants();
-            prop_assert_eq!(
-                arena.retired_count() + arena.len(),
-                next_id as usize,
-                "sessions were lost or duplicated"
-            );
-            for (i, s) in arena.live().iter().enumerate() {
-                prop_assert_eq!(s.id, arena[i].id, "index and live window disagree");
-                prop_assert_eq!(s.id.0 as usize, arena.retired_count() + i);
-            }
-        }
-        prop_assert_eq!(arena.peak_live(), model_peak);
-    }
-}
-
-proptest! {
-    /// The SLO calibrator is conservative by construction: whenever it
-    /// publishes a rate, that rate is at least the cumulative measured mean
-    /// (rounded up) — so calibrated admission never accepts a request the
-    /// true measured mean rate would have rejected — and at least 1. Before
-    /// warmup it publishes nothing.
-    #[test]
-    fn calibrator_rate_never_undercuts_the_measured_mean(
-        sample_tokens in prop::collection::vec(1u64..5_000, 1..64),
-        sample_cycles in prop::collection::vec(1u64..50_000_000_000, 1..64),
-        warmup in 1u64..4_096,
-        shift in 0u32..8,
-    ) {
-        let mut cal = mugi_runtime::SloCalibrator::new(warmup, shift);
-        let (mut tokens_total, mut cycles_total) = (0u64, 0u64);
-        for (&tokens, &cycles) in sample_tokens.iter().zip(sample_cycles.iter()) {
-            cal.observe(tokens, cycles);
-            tokens_total += tokens;
-            cycles_total += cycles;
-            match cal.rate() {
-                Some(rate) => {
-                    prop_assert!(tokens_total >= warmup.max(1));
-                    prop_assert!(rate >= cycles_total.div_ceil(tokens_total));
-                    prop_assert!(rate >= 1);
-                }
-                None => prop_assert!(tokens_total < warmup.max(1)),
-            }
-        }
     }
 }

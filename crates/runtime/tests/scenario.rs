@@ -2,7 +2,9 @@
 //! every count, over 1×1, 1×2, 2×2 and 0×N meshes, with disaggregated
 //! splits both from `Placement::disaggregated` and as literal values that
 //! bypass it, bounded and unbounded KV, swap preemption, SLO admission and
-//! every controller knob.
+//! every controller knob. Each serves up to eight 7B, 13B or 70B requests
+//! with outputs up to 64 tokens, arriving at log-uniform gaps from 0 to
+//! ~10^10 cycles.
 //!
 //! `Scenario::build` must never panic, and must fail exactly when the rules
 //! restated in [`broken_rule`] say it should. Every valid scenario then
@@ -17,6 +19,7 @@ use mugi_runtime::{
 };
 use mugi_workloads::models::ModelId;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 prop_compose! {
@@ -83,14 +86,37 @@ prop_compose! {
     }
 }
 
+// One request and its gap after the previous arrival. Gaps are
+// log-uniform from 0 to 2^34 (~1.7·10^10) cycles, across step lengths, so
+// arrivals land mid-batch, mid decode run and after idle stretches; outputs
+// up to 64 tokens let decode runs form and be cut short.
 prop_compose! {
     fn request_strategy()(
-        model in prop::sample::select(vec![ModelId::Llama2_7b, ModelId::Llama2_13b]),
+        model in prop::sample::select(
+            vec![ModelId::Llama2_7b, ModelId::Llama2_13b, ModelId::Llama2_70b]
+        ),
         prompt in 1usize..120,
-        output in 1usize..8,
-        arrival in 0u64..200,
-    ) -> Request {
-        Request::new(model, prompt, output).arriving_at(arrival)
+        output in 1usize..65,
+        gap_bits in 0u32..35,
+        gap in any::<u64>(),
+    ) -> (u64, Request) {
+        (gap & ((1 << gap_bits) - 1), Request::new(model, prompt, output))
+    }
+}
+
+// Up to eight requests, arriving in order at the running sum of their gaps.
+prop_compose! {
+    fn workload_strategy()(
+        draws in prop::collection::vec(request_strategy(), 1..9),
+    ) -> Vec<Request> {
+        let mut clock = 0;
+        draws
+            .into_iter()
+            .map(|(gap, r)| {
+                clock += gap;
+                r.arriving_at(clock)
+            })
+            .collect()
     }
 }
 
@@ -122,39 +148,64 @@ fn broken_rule(s: &Scenario) -> Option<&'static str> {
     .find_map(|(rule, broken)| broken.then_some(rule))
 }
 
+/// `scenario` builds exactly when [`broken_rule`] finds no broken rule, and
+/// a built engine serves `requests` (in arrival order) to completion.
+fn builds_exactly_when_valid_and_serves_to_completion(
+    scenario: &Scenario,
+    requests: &[Request],
+) -> Result<(), TestCaseError> {
+    let built = catch_unwind(AssertUnwindSafe(|| scenario.build()));
+    prop_assert!(built.is_ok(), "build panicked on {scenario:?}");
+    let Ok(built) = built else { unreachable!() };
+    let (err, rule) = (built.as_ref().err(), broken_rule(scenario));
+    prop_assert_eq!(err.is_some(), rule.is_some(), "{:?} vs {:?}: {:?}", err, rule, scenario);
+    let Ok(mut ex) = built else { return Ok(()) };
+    let run = catch_unwind(AssertUnwindSafe(|| ex.run_stream(requests.iter().copied())));
+    prop_assert!(run.is_ok(), "run panicked on {scenario:?} with {requests:?}");
+    let Ok(report) = run else { unreachable!() };
+    // Every request is served or rejected at admission; each served one
+    // (listed in admission order) emits exactly the tokens it asked for.
+    let rejected = report.kv.rejected_requests;
+    prop_assert_eq!(report.requests.len() as u64 + rejected, requests.len() as u64);
+    let mut pending = requests.iter();
+    for stats in &report.requests {
+        let matched = pending.any(|r| {
+            (r.model, r.prompt_tokens, r.output_tokens)
+                == (stats.model, stats.prompt_tokens, stats.output_tokens)
+        });
+        prop_assert!(matched, "{stats:?} serves no request in order: {scenario:?}");
+    }
+    let served: u64 = report.requests.iter().map(|r| r.output_tokens as u64).sum();
+    prop_assert_eq!(report.total_output_tokens, served, "{:?}", scenario);
+    prop_assert!(ex.scheduler().sessions().is_empty(), "a session never retired: {scenario:?}");
+    prop_assert_eq!(ex.scheduler().kv_used_pages(), 0, "pages leaked: {:?}", scenario);
+    prop_assert_eq!(ex.pending_migration_count(), 0, "stranded migration: {:?}", scenario);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn scenarios_build_exactly_when_valid_and_then_serve_to_completion(
         scenario in scenario_strategy(),
-        mut requests in prop::collection::vec(request_strategy(), 1..9),
+        requests in workload_strategy(),
     ) {
-        let built = catch_unwind(AssertUnwindSafe(|| scenario.build()));
-        prop_assert!(built.is_ok(), "build panicked on {scenario:?}");
-        let Ok(built) = built else { unreachable!() };
-        let (err, rule) = (built.as_ref().err(), broken_rule(&scenario));
-        prop_assert_eq!(err.is_some(), rule.is_some(), "{:?} vs {:?}: {:?}", err, rule, scenario);
-        let Ok(mut ex) = built else { return Ok(()) };
-        requests.sort_by_key(|r| r.arrival_cycle);
-        let run = catch_unwind(AssertUnwindSafe(|| ex.run_stream(requests.iter().copied())));
-        prop_assert!(run.is_ok(), "run panicked on {scenario:?} with {requests:?}");
-        let Ok(report) = run else { unreachable!() };
-        // Every request is served or rejected at admission; each served one
-        // (listed in admission order) emits exactly the tokens it asked for.
-        let rejected = report.kv.rejected_requests;
-        prop_assert_eq!(report.requests.len() as u64 + rejected, requests.len() as u64);
-        let mut pending = requests.iter();
-        for stats in &report.requests {
-            let matched = pending.any(|r| {
-                (r.model, r.prompt_tokens, r.output_tokens)
-                    == (stats.model, stats.prompt_tokens, stats.output_tokens)
-            });
-            prop_assert!(matched, "{stats:?} serves no request in order: {scenario:?}");
-        }
-        let served: u64 = report.requests.iter().map(|r| r.output_tokens as u64).sum();
-        prop_assert_eq!(report.total_output_tokens, served, "{:?}", scenario);
-        prop_assert!(ex.scheduler().sessions().is_empty(), "a session never retired: {scenario:?}");
-        prop_assert_eq!(ex.scheduler().kv_used_pages(), 0, "pages leaked: {:?}", scenario);
-        prop_assert_eq!(ex.pending_migration_count(), 0, "stranded migration: {:?}", scenario);
+        builds_exactly_when_valid_and_serves_to_completion(&scenario, &requests)?;
+    }
+}
+
+/// The same property at a fixed case count, for the ignored tier (tier-1
+/// runs `PROPTEST_CASES`, 256 by default). Its 2^19 cases take about 30 s
+/// in a debug build on a 2-vCPU x86-64 host.
+#[test]
+#[ignore = "ignored tier: a fixed, larger case count"]
+fn scenario_fuzz_at_a_fixed_case_count() {
+    const CASES: usize = 1 << 19;
+    let mut rng = TestRng::for_test_name("scenario_fuzz_at_a_fixed_case_count");
+    for case in 0..CASES {
+        let scenario = scenario_strategy().sample(&mut rng);
+        let requests = workload_strategy().sample(&mut rng);
+        let outcome = builds_exactly_when_valid_and_serves_to_completion(&scenario, &requests);
+        assert!(outcome.is_ok(), "case {case}: {outcome:?}");
     }
 }
 

@@ -20,6 +20,7 @@
 
 use mugi_numerics::fields::{FloatFields, Special};
 use mugi_numerics::nonlinear::NonlinearOp;
+use std::fmt;
 
 /// How the sliding window places itself inside the full LUT window for each
 /// mapping (a batch of inputs processed together).
@@ -80,30 +81,71 @@ impl VlpApproxConfig {
         (self.lut_max_exp - self.lut_min_exp + 1).max(0) as usize
     }
 
-    /// Validates invariants; returns a description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates invariants; returns the first one violated.
+    pub fn validate(&self) -> Result<(), VlpConfigError> {
         if !(1..=7).contains(&self.mantissa_bits) {
-            return Err(format!("mantissa_bits must be in 1..=7, got {}", self.mantissa_bits));
+            return Err(VlpConfigError::MantissaBits(self.mantissa_bits));
         }
         if self.lut_min_exp > self.lut_max_exp {
-            return Err(format!(
-                "lut_min_exp {} must not exceed lut_max_exp {}",
-                self.lut_min_exp, self.lut_max_exp
-            ));
+            return Err(VlpConfigError::InvertedLut {
+                lut_min_exp: self.lut_min_exp,
+                lut_max_exp: self.lut_max_exp,
+            });
         }
         if self.window_size == 0 {
-            return Err("window_size must be non-zero".to_string());
+            return Err(VlpConfigError::ZeroWindow);
         }
         if self.window_size > self.lut_exponents() {
-            return Err(format!(
-                "window_size {} exceeds stored LUT exponents {}",
-                self.window_size,
-                self.lut_exponents()
-            ));
+            return Err(VlpConfigError::WindowTooWide {
+                window_size: self.window_size,
+                lut_exponents: self.lut_exponents(),
+            });
         }
         Ok(())
     }
 }
+
+/// Why a [`VlpApproxConfig`] is invalid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VlpConfigError {
+    /// `mantissa_bits` is outside `1..=7`.
+    MantissaBits(u8),
+    /// The LUT window's lowest exponent exceeds its highest.
+    InvertedLut {
+        /// Lowest stored exponent.
+        lut_min_exp: i32,
+        /// Highest stored exponent.
+        lut_max_exp: i32,
+    },
+    /// `window_size` is zero.
+    ZeroWindow,
+    /// The sliding window is wider than the stored LUT window.
+    WindowTooWide {
+        /// Sliding-window size in exponents.
+        window_size: usize,
+        /// Exponents stored in the full LUT window.
+        lut_exponents: usize,
+    },
+}
+
+impl fmt::Display for VlpConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VlpConfigError::MantissaBits(bits) => {
+                write!(f, "mantissa_bits must be in 1..=7, got {bits}")
+            }
+            VlpConfigError::InvertedLut { lut_min_exp, lut_max_exp } => {
+                write!(f, "lut_min_exp {lut_min_exp} must not exceed lut_max_exp {lut_max_exp}")
+            }
+            VlpConfigError::ZeroWindow => write!(f, "window_size must be non-zero"),
+            VlpConfigError::WindowTooWide { window_size, lut_exponents } => {
+                write!(f, "window_size {window_size} exceeds stored LUT exponents {lut_exponents}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for VlpConfigError {}
 
 impl Default for VlpApproxConfig {
     fn default() -> Self {
@@ -968,14 +1010,32 @@ mod tests {
     #[test]
     fn config_validation_errors() {
         let invalid = [
-            VlpApproxConfig { window_size: 50, ..VlpApproxConfig::default() },
-            VlpApproxConfig { mantissa_bits: 0, ..VlpApproxConfig::default() },
-            VlpApproxConfig { lut_min_exp: 10, lut_max_exp: 0, ..VlpApproxConfig::default() },
+            (
+                VlpApproxConfig { window_size: 50, ..VlpApproxConfig::default() },
+                VlpConfigError::WindowTooWide { window_size: 50, lut_exponents: 12 },
+                "window_size 50 exceeds stored LUT exponents 12",
+            ),
+            (
+                VlpApproxConfig { mantissa_bits: 0, ..VlpApproxConfig::default() },
+                VlpConfigError::MantissaBits(0),
+                "mantissa_bits must be in 1..=7, got 0",
+            ),
+            (
+                VlpApproxConfig { lut_min_exp: 10, lut_max_exp: 0, ..VlpApproxConfig::default() },
+                VlpConfigError::InvertedLut { lut_min_exp: 10, lut_max_exp: 0 },
+                "lut_min_exp 10 must not exceed lut_max_exp 0",
+            ),
+            (
+                VlpApproxConfig { window_size: 0, ..VlpApproxConfig::default() },
+                VlpConfigError::ZeroWindow,
+                "window_size must be non-zero",
+            ),
         ];
-        for cfg in invalid {
-            assert!(cfg.validate().is_err(), "{cfg:?}");
+        for (cfg, error, message) in invalid {
+            assert_eq!(cfg.validate(), Err(error), "{cfg:?}");
+            assert_eq!(error.to_string(), message);
         }
-        assert!(VlpApproxConfig::default().validate().is_ok());
+        assert_eq!(VlpApproxConfig::default().validate(), Ok(()));
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub mod approx;
 pub mod temporal;
 pub mod tuning;
 
-pub use approx::{VlpApproxConfig, VlpNonlinear};
+pub use approx::{VlpApproxConfig, VlpConfigError, VlpNonlinear};

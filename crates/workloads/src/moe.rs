@@ -10,6 +10,7 @@
 
 use crate::models::ModelConfig;
 use crate::ops::{GemmKind, GemmOp, NonlinearTrace, OpTrace, Phase, WorkloadOp};
+use std::fmt;
 
 /// Configuration of an MoE extension applied on top of a dense model config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,20 +31,50 @@ impl MoeConfig {
         MoeConfig { num_experts: 8, top_k: 2, expert_ffn_dim: dense.ffn_dim }
     }
 
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration; returns the first rule it breaks.
+    pub fn validate(&self) -> Result<(), MoeConfigError> {
         if self.num_experts == 0 {
-            return Err("num_experts must be non-zero".to_string());
+            return Err(MoeConfigError::NoExperts);
         }
         if self.top_k == 0 || self.top_k > self.num_experts {
-            return Err(format!("top_k {} must be in 1..={}", self.top_k, self.num_experts));
+            return Err(MoeConfigError::TopK { top_k: self.top_k, num_experts: self.num_experts });
         }
         if self.expert_ffn_dim == 0 {
-            return Err("expert_ffn_dim must be non-zero".to_string());
+            return Err(MoeConfigError::NoExpertWidth);
         }
         Ok(())
     }
 }
+
+/// Why a [`MoeConfig`] is invalid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MoeConfigError {
+    /// `num_experts` is zero.
+    NoExperts,
+    /// `top_k` is outside `1..=num_experts`.
+    TopK {
+        /// Experts activated per token.
+        top_k: usize,
+        /// Experts per layer.
+        num_experts: usize,
+    },
+    /// `expert_ffn_dim` is zero.
+    NoExpertWidth,
+}
+
+impl fmt::Display for MoeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MoeConfigError::NoExperts => write!(f, "num_experts must be non-zero"),
+            MoeConfigError::TopK { top_k, num_experts } => {
+                write!(f, "top_k {top_k} must be in 1..={num_experts}")
+            }
+            MoeConfigError::NoExpertWidth => write!(f, "expert_ffn_dim must be non-zero"),
+        }
+    }
+}
+
+impl std::error::Error for MoeConfigError {}
 
 /// Generates the operator trace of one MoE transformer layer: the attention
 /// half is identical to the dense model; the FFN half becomes a gating
@@ -195,10 +226,17 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(MoeConfig { num_experts: 0, top_k: 1, expert_ffn_dim: 1 }.validate().is_err());
-        assert!(MoeConfig { num_experts: 4, top_k: 5, expert_ffn_dim: 1 }.validate().is_err());
-        assert!(MoeConfig { num_experts: 4, top_k: 2, expert_ffn_dim: 0 }.validate().is_err());
-        assert!(MoeConfig { num_experts: 4, top_k: 2, expert_ffn_dim: 64 }.validate().is_ok());
+        let validate = |num_experts, top_k, expert_ffn_dim| {
+            MoeConfig { num_experts, top_k, expert_ffn_dim }.validate()
+        };
+        assert_eq!(validate(0, 1, 1), Err(MoeConfigError::NoExperts));
+        assert_eq!(validate(4, 5, 1), Err(MoeConfigError::TopK { top_k: 5, num_experts: 4 }));
+        assert_eq!(validate(4, 0, 1), Err(MoeConfigError::TopK { top_k: 0, num_experts: 4 }));
+        assert_eq!(validate(4, 2, 0), Err(MoeConfigError::NoExpertWidth));
+        assert_eq!(validate(4, 2, 64), Ok(()));
+        assert_eq!(MoeConfigError::NoExperts.to_string(), "num_experts must be non-zero");
+        assert_eq!(validate(4, 5, 1).unwrap_err().to_string(), "top_k 5 must be in 1..=4");
+        assert_eq!(MoeConfigError::NoExpertWidth.to_string(), "expert_ffn_dim must be non-zero");
     }
 
     #[test]

@@ -135,3 +135,23 @@ fn memo_names_its_hash_map_only_in_order_free_forms() {
     }
     assert!(uses >= 2, "memo.rs no longer declares and builds `buckets`; update this check");
 }
+
+/// `mugi-runtime` is sealed: its modules are private and `lib.rs` re-exports
+/// one facade, and `unreachable_pub` (denied by CI's clippy run) fails any
+/// `pub` item the facade does not reach. A `pub mod` would make a module's
+/// internals API again, and without the lint rustc could not report them
+/// dead, so either change fails here.
+#[test]
+fn runtime_is_sealed_behind_its_facade() {
+    let file = "crates/runtime/src/lib.rs";
+    let source = read(file);
+    assert!(source.contains("#![warn(unreachable_pub)]"), "{file} must warn on unreachable_pub");
+    let code: Vec<&str> =
+        source.lines().map(|line| line.split("//").next().unwrap_or("").trim()).collect();
+    let public_modules: Vec<&&str> = code.iter().filter(|l| l.contains("pub mod ")).collect();
+    assert!(public_modules.is_empty(), "{file} declares public modules: {public_modules:?}");
+    assert!(
+        code.iter().any(|l| l.starts_with("mod ")),
+        "{file} declares no module; update this check"
+    );
+}
